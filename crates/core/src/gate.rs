@@ -26,9 +26,9 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::error::{ModelError, Result};
-use crate::mosfet::AlphaPowerFet;
+use crate::mosfet::{overdrive, AlphaPowerFet};
 use crate::network::PullNetwork;
-use crate::tech::{Polarity, Technology};
+use crate::tech::{DeviceParams, Polarity, Technology};
 use crate::units::{Celsius, Farads, Seconds, Volts};
 
 /// The inverting cell types available in a typical standard-cell library.
@@ -314,18 +314,19 @@ impl Gate {
         Farads::new((wn_at_out + wp_at_out) * tech.cj_per_width)
     }
 
-    fn network_fet(
-        &self,
-        tech: &Technology,
-        polarity: Polarity,
-        network: &PullNetwork,
-        w: f64,
-    ) -> Result<AlphaPowerFet> {
+    /// The equivalent transistor of the `polarity` pull network with all
+    /// inputs tied, and the network's stack depth.
+    fn network_fet(&self, tech: &Technology, polarity: Polarity) -> Result<(AlphaPowerFet, usize)> {
+        let (network, w) = match polarity {
+            Polarity::Nmos => (self.kind.pull_down(), self.wn),
+            Polarity::Pmos => (self.kind.pull_up(), self.wp),
+        };
         let params = *tech.device(polarity);
         let w_eff = network.effective_width(w, tech.stack_res_factor);
         let depth = network.max_stack_depth();
         let shift = Volts::new(tech.stack_vth_shift * (depth as f64 - 1.0));
-        Ok(AlphaPowerFet::new(polarity, params, w_eff)?.with_vth_shift(shift))
+        let fet = AlphaPowerFet::new(polarity, params, w_eff)?.with_vth_shift(shift);
+        Ok((fet, depth))
     }
 
     /// The equivalent transistor of the pull-down (NMOS) network with all
@@ -336,7 +337,7 @@ impl Gate {
     /// Returns [`ModelError::InvalidParameter`] if the technology's device
     /// parameters fail validation.
     pub fn pull_down_fet(&self, tech: &Technology) -> Result<AlphaPowerFet> {
-        self.network_fet(tech, Polarity::Nmos, &self.kind.pull_down(), self.wn)
+        Ok(self.network_fet(tech, Polarity::Nmos)?.0)
     }
 
     /// The equivalent transistor of the pull-up (PMOS) network with all
@@ -347,7 +348,31 @@ impl Gate {
     /// Returns [`ModelError::InvalidParameter`] if the technology's device
     /// parameters fail validation.
     pub fn pull_up_fet(&self, tech: &Technology) -> Result<AlphaPowerFet> {
-        self.network_fet(tech, Polarity::Pmos, &self.kind.pull_up(), self.wp)
+        Ok(self.network_fet(tech, Polarity::Pmos)?.0)
+    }
+
+    /// Compiles this gate driving an external load `c_load` into the
+    /// terms of its delays that do not depend on temperature, registering
+    /// both pull networks in `drives`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidParameter`] if the technology's device
+    /// parameters fail validation.
+    pub(crate) fn compile(
+        &self,
+        tech: &Technology,
+        c_load: Farads,
+        drives: &mut DriveTable,
+    ) -> Result<StageTerms> {
+        let c_total = c_load + self.output_parasitic(tech);
+        let (down, down_depth) = self.network_fet(tech, Polarity::Nmos)?;
+        let (up, up_depth) = self.network_fet(tech, Polarity::Pmos)?;
+        Ok(StageTerms {
+            charge: 0.5 * c_total.get() * tech.vdd.get(),
+            pull_down: drives.register(&down, down_depth),
+            pull_up: drives.register(&up, up_depth),
+        })
     }
 
     /// Propagation delays driving an external load `c_load` at junction
@@ -358,17 +383,135 @@ impl Gate {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NoOverdrive`] when either network is off at
-    /// `t` (the ring would stall).
+    /// Returns [`ModelError::InvalidParameter`] if the technology's device
+    /// parameters fail validation, and [`ModelError::NoOverdrive`] when
+    /// either network is off at `t` (the ring would stall).
     pub fn delays(&self, tech: &Technology, t: Celsius, c_load: Farads) -> Result<GateDelays> {
-        let c_total = c_load + self.output_parasitic(tech);
-        let charge = 0.5 * c_total.get() * tech.vdd.get();
-        let i_dn = self.pull_down_fet(tech)?.sat_current(t, tech.vdd)?;
-        let i_up = self.pull_up_fet(tech)?.sat_current(t, tech.vdd)?;
-        Ok(GateDelays {
-            tphl: Seconds::new(charge / i_dn.get()),
-            tplh: Seconds::new(charge / i_up.get()),
-        })
+        let mut drives = DriveTable::new(tech);
+        let stage = self.compile(tech, c_load, &mut drives)?;
+        Ok(drives.at(t)?.delays(&stage))
+    }
+}
+
+/// Deepest series stack of any [`GateKind`] network (the NAND4
+/// pull-down and the NOR4 pull-up).
+const MAX_STACK_DEPTH: usize = 4;
+
+/// One [`DriveTable`] slot per (polarity, stack depth) pair.
+const DRIVE_SLOTS: usize = 2 * MAX_STACK_DEPTH;
+
+/// Row of a polarity in a [`DriveTable`].
+fn polarity_row(polarity: Polarity) -> usize {
+    match polarity {
+        Polarity::Nmos => 0,
+        Polarity::Pmos => 1,
+    }
+}
+
+/// The temperature-independent drive of one pull network.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct NetworkTerms {
+    /// `W_eff · k_drive`.
+    width_drive: f64,
+    /// The (polarity, stack depth) slot whose overdrive the network
+    /// shares with every network of the same polarity and depth.
+    slot: usize,
+}
+
+/// A gate driving a fixed load, reduced to the terms of its delays that
+/// do not depend on temperature.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct StageTerms {
+    /// `0.5·(C_load + C_par)·V_DD`.
+    charge: f64,
+    pull_down: NetworkTerms,
+    pull_up: NetworkTerms,
+}
+
+/// What the stages compiled against one technology share: the supply,
+/// both device parameter sets, and the stack `Vth` shift of every
+/// (polarity, stack depth) pair some stage uses.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct DriveTable {
+    vdd: Volts,
+    devices: [DeviceParams; 2],
+    shifts: [Option<Volts>; DRIVE_SLOTS],
+}
+
+impl DriveTable {
+    /// An empty table for `tech`.
+    pub(crate) fn new(tech: &Technology) -> Self {
+        DriveTable {
+            vdd: tech.vdd,
+            devices: [tech.nmos, tech.pmos],
+            shifts: [None; DRIVE_SLOTS],
+        }
+    }
+
+    /// The supply the table was built for.
+    pub(crate) fn vdd(&self) -> Volts {
+        self.vdd
+    }
+
+    /// Registers the equivalent transistor of a network `depth` devices
+    /// deep.
+    fn register(&mut self, fet: &AlphaPowerFet, depth: usize) -> NetworkTerms {
+        assert!(
+            (1..=MAX_STACK_DEPTH).contains(&depth),
+            "stack depth {depth} is deeper than any GateKind network"
+        );
+        let slot = polarity_row(fet.polarity) * MAX_STACK_DEPTH + depth - 1;
+        self.shifts[slot] = Some(fet.vth_shift);
+        NetworkTerms {
+            width_drive: fet.width * fet.params.k_drive,
+            slot,
+        }
+    }
+
+    /// Evaluates the table at junction temperature `t`: µ(T) and Vth(T)
+    /// once per polarity, and one overdrive power per registered
+    /// (polarity, stack depth) pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::NoOverdrive`] when a registered network is
+    /// off at `t`.
+    pub(crate) fn at(&self, t: Celsius) -> Result<DrivesAt> {
+        let mobility = self.devices.map(|d| d.mobility_rel(t));
+        let vth = self.devices.map(|d| d.vth(t));
+        let mut power = [0.0; DRIVE_SLOTS];
+        for (slot, shift) in self.shifts.iter().enumerate() {
+            if let Some(shift) = *shift {
+                let row = slot / MAX_STACK_DEPTH;
+                let vov = overdrive(self.vdd, vth[row] + shift, t)?;
+                power[slot] = vov.get().powf(self.devices[row].alpha);
+            }
+        }
+        Ok(DrivesAt { mobility, power })
+    }
+}
+
+/// A [`DriveTable`] evaluated at one temperature.
+pub(crate) struct DrivesAt {
+    mobility: [f64; 2],
+    power: [f64; DRIVE_SLOTS],
+}
+
+impl DrivesAt {
+    /// `I_sat = W_eff · k_drive · µrel(T) · V_ov^α` of one network.
+    fn current(&self, network: &NetworkTerms) -> f64 {
+        network.width_drive
+            * self.mobility[network.slot / MAX_STACK_DEPTH]
+            * self.power[network.slot]
+    }
+
+    /// The alpha-power delay estimate `t_p = C·V_DD / (2·I_sat(T))` of
+    /// both output transitions of one stage.
+    pub(crate) fn delays(&self, stage: &StageTerms) -> GateDelays {
+        GateDelays {
+            tphl: Seconds::new(stage.charge / self.current(&stage.pull_down)),
+            tplh: Seconds::new(stage.charge / self.current(&stage.pull_up)),
+        }
     }
 }
 
@@ -406,6 +549,15 @@ mod tests {
                 k.fan_in(),
                 "{k}: one PMOS per input"
             );
+        }
+    }
+
+    #[test]
+    fn every_network_fits_the_drive_table() {
+        for k in GateKind::ALL {
+            for net in [k.pull_down(), k.pull_up()] {
+                assert!(net.max_stack_depth() <= MAX_STACK_DEPTH, "{k}: {net}");
+            }
         }
     }
 

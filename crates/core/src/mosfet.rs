@@ -88,13 +88,7 @@ impl AlphaPowerFet {
     /// Returns [`ModelError::NoOverdrive`] when the device would be off
     /// (overdrive ≤ 0) — the ring cannot oscillate there.
     pub fn overdrive(&self, t: Celsius, vdd: Volts) -> Result<Volts> {
-        let vov = vdd - self.vth(t);
-        if vov.get() <= 0.0 {
-            return Err(ModelError::NoOverdrive {
-                at_celsius: t.get(),
-            });
-        }
-        Ok(vov)
+        overdrive(vdd, self.vth(t), t)
     }
 
     /// Saturation drive current at temperature `t` under supply `vdd`.
@@ -126,6 +120,23 @@ impl AlphaPowerFet {
             -self.params.mobility_exp / t_k + self.params.alpha * self.params.vth_tempco / vov;
         Ok(i * dlni)
     }
+}
+
+/// Gate overdrive `V_DD − Vth` of a device whose threshold magnitude is
+/// `vth` at junction temperature `t`.
+///
+/// # Errors
+///
+/// Returns [`ModelError::NoOverdrive`] when the device would be off
+/// (overdrive ≤ 0).
+pub(crate) fn overdrive(vdd: Volts, vth: Volts, t: Celsius) -> Result<Volts> {
+    let vov = vdd - vth;
+    if vov.get() <= 0.0 {
+        return Err(ModelError::NoOverdrive {
+            at_celsius: t.get(),
+        });
+    }
+    Ok(vov)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 use std::fmt;
 
 use crate::error::{ModelError, Result};
-use crate::gate::{Gate, GateKind};
+use crate::gate::{DriveTable, Gate, GateKind, StageTerms};
 use crate::tech::Technology;
 use crate::units::{Celsius, Farads, Hertz, Seconds, TempRange, Watts};
 
@@ -130,19 +130,53 @@ impl RingOscillator {
         next.input_capacitance(tech) + self.wire_cap
     }
 
+    /// Compiles the ring for `tech`: every stage's temperature-independent
+    /// delay terms are computed once, so the returned [`RingModel`]
+    /// evaluates a period with one mobility and threshold per polarity and
+    /// one overdrive power per (polarity, stack depth) pair.
+    ///
+    /// ```
+    /// use tsense_core::gate::{Gate, GateKind};
+    /// use tsense_core::ring::RingOscillator;
+    /// use tsense_core::tech::Technology;
+    /// use tsense_core::units::Celsius;
+    ///
+    /// let tech = Technology::um350();
+    /// let ring = RingOscillator::uniform(Gate::with_ratio(GateKind::Inv, 1.0e-6, 2.0)?, 5)?;
+    /// let model = ring.compile(&tech)?;
+    /// let t = Celsius::new(85.0);
+    /// assert_eq!(model.period(t)?, ring.period(&tech, t)?);
+    /// # Ok::<(), tsense_core::ModelError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::InvalidParameter`] if the technology's device
+    /// parameters fail validation.
+    pub fn compile(&self, tech: &Technology) -> Result<RingModel> {
+        let mut drives = DriveTable::new(tech);
+        let stages = self
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(i, gate)| gate.compile(tech, self.stage_load(tech, i), &mut drives))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(RingModel {
+            drives,
+            stages,
+            switched_cap: self.switched_capacitance(tech),
+        })
+    }
+
     /// Oscillation period at junction temperature `t`.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NoOverdrive`] when any stage's pull network is
-    /// off at `t` (the ring stalls there).
+    /// Returns [`ModelError::InvalidParameter`] if the technology's device
+    /// parameters fail validation, and [`ModelError::NoOverdrive`] when any
+    /// stage's pull network is off at `t` (the ring stalls there).
     pub fn period(&self, tech: &Technology, t: Celsius) -> Result<Seconds> {
-        let mut total = Seconds::new(0.0);
-        for (i, gate) in self.stages.iter().enumerate() {
-            let d = gate.delays(tech, t, self.stage_load(tech, i))?;
-            total = total + d.pair_sum();
-        }
-        Ok(total)
+        self.compile(tech)?.period(t)
     }
 
     /// Oscillation frequency at junction temperature `t`.
@@ -151,10 +185,11 @@ impl RingOscillator {
     ///
     /// Same conditions as [`RingOscillator::period`].
     pub fn frequency(&self, tech: &Technology, t: Celsius) -> Result<Hertz> {
-        Ok(self.period(tech, t)?.to_frequency())
+        self.compile(tech)?.frequency(t)
     }
 
-    /// Samples the period over a temperature range.
+    /// Samples the period over a temperature range, compiling the ring
+    /// once for the whole curve.
     ///
     /// # Errors
     ///
@@ -166,10 +201,11 @@ impl RingOscillator {
         samples: usize,
     ) -> Result<PeriodCurve> {
         let temps = range.samples(samples);
-        let mut periods = Vec::with_capacity(temps.len());
-        for &t in &temps {
-            periods.push(self.period(tech, t)?);
-        }
+        let model = self.compile(tech)?;
+        let periods = temps
+            .iter()
+            .map(|&t| model.period(t))
+            .collect::<Result<Vec<_>>>()?;
         Ok(PeriodCurve { temps, periods })
     }
 
@@ -191,11 +227,7 @@ impl RingOscillator {
     ///
     /// Same conditions as [`RingOscillator::period`].
     pub fn dynamic_power(&self, tech: &Technology, t: Celsius) -> Result<Watts> {
-        let f = self.frequency(tech, t)?;
-        let c = self.switched_capacitance(tech);
-        Ok(Watts::new(
-            c.get() * tech.vdd.get() * tech.vdd.get() * f.get(),
-        ))
+        self.compile(tech)?.dynamic_power(t)
     }
 
     /// A compact description such as `"3×INV + 2×NAND3 (5 stages)"`.
@@ -211,6 +243,63 @@ impl RingOscillator {
 impl fmt::Display for RingOscillator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.describe())
+    }
+}
+
+/// A ring compiled for one technology by [`RingOscillator::compile`]:
+/// each stage's `0.5·(C_load + C_par)·V_DD` charge, the validated
+/// `W_eff·k_drive` and stack `Vth` shift of both pull networks, and the
+/// ring's switched capacitance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RingModel {
+    drives: DriveTable,
+    stages: Vec<StageTerms>,
+    switched_cap: Farads,
+}
+
+impl RingModel {
+    /// Oscillation period at junction temperature `t`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::NoOverdrive`] when any stage's pull network is
+    /// off at `t` (the ring stalls there).
+    pub fn period(&self, t: Celsius) -> Result<Seconds> {
+        let drives = self.drives.at(t)?;
+        let mut total = Seconds::new(0.0);
+        for stage in &self.stages {
+            total = total + drives.delays(stage).pair_sum();
+        }
+        Ok(total)
+    }
+
+    /// Oscillation frequency at junction temperature `t`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RingModel::period`].
+    pub fn frequency(&self, t: Celsius) -> Result<Hertz> {
+        Ok(self.period(t)?.to_frequency())
+    }
+
+    /// Dynamic power while oscillating with period `period`:
+    /// `P = C_sw · V_DD² / T`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is not positive.
+    pub fn power_at_period(&self, period: Seconds) -> Watts {
+        let vdd = self.drives.vdd().get();
+        Watts::new(self.switched_cap.get() * vdd * vdd * period.to_frequency().get())
+    }
+
+    /// Dynamic power dissipated while oscillating at temperature `t`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RingModel::period`].
+    pub fn dynamic_power(&self, t: Celsius) -> Result<Watts> {
+        Ok(self.power_at_period(self.period(t)?))
     }
 }
 

@@ -536,6 +536,9 @@ impl WireServer {
         let pidx = g.primary.load(Ordering::SeqCst);
         let mut guards = g.lock_all();
         guards[pidx].core.request_stop();
+        // The old thread must finish before the replacement starts: it
+        // may still be writing a checkpoint into the snapshot directory
+        // the replacement recovers from.
         if let Some(h) = guards[pidx].maintenance.take() {
             drop(h.join());
         }
@@ -592,10 +595,12 @@ impl WireServer {
         let pidx = g.primary.load(Ordering::SeqCst);
         let mut guards = g.lock_all();
         guards[pidx].killed = true;
+        // The stopped maintenance thread exits on its next tick. Its
+        // handle stays on the replica for `drain` (or a later
+        // `crash_shard`) to join: joining here would hold every lock of
+        // the group, and with it every request routed to the group, for
+        // up to a tick plus any checkpoint in progress.
         guards[pidx].core.request_stop();
-        if let Some(h) = guards[pidx].maintenance.take() {
-            drop(h.join());
-        }
         self.promote_locked(g, &mut guards)
     }
 

@@ -22,10 +22,10 @@
 //! # Ok::<(), sensor::SensorError>(())
 //! ```
 
-use tsense_core::ring::RingOscillator;
+use tsense_core::ring::{RingModel, RingOscillator};
 use tsense_core::sensitivity::DigitizerSpec;
 use tsense_core::tech::Technology;
-use tsense_core::units::{Celsius, Hertz, Seconds, Watts};
+use tsense_core::units::{Celsius, Hertz, Seconds, Volts, Watts};
 
 use crate::digitizer::BehavioralDigitizer;
 use crate::error::{Result, SensorError};
@@ -230,6 +230,8 @@ pub struct Measurement {
 #[derive(Debug, Clone)]
 pub struct SmartSensorUnit {
     config: SensorConfig,
+    /// `config.ring` compiled for `config.tech`.
+    model: RingModel,
     digitizer: BehavioralDigitizer,
     calibration: Option<CodeCalibration>,
     measurements: u64,
@@ -251,9 +253,14 @@ impl SmartSensorUnit {
         let spec = DigitizerSpec::new(config.ref_clock, config.window_cycles)
             .map_err(SensorError::Model)?;
         config.tech.validate().map_err(SensorError::Model)?;
+        let model = config
+            .ring
+            .compile(&config.tech)
+            .map_err(SensorError::Model)?;
         Ok(SmartSensorUnit {
             digitizer: BehavioralDigitizer::new(spec),
             config,
+            model,
             calibration: None,
             measurements: 0,
             total_osc_on: Seconds::new(0.0),
@@ -319,25 +326,27 @@ impl SmartSensorUnit {
     }
 
     /// The ring period as the (possibly faulted) silicon actually
-    /// produces it. `Err(ConversionTimeout)` models a dead ring: no
-    /// edges, the window never closes.
-    fn effective_period(&self, junction: Celsius) -> Result<Seconds> {
+    /// produces it, paired with the healthy ring's period when producing
+    /// it evaluated that too. `Err(ConversionTimeout)` models a dead
+    /// ring: no edges, the window never closes.
+    fn effective_period(&self, junction: Celsius) -> Result<(Seconds, Option<Seconds>)> {
         match self.fault {
             Some(RingFault::Dead) => Err(SensorError::ConversionTimeout),
-            Some(RingFault::StuckPeriod { period_s }) => Ok(Seconds::new(period_s)),
+            Some(RingFault::StuckPeriod { period_s }) => Ok((Seconds::new(period_s), None)),
             Some(RingFault::DelayScale { factor }) => {
-                let p = self.config.ring.period(&self.config.tech, junction)?;
-                Ok(Seconds::new(p.get() * factor))
+                let p = self.model.period(junction)?;
+                Ok((Seconds::new(p.get() * factor), Some(p)))
             }
             Some(RingFault::SupplyDroop { delta_v }) => {
                 // Evaluate the ring on the sagged rail; a droop below
                 // the device thresholds surfaces as a model error.
                 let mut sagged = self.config.tech.clone();
-                sagged.vdd = tsense_core::units::Volts::new(sagged.vdd.get() - delta_v);
-                Ok(self.config.ring.period(&sagged, junction)?)
+                sagged.vdd = Volts::new(sagged.vdd.get() - delta_v);
+                Ok((self.config.ring.period(&sagged, junction)?, None))
             }
             Some(RingFault::CounterBitFlip { .. }) | Some(RingFault::Metastable { .. }) | None => {
-                Ok(self.config.ring.period(&self.config.tech, junction)?)
+                let p = self.model.period(junction)?;
+                Ok((p, Some(p)))
             }
         }
     }
@@ -386,7 +395,7 @@ impl SmartSensorUnit {
     /// Propagates ring-model failures; a faulted unit reports its
     /// defect ([`SensorError::ConversionTimeout`] for a dead ring).
     pub fn raw_code(&self, junction: Celsius) -> Result<u64> {
-        let period = self.effective_period(junction)?;
+        let (period, _) = self.effective_period(junction)?;
         let mut code = self.digitizer.convert(period);
         if let Some(RingFault::CounterBitFlip { bit }) = self.fault {
             code ^= 1u64 << u32::from(bit);
@@ -427,7 +436,7 @@ impl SmartSensorUnit {
     /// model failures.
     pub fn measure(&mut self, junction: Celsius) -> Result<Measurement> {
         let cal = self.calibration.ok_or(SensorError::NotReady)?;
-        let period = self.effective_period(junction)?;
+        let (period, healthy_period) = self.effective_period(junction)?;
         let period_fs = (period.get() * 1e15).round().max(1.0) as u64;
         let settle_fs = self.config.settle_cycles as u64 * period_fs;
         let window_fs = self.config.window_cycles as u64 * period_fs;
@@ -442,15 +451,18 @@ impl SmartSensorUnit {
         let conversion_time = Seconds::new((settle_fs + window_fs) as f64 * 1e-15);
         self.measurements += 1;
         self.total_osc_on = self.total_osc_on + conversion_time;
+        // The power is the healthy ring's at the nominal rail, whatever
+        // fault is active; evaluate it only if the fault path did not.
+        let healthy_period = match healthy_period {
+            Some(p) => p,
+            None => self.model.period(junction)?,
+        };
         Ok(Measurement {
             code,
             temperature: cal.decode(code),
             conversion_time,
             ring_period: period,
-            ring_power: self
-                .config
-                .ring
-                .dynamic_power(&self.config.tech, junction)?,
+            ring_power: self.model.power_at_period(healthy_period),
         })
     }
 
@@ -488,7 +500,9 @@ impl SmartSensorUnit {
 mod tests {
     use super::*;
     use tsense_core::gate::{Gate, GateKind};
+    use tsense_core::tech::TechnologyBuilder;
     use tsense_core::units::TempRange;
+    use tsense_core::ModelError;
 
     fn unit() -> SmartSensorUnit {
         let tech = Technology::um350();
@@ -670,6 +684,134 @@ mod tests {
         let wrapped = narrow.raw_code(Celsius::new(150.0)).unwrap();
         assert!(full > 255, "default window overflows 8 bits: {full}");
         assert_eq!(wrapped, full & 0xFF, "hardware wrap, not saturation");
+    }
+
+    /// `measure` written against `RingOscillator::period`/`dynamic_power`,
+    /// with no compiled model: the effective period per fault, the
+    /// capture, the counters, then the healthy ring's power.
+    fn reference_measure(u: &mut SmartSensorUnit, junction: Celsius) -> Result<Measurement> {
+        let cal = u.calibration.ok_or(SensorError::NotReady)?;
+        let (ring, tech) = (u.config.ring.clone(), u.config.tech.clone());
+        let period = match u.fault {
+            Some(RingFault::Dead) => return Err(SensorError::ConversionTimeout),
+            Some(RingFault::StuckPeriod { period_s }) => Seconds::new(period_s),
+            Some(RingFault::DelayScale { factor }) => {
+                Seconds::new(ring.period(&tech, junction)?.get() * factor)
+            }
+            Some(RingFault::SupplyDroop { delta_v }) => {
+                let mut sagged = tech.clone();
+                sagged.vdd = Volts::new(sagged.vdd.get() - delta_v);
+                ring.period(&sagged, junction)?
+            }
+            Some(RingFault::CounterBitFlip { .. }) | Some(RingFault::Metastable { .. }) | None => {
+                ring.period(&tech, junction)?
+            }
+        };
+        let period_fs = (period.get() * 1e15).round().max(1.0) as u64;
+        let settle_fs = u.config.settle_cycles as u64 * period_fs;
+        let window_fs = u.config.window_cycles as u64 * period_fs;
+        let code = u.capture_code(period)?;
+        let conversion_time = Seconds::new((settle_fs + window_fs) as f64 * 1e-15);
+        u.measurements += 1;
+        u.total_osc_on = u.total_osc_on + conversion_time;
+        Ok(Measurement {
+            code,
+            temperature: cal.decode(code),
+            conversion_time,
+            ring_period: period,
+            ring_power: ring.dynamic_power(&tech, junction)?,
+        })
+    }
+
+    fn measurement_bits(m: &Measurement) -> [u64; 5] {
+        [
+            m.code,
+            m.temperature.get().to_bits(),
+            m.conversion_time.get().to_bits(),
+            m.ring_period.get().to_bits(),
+            m.ring_power.get().to_bits(),
+        ]
+    }
+
+    #[test]
+    fn measure_matches_the_uncompiled_reference_under_every_fault() {
+        // A 0.8 V NOR2 ring stalls below about −45 °C, so the error
+        // paths run too: a stalled healthy ring fails a stuck-period
+        // measurement only after its counters have advanced.
+        let low_vdd = TechnologyBuilder::from(Technology::um350())
+            .vdd(Volts::new(0.8))
+            .build()
+            .unwrap();
+        let nor2 = RingOscillator::uniform(Gate::with_ratio(GateKind::Nor2, 1e-6, 2.0).unwrap(), 5)
+            .unwrap();
+        let mut stalling = SmartSensorUnit::new(SensorConfig::new(nor2, low_vdd)).unwrap();
+        stalling.set_calibration(CodeCalibration {
+            gain: 0.01,
+            offset: -60.0,
+        });
+        let mut healthy = unit();
+        healthy
+            .calibrate_two_point(Celsius::new(-50.0), Celsius::new(150.0))
+            .unwrap();
+        let faults = [
+            None,
+            Some(RingFault::Dead),
+            Some(RingFault::StuckPeriod { period_s: 4.0e-10 }),
+            Some(RingFault::DelayScale { factor: 1.5 }),
+            Some(RingFault::CounterBitFlip { bit: 10 }),
+            Some(RingFault::Metastable { captures: 3 }),
+            Some(RingFault::Metastable { captures: 1_000 }),
+            Some(RingFault::SupplyDroop { delta_v: 0.1 }),
+            Some(RingFault::SupplyDroop { delta_v: -0.2 }),
+            Some(RingFault::SupplyDroop { delta_v: 2.6 }),
+        ];
+        let temps = [-60.0, -50.0, -40.0, 0.0, 27.0, 85.0, 150.0, 160.0];
+        let mut outcomes = (0, 0);
+        for base in [&healthy, &stalling] {
+            for fault in faults {
+                let mut u = base.clone();
+                if let Some(f) = fault {
+                    u.inject_fault(f);
+                }
+                let mut reference = u.clone();
+                for t in temps {
+                    let junction = Celsius::new(t);
+                    let got = u.measure(junction);
+                    let want = reference_measure(&mut reference, junction);
+                    match (&got, &want) {
+                        (Ok(a), Ok(b)) => {
+                            assert_eq!(
+                                measurement_bits(a),
+                                measurement_bits(b),
+                                "{fault:?} at {t}"
+                            );
+                            outcomes.0 += 1;
+                        }
+                        _ => {
+                            assert_eq!(got, want, "{fault:?} at {t}");
+                            outcomes.1 += 1;
+                        }
+                    }
+                    assert_eq!(u.measurement_count(), reference.measurements);
+                    assert_eq!(
+                        u.total_osc_on_time().get().to_bits(),
+                        reference.total_osc_on.get().to_bits(),
+                        "{fault:?} at {t}"
+                    );
+                    assert_eq!(u.metastable_left, reference.metastable_left);
+                }
+            }
+        }
+        assert!(outcomes.0 > 0 && outcomes.1 > 0, "{outcomes:?}");
+        // The stalled-healthy-ring case: the capture is counted, then the
+        // power evaluation fails.
+        let mut stuck = stalling.clone();
+        stuck.inject_fault(RingFault::StuckPeriod { period_s: 4.0e-10 });
+        assert!(matches!(
+            stuck.measure(Celsius::new(-60.0)),
+            Err(SensorError::Model(ModelError::NoOverdrive { .. }))
+        ));
+        assert_eq!(stuck.measurement_count(), 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Instant;
 
-use runtime::{resolve_sim_events, run_sim, shrink_failure, sweep, Invariant, Mutation, SimConfig};
+use runtime::{hunt, resolve_sim_events, sweep, Invariant, Mutation, SimConfig, Simulation};
 
 use crate::{render_table, write_artifact};
 
@@ -45,32 +45,18 @@ fn run_with(seeds: u64, out_dir: &Path) -> String {
         mutation: Mutation::NoCooldownRebase,
         ..base.clone()
     };
-    let hunt = sweep(&mutated, SEED_BASE, CATCH_BUDGET, true);
-    let caught = hunt.violations.first();
-    let (seeds_to_catch, invariant, replay_ok, shrunk_events, shrunk_crashes) = match caught {
-        Some(report) => {
-            let failing = SimConfig {
-                seed: report.seed,
-                ..mutated.clone()
-            };
-            let replay_ok = run_sim(&failing) == run_sim(&failing);
-            let (ev, cr) = shrink_failure(&failing).map_or((0, 0), |s| {
-                (
-                    s.config.events.as_ref().map_or(0, Vec::len),
-                    s.config.crashes.len(),
-                )
-            });
-            let v = report.violation.as_ref().expect("violating report");
-            (
-                report.seed - SEED_BASE + 1,
-                Some(v.invariant),
-                replay_ok,
-                ev,
-                cr,
-            )
-        }
-        None => (0, None, false, 0, 0),
-    };
+    let hunted = hunt(&mutated, SEED_BASE, CATCH_BUDGET);
+    let caught = hunted.caught.as_ref();
+    let seeds_to_catch = if caught.is_some() { hunted.seeds } else { 0 };
+    let invariant = caught
+        .and_then(|r| r.violation.as_ref())
+        .map(|v| v.invariant);
+    let (shrunk_events, shrunk_crashes) = hunted.shrunk.as_ref().map_or((0, 0), |s| {
+        (
+            s.config.events.as_ref().map_or(0, Vec::len),
+            s.config.crashes.len(),
+        )
+    });
 
     // ---- artifacts -----------------------------------------------------
     let mut json = String::from("{\n");
@@ -91,7 +77,7 @@ fn run_with(seeds: u64, out_dir: &Path) -> String {
         "    \"invariant\": {},",
         invariant.map_or("null".to_string(), |i| format!("\"{i}\""))
     );
-    let _ = writeln!(json, "    \"replay_deterministic\": {replay_ok},");
+    let _ = writeln!(json, "    \"replay_deterministic\": {},", hunted.replays);
     let _ = writeln!(json, "    \"shrunk_fault_events\": {shrunk_events},");
     let _ = writeln!(json, "    \"shrunk_crashes\": {shrunk_crashes}");
     json.push_str("  }\n}\n");
@@ -142,14 +128,10 @@ fn run_with(seeds: u64, out_dir: &Path) -> String {
     let _ = writeln!(
         report,
         "failing seed replays byte-for-byte: {}",
-        if replay_ok { "PASS" } else { "FAIL" }
+        if hunted.replays { "PASS" } else { "FAIL" }
     );
     if let Some(first) = caught {
-        let original = resolve_sim_events(&SimConfig {
-            seed: first.seed,
-            ..mutated
-        })
-        .len();
+        let original = resolve_sim_events(&mutated.with_seed(first.seed)).len();
         let _ = writeln!(
             report,
             "shrunk reproducer: {original} fault event(s) -> {shrunk_events}, \

@@ -10,7 +10,7 @@
 //!    and slow links, duplicated datagrams, shard crashes mid-storm,
 //!    decommissions, clock skew — with zero fleet-invariant
 //!    violations.
-//! 2. **Parallel sweep scaling**: `fleet_sweep` at 4 jobs vs serial,
+//! 2. **Parallel sweep scaling**: `sweep_jobs` at 4 jobs vs serial,
 //!    with the merged outcome byte-identical. CPU-bound scaling is
 //!    only observable with ≥4 hardware threads, so the JSON records
 //!    the core count next to the measured ratio; a latency-bound
@@ -30,9 +30,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use runtime::{
-    fleet_sweep, run_fleet, shrink_fleet_failure, FleetConfig, FleetInvariant, FleetMutation,
-};
+use runtime::{hunt, run_fleet, sweep_jobs, FleetConfig, FleetInvariant, FleetMutation};
 
 use crate::{render_table, write_artifact};
 
@@ -64,7 +62,7 @@ pub fn run(out_dir: &Path) -> String {
 
     // ---- 1. headline clean sweep -------------------------------------
     let t = Instant::now();
-    let clean = fleet_sweep(&base, 0, SWEEP_SEEDS, false, 1);
+    let clean = sweep_jobs(&base, 0, SWEEP_SEEDS, false, 1);
     let clean_elapsed = t.elapsed();
     let clean_ok = clean.violations.is_empty();
 
@@ -72,14 +70,14 @@ pub fn run(out_dir: &Path) -> String {
     let mut serial_t = Duration::MAX;
     let mut jobs4_t = Duration::MAX;
     let mut identical = true;
-    let reference = fleet_sweep(&base, 0, TIMED_SEEDS, false, 1);
+    let reference = sweep_jobs(&base, 0, TIMED_SEEDS, false, 1);
     for _ in 0..REPS {
         let t = Instant::now();
-        let s = fleet_sweep(&base, 0, TIMED_SEEDS, false, 1);
+        let s = sweep_jobs(&base, 0, TIMED_SEEDS, false, 1);
         serial_t = serial_t.min(t.elapsed());
         identical &= s == reference;
         let t = Instant::now();
-        let p = fleet_sweep(&base, 0, TIMED_SEEDS, false, 4);
+        let p = sweep_jobs(&base, 0, TIMED_SEEDS, false, 4);
         jobs4_t = jobs4_t.min(t.elapsed());
         identical &= p == reference;
     }
@@ -112,30 +110,17 @@ pub fn run(out_dir: &Path) -> String {
         mutation: FleetMutation::NoDecommissionCheck,
         ..base.clone()
     };
-    let hunt = fleet_sweep(&mutated, 0, SWEEP_SEEDS, true, 1);
-    let caught = hunt.violations.first();
+    let hunted = hunt(&mutated, 0, SWEEP_SEEDS);
+    let caught = hunted.caught.as_ref();
     let caught_ok = caught.is_some_and(|r| {
         r.violation.as_ref().map(|v| v.invariant) == Some(FleetInvariant::RoutedDecommissioned)
     });
-    let (caught_seed, seeds_to_catch) = match caught {
-        Some(r) => (r.seed, hunt.seeds),
-        None => (0, hunt.seeds),
-    };
-    let (shrunk_events, replay_identical) = match caught {
-        Some(r) => {
-            let failing = FleetConfig {
-                seed: r.seed,
-                ..mutated.clone()
-            };
-            let a = run_fleet(&failing);
-            let b = run_fleet(&failing);
-            let shrunk = shrink_fleet_failure(&failing)
-                .map(|s| s.config.events.map_or(0, |e| e.len()))
-                .unwrap_or(usize::MAX);
-            (shrunk, a == b)
-        }
-        None => (usize::MAX, false),
-    };
+    let (caught_seed, seeds_to_catch) = (caught.map_or(0, |r| r.seed), hunted.seeds);
+    let replay_identical = hunted.replays;
+    let shrunk_events = hunted
+        .shrunk
+        .as_ref()
+        .map_or(usize::MAX, |s| s.config.events.as_ref().map_or(0, Vec::len));
     let shrink_ok = shrunk_events != usize::MAX;
 
     // ---- 4. honest degradation counters ------------------------------

@@ -4,7 +4,8 @@
 //! figures [--out <dir>] <experiment>...|all
 //! ```
 //!
-//! Experiments: fig1 fig2 fig3 ta tb tc td abl1 abl2 abl3 (see DESIGN.md).
+//! `figures --list` prints every experiment id (DESIGN.md §4 indexes the
+//! paper's).
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,534 +1,392 @@
-//! `runtime` — soak the supervised monitoring service under chaos, or
-//! sweep it under deterministic simulation.
+//! `runtime` — soak the supervised monitoring service under chaos,
+//! serve it over TCP, or sweep it under deterministic simulation.
 //!
-//! ```text
-//! runtime soak [OPTIONS]
-//!
-//! --seconds N        total soak length; 80 % storm, 20 % drain
-//!                    (default: 10)
-//! --seed N           chaos + jitter seed (default: 42)
-//! --sites N          sensor sites in the array (default: 9)
-//! --faults N         scheduled fault events (default: 2 per second)
-//! --clients N        client threads issuing reads (default: 3)
-//! --no-chaos         disable fault injection
-//! --restart          kill and recover the runtime mid-storm
-//! --snapshot-dir P   checkpoint directory (default: a temp dir)
-//! --check            fail (exit 1) unless the liveness invariants
-//!                    hold: zero late replies, zero silent-stale
-//!                    reads, breakers re-closed, recovery restored a
-//!                    checkpoint when --restart was given
-//! --json             machine-readable output
-//! --help             this text
-//!
-//! runtime serve [OPTIONS]
-//!
-//! --shards N         service shards behind the ring router (default: 3)
-//! --sites N          sensor sites per shard (default: 6)
-//! --port P           TCP port to bind on 127.0.0.1 (default: 0 = ephemeral)
-//! --seconds N        serve for N seconds, then drain (default: 10)
-//! --seed N           router jitter seed (default: 42)
-//! --snapshot-dir P   per-shard checkpoint root (default: none)
-//! --json             machine-readable final stats
-//! --help             this text
-//!
-//! runtime client [OPTIONS]
-//!
-//! --addr HOST:PORT   server address (required; repeatable for failover)
-//! --key K            die-region key to read (default: 0)
-//! --count N          sequential requests to issue (default: 1)
-//! --map              request the whole-fleet thermal map instead
-//! --json             machine-readable output
-//! --help             this text
-//!
-//! runtime wire-soak [OPTIONS]
-//!
-//! --seconds N        load duration (default: 5)
-//! --rate N           mean Poisson arrival rate, req/s (default: 150)
-//! --clients N        client worker threads (default: 4)
-//! --seed N           arrivals + chaos seed (default: 42)
-//! --chaos            route traffic through the hostile chaos proxy
-//! --crash-at MS      crash-and-recover shard 1 at MS (default: midway;
-//!                    0 disables)
-//! --decommission-at MS
-//!                    decommission shard 2 at MS (default: 3/4 point;
-//!                    0 disables)
-//! --kill-primary-at MS
-//!                    hard-kill shard group 0's primary at MS, forcing
-//!                    an epoch-bumping backup promotion (default:
-//!                    disabled; 0 disables)
-//! --snapshot-dir P   per-shard checkpoint root (default: a temp dir)
-//! --p99 MS           with --check, also fail if p99 exceeds MS
-//! --hist-out P       write the latency histogram artifact to P
-//! --check            fail (exit 1) unless the graded fleet invariants
-//!                    hold (honest staleness, no decommissioned shard
-//!                    served, no resurrected cache, at-most-once, and
-//!                    with --kill-primary-at: failover completes)
-//! --json             machine-readable output
-//! --help             this text
-//!
-//! runtime dst [OPTIONS]
-//!
-//! --seeds N          seeds to sweep (default: 200)
-//! --seed-base N      first seed (default: 0)
-//! --seed-range A..B  sweep the half-open seed range [A, B)
-//!                    (overrides --seeds/--seed-base)
-//! --jobs N           worker threads for the sweep; results are merged
-//!                    in seed order, so the report is byte-identical at
-//!                    any job count (default: 1)
-//! --fleet            simulate the multi-node fleet (shards + router +
-//!                    clients over a faulty message fabric) instead of
-//!                    the single-process service
-//! --mutation M       known-bad mutation: none | no-cooldown-rebase,
-//!                    or with --fleet: none | no-decommission-check |
-//!                    no-epoch-fence (default: none)
-//! --replay SEED      replay one seed and print its full trace
-//! --replay-node ID   with --fleet --replay: show only one node's
-//!                    steps (shard-N | router | client-N | admin)
-//! --trace-out P      on violation, write the shrunk failing trace to P
-//! --check            fail (exit 1) if any seed violates an invariant
-//! --json             machine-readable output
-//! --help             this text
-//! ```
+//! Every subcommand's flags live in one table below (name, value kind
+//! and check, default, help line); one loop parses them and
+//! `runtime --help` prints a usage generated from the tables.
 //!
 //! Exit status: 0 clean; 1 when `--check` fails; 2 on usage errors.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::fmt;
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use runtime::{
-    fleet_sweep, render_fleet_trace, render_trace, run_fleet, run_sim, run_soak, run_wire_soak,
-    shrink_failure, shrink_fleet_failure, sweep_jobs, FleetConfig, FleetMutation, FleetReport,
-    FleetSweepOutcome, Mutation, RuntimeConfig, SimConfig, SimReport, SoakConfig, SoakReport,
-    SweepOutcome, WireClient, WireClientConfig, WireOutcome, WireServer, WireServerConfig,
-    WireSoakConfig,
+    render_trace, run_soak, run_wire_soak, shrink_failure, sweep_jobs, FleetConfig, FleetMutation,
+    FleetReport, Mutation, RunReport, RuntimeConfig, SimConfig, SimReport, Simulation, SoakConfig,
+    SoakReport, SweepOutcome, Violation, WireClient, WireClientConfig, WireOutcome, WireServer,
+    WireServerConfig, WireSoakConfig,
 };
 
-const USAGE: &str = "usage: runtime soak [--seconds N] [--seed N] [--sites N] [--faults N] \
-                     [--clients N] [--no-chaos] [--restart] [--snapshot-dir P] [--check] [--json]\n\
-                     \x20      runtime serve [--shards N] [--sites N] [--port P] [--seconds N] \
-                     [--seed N] [--snapshot-dir P] [--json]\n\
-                     \x20      runtime client --addr HOST:PORT [--addr ...] [--key K] [--count N] \
-                     [--map] [--json]\n\
-                     \x20      runtime wire-soak [--seconds N] [--rate N] [--clients N] [--seed N] \
-                     [--chaos] [--crash-at MS] [--decommission-at MS] [--kill-primary-at MS] \
-                     [--snapshot-dir P] [--p99 MS] [--hist-out P] [--check] [--json]\n\
-                     \x20      runtime dst [--fleet] [--seeds N] [--seed-base N] [--seed-range A..B] \
-                     [--jobs N] [--mutation M] [--replay SEED] [--replay-node ID] [--trace-out P] \
-                     [--check] [--json]";
-
-struct Options {
-    soak: SoakConfig,
-    seconds: u64,
-    chaos: bool,
-    restart: bool,
-    faults: Option<usize>,
-    snapshot_dir: Option<PathBuf>,
-    check: bool,
-    json: bool,
+/// How a flag's value is read and checked.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// No value: the flag is on when present.
+    Switch,
+    /// An unsigned integer.
+    Uint,
+    /// An integer of at least 1.
+    Positive,
+    /// A real number above 0.
+    PositiveReal,
+    /// A TCP port.
+    Port,
+    /// A `HOST:PORT` socket address; the flag may repeat.
+    Addr,
+    /// A non-empty half-open integer range `A..B`.
+    Range,
+    /// Free text: a path or a name.
+    Text,
 }
 
-struct DstOptions {
-    seeds: u64,
-    seed_base: u64,
-    jobs: usize,
-    fleet: bool,
-    mutation: Option<String>,
-    replay: Option<u64>,
-    replay_node: Option<String>,
-    trace_out: Option<PathBuf>,
-    check: bool,
-    json: bool,
-}
+use Kind::*;
 
-enum Command {
-    Soak(Box<Options>),
-    Dst(DstOptions),
-    Serve(ServeOptions),
-    Client(ClientOptions),
-    WireSoak(Box<WireSoakOptions>),
-}
-
-fn parse_dst_args(mut it: std::slice::Iter<'_, String>) -> Result<Option<DstOptions>, String> {
-    let mut opts = DstOptions {
-        seeds: 200,
-        seed_base: 0,
-        jobs: 1,
-        fleet: false,
-        mutation: None,
-        replay: None,
-        replay_node: None,
-        trace_out: None,
-        check: false,
-        json: false,
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => opts.check = true,
-            "--json" => opts.json = true,
-            "--fleet" => opts.fleet = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--seeds" => {
-                let v = it.next().ok_or("--seeds needs a value")?;
-                opts.seeds = v.parse().map_err(|_| format!("bad seed count `{v}`"))?;
-                if opts.seeds == 0 {
-                    return Err("--seeds must be positive".into());
-                }
-            }
-            "--seed-base" => {
-                let v = it.next().ok_or("--seed-base needs a value")?;
-                opts.seed_base = v.parse().map_err(|_| format!("bad seed base `{v}`"))?;
-            }
-            "--seed-range" => {
-                let v = it.next().ok_or("--seed-range needs A..B")?;
-                let (a, b) = v
-                    .split_once("..")
-                    .ok_or_else(|| format!("bad seed range `{v}` (want A..B)"))?;
-                let a: u64 = a.parse().map_err(|_| format!("bad range start `{a}`"))?;
-                let b: u64 = b.parse().map_err(|_| format!("bad range end `{b}`"))?;
-                if b <= a {
-                    return Err(format!("empty seed range `{v}`"));
-                }
-                opts.seed_base = a;
-                opts.seeds = b - a;
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad job count `{v}`"))?;
-                if opts.jobs == 0 {
-                    return Err("--jobs must be positive".into());
-                }
-            }
-            "--mutation" => {
-                let v = it.next().ok_or("--mutation needs a value")?;
-                opts.mutation = Some(v.clone());
-            }
-            "--replay" => {
-                let v = it.next().ok_or("--replay needs a seed")?;
-                opts.replay = Some(v.parse().map_err(|_| format!("bad replay seed `{v}`"))?);
-            }
-            "--replay-node" => {
-                let v = it.next().ok_or("--replay-node needs a node id")?;
-                opts.replay_node = Some(v.clone());
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                opts.trace_out = Some(PathBuf::from(v));
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
+impl Kind {
+    /// Checks one value; on failure returns what the flag wants.
+    fn check(self, v: &str) -> Result<(), &'static str> {
+        let (bad, want) = match self {
+            Switch | Text => (false, ""),
+            Uint => (v.parse::<u64>().is_err(), "an unsigned integer"),
+            Positive => (
+                v.parse::<u64>().map_or(true, |n| n == 0),
+                "a positive integer",
+            ),
+            PositiveReal => (
+                v.parse::<f64>().map_or(true, |x| x <= 0.0),
+                "a positive number",
+            ),
+            Port => (v.parse::<u16>().is_err(), "a port number"),
+            Addr => (v.parse::<SocketAddr>().is_err(), "HOST:PORT"),
+            Range => (seed_range(v).is_none(), "A..B with A < B"),
+        };
+        if bad {
+            Err(want)
+        } else {
+            Ok(())
         }
     }
-    if opts.replay_node.is_some() && !opts.fleet {
-        return Err("--replay-node requires --fleet".into());
-    }
-    if opts.replay_node.is_some() && opts.replay.is_none() {
-        return Err("--replay-node requires --replay SEED".into());
-    }
-    Ok(Some(opts))
 }
 
-struct ServeOptions {
-    shards: usize,
-    sites: usize,
-    port: u16,
-    seconds: u64,
-    seed: u64,
-    snapshot_dir: Option<PathBuf>,
-    json: bool,
+/// Parses `A..B` into `(A, B - A)`: a first seed and a count.
+fn seed_range(v: &str) -> Option<(u64, u64)> {
+    let (a, b) = v.split_once("..")?;
+    let (a, b): (u64, u64) = (a.parse().ok()?, b.parse().ok()?);
+    (b > a).then_some((a, b - a))
 }
 
-fn parse_serve_args(mut it: std::slice::Iter<'_, String>) -> Result<Option<ServeOptions>, String> {
-    let mut opts = ServeOptions {
-        shards: 3,
-        sites: 6,
-        port: 0,
-        seconds: 10,
-        seed: 42,
-        snapshot_dir: None,
-        json: false,
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                opts.shards = v.parse().map_err(|_| format!("bad shard count `{v}`"))?;
-                if opts.shards == 0 {
-                    return Err("--shards must be positive".into());
-                }
-            }
-            "--sites" => {
-                let v = it.next().ok_or("--sites needs a value")?;
-                opts.sites = v.parse().map_err(|_| format!("bad site count `{v}`"))?;
-                if opts.sites == 0 {
-                    return Err("--sites must be positive".into());
-                }
-            }
-            "--port" => {
-                let v = it.next().ok_or("--port needs a value")?;
-                opts.port = v.parse().map_err(|_| format!("bad port `{v}`"))?;
-            }
-            "--seconds" => {
-                let v = it.next().ok_or("--seconds needs a value")?;
-                opts.seconds = v.parse().map_err(|_| format!("bad seconds `{v}`"))?;
-                if opts.seconds == 0 {
-                    return Err("--seconds must be positive".into());
-                }
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--snapshot-dir" => {
-                let v = it.next().ok_or("--snapshot-dir needs a value")?;
-                opts.snapshot_dir = Some(PathBuf::from(v));
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
+/// One row of a subcommand's flag table.
+struct Flag {
+    name: &'static str,
+    /// Value placeholder in the usage text; empty for a switch.
+    meta: &'static str,
+    kind: Kind,
+    /// The value used when the flag is absent; empty for none.
+    default: &'static str,
+    help: &'static str,
+}
+
+const fn flag(
+    name: &'static str,
+    meta: &'static str,
+    kind: Kind,
+    default: &'static str,
+    help: &'static str,
+) -> Flag {
+    Flag {
+        name,
+        meta,
+        kind,
+        default,
+        help,
+    }
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    flag(name, "", Switch, "", help)
+}
+
+const JSON: Flag = switch("--json", "machine-readable output");
+
+#[rustfmt::skip]
+const SOAK: &[Flag] = &[
+    flag("--seconds", "N", Positive, "10", "total soak length; 80 % storm, 20 % drain"),
+    flag("--seed", "N", Uint, "42", "chaos + jitter seed"),
+    flag("--sites", "N", Positive, "9", "sensor sites in the array"),
+    flag("--faults", "N", Uint, "", "scheduled fault events (default: 2 per second)"),
+    flag("--clients", "N", Uint, "3", "client threads issuing reads"),
+    switch("--no-chaos", "disable fault injection"),
+    switch("--restart", "kill and recover the runtime mid-storm"),
+    flag("--snapshot-dir", "P", Text, "", "checkpoint directory (default: a temp dir)"),
+    switch("--check", "fail (exit 1) unless the liveness invariants hold: zero late replies, \
+                       zero silent-stale reads, breakers re-closed, recovery restored a \
+                       checkpoint when --restart was given"),
+    JSON,
+];
+
+#[rustfmt::skip]
+const SERVE: &[Flag] = &[
+    flag("--shards", "N", Positive, "3", "service shards behind the ring router"),
+    flag("--sites", "N", Positive, "6", "sensor sites per shard"),
+    flag("--port", "P", Port, "0", "TCP port to bind on 127.0.0.1; 0 is ephemeral"),
+    flag("--seconds", "N", Positive, "10", "serve for N seconds, then drain"),
+    flag("--seed", "N", Uint, "42", "router jitter seed"),
+    flag("--snapshot-dir", "P", Text, "", "per-shard checkpoint root (default: none)"),
+    switch("--json", "machine-readable final stats"),
+];
+
+#[rustfmt::skip]
+const CLIENT: &[Flag] = &[
+    flag("--addr", "HOST:PORT", Addr, "", "server address (required; repeatable for failover)"),
+    flag("--key", "K", Uint, "0", "die-region key to read"),
+    flag("--count", "N", Positive, "1", "sequential requests to issue"),
+    switch("--map", "request the whole-fleet thermal map instead"),
+    JSON,
+];
+
+#[rustfmt::skip]
+const WIRE_SOAK: &[Flag] = &[
+    flag("--seconds", "N", Positive, "5", "load duration"),
+    flag("--rate", "N", PositiveReal, "150", "mean Poisson arrival rate, req/s"),
+    flag("--clients", "N", Positive, "4", "client worker threads"),
+    flag("--seed", "N", Uint, "42", "arrivals + chaos seed"),
+    switch("--chaos", "route traffic through the hostile chaos proxy"),
+    flag("--crash-at", "MS", Uint, "", "crash-and-recover shard 1 at MS \
+                                       (default: midway; 0 disables)"),
+    flag("--decommission-at", "MS", Uint, "", "decommission shard 2 at MS \
+                                               (default: 3/4 point; 0 disables)"),
+    flag("--kill-primary-at", "MS", Uint, "", "hard-kill shard group 0's primary at MS, \
+                                               forcing an epoch-bumping backup promotion \
+                                               (default: disabled; 0 disables)"),
+    flag("--snapshot-dir", "P", Text, "", "per-shard checkpoint root (default: a temp dir)"),
+    flag("--p99", "MS", Uint, "", "with --check, also fail if p99 exceeds MS"),
+    flag("--hist-out", "P", Text, "", "write the latency histogram artifact to P"),
+    switch("--check", "fail (exit 1) unless the graded fleet invariants hold (honest \
+                       staleness, no decommissioned shard served, no resurrected cache, \
+                       at-most-once, and with --kill-primary-at: failover completes)"),
+    JSON,
+];
+
+#[rustfmt::skip]
+const DST: &[Flag] = &[
+    flag("--seeds", "N", Positive, "200", "seeds to sweep"),
+    flag("--seed-base", "N", Uint, "0", "first seed"),
+    flag("--seed-range", "A..B", Range, "", "sweep the half-open seed range [A, B); \
+                                             overrides --seeds and --seed-base"),
+    flag("--jobs", "N", Positive, "1", "worker threads; results merge in seed order, so the \
+                                        report is byte-identical at any job count"),
+    switch("--fleet", "simulate the replicated fleet (shard groups + router + clients over \
+                       a faulty message fabric) instead of the single-process service"),
+    flag("--mutation", "M", Text, "none", "known-bad mutation: none | no-cooldown-rebase, or \
+                                           with --fleet: none | no-decommission-check | \
+                                           no-epoch-fence"),
+    flag("--replay", "SEED", Uint, "", "replay one seed and print its full trace"),
+    flag("--replay-node", "ID", Text, "", "with --fleet --replay: show only one node's steps \
+                                           (shard-G-R | router | client-N | admin | \
+                                           anti-entropy)"),
+    flag("--trace-out", "P", Text, "", "on violation, write the shrunk failing trace to P"),
+    switch("--check", "fail (exit 1) if any seed violates an invariant"),
+    JSON,
+];
+
+/// A subcommand: its flag table and the function that runs it. A
+/// usage error comes back as `Err` and exits 2.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Args) -> Result<ExitCode, String>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "soak",
+        about: "soak the supervised service under a seeded chaos storm",
+        flags: SOAK,
+        run: soak_cmd,
+    },
+    Command {
+        name: "serve",
+        about: "serve the sharded fleet over TCP, then drain",
+        flags: SERVE,
+        run: serve_cmd,
+    },
+    Command {
+        name: "client",
+        about: "read from a running server",
+        flags: CLIENT,
+        run: client_cmd,
+    },
+    Command {
+        name: "wire-soak",
+        about: "load a live TCP fleet open-loop and grade its invariants",
+        flags: WIRE_SOAK,
+        run: wire_soak_cmd,
+    },
+    Command {
+        name: "dst",
+        about: "sweep, replay and shrink seeds of a deterministic simulator",
+        flags: DST,
+        run: dst_cmd,
+    },
+];
+
+/// The usage text, generated from the flag tables.
+fn help() -> String {
+    let mut s = String::from("usage: runtime COMMAND [OPTIONS]   (--help, -h: this text)\n");
+    for cmd in COMMANDS {
+        s.push_str(&format!("\nruntime {} — {}\n", cmd.name, cmd.about));
+        for f in cmd.flags {
+            let default = match f.default {
+                "" => String::new(),
+                d => format!(" (default: {d})"),
+            };
+            let usage = format!("{} {}", f.name, f.meta);
+            s.push_str(&format!("  {:<22} {}{default}\n", usage.trim_end(), f.help));
         }
     }
-    Ok(Some(opts))
+    s.push_str("\nExit status: 0 clean; 1 when `--check` fails; 2 on usage errors.");
+    s
 }
 
-struct ClientOptions {
-    addrs: Vec<std::net::SocketAddr>,
-    key: u64,
-    count: u64,
-    map: bool,
-    json: bool,
+/// A subcommand's arguments, each value checked against its table row.
+struct Args {
+    flags: &'static [Flag],
+    values: BTreeMap<&'static str, Vec<String>>,
 }
 
-fn parse_client_args(
-    mut it: std::slice::Iter<'_, String>,
-) -> Result<Option<ClientOptions>, String> {
-    let mut opts = ClientOptions {
-        addrs: Vec::new(),
-        key: 0,
-        count: 1,
-        map: false,
-        json: false,
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--map" => opts.map = true,
-            "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
+impl Args {
+    /// The one parsing loop. `Ok(None)` means `--help` was printed.
+    fn parse(flags: &'static [Flag], argv: &[String]) -> Result<Option<Args>, String> {
+        let mut values: BTreeMap<&'static str, Vec<String>> = BTreeMap::new();
+        let mut it = argv.iter();
+        while let Some(arg) = it.next() {
+            if arg == "--help" || arg == "-h" {
+                println!("{}", help());
                 return Ok(None);
             }
-            "--addr" => {
-                let v = it.next().ok_or("--addr needs HOST:PORT")?;
-                opts.addrs
-                    .push(v.parse().map_err(|_| format!("bad address `{v}`"))?);
-            }
-            "--key" => {
-                let v = it.next().ok_or("--key needs a value")?;
-                opts.key = v.parse().map_err(|_| format!("bad key `{v}`"))?;
-            }
-            "--count" => {
-                let v = it.next().ok_or("--count needs a value")?;
-                opts.count = v.parse().map_err(|_| format!("bad count `{v}`"))?;
-                if opts.count == 0 {
-                    return Err("--count must be positive".into());
+            let f = flags
+                .iter()
+                .find(|f| f.name == arg)
+                .ok_or_else(|| format!("unknown argument `{arg}`"))?;
+            let value = match f.kind {
+                Switch => String::new(),
+                kind => {
+                    let v = it
+                        .next()
+                        .ok_or_else(|| format!("{} needs a value ({})", f.name, f.meta))?;
+                    kind.check(v)
+                        .map_err(|want| format!("bad {} value `{v}` (want {want})", f.name))?;
+                    v.clone()
                 }
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
+            };
+            values.entry(f.name).or_default().push(value);
+        }
+        Ok(Some(Args { flags, values }))
+    }
+
+    fn row(&self, name: &str) -> &'static Flag {
+        let row = self.flags.iter().find(|f| f.name == name);
+        row.expect("flag is in the command's table")
+    }
+
+    /// Whether the flag was given.
+    fn on(&self, name: &str) -> bool {
+        self.values.contains_key(self.row(name).name)
+    }
+
+    /// The flag's last value, else its table default.
+    fn text(&self, name: &str) -> Option<&str> {
+        let default = self.row(name).default;
+        match self.values.get(name).and_then(|v| v.last()) {
+            Some(v) => Some(v),
+            None => (!default.is_empty()).then_some(default),
         }
     }
-    if opts.addrs.is_empty() {
-        return Err("client needs at least one --addr HOST:PORT".into());
+
+    /// [`Args::text`], parsed.
+    fn opt<T: FromStr<Err: fmt::Debug>>(&self, name: &str) -> Option<T> {
+        let v = self.text(name)?;
+        Some(v.parse().expect("value was checked against the flag table"))
     }
-    Ok(Some(opts))
+
+    /// [`Args::opt`] for a flag with a default.
+    fn get<T: FromStr<Err: fmt::Debug>>(&self, name: &str) -> T {
+        self.opt(name).expect("flag has a table default")
+    }
+
+    /// Every value a repeatable flag was given, parsed.
+    fn all<T: FromStr<Err: fmt::Debug>>(&self, name: &str) -> Vec<T> {
+        let values = self.values.get(name).map_or(&[][..], Vec::as_slice);
+        let parse = |v: &String| v.parse().expect("value was checked against the flag table");
+        values.iter().map(parse).collect()
+    }
 }
 
-struct WireSoakOptions {
-    seconds: u64,
-    rate: f64,
-    clients: usize,
-    seed: u64,
-    chaos: bool,
-    crash_at: Option<u64>,
-    decommission_at: Option<u64>,
-    kill_primary_at: Option<u64>,
-    snapshot_dir: Option<PathBuf>,
-    p99_ms: Option<u64>,
-    hist_out: Option<PathBuf>,
-    check: bool,
-    json: bool,
-}
-
-fn parse_wire_soak_args(
-    mut it: std::slice::Iter<'_, String>,
-) -> Result<Option<WireSoakOptions>, String> {
-    let mut opts = WireSoakOptions {
-        seconds: 5,
-        rate: 150.0,
-        clients: 4,
-        seed: 42,
-        chaos: false,
-        crash_at: None,
-        decommission_at: None,
-        kill_primary_at: None,
-        snapshot_dir: None,
-        p99_ms: None,
-        hist_out: None,
-        check: false,
-        json: false,
+fn soak_cmd(args: &Args) -> Result<ExitCode, String> {
+    let (seconds, restart, json): (u64, _, _) = (
+        args.get("--seconds"),
+        args.on("--restart"),
+        args.on("--json"),
+    );
+    let total_ms = seconds * 1000;
+    let mut cfg = SoakConfig {
+        seed: args.get("--seed"),
+        sites: args.get("--sites"),
+        clients: args.get("--clients"),
+        ..SoakConfig::default()
     };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--chaos" => opts.chaos = true,
-            "--check" => opts.check = true,
-            "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--seconds" => {
-                let v = it.next().ok_or("--seconds needs a value")?;
-                opts.seconds = v.parse().map_err(|_| format!("bad seconds `{v}`"))?;
-                if opts.seconds == 0 {
-                    return Err("--seconds must be positive".into());
-                }
-            }
-            "--rate" => {
-                let v = it.next().ok_or("--rate needs a value")?;
-                opts.rate = v.parse().map_err(|_| format!("bad rate `{v}`"))?;
-                if opts.rate <= 0.0 {
-                    return Err("--rate must be positive".into());
-                }
-            }
-            "--clients" => {
-                let v = it.next().ok_or("--clients needs a value")?;
-                opts.clients = v.parse().map_err(|_| format!("bad client count `{v}`"))?;
-                if opts.clients == 0 {
-                    return Err("--clients must be positive".into());
-                }
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--crash-at" => {
-                let v = it.next().ok_or("--crash-at needs milliseconds")?;
-                opts.crash_at = Some(v.parse().map_err(|_| format!("bad crash time `{v}`"))?);
-            }
-            "--decommission-at" => {
-                let v = it.next().ok_or("--decommission-at needs milliseconds")?;
-                opts.decommission_at = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad decommission time `{v}`"))?,
+    cfg.duration_ms = (total_ms * 4) / 5;
+    cfg.drain_ms = total_ms - cfg.duration_ms;
+    cfg.faults = if args.on("--no-chaos") {
+        0
+    } else {
+        args.opt("--faults")
+            .unwrap_or((2 * seconds).max(1) as usize)
+    };
+    cfg.restart_at_ms = restart.then_some(cfg.duration_ms / 2);
+    let dir = args.opt("--snapshot-dir").unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("tsense-soak-{}-{}", std::process::id(), cfg.seed))
+    });
+    cfg.runtime = RuntimeConfig {
+        snapshot_dir: Some(dir),
+        ..RuntimeConfig::default()
+    };
+
+    let report = match run_soak(&cfg) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("runtime: soak failed to run: {e}");
+            return Ok(ExitCode::from(1));
+        }
+    };
+    if json {
+        println!("{}", render_json(&report, restart));
+    } else {
+        print!("{}", report.render_text());
+    }
+    if args.on("--check") {
+        if !report.liveness_ok(restart) {
+            if !json {
+                eprintln!(
+                    "runtime: check FAILED (late {} stale {} breakers_closed {} restarts {} \
+                     recovered {:?})",
+                    report.late_replies,
+                    report.silent_stale,
+                    report.breakers_all_closed,
+                    report.restarts,
+                    report.recovered_seq,
                 );
             }
-            "--kill-primary-at" => {
-                let v = it.next().ok_or("--kill-primary-at needs milliseconds")?;
-                opts.kill_primary_at = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad primary-kill time `{v}`"))?,
-                );
-            }
-            "--snapshot-dir" => {
-                let v = it.next().ok_or("--snapshot-dir needs a value")?;
-                opts.snapshot_dir = Some(PathBuf::from(v));
-            }
-            "--p99" => {
-                let v = it.next().ok_or("--p99 needs milliseconds")?;
-                opts.p99_ms = Some(v.parse().map_err(|_| format!("bad p99 bound `{v}`"))?);
-            }
-            "--hist-out" => {
-                let v = it.next().ok_or("--hist-out needs a path")?;
-                opts.hist_out = Some(PathBuf::from(v));
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
+            return Ok(ExitCode::from(1));
+        }
+        if !json {
+            println!("check PASSED");
         }
     }
-    Ok(Some(opts))
-}
-
-fn parse_args(args: &[String]) -> Result<Option<Command>, String> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        Some("soak") => {}
-        Some("serve") => return Ok(parse_serve_args(it)?.map(Command::Serve)),
-        Some("client") => return Ok(parse_client_args(it)?.map(Command::Client)),
-        Some("wire-soak") => {
-            return Ok(parse_wire_soak_args(it)?.map(|o| Command::WireSoak(Box::new(o))))
-        }
-        Some("dst") => return Ok(parse_dst_args(it)?.map(Command::Dst)),
-        Some("--help") | Some("-h") => {
-            println!("{USAGE}");
-            return Ok(None);
-        }
-        Some(other) => {
-            return Err(format!(
-                "unknown command `{other}` (try `soak`, `serve`, `client`, `wire-soak`, or `dst`)"
-            ))
-        }
-        None => {
-            return Err(
-                "missing command (try `soak`, `serve`, `client`, `wire-soak`, or `dst`)".into(),
-            )
-        }
-    }
-    let mut opts = Options {
-        soak: SoakConfig::default(),
-        seconds: 10,
-        chaos: true,
-        restart: false,
-        faults: None,
-        snapshot_dir: None,
-        check: false,
-        json: false,
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--no-chaos" => opts.chaos = false,
-            "--restart" => opts.restart = true,
-            "--check" => opts.check = true,
-            "--json" => opts.json = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--seconds" => {
-                let v = it.next().ok_or("--seconds needs a value")?;
-                opts.seconds = v.parse().map_err(|_| format!("bad seconds `{v}`"))?;
-                if opts.seconds == 0 {
-                    return Err("--seconds must be positive".into());
-                }
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.soak.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--sites" => {
-                let v = it.next().ok_or("--sites needs a value")?;
-                opts.soak.sites = v.parse().map_err(|_| format!("bad site count `{v}`"))?;
-                if opts.soak.sites == 0 {
-                    return Err("--sites must be positive".into());
-                }
-            }
-            "--faults" => {
-                let v = it.next().ok_or("--faults needs a value")?;
-                opts.faults = Some(v.parse().map_err(|_| format!("bad fault count `{v}`"))?);
-            }
-            "--clients" => {
-                let v = it.next().ok_or("--clients needs a value")?;
-                opts.soak.clients = v.parse().map_err(|_| format!("bad client count `{v}`"))?;
-            }
-            "--snapshot-dir" => {
-                let v = it.next().ok_or("--snapshot-dir needs a value")?;
-                opts.snapshot_dir = Some(PathBuf::from(v));
-            }
-            flag => return Err(format!("unknown argument `{flag}`")),
-        }
-    }
-    Ok(Some(Command::Soak(Box::new(opts))))
+    Ok(ExitCode::SUCCESS)
 }
 
 fn render_json(report: &SoakReport, restart: bool) -> String {
@@ -567,6 +425,15 @@ fn render_json(report: &SoakReport, restart: bool) -> String {
     )
 }
 
+fn violation_json<I: fmt::Display>(violation: Option<&Violation<I>>) -> String {
+    violation.map_or("null".to_string(), |v| {
+        format!(
+            "{{\"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}, \"task\": \"{}\"}}",
+            v.invariant, v.step, v.at_ms, v.task
+        )
+    })
+}
+
 fn render_sim_json(report: &SimReport) -> String {
     format!(
         "{{\n  \"seed\": {},\n  \"mutation\": \"{}\",\n  \"steps\": {},\n  \"requests\": {},\n  \
@@ -586,62 +453,8 @@ fn render_sim_json(report: &SimReport) -> String {
         report.crashes,
         report.checkpoints,
         report.snapshots_skipped,
-        report.violation.as_ref().map_or("null".to_string(), |v| {
-            format!(
-                "{{\"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}, \"task\": \"{}\"}}",
-                v.invariant, v.step, v.at_ms, v.task
-            )
-        }),
+        violation_json(report.violation.as_ref()),
     )
-}
-
-fn render_sweep_json(out: &SweepOutcome, seed_base: u64) -> String {
-    let violations: Vec<String> = out
-        .violations
-        .iter()
-        .map(|r| {
-            let v = r.violation.as_ref().expect("violating report");
-            format!(
-                "    {{\"seed\": {}, \"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}}}",
-                r.seed, v.invariant, v.step, v.at_ms
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"seed_base\": {},\n  \"seeds\": {},\n  \"steps\": {},\n  \"requests\": {},\n  \
-         \"crashes\": {},\n  \"violations\": [\n{}\n  ]\n}}",
-        seed_base,
-        out.seeds,
-        out.steps,
-        out.requests,
-        out.crashes,
-        violations.join(",\n"),
-    )
-}
-
-fn write_failure_artifact(path: &PathBuf, cfg: &SimConfig, report: &SimReport) {
-    let mut text = render_trace(report);
-    if let Some(shrunk) = shrink_failure(cfg) {
-        let events = shrunk.config.events.as_deref().unwrap_or_default();
-        text.push_str(&format!(
-            "\n# shrunk reproducer: seed {} with {} fault event(s), {} crash(es)\n",
-            shrunk.config.seed,
-            events.len(),
-            shrunk.config.crashes.len()
-        ));
-        for ev in events {
-            text.push_str(&format!(
-                "#   t={} ch={} {:?} for {} ms\n",
-                ev.at_ms, ev.channel, ev.fault, ev.duration_ms
-            ));
-        }
-        text.push_str(&render_trace(&shrunk.report));
-    }
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("runtime: could not write trace to {}: {e}", path.display());
-    } else {
-        eprintln!("runtime: failing trace written to {}", path.display());
-    }
 }
 
 fn render_fleet_json(report: &FleetReport) -> String {
@@ -670,24 +483,22 @@ fn render_fleet_json(report: &FleetReport) -> String {
         report.crashes,
         report.decommissions,
         report.kills,
-        report.violation.as_ref().map_or("null".to_string(), |v| {
-            format!(
-                "{{\"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}, \"task\": \"{}\"}}",
-                v.invariant, v.step, v.at_ms, v.task
-            )
-        }),
+        violation_json(report.violation.as_ref()),
     )
 }
 
-fn render_fleet_sweep_json(out: &FleetSweepOutcome, seed_base: u64) -> String {
+fn render_sweep_json<R: RunReport>(out: &SweepOutcome<R>, seed_base: u64) -> String {
     let violations: Vec<String> = out
         .violations
         .iter()
         .map(|r| {
-            let v = r.violation.as_ref().expect("violating report");
+            let v = r.violation().expect("violating report");
             format!(
                 "    {{\"seed\": {}, \"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}}}",
-                r.seed, v.invariant, v.step, v.at_ms
+                r.seed(),
+                v.invariant,
+                v.step,
+                v.at_ms
             )
         })
         .collect();
@@ -703,19 +514,20 @@ fn render_fleet_sweep_json(out: &FleetSweepOutcome, seed_base: u64) -> String {
     )
 }
 
-fn write_fleet_failure_artifact(path: &PathBuf, cfg: &FleetConfig, report: &FleetReport) {
-    let mut text = render_fleet_trace(report, None);
-    if let Some(shrunk) = shrink_fleet_failure(cfg) {
-        let events = shrunk.config.events.as_deref().unwrap_or_default();
+/// Writes a failing run's trace, then its shrunk reproducer's scenario
+/// and trace, to `path`.
+fn write_failure_artifact<S: Simulation>(path: &Path, cfg: &S, report: &S::Report) {
+    let mut text = render_trace(report, None);
+    if let Some(shrunk) = shrink_failure(cfg) {
+        let (count, events) = shrunk.config.scenario();
         text.push_str(&format!(
-            "\n# shrunk reproducer: seed {} with {} fleet event(s)\n",
-            shrunk.config.seed,
-            events.len(),
+            "\n# shrunk reproducer: seed {} with {count}\n",
+            shrunk.report.seed()
         ));
         for ev in events {
             text.push_str(&format!("#   {ev}\n"));
         }
-        text.push_str(&render_fleet_trace(&shrunk.report, None));
+        text.push_str(&render_trace(&shrunk.report, None));
     }
     if let Err(e) = std::fs::write(path, text) {
         eprintln!("runtime: could not write trace to {}: {e}", path.display());
@@ -724,176 +536,106 @@ fn write_fleet_failure_artifact(path: &PathBuf, cfg: &FleetConfig, report: &Flee
     }
 }
 
-fn run_fleet_dst_cmd(opts: DstOptions, mutation: FleetMutation) -> ExitCode {
-    let base = FleetConfig {
-        mutation,
-        ..FleetConfig::default()
-    };
-
-    if let Some(seed) = opts.replay {
-        let cfg = FleetConfig { seed, ..base };
-        let report = run_fleet(&cfg);
-        if opts.json {
-            println!("{}", render_fleet_json(&report));
-        } else {
-            print!(
-                "{}",
-                render_fleet_trace(&report, opts.replay_node.as_deref())
-            );
-        }
-        if let (Some(path), Some(_)) = (&opts.trace_out, &report.violation) {
-            write_fleet_failure_artifact(path, &cfg, &report);
-        }
-        if opts.check && report.violation.is_some() {
-            return ExitCode::from(1);
-        }
-        return ExitCode::SUCCESS;
+fn dst_cmd(args: &Args) -> Result<ExitCode, String> {
+    let fleet = args.on("--fleet");
+    if args.on("--replay-node") && !fleet {
+        return Err("--replay-node requires --fleet".into());
     }
-
-    let out = fleet_sweep(&base, opts.seed_base, opts.seeds, false, opts.jobs);
-    if opts.json {
-        println!("{}", render_fleet_sweep_json(&out, opts.seed_base));
-    } else {
-        println!(
-            "fleet dst sweep: {} seed(s) from {} (mutation {}, {} job(s)): {} step(s), \
-             {} request(s), {} crash(es), {} violation(s)",
-            out.seeds,
-            opts.seed_base,
+    if args.on("--replay-node") && !args.on("--replay") {
+        return Err("--replay-node requires --replay SEED".into());
+    }
+    let m: String = args.get("--mutation");
+    if fleet {
+        let mutation = FleetMutation::parse(&m).ok_or_else(|| {
+            format!("bad fleet mutation `{m}` (none | no-decommission-check | no-epoch-fence)")
+        })?;
+        let base = FleetConfig {
             mutation,
-            opts.jobs,
-            out.steps,
-            out.requests,
-            out.crashes,
-            out.violations.len()
-        );
-        for r in &out.violations {
-            let v = r.violation.as_ref().expect("violating report");
-            println!(
-                "  seed {}: {} at step {} (t={} ms, task {}): {}",
-                r.seed, v.invariant, v.step, v.at_ms, v.task, v.detail
-            );
-        }
-    }
-    if let (Some(path), Some(first)) = (&opts.trace_out, out.violations.first()) {
-        let cfg = FleetConfig {
-            seed: first.seed,
-            ..base
+            ..FleetConfig::default()
         };
-        write_fleet_failure_artifact(path, &cfg, first);
+        Ok(run_dst(args, &base, render_fleet_json))
+    } else {
+        let mutation = Mutation::parse(&m)
+            .ok_or_else(|| format!("bad mutation `{m}` (none | no-cooldown-rebase)"))?;
+        let base = SimConfig {
+            mutation,
+            ..SimConfig::default()
+        };
+        Ok(run_dst(args, &base, render_sim_json))
     }
-    if opts.check {
-        if !out.violations.is_empty() {
-            if !opts.json {
-                eprintln!(
-                    "runtime: fleet dst check FAILED ({} violating seed(s); replay with \
-                     `runtime dst --fleet --replay {}{}`)",
-                    out.violations.len(),
-                    out.violations[0].seed,
-                    if mutation == FleetMutation::None {
-                        String::new()
-                    } else {
-                        format!(" --mutation {mutation}")
-                    }
-                );
-            }
-            return ExitCode::from(1);
-        }
-        if !opts.json {
-            println!("check PASSED");
-        }
-    }
-    ExitCode::SUCCESS
 }
 
-fn run_dst_cmd(opts: DstOptions) -> ExitCode {
-    if opts.fleet {
-        let mutation = match opts.mutation.as_deref() {
-            None => FleetMutation::None,
-            Some(m) => match FleetMutation::parse(m) {
-                Some(m) => m,
-                None => {
-                    eprintln!(
-                        "runtime: bad fleet mutation `{m}` (none | no-decommission-check | \
-                     no-epoch-fence)"
-                    );
-                    return ExitCode::from(2);
-                }
-            },
-        };
-        return run_fleet_dst_cmd(opts, mutation);
-    }
-    let mutation = match opts.mutation.as_deref() {
-        None => Mutation::None,
-        Some(m) => match Mutation::parse(m) {
-            Some(m) => m,
-            None => {
-                eprintln!("runtime: bad mutation `{m}` (none | no-cooldown-rebase)");
-                return ExitCode::from(2);
-            }
-        },
-    };
-    let base = SimConfig {
-        mutation,
-        ..SimConfig::default()
-    };
+/// `runtime dst` for either simulator: replay one seed or sweep a
+/// range, write the shrunk failing trace, and grade `--check`.
+fn run_dst<S: Simulation>(args: &Args, base: &S, json: fn(&S::Report) -> String) -> ExitCode {
+    let (check, as_json) = (args.on("--check"), args.on("--json"));
+    let trace_out: Option<PathBuf> = args.opt("--trace-out");
 
-    if let Some(seed) = opts.replay {
-        let cfg = SimConfig { seed, ..base };
-        let report = run_sim(&cfg);
-        if opts.json {
-            println!("{}", render_sim_json(&report));
+    if let Some(seed) = args.opt("--replay") {
+        let cfg = base.with_seed(seed);
+        let report = cfg.run();
+        if as_json {
+            println!("{}", json(&report));
         } else {
-            print!("{}", render_trace(&report));
+            print!("{}", render_trace(&report, args.text("--replay-node")));
         }
-        if let (Some(path), Some(_)) = (&opts.trace_out, &report.violation) {
+        let violated = report.violation().is_some();
+        if let (Some(path), true) = (&trace_out, violated) {
             write_failure_artifact(path, &cfg, &report);
         }
-        if opts.check && report.violation.is_some() {
-            return ExitCode::from(1);
-        }
-        return ExitCode::SUCCESS;
+        return if check && violated {
+            ExitCode::from(1)
+        } else {
+            ExitCode::SUCCESS
+        };
     }
 
-    let out = sweep_jobs(&base, opts.seed_base, opts.seeds, false, opts.jobs);
-    if opts.json {
-        println!("{}", render_sweep_json(&out, opts.seed_base));
+    // `--seed-range` wins over `--seeds`/`--seed-base` wherever it appears.
+    let (seed_base, seeds) = match args.text("--seed-range") {
+        Some(range) => seed_range(range).expect("range was checked against the flag table"),
+        None => (args.get("--seed-base"), args.get("--seeds")),
+    };
+    let (jobs, mutation): (usize, String) = (args.get("--jobs"), args.get("--mutation"));
+    let kind = <S::Report as RunReport>::KIND;
+    let out = sweep_jobs(base, seed_base, seeds, false, jobs);
+    if as_json {
+        println!("{}", render_sweep_json(&out, seed_base));
     } else {
         println!(
-            "dst sweep: {} seed(s) from {} (mutation {}, {} job(s)): {} step(s), {} request(s), \
-             {} crash(es), {} violation(s)",
+            "{kind} sweep: {} seed(s) from {seed_base} (mutation {mutation}, {jobs} job(s)): \
+             {} step(s), {} request(s), {} crash(es), {} violation(s)",
             out.seeds,
-            opts.seed_base,
-            mutation,
-            opts.jobs,
             out.steps,
             out.requests,
             out.crashes,
             out.violations.len()
         );
         for r in &out.violations {
-            let v = r.violation.as_ref().expect("violating report");
+            let v = r.violation().expect("violating report");
             println!(
                 "  seed {}: {} at step {} (t={} ms, task {}): {}",
-                r.seed, v.invariant, v.step, v.at_ms, v.task, v.detail
+                r.seed(),
+                v.invariant,
+                v.step,
+                v.at_ms,
+                v.task,
+                v.detail
             );
         }
     }
-    if let (Some(path), Some(first)) = (&opts.trace_out, out.violations.first()) {
-        let cfg = SimConfig {
-            seed: first.seed,
-            ..base
-        };
-        write_failure_artifact(path, &cfg, first);
+    if let (Some(path), Some(first)) = (&trace_out, out.violations.first()) {
+        write_failure_artifact(path, &base.with_seed(first.seed()), first);
     }
-    if opts.check {
-        if !out.violations.is_empty() {
-            if !opts.json {
+    if check {
+        if let Some(first) = out.violations.first() {
+            if !as_json {
                 eprintln!(
-                    "runtime: dst check FAILED ({} violating seed(s); replay with \
-                     `runtime dst --replay {}{}`)",
+                    "runtime: {kind} check FAILED ({} violating seed(s); replay with \
+                     `runtime dst{} --replay {}{}`)",
                     out.violations.len(),
-                    out.violations[0].seed,
-                    if mutation == Mutation::None {
+                    if args.on("--fleet") { " --fleet" } else { "" },
+                    first.seed(),
+                    if mutation == "none" {
                         String::new()
                     } else {
                         format!(" --mutation {mutation}")
@@ -902,50 +644,56 @@ fn run_dst_cmd(opts: DstOptions) -> ExitCode {
             }
             return ExitCode::from(1);
         }
-        if !opts.json {
+        if !as_json {
             println!("check PASSED");
         }
     }
     ExitCode::SUCCESS
 }
 
-fn run_serve_cmd(opts: ServeOptions) -> ExitCode {
+fn serve_cmd(args: &Args) -> Result<ExitCode, String> {
+    let (shards, sites, seconds, json): (usize, usize, u64, _) = (
+        args.get("--shards"),
+        args.get("--sites"),
+        args.get("--seconds"),
+        args.on("--json"),
+    );
     let cfg = WireServerConfig {
-        shards: opts.shards,
-        sites_per_shard: opts.sites,
-        seed: opts.seed,
-        snapshot_root: opts.snapshot_dir,
+        shards,
+        sites_per_shard: sites,
+        seed: args.get("--seed"),
+        snapshot_root: args.opt("--snapshot-dir"),
         ..WireServerConfig::default()
     };
-    let bind = format!("127.0.0.1:{}", opts.port)
+    let bind = format!("127.0.0.1:{}", args.get::<u16>("--port"))
         .parse()
         .expect("literal bind address");
     let server = match WireServer::start(cfg, Some(bind)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("runtime: serve failed to start: {e}");
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
     };
-    if !opts.json {
+    if !json {
         println!(
             "serving {} shard(s) x {} site(s) on {} for {} s",
-            opts.shards,
-            opts.sites,
+            shards,
+            sites,
             server.addr(),
-            opts.seconds
+            seconds
         );
     }
-    std::thread::sleep(std::time::Duration::from_secs(opts.seconds));
+    std::thread::sleep(std::time::Duration::from_secs(seconds));
     let report = match server.drain() {
         Ok(r) => r,
         Err(e) => {
             eprintln!("runtime: drain failed: {e}");
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
     };
     let s = &report.stats;
-    if opts.json {
+    if json {
         println!(
             "{{\n  \"connections\": {},\n  \"frames_in\": {},\n  \"responses\": {},\n  \
              \"bad_frames\": {},\n  \"shed\": {},\n  \"deduped\": {},\n  \"failovers\": {},\n  \
@@ -968,18 +716,24 @@ fn run_serve_cmd(opts: ServeOptions) -> ExitCode {
             s.connections, s.frames_in, s.responses, s.bad_frames, s.shed, s.deduped, s.failovers
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_client_cmd(opts: ClientOptions) -> ExitCode {
+fn client_cmd(args: &Args) -> Result<ExitCode, String> {
+    let addrs: Vec<SocketAddr> = args.all("--addr");
+    if addrs.is_empty() {
+        return Err("client needs at least one --addr HOST:PORT".into());
+    }
+    let (key, count, json): (u64, u64, _) =
+        (args.get("--key"), args.get("--count"), args.on("--json"));
     let mut client = WireClient::new(WireClientConfig {
-        addrs: opts.addrs,
+        addrs,
         ..WireClientConfig::default()
     });
-    if opts.map {
-        match client.request_map(1) {
+    if args.on("--map") {
+        return Ok(match client.request_map(1) {
             Ok(map) => {
-                if opts.json {
+                if json {
                     let rows: Vec<String> = map
                         .entries
                         .iter()
@@ -1010,80 +764,74 @@ fn run_client_cmd(opts: ClientOptions) -> ExitCode {
                 eprintln!("runtime: map request failed: {e}");
                 ExitCode::from(1)
             }
-        }
-    } else {
-        let mut failed = false;
-        for i in 0..opts.count {
-            match client.request(i + 1, opts.key.wrapping_add(i)) {
-                Ok(out) => {
-                    if opts.json {
-                        println!(
-                            "{{\"key\": {}, \"outcome\": \"{}\", \"origin_shard\": {}, \
-                             \"total_age_ms\": {}, \"attempts\": {}, \"latency_ms\": {}}}",
-                            opts.key.wrapping_add(i),
-                            out.outcome,
-                            out.origin_shard,
-                            out.total_age_ms,
-                            out.attempts,
-                            out.latency_ms
-                        );
-                    } else {
-                        println!(
-                            "key {}: {} (shard {}, {} attempt(s), {} ms)",
-                            opts.key.wrapping_add(i),
-                            out.outcome,
-                            out.origin_shard,
-                            out.attempts,
-                            out.latency_ms
-                        );
-                    }
-                    if !matches!(out.outcome, WireOutcome::Reading { .. }) {
-                        failed = true;
-                    }
+        });
+    }
+    let mut failed = false;
+    for i in 0..count {
+        let key = key.wrapping_add(i);
+        match client.request(i + 1, key) {
+            Ok(out) => {
+                if json {
+                    println!(
+                        "{{\"key\": {}, \"outcome\": \"{}\", \"origin_shard\": {}, \
+                         \"total_age_ms\": {}, \"attempts\": {}, \"latency_ms\": {}}}",
+                        key,
+                        out.outcome,
+                        out.origin_shard,
+                        out.total_age_ms,
+                        out.attempts,
+                        out.latency_ms
+                    );
+                } else {
+                    println!(
+                        "key {}: {} (shard {}, {} attempt(s), {} ms)",
+                        key, out.outcome, out.origin_shard, out.attempts, out.latency_ms
+                    );
                 }
-                Err(e) => {
-                    eprintln!("runtime: request failed: {e}");
+                if !matches!(out.outcome, WireOutcome::Reading { .. }) {
                     failed = true;
                 }
             }
-        }
-        if failed {
-            ExitCode::from(1)
-        } else {
-            ExitCode::SUCCESS
+            Err(e) => {
+                eprintln!("runtime: request failed: {e}");
+                failed = true;
+            }
         }
     }
+    Ok(if failed {
+        ExitCode::from(1)
+    } else {
+        ExitCode::SUCCESS
+    })
 }
 
-fn run_wire_soak_cmd(opts: WireSoakOptions) -> ExitCode {
-    let duration_ms = opts.seconds * 1000;
-    let crash = match opts.crash_at {
+fn wire_soak_cmd(args: &Args) -> Result<ExitCode, String> {
+    let (seconds, seed, json): (u64, u64, _) =
+        (args.get("--seconds"), args.get("--seed"), args.on("--json"));
+    let duration_ms = seconds * 1000;
+    let crash = match args.opt("--crash-at") {
         Some(0) => None,
         Some(at) => Some((1usize, at)),
         None => Some((1usize, duration_ms / 2)),
     };
-    let decommission = match opts.decommission_at {
+    let decommission = match args.opt("--decommission-at") {
         Some(0) => None,
         Some(at) => Some((2usize, at)),
         None => Some((2usize, (duration_ms * 3) / 4)),
     };
-    let kill_primary = match opts.kill_primary_at {
+    let kill_primary = match args.opt("--kill-primary-at") {
         Some(0) | None => None,
         Some(at) => Some((0usize, at)),
     };
-    let snapshot_root = opts.snapshot_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!(
-            "tsense-wire-soak-{}-{}",
-            std::process::id(),
-            opts.seed
-        ))
+    let snapshot_root = args.opt("--snapshot-dir").unwrap_or_else(|| {
+        std::env::temp_dir().join(format!("tsense-wire-soak-{}-{seed}", std::process::id()))
     });
     let mut cfg = WireSoakConfig {
-        seed: opts.seed,
+        seed,
         duration_ms,
-        rate_hz: opts.rate,
-        clients: opts.clients,
-        chaos: opts.chaos.then(wire::chaos::ChaosProfile::hostile),
+        rate_hz: args.get("--rate"),
+        clients: args.get("--clients"),
+        chaos: args.on("--chaos").then(wire::chaos::ChaosProfile::hostile),
         crash,
         decommission,
         kill_primary,
@@ -1094,11 +842,11 @@ fn run_wire_soak_cmd(opts: WireSoakOptions) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("runtime: wire soak failed to run: {e}");
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
     };
-    if let Some(path) = &opts.hist_out {
-        if let Err(e) = std::fs::write(path, report.histogram.render()) {
+    if let Some(path) = args.opt::<PathBuf>("--hist-out") {
+        if let Err(e) = std::fs::write(&path, report.histogram.render()) {
             eprintln!(
                 "runtime: could not write histogram to {}: {e}",
                 path.display()
@@ -1107,7 +855,7 @@ fn run_wire_soak_cmd(opts: WireSoakOptions) -> ExitCode {
     }
     let p99 = report.histogram.quantile_ms(0.99);
     let p999 = report.histogram.quantile_ms(0.999);
-    if opts.json {
+    if json {
         let violations: Vec<String> = report
             .violations
             .iter()
@@ -1143,91 +891,65 @@ fn run_wire_soak_cmd(opts: WireSoakOptions) -> ExitCode {
     } else {
         print!("{}", report.render());
     }
-    if opts.check {
-        let p99_ok = opts.p99_ms.is_none_or(|bound| p99 <= bound);
+    if args.on("--check") {
+        let p99_bound: Option<u64> = args.opt("--p99");
+        let p99_ok = p99_bound.is_none_or(|bound| p99 <= bound);
         if !report.invariants_ok() || !p99_ok {
-            if !opts.json {
+            if !json {
                 eprintln!(
                     "runtime: wire-soak check FAILED ({} violation(s), p99 <{} ms{})",
                     report.violations.len(),
                     p99,
-                    opts.p99_ms
-                        .map_or(String::new(), |b| format!(" vs bound {b} ms")),
+                    p99_bound.map_or(String::new(), |b| format!(" vs bound {b} ms")),
                 );
             }
-            return ExitCode::from(1);
+            return Ok(ExitCode::from(1));
         }
-        if !opts.json {
+        if !json {
             println!("check PASSED");
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match parse_args(&args) {
-        Ok(Some(Command::Dst(opts))) => return run_dst_cmd(opts),
-        Ok(Some(Command::Serve(opts))) => return run_serve_cmd(opts),
-        Ok(Some(Command::Client(opts))) => return run_client_cmd(opts),
-        Ok(Some(Command::WireSoak(opts))) => return run_wire_soak_cmd(*opts),
-        Ok(Some(Command::Soak(opts))) => *opts,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("runtime: {msg}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
+    let names = "`soak`, `serve`, `client`, `wire-soak`, or `dst`";
+    let result = match args.first().map(String::as_str) {
+        Some("--help" | "-h") => {
+            println!("{}", help());
+            return ExitCode::SUCCESS;
         }
+        None => Err(format!("missing command (try {names})")),
+        Some(name) => match COMMANDS.iter().find(|c| c.name == name) {
+            None => Err(format!("unknown command `{name}` (try {names})")),
+            Some(cmd) => Args::parse(cmd.flags, &args[1..])
+                .and_then(|parsed| parsed.map_or(Ok(ExitCode::SUCCESS), |a| (cmd.run)(&a))),
+        },
     };
+    result.unwrap_or_else(|msg| {
+        eprintln!("runtime: {msg}");
+        eprintln!("usage: runtime COMMAND [OPTIONS]; `runtime --help` lists every flag");
+        ExitCode::from(2)
+    })
+}
 
-    let total_ms = opts.seconds * 1000;
-    let mut cfg = opts.soak;
-    cfg.duration_ms = (total_ms * 4) / 5;
-    cfg.drain_ms = total_ms - cfg.duration_ms;
-    cfg.faults = if opts.chaos {
-        opts.faults.unwrap_or((2 * opts.seconds).max(1) as usize)
-    } else {
-        0
-    };
-    cfg.restart_at_ms = opts.restart.then_some(cfg.duration_ms / 2);
-    let dir = opts.snapshot_dir.unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("tsense-soak-{}-{}", std::process::id(), cfg.seed))
-    });
-    cfg.runtime = RuntimeConfig {
-        snapshot_dir: Some(dir),
-        ..RuntimeConfig::default()
-    };
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let report = match run_soak(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("runtime: soak failed to run: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    if opts.json {
-        println!("{}", render_json(&report, opts.restart));
-    } else {
-        print!("{}", report.render_text());
-    }
-    if opts.check {
-        if !report.liveness_ok(opts.restart) {
-            if !opts.json {
-                eprintln!(
-                    "runtime: check FAILED (late {} stale {} breakers_closed {} restarts {} \
-                     recovered {:?})",
-                    report.late_replies,
-                    report.silent_stale,
-                    report.breakers_all_closed,
-                    report.restarts,
-                    report.recovered_seq,
+    #[test]
+    fn every_table_default_passes_its_own_check() {
+        for cmd in COMMANDS {
+            for f in cmd.flags.iter().filter(|f| !f.default.is_empty()) {
+                assert!(
+                    f.kind.check(f.default).is_ok(),
+                    "{} {}: default `{}` fails its check",
+                    cmd.name,
+                    f.name,
+                    f.default
                 );
             }
-            return ExitCode::from(1);
-        }
-        if !opts.json {
-            println!("check PASSED");
         }
     }
-    ExitCode::SUCCESS
 }

@@ -62,17 +62,17 @@ pub use service::{
     ServedReading,
 };
 pub use sim::fleet::{
-    fleet_sweep, render_fleet_trace, resolve_fleet_events, run_fleet, shrink_fleet_failure,
-    task_node, FleetConfig, FleetEvent, FleetInvariant, FleetMutation, FleetReport,
-    FleetSweepOutcome, FleetViolation, ShrunkFleetCase,
+    resolve_fleet_events, run_fleet, task_node, FleetConfig, FleetEvent, FleetInvariant,
+    FleetMutation, FleetReport,
 };
-pub use soak_wire::{run_wire_soak, LatencyHistogram, WireSoakConfig, WireSoakReport};
-// Compatibility re-exports: these types lived in `runtime::sim::fleet`
-// until PR 9 moved them into the `wire` crate.
 pub use sim::{
-    render_trace, resolve_events as resolve_sim_events, run_sim, shrink_failure, sweep, sweep_jobs,
-    Invariant, Mutation, ShrunkCase, SimConfig, SimReport, SweepOutcome, Violation,
+    hunt, render_trace, resolve_events as resolve_sim_events, run_sim, shrink_failure, sweep,
+    sweep_jobs, Hunt, Invariant, Mutation, RunReport, ShrunkCase, SimConfig, SimReport, Simulation,
+    SweepOutcome, Violation,
 };
 pub use snapshot::{crc32, RuntimeSnapshot, SiteSnapshot, SnapshotError, SnapshotStore};
 pub use soak::{reference_array, run_soak, SoakConfig, SoakReport};
+pub use soak_wire::{run_wire_soak, LatencyHistogram, WireSoakConfig, WireSoakReport};
+// Compatibility re-exports: these types lived in `runtime::sim::fleet`
+// until PR 9 moved them into the `wire` crate.
 pub use wire::{FleetMsg, HashRing, WireOutcome};

@@ -60,7 +60,7 @@
 //!    pass, every live replica of a group holds the authoritative log
 //!    exactly.
 //!
-//! A failing seed shrinks with [`shrink_fleet_failure`]: the whole
+//! A failing seed shrinks with [`super::shrink_failure`]: the whole
 //! scenario — link faults, sensor faults, crashes, kills,
 //! decommissions — is one [`FleetEvent`] list, so
 //! [`dst::shrink_events`] cuts it to a 1-minimal reproducer.
@@ -91,7 +91,7 @@ use crate::snapshot::{SnapshotError, SnapshotStore};
 use crate::soak::reference_array;
 use wire::{FleetMsg, HashRing, WireOutcome};
 
-use super::SimConfig;
+use super::{RunReport, SimConfig, Simulation, Violation};
 
 /// A deliberate, known-bad change to the fleet, applied under
 /// simulation to prove the fleet invariant sweep catches real
@@ -181,22 +181,6 @@ impl fmt::Display for FleetInvariant {
         };
         write!(f, "{s}")
     }
-}
-
-/// One fleet invariant violation, pinned to the scheduler step that
-/// produced it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetViolation {
-    /// Which promise broke.
-    pub invariant: FleetInvariant,
-    /// Fabric time of the violating step, milliseconds.
-    pub at_ms: u64,
-    /// Global step index of the violating step.
-    pub step: u64,
-    /// Label of the task that was stepped.
-    pub task: String,
-    /// Human-readable specifics.
-    pub detail: String,
 }
 
 /// One event of a fleet scenario. The whole scenario — network
@@ -435,7 +419,7 @@ pub struct FleetReport {
     /// The mutation that was active.
     pub mutation: FleetMutation,
     /// The first invariant violation, if any (the run stops there).
-    pub violation: Option<FleetViolation>,
+    pub violation: Option<Violation<FleetInvariant>>,
     /// The full replayable schedule.
     pub trace: Vec<StepRecord>,
     /// Scheduler steps executed.
@@ -627,7 +611,7 @@ struct FleetWorld {
     /// Which replica completed `(group, req_id)` — a second completion
     /// by a different replica is split brain.
     completed: BTreeMap<(usize, u64), usize>,
-    violation: Option<FleetViolation>,
+    violation: Option<Violation<FleetInvariant>>,
     requests: u64,
     served_fresh: u64,
     served_degraded: u64,
@@ -649,7 +633,7 @@ struct FleetWorld {
 impl FleetWorld {
     fn flag(&mut self, invariant: FleetInvariant, at_ms: u64, detail: String) {
         if self.violation.is_none() {
-            self.violation = Some(FleetViolation {
+            self.violation = Some(Violation {
                 invariant,
                 at_ms,
                 step: 0,             // pinned by the per-step check
@@ -2204,102 +2188,67 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 }
 
 // ---------------------------------------------------------------------
-// Sweep, shrink, render
+// The shared seed pipeline's view of the fleet
 // ---------------------------------------------------------------------
 
-/// Aggregate of a fleet seed sweep.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FleetSweepOutcome {
-    /// Seeds run (counted in seed order; under `stop_at_first` the
-    /// count stops at the first violating seed exactly as a serial
-    /// loop would).
-    pub seeds: u64,
-    /// Total scheduler steps across counted seeds.
-    pub steps: u64,
-    /// Total client requests across counted seeds.
-    pub requests: u64,
-    /// Total replica crashes across counted seeds.
-    pub crashes: u64,
-    /// Full reports of the seeds that violated an invariant.
-    pub violations: Vec<FleetReport>,
-}
+impl Simulation for FleetConfig {
+    type Report = FleetReport;
 
-/// Runs `count` fleet seeds from `seed_base` across `jobs` worker
-/// threads, merging per-seed results in seed order — the outcome is
-/// byte-identical at any job count, including under `stop_at_first`.
-pub fn fleet_sweep(
-    base: &FleetConfig,
-    seed_base: u64,
-    count: u64,
-    stop_at_first: bool,
-    jobs: usize,
-) -> FleetSweepOutcome {
-    let jobs = jobs.max(1);
-    let wave = (jobs * 4).max(1) as u64;
-    let mut out = FleetSweepOutcome::default();
-    let mut next = 0u64;
-    'outer: while next < count {
-        let len = wave.min(count - next) as usize;
-        let first = next;
-        let results = dst::run_indexed(len, jobs, |i| {
-            let mut cfg = base.clone();
-            cfg.seed = seed_base + first + i as u64;
-            run_fleet(&cfg)
-        });
-        for report in results {
-            out.seeds += 1;
-            out.steps += report.steps;
-            out.requests += report.requests;
-            out.crashes += report.crashes;
-            if report.violation.is_some() {
-                out.violations.push(report);
-                if stop_at_first {
-                    break 'outer;
-                }
-            }
+    fn with_seed(&self, seed: u64) -> Self {
+        FleetConfig {
+            seed,
+            ..self.clone()
         }
-        next += len as u64;
     }
-    out
+
+    fn run(&self) -> FleetReport {
+        run_fleet(self)
+    }
+
+    /// Shrinks the whole scenario — link faults, sensor faults,
+    /// crashes, kills, and decommissions together — as one event list.
+    fn minimize(&self, reproduces: impl Fn(&Self) -> bool) -> Self {
+        let pinned = |events: Vec<FleetEvent>| FleetConfig {
+            events: Some(events),
+            ..self.clone()
+        };
+        pinned(shrink_events(resolve_fleet_events(self), |evs| {
+            reproduces(&pinned(evs.to_vec()))
+        }))
+    }
+
+    fn scenario(&self) -> (String, Vec<String>) {
+        let events = self.events.as_deref().unwrap_or_default();
+        (
+            format!("{} fleet event(s)", events.len()),
+            events.iter().map(FleetEvent::to_string).collect(),
+        )
+    }
 }
 
-/// A failing fleet case cut down to a 1-minimal reproducer.
-#[derive(Debug, Clone)]
-pub struct ShrunkFleetCase {
-    /// The minimized config: the explicit (pinned) event list; same
-    /// seed, so the schedule replays exactly.
-    pub config: FleetConfig,
-    /// The minimized run, still violating the same invariant.
-    pub report: FleetReport,
-}
+impl RunReport for FleetReport {
+    type Invariant = FleetInvariant;
+    const KIND: &'static str = "fleet dst";
 
-/// Shrinks a failing fleet config's event list — link faults, sensor
-/// faults, crashes, kills, and decommissions together — to a 1-minimal
-/// set that still reproduces the *same* invariant violation. Returns
-/// `None` when the config does not fail in the first place.
-pub fn shrink_fleet_failure(cfg: &FleetConfig) -> Option<ShrunkFleetCase> {
-    let baseline = run_fleet(cfg);
-    let target = baseline.violation.as_ref()?.invariant;
-    let events = resolve_fleet_events(cfg);
-    let min_events = shrink_events(events, |evs| {
-        let mut c = cfg.clone();
-        c.events = Some(evs.to_vec());
-        run_fleet(&c)
-            .violation
-            .as_ref()
-            .is_some_and(|v| v.invariant == target)
-    });
-    let mut min_cfg = cfg.clone();
-    min_cfg.events = Some(min_events);
-    let report = run_fleet(&min_cfg);
-    debug_assert!(report
-        .violation
-        .as_ref()
-        .is_some_and(|v| v.invariant == target));
-    Some(ShrunkFleetCase {
-        config: min_cfg,
-        report,
-    })
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn mutation(&self) -> &dyn fmt::Display {
+        &self.mutation
+    }
+
+    fn violation(&self) -> Option<&Violation<FleetInvariant>> {
+        self.violation.as_ref()
+    }
+
+    fn trace(&self) -> &[StepRecord] {
+        &self.trace
+    }
+
+    fn totals(&self) -> [u64; 3] {
+        [self.steps, self.requests, self.crashes]
+    }
 }
 
 /// The fleet node a task label belongs to: per-replica maintenance
@@ -2314,38 +2263,10 @@ pub fn task_node(task: &str) -> String {
     task.to_string()
 }
 
-/// Renders a replayable fleet trace (and the violation, if any),
-/// optionally filtered to one node's events — `node` matches the
-/// labels `shard-G-R`, `router`, `client-N`, `admin`, and
-/// `anti-entropy`.
-pub fn render_fleet_trace(report: &FleetReport, node: Option<&str>) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "# fleet dst trace: seed {} mutation {} ({} steps{})\n",
-        report.seed,
-        report.mutation,
-        report.trace.len(),
-        node.map(|n| format!(", node {n}")).unwrap_or_default()
-    ));
-    for r in &report.trace {
-        if node.is_some_and(|n| task_node(&r.task) != n) {
-            continue;
-        }
-        s.push_str(&format!("{:>6}  t={:<8} {}\n", r.step, r.at_ms, r.task));
-    }
-    match &report.violation {
-        Some(v) => s.push_str(&format!(
-            "VIOLATION {} at step {} (t={} ms, task {}): {}\n",
-            v.invariant, v.step, v.at_ms, v.task, v.detail
-        )),
-        None => s.push_str("clean\n"),
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{render_trace, shrink_failure, sweep_jobs};
 
     fn quick() -> FleetConfig {
         FleetConfig::default()
@@ -2372,7 +2293,7 @@ mod tests {
 
     #[test]
     fn shipped_fleet_survives_a_seed_sweep() {
-        let out = fleet_sweep(&quick(), 0, 10, false, 1);
+        let out = sweep_jobs(&quick(), 0, 10, false, 1);
         assert_eq!(out.seeds, 10);
         assert!(
             out.violations.is_empty(),
@@ -2388,7 +2309,7 @@ mod tests {
             mutation: FleetMutation::NoDecommissionCheck,
             ..quick()
         };
-        let out = fleet_sweep(&base, 0, 100, true, 1);
+        let out = sweep_jobs(&base, 0, 100, true, 1);
         let caught = out
             .violations
             .first()
@@ -2408,7 +2329,7 @@ mod tests {
 
         // And shrinks to a smaller scenario reproducing the same
         // invariant — for this bug, the decommission event alone.
-        let shrunk = shrink_fleet_failure(&failing).expect("baseline fails");
+        let shrunk = shrink_failure(&failing).expect("baseline fails");
         let kept = shrunk.config.events.as_ref().expect("events pinned");
         assert!(kept.len() <= resolve_fleet_events(&failing).len());
         assert!(
@@ -2428,7 +2349,7 @@ mod tests {
             mutation: FleetMutation::NoEpochFence,
             ..quick()
         };
-        let out = fleet_sweep(&base, 0, 200, true, 1);
+        let out = sweep_jobs(&base, 0, 200, true, 1);
         let caught = out
             .violations
             .first()
@@ -2446,7 +2367,7 @@ mod tests {
             ..base.clone()
         };
         assert_eq!(run_fleet(&failing), run_fleet(&failing));
-        let shrunk = shrink_fleet_failure(&failing).expect("baseline fails");
+        let shrunk = shrink_failure(&failing).expect("baseline fails");
         let kept = shrunk.config.events.as_ref().expect("events pinned");
         assert!(kept.len() <= resolve_fleet_events(&failing).len());
         assert!(
@@ -2481,17 +2402,17 @@ mod tests {
     #[test]
     fn parallel_fleet_sweep_is_byte_identical_to_serial() {
         let base = quick();
-        let serial = fleet_sweep(&base, 0, 6, false, 1);
+        let serial = sweep_jobs(&base, 0, 6, false, 1);
         for jobs in [2, 4] {
-            assert_eq!(fleet_sweep(&base, 0, 6, false, jobs), serial, "jobs={jobs}");
+            assert_eq!(sweep_jobs(&base, 0, 6, false, jobs), serial, "jobs={jobs}");
         }
     }
 
     #[test]
     fn trace_filters_to_one_node() {
         let report = run_fleet(&FleetConfig { seed: 1, ..quick() });
-        let full = render_fleet_trace(&report, None);
-        let replica00 = render_fleet_trace(&report, Some("shard-0-0"));
+        let full = render_trace(&report, None);
+        let replica00 = render_trace(&report, Some("shard-0-0"));
         assert!(full.lines().count() > replica00.lines().count());
         for line in replica00.lines().skip(1) {
             if line.starts_with('#') || line.starts_with("VIOLATION") || line == "clean" {

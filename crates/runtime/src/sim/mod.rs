@@ -34,6 +34,11 @@
 //! produces the same [`StepRecord`] trace and the same violation on
 //! every run. [`shrink_failure`] then delta-debugs the fault storm and
 //! crash schedule down to a 1-minimal reproducer.
+//!
+//! The seed pipeline — [`sweep`], [`sweep_jobs`], [`hunt`],
+//! [`shrink_failure`], [`render_trace`] — is shared with the
+//! replicated [`fleet`] simulator through the [`Simulation`] and
+//! [`RunReport`] traits.
 
 pub mod fleet;
 
@@ -130,11 +135,12 @@ impl fmt::Display for Invariant {
 }
 
 /// One invariant violation, pinned to the scheduler step that produced
-/// it.
+/// it. `I` is the simulator's invariant enum ([`Invariant`] or
+/// [`fleet::FleetInvariant`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
+pub struct Violation<I> {
     /// Which promise broke.
-    pub invariant: Invariant,
+    pub invariant: I,
     /// Virtual time of the violating step, milliseconds.
     pub at_ms: u64,
     /// Global step index of the violating step.
@@ -215,7 +221,7 @@ pub struct SimReport {
     /// The mutation that was active.
     pub mutation: Mutation,
     /// The first invariant violation, if any (the run stops there).
-    pub violation: Option<Violation>,
+    pub violation: Option<Violation<Invariant>>,
     /// The full replayable schedule.
     pub trace: Vec<StepRecord>,
     /// Scheduler steps executed.
@@ -249,20 +255,141 @@ pub struct SimReport {
     pub disk: SimDiskStats,
 }
 
+/// A seeded simulator driven by the shared seed pipeline: [`sweep`],
+/// [`sweep_jobs`], [`hunt`], [`shrink_failure`] and [`render_trace`].
+/// Implemented by the single-node [`SimConfig`] and the replicated
+/// [`fleet::FleetConfig`]; each keeps its own invariants, mutations and
+/// shrink order.
+pub trait Simulation: Clone + Sync {
+    /// What one run reports.
+    type Report: RunReport + Clone + PartialEq + fmt::Debug + Send;
+    /// This config with its master seed replaced.
+    fn with_seed(&self, seed: u64) -> Self;
+    /// Runs the config to completion or to its first invariant
+    /// violation. Pure: the same config always returns the same report.
+    fn run(&self) -> Self::Report;
+    /// Pins the config's scenario and cuts it down, in this
+    /// simulator's own shrink order, to a 1-minimal set that
+    /// `reproduces` still accepts.
+    fn minimize(&self, reproduces: impl Fn(&Self) -> bool) -> Self;
+    /// The pinned scenario of a shrunk config, for a reproducer
+    /// header: a count phrase and one line per event.
+    fn scenario(&self) -> (String, Vec<String>);
+}
+
+/// What the shared seed pipeline reads from one run's report.
+pub trait RunReport {
+    /// Which promises a run can break.
+    type Invariant: Copy + PartialEq + fmt::Debug + fmt::Display;
+    /// Trace-header label: `dst` or `fleet dst`.
+    const KIND: &'static str;
+    /// The seed that produced this run.
+    fn seed(&self) -> u64;
+    /// The mutation that was active.
+    fn mutation(&self) -> &dyn fmt::Display;
+    /// The first invariant violation, if any.
+    fn violation(&self) -> Option<&Violation<Self::Invariant>>;
+    /// The full replayable schedule.
+    fn trace(&self) -> &[StepRecord];
+    /// Scheduler steps, client requests and crashes: what this run
+    /// adds to a sweep's totals.
+    fn totals(&self) -> [u64; 3];
+}
+
+impl Simulation for SimConfig {
+    type Report = SimReport;
+
+    fn with_seed(&self, seed: u64) -> Self {
+        SimConfig {
+            seed,
+            ..self.clone()
+        }
+    }
+
+    fn run(&self) -> SimReport {
+        run_sim(self)
+    }
+
+    /// Shrinks the fault storm first (crash schedule held), then the
+    /// crash times (minimal storm held).
+    fn minimize(&self, reproduces: impl Fn(&Self) -> bool) -> Self {
+        let pinned = |events: Vec<FaultEvent>, crashes: Vec<u64>| SimConfig {
+            events: Some(events),
+            crashes,
+            ..self.clone()
+        };
+        let events = shrink_events(resolve_events(self), |evs| {
+            reproduces(&pinned(evs.to_vec(), self.crashes.clone()))
+        });
+        let crashes = shrink_events(self.crashes.clone(), |crs| {
+            reproduces(&pinned(events.clone(), crs.to_vec()))
+        });
+        pinned(events, crashes)
+    }
+
+    fn scenario(&self) -> (String, Vec<String>) {
+        let events = self.events.as_deref().unwrap_or_default();
+        let lines = events.iter().map(|ev| {
+            format!(
+                "t={} ch={} {:?} for {} ms",
+                ev.at_ms, ev.channel, ev.fault, ev.duration_ms
+            )
+        });
+        let count = format!(
+            "{} fault event(s), {} crash(es)",
+            events.len(),
+            self.crashes.len()
+        );
+        (count, lines.collect())
+    }
+}
+
+impl RunReport for SimReport {
+    type Invariant = Invariant;
+    const KIND: &'static str = "dst";
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn mutation(&self) -> &dyn fmt::Display {
+        &self.mutation
+    }
+
+    fn violation(&self) -> Option<&Violation<Invariant>> {
+        self.violation.as_ref()
+    }
+
+    fn trace(&self) -> &[StepRecord] {
+        &self.trace
+    }
+
+    fn totals(&self) -> [u64; 3] {
+        [self.steps, self.requests, self.crashes]
+    }
+}
+
 /// Renders a replayable trace (and the violation, if any) for humans
-/// and CI artifacts.
-pub fn render_trace(report: &SimReport) -> String {
+/// and CI artifacts, optionally filtered to one node's steps — `node`
+/// matches [`fleet::task_node`] labels (`shard-G-R`, `router`,
+/// `client-N`, `admin`, `anti-entropy`).
+pub fn render_trace<R: RunReport>(report: &R, node: Option<&str>) -> String {
     let mut s = String::new();
     s.push_str(&format!(
-        "# dst trace: seed {} mutation {} ({} steps)\n",
-        report.seed,
-        report.mutation,
-        report.trace.len()
+        "# {} trace: seed {} mutation {} ({} steps{})\n",
+        R::KIND,
+        report.seed(),
+        report.mutation(),
+        report.trace().len(),
+        node.map(|n| format!(", node {n}")).unwrap_or_default()
     ));
-    for r in &report.trace {
+    for r in report.trace() {
+        if node.is_some_and(|n| fleet::task_node(&r.task) != n) {
+            continue;
+        }
         s.push_str(&format!("{:>6}  t={:<8} {}\n", r.step, r.at_ms, r.task));
     }
-    match &report.violation {
+    match report.violation() {
         Some(v) => s.push_str(&format!(
             "VIOLATION {} at step {} (t={} ms, task {}): {}\n",
             v.invariant, v.step, v.at_ms, v.task, v.detail
@@ -282,7 +409,7 @@ struct SimWorld {
     /// live in the silicon and survive crashes.
     active: Vec<(u64, usize, RingFault)>,
     prev_breakers: Vec<BreakerState>,
-    violation: Option<Violation>,
+    violation: Option<Violation<Invariant>>,
     requests: u64,
     served_fresh: u64,
     served_degraded: u64,
@@ -739,39 +866,60 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
 }
 
 /// Aggregate of a seed sweep.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SweepOutcome {
-    /// Seeds run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepOutcome<R> {
+    /// Seeds run (counted in seed order; under `stop_at_first` the
+    /// count stops at the first violating seed).
     pub seeds: u64,
-    /// Total scheduler steps across all runs.
+    /// Total scheduler steps across counted seeds.
     pub steps: u64,
-    /// Total client requests across all runs.
+    /// Total client requests across counted seeds.
     pub requests: u64,
-    /// Total crashes simulated.
+    /// Total crashes simulated across counted seeds.
     pub crashes: u64,
     /// Full reports of the seeds that violated an invariant.
-    pub violations: Vec<SimReport>,
+    pub violations: Vec<R>,
+}
+
+impl<R: RunReport> SweepOutcome<R> {
+    fn new() -> Self {
+        SweepOutcome {
+            seeds: 0,
+            steps: 0,
+            requests: 0,
+            crashes: 0,
+            violations: Vec::new(),
+        }
+    }
+
+    /// Counts one seed's run; returns whether it violated.
+    fn add(&mut self, report: R) -> bool {
+        let [steps, requests, crashes] = report.totals();
+        self.seeds += 1;
+        self.steps += steps;
+        self.requests += requests;
+        self.crashes += crashes;
+        let violated = report.violation().is_some();
+        if violated {
+            self.violations.push(report);
+        }
+        violated
+    }
 }
 
 /// Runs `count` seeds starting at `seed_base` and collects every
 /// violating report. `stop_at_first` ends the sweep at the first
 /// violation (what a bug hunt wants; a coverage sweep wants them all).
-pub fn sweep(base: &SimConfig, seed_base: u64, count: u64, stop_at_first: bool) -> SweepOutcome {
-    let mut out = SweepOutcome::default();
+pub fn sweep<S: Simulation>(
+    base: &S,
+    seed_base: u64,
+    count: u64,
+    stop_at_first: bool,
+) -> SweepOutcome<S::Report> {
+    let mut out = SweepOutcome::new();
     for i in 0..count {
-        let mut cfg = base.clone();
-        cfg.seed = seed_base + i;
-        let report = run_sim(&cfg);
-        out.seeds += 1;
-        out.steps += report.steps;
-        out.requests += report.requests;
-        out.crashes += report.crashes;
-        let violated = report.violation.is_some();
-        if violated {
-            out.violations.push(report);
-            if stop_at_first {
-                break;
-            }
+        if out.add(base.with_seed(seed_base + i).run()) && stop_at_first {
+            break;
         }
     }
     out
@@ -780,66 +928,27 @@ pub fn sweep(base: &SimConfig, seed_base: u64, count: u64, stop_at_first: bool) 
 /// Runs `count` seeds starting at `seed_base` across `jobs` worker
 /// threads, merging per-seed results in seed order so the outcome is
 /// byte-identical to the serial [`sweep`] — including under
-/// `stop_at_first`, where seeds are processed in waves and aggregation
-/// stops at the first violating seed exactly as the serial loop does
-/// (later seeds may be *computed* by the wave, but never counted).
-pub fn sweep_jobs(
-    base: &SimConfig,
+/// `stop_at_first`, where seeds run in waves of `jobs * 4` via
+/// [`dst::run_indexed`] and aggregation stops at the first violating
+/// seed exactly as the serial loop does (later seeds may be *computed*
+/// by the wave, but never counted).
+pub fn sweep_jobs<S: Simulation>(
+    base: &S,
     seed_base: u64,
     count: u64,
     stop_at_first: bool,
     jobs: usize,
-) -> SweepOutcome {
-    merge_sweep(count, stop_at_first, jobs, |i| {
-        let mut cfg = base.clone();
-        cfg.seed = seed_base + i;
-        let report = run_sim(&cfg);
-        let violated = report.violation.is_some();
-        SeedResult {
-            steps: report.steps,
-            requests: report.requests,
-            crashes: report.crashes,
-            violating: violated.then_some(report),
-        }
-    })
-}
-
-/// One seed's contribution to a sweep aggregate.
-pub(crate) struct SeedResult {
-    pub(crate) steps: u64,
-    pub(crate) requests: u64,
-    pub(crate) crashes: u64,
-    pub(crate) violating: Option<SimReport>,
-}
-
-/// The shared serial-equivalent merge: runs seeds in waves of
-/// `jobs * 4` via [`dst::run_indexed`] and folds results in seed
-/// order, stopping (when asked) at the first violating seed so the
-/// aggregate matches what the serial loop would have accumulated.
-pub(crate) fn merge_sweep(
-    count: u64,
-    stop_at_first: bool,
-    jobs: usize,
-    run_one: impl Fn(u64) -> SeedResult + Sync,
-) -> SweepOutcome {
+) -> SweepOutcome<S::Report> {
     let jobs = jobs.max(1);
-    let wave = (jobs * 4).max(1) as u64;
-    let mut out = SweepOutcome::default();
+    let wave = (jobs * 4) as u64;
+    let mut out = SweepOutcome::new();
     let mut next = 0u64;
-    'outer: while next < count {
+    while next < count {
         let len = wave.min(count - next) as usize;
-        let base_seed = next;
-        let results = dst::run_indexed(len, jobs, |i| run_one(base_seed + i as u64));
-        for r in results {
-            out.seeds += 1;
-            out.steps += r.steps;
-            out.requests += r.requests;
-            out.crashes += r.crashes;
-            if let Some(report) = r.violating {
-                out.violations.push(report);
-                if stop_at_first {
-                    break 'outer;
-                }
+        let first = seed_base + next;
+        for report in dst::run_indexed(len, jobs, |i| base.with_seed(first + i as u64).run()) {
+            if out.add(report) && stop_at_first {
+                return out;
             }
         }
         next += len as u64;
@@ -849,49 +958,59 @@ pub(crate) fn merge_sweep(
 
 /// A failing case cut down to a 1-minimal reproducer.
 #[derive(Debug, Clone)]
-pub struct ShrunkCase {
-    /// The minimized config: explicit (pinned) fault events and crash
-    /// times; same seed, so the schedule replays exactly.
-    pub config: SimConfig,
+pub struct ShrunkCase<S: Simulation> {
+    /// The minimized config: its scenario pinned explicitly; same
+    /// seed, so the schedule replays exactly.
+    pub config: S,
     /// The minimized run, still violating the same invariant.
-    pub report: SimReport,
+    pub report: S::Report,
 }
 
-/// Shrinks a failing config's fault storm and crash schedule to a
-/// 1-minimal set that still reproduces the *same* invariant violation.
-/// Returns `None` when the config does not fail in the first place.
-pub fn shrink_failure(cfg: &SimConfig) -> Option<ShrunkCase> {
-    let baseline = run_sim(cfg);
-    let target = baseline.violation.as_ref()?.invariant;
-    let reproduces_with = |events: Option<Vec<FaultEvent>>, crashes: Vec<u64>| {
-        let mut c = cfg.clone();
-        c.events = events;
-        c.crashes = crashes;
-        c
+/// Shrinks a failing config's scenario, in the simulator's own order
+/// ([`Simulation::minimize`]), to a 1-minimal set that still
+/// reproduces the *same* invariant violation. Returns `None` when the
+/// config does not fail in the first place.
+pub fn shrink_failure<S: Simulation>(cfg: &S) -> Option<ShrunkCase<S>> {
+    let target = cfg.run().violation()?.invariant;
+    let same = |r: &S::Report| r.violation().is_some_and(|v| v.invariant == target);
+    let config = cfg.minimize(|c| same(&c.run()));
+    let report = config.run();
+    debug_assert!(same(&report));
+    Some(ShrunkCase { config, report })
+}
+
+/// What a bug hunt found: the first violating seed within its budget,
+/// whether that seed replays exactly, and its 1-minimal reproducer.
+#[derive(Debug, Clone)]
+pub struct Hunt<S: Simulation> {
+    /// Seeds swept, up to and including the first violating one.
+    pub seeds: u64,
+    /// The first violating run, if any seed violated.
+    pub caught: Option<S::Report>,
+    /// A fresh run of the caught seed reproduced its report exactly.
+    pub replays: bool,
+    /// The caught seed cut down by [`shrink_failure`].
+    pub shrunk: Option<ShrunkCase<S>>,
+}
+
+/// Sweeps up to `budget` seeds from `seed_base` until one violates,
+/// then replays that seed and shrinks it.
+pub fn hunt<S: Simulation>(base: &S, seed_base: u64, budget: u64) -> Hunt<S> {
+    let out = sweep(base, seed_base, budget, true);
+    let caught = out.violations.into_iter().next();
+    let (replays, shrunk) = match &caught {
+        Some(report) => {
+            let failing = base.with_seed(report.seed());
+            (failing.run() == *report, shrink_failure(&failing))
+        }
+        None => (false, None),
     };
-    let events = resolve_events(cfg);
-    let min_events = shrink_events(events, |evs| {
-        run_sim(&reproduces_with(Some(evs.to_vec()), cfg.crashes.clone()))
-            .violation
-            .as_ref()
-            .is_some_and(|v| v.invariant == target)
-    });
-    let min_crashes = shrink_events(cfg.crashes.clone(), |crs| {
-        run_sim(&reproduces_with(Some(min_events.clone()), crs.to_vec()))
-            .violation
-            .as_ref()
-            .is_some_and(|v| v.invariant == target)
-    });
-    let min_cfg = reproduces_with(Some(min_events), min_crashes);
-    let report = run_sim(&min_cfg);
-    debug_assert!(report
-        .violation
-        .as_ref()
-        .is_some_and(|v| v.invariant == target));
-    Some(ShrunkCase {
-        config: min_cfg,
-        report,
-    })
+    Hunt {
+        seeds: out.seeds,
+        caught,
+        replays,
+        shrunk,
+    }
 }
 
 #[cfg(test)]
@@ -1033,7 +1152,7 @@ mod tests {
     #[test]
     fn trace_renders_for_artifacts() {
         let report = run_sim(&SimConfig { seed: 1, ..quick() });
-        let text = render_trace(&report);
+        let text = render_trace(&report, None);
         assert!(text.contains("seed 1"));
         assert!(text.lines().count() > 10);
         assert!(text.ends_with("clean\n") || text.contains("VIOLATION"));

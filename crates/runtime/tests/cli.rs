@@ -1,0 +1,166 @@
+//! The `runtime` binary's command line: sweep JSON from both
+//! simulators, the node-filtered fleet replay, `--seed-range`
+//! precedence, usage errors (exit 2), and a `--help` that names every
+//! flag of every subcommand.
+
+use std::process::{Command, Output};
+
+fn runtime(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_runtime"))
+        .args(args)
+        .output()
+        .expect("runtime binary runs")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
+}
+
+#[test]
+fn dst_sweeps_print_a_json_sweep_object() {
+    for (args, seeds) in [
+        (&["dst", "--seeds", "3", "--json"][..], "\"seeds\": 3,"),
+        (
+            &["dst", "--fleet", "--seeds", "2", "--json"][..],
+            "\"seeds\": 2,",
+        ),
+    ] {
+        let out = runtime(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let text = stdout(&out);
+        assert!(
+            text.starts_with('{') && text.trim_end().ends_with('}'),
+            "{text}"
+        );
+        assert!(text.contains("\"seed_base\": 0,"), "{text}");
+        assert!(text.contains(seeds), "{args:?}: {text}");
+        assert!(text.contains("\"violations\": ["), "{text}");
+    }
+}
+
+#[test]
+fn fleet_replay_node_prints_only_that_nodes_steps() {
+    let out = runtime(&[
+        "dst",
+        "--fleet",
+        "--replay",
+        "3",
+        "--mutation",
+        "no-epoch-fence",
+        "--replay-node",
+        "shard-0-1",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = stdout(&out);
+    let mut lines = text.lines();
+    let header = lines.next().expect("trace header");
+    assert!(header.contains("node shard-0-1"), "{header}");
+    let mut steps = 0;
+    for line in lines {
+        if line.starts_with("VIOLATION") || line == "clean" {
+            continue;
+        }
+        let task = line
+            .split_whitespace()
+            .last()
+            .expect("step line names a task");
+        assert_eq!(
+            runtime::task_node(task),
+            "shard-0-1",
+            "foreign step: {line}"
+        );
+        steps += 1;
+    }
+    assert!(steps > 0, "shard-0-1 never ran:\n{text}");
+}
+
+#[test]
+fn seed_range_overrides_seeds_and_seed_base_in_any_order() {
+    for args in [
+        &["dst", "--seed-range", "5..8", "--seeds", "2", "--json"][..],
+        &["dst", "--seed-range", "5..8", "--seed-base", "0", "--json"][..],
+        &[
+            "dst",
+            "--seeds",
+            "2",
+            "--seed-base",
+            "0",
+            "--seed-range",
+            "5..8",
+            "--json",
+        ][..],
+    ] {
+        let out = runtime(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        let text = stdout(&out);
+        assert!(text.contains("\"seed_base\": 5,"), "{args:?}: {text}");
+        assert!(text.contains("\"seeds\": 3,"), "{args:?}: {text}");
+    }
+}
+
+#[test]
+fn usage_errors_exit_two() {
+    for args in [
+        &["dst", "--no-such-flag"][..],
+        &["dst", "--seeds"][..],
+        &["dst", "--seeds", "0"][..],
+        &["dst", "--replay", "3", "--replay-node", "shard-0-1"][..],
+        &["client"][..],
+        &["dst", "--mutation", "no-such-mutation"][..],
+        &["dst", "--fleet", "--mutation", "no-cooldown-rebase"][..],
+    ] {
+        let out = runtime(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("runtime: "), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn help_names_every_flag_of_every_subcommand() {
+    let out = runtime(&["--help"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = stdout(&out);
+    let commands = [
+        (
+            "soak",
+            "--seconds --seed --sites --faults --clients --no-chaos --restart --snapshot-dir \
+             --check --json",
+        ),
+        (
+            "serve",
+            "--shards --sites --port --seconds --seed --snapshot-dir --json",
+        ),
+        ("client", "--addr --key --count --map --json"),
+        (
+            "wire-soak",
+            "--seconds --rate --clients --seed --chaos --crash-at --decommission-at \
+             --kill-primary-at --snapshot-dir --p99 --hist-out --check --json",
+        ),
+        (
+            "dst",
+            "--seeds --seed-base --seed-range --jobs --fleet --mutation --replay \
+             --replay-node --trace-out --check --json",
+        ),
+    ];
+    for (name, flags) in commands {
+        // Each subcommand's section runs from its heading to the next
+        // blank line.
+        let heading = format!("runtime {name} ");
+        let section = text
+            .split("\n\n")
+            .find(|s| s.starts_with(&heading))
+            .unwrap_or_else(|| panic!("no `{name}` section in:\n{text}"));
+        for flag in flags.split_whitespace() {
+            let named = section
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(flag));
+            assert!(named, "`{name}` help lacks {flag}:\n{section}");
+        }
+    }
+    // `--help` is honoured after a subcommand too.
+    let sub = runtime(&["dst", "--help"]);
+    assert_eq!(sub.status.code(), Some(0), "{sub:?}");
+    assert_eq!(stdout(&sub), text);
+}

@@ -6,8 +6,8 @@
 //! remove any single kept event and the violation disappears.
 
 use runtime::{
-    fleet_sweep, render_fleet_trace, resolve_fleet_events, run_fleet, shrink_fleet_failure,
-    task_node, FleetConfig, FleetInvariant, FleetMutation,
+    render_trace, resolve_fleet_events, run_fleet, shrink_failure, sweep_jobs, task_node,
+    FleetConfig, FleetInvariant, FleetMutation,
 };
 
 fn base() -> FleetConfig {
@@ -16,7 +16,7 @@ fn base() -> FleetConfig {
 
 #[test]
 fn shipped_fleet_is_clean_across_seeds_at_any_job_count() {
-    let serial = fleet_sweep(&base(), 0, 8, false, 1);
+    let serial = sweep_jobs(&base(), 0, 8, false, 1);
     assert_eq!(serial.seeds, 8);
     assert!(
         serial.violations.is_empty(),
@@ -24,7 +24,7 @@ fn shipped_fleet_is_clean_across_seeds_at_any_job_count() {
         serial.violations[0].seed,
         serial.violations[0].violation
     );
-    let parallel = fleet_sweep(&base(), 0, 8, false, 4);
+    let parallel = sweep_jobs(&base(), 0, 8, false, 4);
     assert_eq!(parallel, serial, "parallel sweep must be byte-identical");
 }
 
@@ -35,7 +35,7 @@ fn known_bad_router_mutation_shrinks_to_a_one_minimal_reproducer() {
         ..base()
     };
     // Find a failing seed the way CI does.
-    let out = fleet_sweep(&mutated, 0, 200, true, 1);
+    let out = sweep_jobs(&mutated, 0, 200, true, 1);
     let caught = out
         .violations
         .first()
@@ -55,15 +55,15 @@ fn known_bad_router_mutation_shrinks_to_a_one_minimal_reproducer() {
     let b = run_fleet(&failing);
     assert_eq!(a, b);
     assert_eq!(
-        render_fleet_trace(&a, None),
-        render_fleet_trace(&b, None),
+        render_trace(&a, None),
+        render_trace(&b, None),
         "rendered traces must match byte-for-byte"
     );
 
     // Shrink, then prove 1-minimality: the kept event set still
     // reproduces the violation, and dropping ANY single kept event
     // makes it vanish.
-    let shrunk = shrink_fleet_failure(&failing).expect("baseline must fail");
+    let shrunk = shrink_failure(&failing).expect("baseline must fail");
     let kept = shrunk.config.events.clone().expect("events pinned");
     assert!(!kept.is_empty(), "this violation needs at least one event");
     assert!(kept.len() <= resolve_fleet_events(&failing).len());
@@ -96,7 +96,7 @@ fn epoch_fence_mutation_shrinks_to_a_one_minimal_reproducer() {
         ..base()
     };
     // Find a failing seed the way CI does.
-    let out = fleet_sweep(&mutated, 0, 200, true, 1);
+    let out = sweep_jobs(&mutated, 0, 200, true, 1);
     let caught = out
         .violations
         .first()
@@ -117,7 +117,7 @@ fn epoch_fence_mutation_shrinks_to_a_one_minimal_reproducer() {
     assert_eq!(a, b);
 
     // Shrink, then prove 1-minimality for the split-brain too.
-    let shrunk = shrink_fleet_failure(&failing).expect("baseline must fail");
+    let shrunk = shrink_failure(&failing).expect("baseline must fail");
     let kept = shrunk.config.events.clone().expect("events pinned");
     assert!(!kept.is_empty(), "a split-brain needs at least one event");
     assert_eq!(
@@ -146,7 +146,7 @@ fn epoch_fence_mutation_shrinks_to_a_one_minimal_reproducer() {
 fn replay_node_filter_shows_only_that_nodes_steps() {
     let report = run_fleet(&FleetConfig { seed: 2, ..base() });
     for node in ["router", "shard-1-0", "client-0", "admin", "anti-entropy"] {
-        let filtered = render_fleet_trace(&report, Some(node));
+        let filtered = render_trace(&report, Some(node));
         let mut saw_any = false;
         for line in filtered.lines() {
             if line.starts_with('#') || line.starts_with("VIOLATION") || line == "clean" {

@@ -11,6 +11,7 @@
 
 use dsim::logic::Logic;
 use dsim::netlist::{Component, Netlist, SignalId};
+use sta::strongly_connected;
 
 use crate::diagnostic::{Diagnostic, Location, Report};
 use crate::pass::{run_passes, Pass};
@@ -305,61 +306,6 @@ impl Pass<Netlist> for LoopPass {
             }
         }
     }
-}
-
-/// Iterative Tarjan SCC over an adjacency list.
-fn strongly_connected(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = succ.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-
-    // Explicit DFS frames: (node, next child position).
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if *child < succ[v].len() {
-                let w = succ[v][*child];
-                *child += 1;
-                if index[w] == usize::MAX {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&mut (parent, _)) = frames.last_mut() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
 }
 
 /// `NC0106`: fan-out limits.

@@ -553,6 +553,15 @@ fn dst_cmd(args: &Args) -> Result<ExitCode, String> {
             mutation,
             ..FleetConfig::default()
         };
+        if let Some(node) = args.text("--replay-node").filter(|n| !base.has_node(n)) {
+            return Err(format!(
+                "--replay-node `{node}` is not a node of this fleet (router | admin | \
+                 anti-entropy | client-K for K < {} | shard-G-R for G < {}, R < {})",
+                base.clients,
+                base.shards.max(1),
+                base.replication.max(1)
+            ));
+        }
         Ok(run_dst(args, &base, render_fleet_json))
     } else {
         let mutation = Mutation::parse(&m)

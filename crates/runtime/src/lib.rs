@@ -27,6 +27,9 @@
 //!   virtual clock and a torn-write simulated disk, under seeded
 //!   schedule exploration with invariants checked after every step and
 //!   failing seeds shrunk to minimal byte-for-byte-replayable traces;
+//! * `repl` (crate-private) — the replica side of the fleet's
+//!   replication protocol as one sans-IO state machine, and the one
+//!   election rule both fleet tiers promote and rejoin through;
 //! * [`error`] — the typed failure vocabulary ([`RuntimeError`]).
 //!
 //! The service's contract, end to end: every request is answered
@@ -41,6 +44,7 @@ pub mod breaker;
 pub mod client;
 pub mod effect_log;
 pub mod error;
+mod repl;
 pub mod retry;
 pub mod route;
 pub mod serve;

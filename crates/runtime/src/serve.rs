@@ -41,8 +41,8 @@
 //! * **Honest decommission and recovery** — a decommissioned group's
 //!   in-flight answers are discarded (the router fails over), and a
 //!   crash-recovered replica restarts with no resurrected cache, then
-//!   repairs its effect log from the healthiest live sibling before
-//!   serving.
+//!   repairs its effect log from the live sibling the fleet's one
+//!   election rule ranks highest before serving.
 //! * **Graceful drain** — [`WireServer::drain`] stops accepting,
 //!   lets every accepted in-flight request finish, flushes a final
 //!   snapshot per group, and only then stops the cores.
@@ -65,6 +65,7 @@ use netcheck::ReplicationTuning;
 use wire::{Decoder, FleetMsg, HashRing, MapEntry, WireOutcome};
 
 use crate::error::{Result, RuntimeError};
+use crate::repl::{self, Epoched};
 use crate::retry::RetryPolicy;
 use crate::route::RouterPolicy;
 use crate::service::{
@@ -238,6 +239,12 @@ struct ReplRecord {
     req_id: u64,
     /// The recorded outcome, replayed on retry.
     outcome: WireOutcome,
+}
+
+impl Epoched for ReplRecord {
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
 }
 
 /// One replica behind the server: a real service core plus the wire
@@ -520,7 +527,7 @@ impl WireServer {
     /// Crash-and-recover `group`'s current primary in place: stop its
     /// core, reload the newest valid snapshot from disk, start a fresh
     /// incarnation, and repair its effect log and dedup map from the
-    /// healthiest live sibling (counted in
+    /// live sibling `repl::elect` picks (counted in
     /// [`WireServerStats::rejoin_repairs`]). A recovery that comes
     /// back holding a cached median is counted in
     /// [`WireServerStats::resurrected`].
@@ -558,30 +565,31 @@ impl WireServer {
         replacement.held_epoch = old_held_epoch;
         replacement.decommissioned_at_ms = decommissioned;
         *guards[pidx] = replacement;
-        // Rejoin repair: adopt the longest live sibling log (every
-        // acked effect is on every live backup, so longest = complete).
-        let donor = (0..guards.len())
-            .filter(|&r| r != pidx && !guards[r].killed)
-            .max_by_key(|&r| guards[r].log.len());
+        // Rejoin repair: adopt the elected live sibling's log (every
+        // acked effect is on every live backup, so it is complete). An
+        // empty log ranks lowest, so when the winner would be empty
+        // there is nothing to adopt.
+        let donor = repl::elect(guards.iter().enumerate().map(|(r, s)| {
+            let adoptable = r != pidx && !s.killed && !s.log.is_empty();
+            adoptable.then_some(&s.log[..])
+        }));
         if let Some(d) = donor {
-            if !guards[d].log.is_empty() {
-                let log = guards[d].log.clone();
-                let seen = guards[d].seen.clone();
-                guards[pidx].log = log;
-                guards[pidx].seen = seen;
-                self.inner
-                    .stats
-                    .rejoin_repairs
-                    .fetch_add(1, Ordering::SeqCst);
-            }
+            let log = guards[d].log.clone();
+            let seen = guards[d].seen.clone();
+            guards[pidx].log = log;
+            guards[pidx].seen = seen;
+            self.inner
+                .stats
+                .rejoin_repairs
+                .fetch_add(1, Ordering::SeqCst);
         }
         self.inner.stats.crashes.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
     /// Permanently kills `group`'s current primary and promotes the
-    /// live backup with the longest effect log (every acked effect is
-    /// on every live backup, so no acked work is lost). Bumps the
+    /// live backup `repl::elect` picks (every acked effect is on every
+    /// live backup, so no acked work is lost). Bumps the
     /// group epoch — the killed ex-primary stays fenced forever.
     /// Returns the new epoch.
     ///
@@ -626,24 +634,15 @@ impl WireServer {
         out
     }
 
-    /// Election under the group's locks: highest replicated log
-    /// position wins (lowest index breaks ties), the epoch bumps, and
-    /// the winner's fence epoch raises.
+    /// Election under the group's locks: `repl::elect` picks the live
+    /// winner, the epoch bumps, and the winner's fence epoch raises.
     fn promote_locked(
         &self,
         g: &ShardGroup,
         guards: &mut [MutexGuard<'_, WireShard>],
     ) -> Result<u64> {
-        // Epoch-major election key, same as the simulated fleet: a
-        // replica whose last record carries a higher epoch has seen
-        // strictly newer acked work than any length can fake.
-        let key = |s: &WireShard| (s.log.last().map_or(0, |r| r.epoch), s.log.len());
-        let winner = (0..guards.len())
-            .filter(|&r| !guards[r].killed)
-            .max_by(|&a, &b| {
-                key(&guards[a]).cmp(&key(&guards[b])).then(b.cmp(&a)) // lowest index wins ties
-            });
-        let Some(winner) = winner else {
+        let Some(winner) = repl::elect(guards.iter().map(|s| (!s.killed).then_some(&s.log[..])))
+        else {
             return Err(RuntimeError::NoHealthy {
                 total: self.inner.cfg.replication,
                 quarantined: guards.iter().filter(|s| s.killed).count(),

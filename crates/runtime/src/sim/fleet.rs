@@ -8,10 +8,11 @@
 //! under per-node clock skew, scheduled by the single-threaded
 //! [`dst::Executor`] so every run replays byte-for-byte.
 //!
-//! The replication machinery is the real one, not a model: each
-//! replica appends acknowledged effects to a CRC-checked
-//! [`crate::EffectLog`] on its own [`dst::SimDisk`] (append + fsync,
-//! torn-tail truncation on recovery), primaries ship
+//! The replication machinery is the real one, not a model: the
+//! replica side is the sans-IO `runtime::repl` core, driven here over
+//! the fabric. Each replica appends acknowledged effects to a
+//! CRC-checked [`crate::EffectLog`] on its own [`dst::SimDisk`]
+//! (append + fsync, torn-tail truncation on recovery), primaries ship
 //! [`FleetMsg::Replicate`] frames to every backup and acknowledge a
 //! write only once **all live backups** have durably acked
 //! ([`FleetMsg::ReplAck`]), and the router promotes by
@@ -65,7 +66,7 @@
 //! decommissions — is one [`FleetEvent`] list, so
 //! [`dst::shrink_events`] cuts it to a 1-minimal reproducer.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -81,6 +82,7 @@ use rand::{Rng, SeedableRng};
 use sensor::RingFault;
 
 use crate::effect_log::{EffectLog, EffectRecord};
+use crate::repl::{self, Output, Replica};
 use crate::retry::RetryPolicy;
 use crate::route::RouterPolicy;
 use crate::service::{
@@ -409,6 +411,18 @@ impl FleetConfig {
     fn end_ms(&self) -> u64 {
         self.horizon_ms + self.client_timeout_ms() + 500
     }
+
+    /// Whether `id` names a node of this fleet as [`task_node`] spells
+    /// it: `router`, `admin`, `anti-entropy`, `client-K` with K below
+    /// `clients`, or `shard-G-R` with G below `shards` and R below
+    /// `replication`.
+    pub fn has_node(&self, id: &str) -> bool {
+        let (groups, replication) = (self.shards.max(1), self.replication.max(1));
+        let shards =
+            (0..groups).flat_map(|g| (0..replication).map(move |r| format!("shard-{g}-{r}")));
+        let clients = (0..self.clients).map(|k| format!("client-{k}"));
+        ["router", "admin", "anti-entropy"].contains(&id) || shards.chain(clients).any(|n| n == id)
+    }
 }
 
 /// What one simulated fleet run did and found.
@@ -563,19 +577,10 @@ struct ReplicaNode {
     disk: Arc<SimDisk>,
     clock: Arc<SkewedClock>,
     namespace: Arc<NonceNamespace>,
-    /// This replica's durable effect log (its own disk, its own file).
-    log: EffectLog,
-    /// The group epoch this replica has adopted. Only ever raised
-    /// (fetch-max), so a stale `Promote` can never roll the fence
-    /// back; restored from snapshot + log on crash recovery.
-    held_epoch: u64,
-    /// Whether this replica currently believes it leads the group.
-    /// Only a `Promote` naming it grants this; a crash clears it.
-    is_primary: bool,
-    incarnation: u64,
-    /// Dedup window for this incarnation: `req_id` → `None` while in
-    /// flight, `Some(outcome)` once answered (replays re-send it).
-    seen: BTreeMap<u64, Option<WireOutcome>>,
+    /// The replication protocol: adopted epoch, leadership, dedup
+    /// window, in-flight writes, and the durable effect log (its own
+    /// disk, its own file).
+    repl: Replica,
     /// Active sensor faults `(clears_at_ms, site, fault)` — they live
     /// in the silicon and survive crashes.
     active_faults: Vec<(u64, usize, RingFault)>,
@@ -601,6 +606,12 @@ struct FleetWorld {
     replicas: Vec<ReplicaNode>,
     groups: Vec<GroupState>,
     replication: usize,
+    /// The router's node id.
+    router: usize,
+    /// Sensor sites per replica: a key converts on channel
+    /// `key % sites`.
+    sites: usize,
+    mutation: FleetMutation,
     /// Effect ledger: `(node, incarnation, req_id)` → conversions
     /// started. More than one is a `DuplicateEffect` violation.
     effects: BTreeMap<(usize, u64, u64), u32>,
@@ -661,28 +672,97 @@ impl FleetWorld {
             .is_some_and(|g| g.decommissioned_at.is_some())
     }
 
+    /// Whether the router refuses `group` as decommissioned — never
+    /// under the `NoDecommissionCheck` mutation.
+    fn retired(&self, group: usize) -> bool {
+        self.mutation != FleetMutation::NoDecommissionCheck && self.decommissioned(group)
+    }
+
     fn group_has_live(&self, group: usize) -> bool {
         (0..self.replication).any(|r| !self.replicas[self.node(group, r)].killed)
     }
 
-    /// Deterministic promotion: among live, reachable replicas of
-    /// `group`, the highest `(last record epoch, log length)` wins,
-    /// lowest replica index breaking ties — so a healed ex-primary's
-    /// uncommitted tail can never outrank a backup that holds
-    /// later-epoch acked effects.
-    fn elect(&self, group: usize) -> Option<usize> {
-        let mut winner: Option<(u64, u64, usize)> = None;
+    /// Whether the router may place a request on `group`.
+    fn servable(&self, group: usize) -> bool {
+        !self.retired(group) && self.group_has_live(group)
+    }
+
+    /// Deterministic promotion: [`repl::elect`] over `group`'s live,
+    /// reachable replicas wins a fresh epoch, broadcast by `Promote` to
+    /// every live replica. False when no replica can stand.
+    fn promote(&mut self, group: usize, req_id: u64, now: u64) -> bool {
+        let Some(winner) = repl::elect((0..self.replication).map(|r| {
+            let n = &self.replicas[self.node(group, r)];
+            (!n.killed && !n.partitioned).then(|| n.repl.log().records())
+        })) else {
+            return false;
+        };
+        let epoch = self.groups[group].epoch + 1;
+        self.groups[group].epoch = epoch;
+        self.groups[group].primary = winner;
+        self.promotions += 1;
         for r in 0..self.replication {
-            let node = &self.replicas[self.node(group, r)];
-            if node.killed || node.partitioned {
-                continue;
-            }
-            let key = (node.log.last_epoch(), node.log.len());
-            if winner.is_none_or(|(e, l, _)| key > (e, l)) {
-                winner = Some((key.0, key.1, r));
+            let n = self.node(group, r);
+            if !self.replicas[n].killed {
+                let promote = FleetMsg::Promote {
+                    req_id,
+                    group: group as u32,
+                    epoch,
+                    primary: winner as u32,
+                };
+                self.net.send(now, self.router, n, promote);
             }
         }
-        winner.map(|(_, _, r)| r)
+        true
+    }
+
+    /// Cuts `node` off from the router and from its sibling replicas,
+    /// or heals those links.
+    fn set_partitioned(&mut self, node: usize, cut: bool) {
+        let g = self.group_of(node);
+        let mut peers = vec![self.router];
+        peers.extend(
+            (0..self.replication)
+                .map(|s| self.node(g, s))
+                .filter(|&n| n != node),
+        );
+        for n in peers {
+            if cut {
+                self.net.partition_pair(node, n);
+            } else {
+                self.net.heal_pair(node, n);
+            }
+        }
+        self.replicas[node].partitioned = cut;
+    }
+
+    /// Invariant 5: every effect acked for `group` must still live in
+    /// some live replica's durable log; a lost one is flagged as
+    /// "acked req R `what`".
+    fn audit_acked(&mut self, group: usize, now: u64, what: &str) {
+        if !self.group_has_live(group) {
+            return; // no live replica is left to hold anything
+        }
+        let lost = self.acked.keys().find(|&&(g, rid)| {
+            g == group
+                && !(0..self.replication).any(|r| {
+                    let n = &self.replicas[self.node(group, r)];
+                    !n.killed && n.repl.log().contains_req(rid)
+                })
+        });
+        if let Some(&(_, rid)) = lost {
+            let detail = format!("group {group}: acked req {rid} {what}");
+            self.flag(FleetInvariant::EffectLost, now, detail);
+        }
+    }
+
+    /// Anti-entropy repair: rewrites `node`'s log to `canonical` when
+    /// the two differ.
+    fn repair(&mut self, node: usize, canonical: &[EffectRecord]) {
+        let log = self.replicas[node].repl.log_mut();
+        if log.records() != canonical && log.reset_to(canonical).is_ok() {
+            self.anti_entropy_repairs += 1;
+        }
     }
 }
 
@@ -746,16 +826,13 @@ fn build_replica(
         &effect_log_path(group, replica),
     )
     .expect("fresh effect log must open");
+    let fence = cfg.mutation != FleetMutation::NoEpochFence;
     ReplicaNode {
         core,
         disk,
         clock,
         namespace,
-        log,
-        held_epoch: 0,
-        is_primary: replica == 0,
-        incarnation: 0,
-        seen: BTreeMap::new(),
+        repl: Replica::new(group, replica, log, fence),
         active_faults: Vec::new(),
         partitioned: false,
         killed: false,
@@ -764,10 +841,9 @@ fn build_replica(
 
 /// Crash-and-recover one replica in place: disk tears, inbox dies,
 /// the core is rebuilt from the newest valid checkpoint, and the
-/// effect log reopens through torn-tail truncation. The replica
-/// restarts as a *backup* holding the highest epoch its durable state
-/// proves (snapshot epoch vs last log record epoch) — the router
-/// re-promotes it if it still leads. Flags
+/// effect log reopens through torn-tail truncation before
+/// [`Replica::recover`] restarts the protocol as a *backup* — the
+/// router re-promotes it if it still leads. Flags
 /// [`FleetInvariant::ResurrectedCache`] / `RecoveryFailed` exactly as
 /// the single-node simulation does.
 fn crash_replica(
@@ -852,14 +928,9 @@ fn crash_replica(
                     format!("group {group} replica {replica} recovered with a cached median"),
                 );
             }
-            let held_epoch = rec.recovered_epoch.max(log.last_epoch());
             let node = &mut w.replicas[node_idx];
             node.core = core;
-            node.log = log;
-            node.held_epoch = node.held_epoch.max(held_epoch);
-            node.is_primary = false;
-            node.incarnation += 1;
-            node.seen.clear();
+            node.repl.recover(log, rec.recovered_epoch);
             if had_snapshot {
                 w.recovered_with_snapshot += 1;
             }
@@ -891,14 +962,145 @@ struct Pending {
     plan: crate::route::RoutePlan,
 }
 
-/// A primary's in-flight replication of one acknowledged-to-be effect:
-/// the outcome is held back until every live backup has durably acked.
-struct Replicating {
-    outcome: WireOutcome,
-    rec: EffectRecord,
-    acks: BTreeSet<usize>,
-    next_retx: u64,
+/// The router's placement policy and the requests it has in flight.
+struct Router {
+    policy: RouterPolicy,
+    pending: BTreeMap<u64, Pending>,
+}
+
+impl Router {
+    /// Cross-group failover: moves `req_id` to the next servable group
+    /// on its plan, dispatched after the plan's backoff rung. With the
+    /// plan exhausted, forgets the request and answers its client with
+    /// a `kind` failure.
+    fn fail_over(
+        &mut self,
+        w: &mut FleetWorld,
+        now: u64,
+        req_id: u64,
+        kind: &str,
+        origin_shard: usize,
+        total_age_ms: u64,
+    ) {
+        let p = self.pending.get_mut(&req_id).expect("still pending");
+        match self.policy.advance(&mut p.plan, |g| w.servable(g)) {
+            Some(route) => {
+                w.failovers += 1;
+                p.group = route.shard;
+                p.promoted = false;
+                p.dispatch_at = Some(now + route.backoff_ms);
+            }
+            None => {
+                let client = p.client_node;
+                self.pending.remove(&req_id);
+                let fail = failure(req_id, kind, origin_shard, now, total_age_ms);
+                w.net.send(now, w.router, client, fail);
+            }
+        }
+    }
+}
+
+/// The router's typed failure answer to a client.
+fn failure(req_id: u64, kind: &str, origin_shard: usize, now: u64, total_age_ms: u64) -> FleetMsg {
+    FleetMsg::ClientResp {
+        req_id,
+        outcome: WireOutcome::Failed { kind: kind.into() },
+        origin_shard,
+        forwarded_at_ms: now,
+        total_age_ms,
+    }
+}
+
+/// A conversion a replica runs for its protocol core.
+struct Conversion {
+    req_id: u64,
+    key: u64,
+    job: ReadJob,
+    deadline_abs: u64,
+    /// The incarnation that started it: a crash aborts it.
     incarnation: u64,
+    read_only: bool,
+}
+
+/// Carries out what replica `me`'s protocol core returned, in order:
+/// frames go on the wire, conversions start, and the reported facts
+/// are graded against the ledgers.
+fn apply(w: &mut FleetWorld, me: usize, now: u64, out: Vec<Output>, jobs: &mut Vec<Conversion>) {
+    let (g, r) = (w.group_of(me), me % w.replication);
+    for o in out {
+        match o {
+            Output::Send(to, msg) => {
+                w.net.send(now, me, to, msg);
+            }
+            Output::Reply(req_id, outcome) => {
+                w.net.send(now, me, w.router, FleetMsg::ShardResp { req_id, outcome });
+            }
+            Output::Convert {
+                req_id,
+                key,
+                read_only,
+            } => {
+                let incarnation = w.replicas[me].repl.incarnation();
+                if !read_only {
+                    let effects = w.effects.entry((me, incarnation, req_id)).or_insert(0);
+                    *effects += 1;
+                    if *effects > 1 {
+                        let count = *effects;
+                        w.flag(
+                            FleetInvariant::DuplicateEffect,
+                            now,
+                            format!("group {g} replica {r} converted req {req_id} {count} times in incarnation {incarnation}"),
+                        );
+                    }
+                }
+                let core = Arc::clone(&w.replicas[me].core);
+                let submitted = core.now_ms();
+                let deadline_abs = submitted + core.config.default_deadline_ms;
+                let job = ReadJob::new(&core, (key as usize) % w.sites, submitted, deadline_abs);
+                jobs.push(Conversion {
+                    req_id,
+                    key,
+                    job,
+                    deadline_abs,
+                    incarnation,
+                    read_only,
+                });
+            }
+            Output::Completed { req_id, pos } => {
+                // Invariant 6, external form: a request must not be
+                // completed (acked toward the router) by two different
+                // replicas of one group. A write that merely
+                // *completes* after the router bumped the epoch is
+                // fine — its full-quorum acks put it in every live
+                // log, so promotion preserves it.
+                if let Some(&prev) = w.completed.get(&(g, req_id)) {
+                    if prev != me {
+                        w.flag(
+                            FleetInvariant::SplitBrain,
+                            now,
+                            format!("group {g}: nodes {prev} and {me} both completed req {req_id}"),
+                        );
+                    }
+                }
+                w.completed.insert((g, req_id), me);
+                w.acked.insert((g, req_id), pos);
+            }
+            // Invariant 6, judged at the earliest observable point.
+            Output::AckedDeposed {
+                req_id,
+                epoch,
+                held,
+            } => w.flag(
+                FleetInvariant::SplitBrain,
+                now,
+                format!(
+                    "group {g} replica {r} (epoch {held}) acked req {req_id} from fenced epoch {epoch}"
+                ),
+            ),
+            Output::Absorbed => w.duplicates_absorbed += 1,
+            Output::Fenced(writes) => w.fenced_writes += writes,
+        }
+    }
 }
 
 /// Runs one seeded fleet simulation to completion (or to its first
@@ -935,6 +1137,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         replicas,
         groups: group_states,
         replication,
+        router: router_node,
+        sites: cfg.sites_per_shard.max(1),
+        mutation: cfg.mutation,
         effects: BTreeMap::new(),
         acked: BTreeMap::new(),
         completed: BTreeMap::new(),
@@ -962,71 +1167,50 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let end = cfg.end_ms();
     let slack = cfg.skew_slack_ms();
     let bound = cfg.runtime.staleness_bound_ms;
-    let mutation = cfg.mutation;
     let shard_timeout = cfg.failover_timeout_ms();
     let client_timeout = cfg.client_timeout_ms();
 
     // ----- Router: routing, failover, and epoch-fenced promotion -----
     {
         let world = Rc::clone(&world);
-        let policy = RouterPolicy::new(HashRing::new(groups, 8), cfg.router_retry.clone());
+        let mut router = Router {
+            policy: RouterPolicy::new(HashRing::new(groups, 8), cfg.router_retry.clone()),
+            pending: BTreeMap::new(),
+        };
         let seed = cfg.seed;
-        let mut pending: BTreeMap<u64, Pending> = BTreeMap::new();
         ex.spawn("router", 0, move |now| {
             let mut w = world.borrow_mut();
+            let w = &mut *w;
             // Drain every deliverable message.
             while let Some(env) = w.net.poll(router_node, now) {
                 match env.payload {
                     FleetMsg::ClientReq { req_id, key } => {
-                        let eligible = |g: usize| {
-                            (mutation == FleetMutation::NoDecommissionCheck || !w.decommissioned(g))
-                                && w.group_has_live(g)
+                        let mut plan = router.policy.plan(key, seed ^ req_id);
+                        let Some(route) = router.policy.advance(&mut plan, |g| w.servable(g))
+                        else {
+                            let fail = failure(req_id, "no-shard", usize::MAX, now, 0);
+                            w.net.send(now, router_node, env.src, fail);
+                            continue;
                         };
-                        let mut plan = policy.plan(key, seed ^ req_id);
-                        match policy.advance(&mut plan, eligible) {
-                            Some(route) => {
-                                let group = route.shard;
-                                let target = w.primary_node(group);
-                                w.net.send(
-                                    now,
-                                    router_node,
-                                    target,
-                                    FleetMsg::ShardReq { req_id, key },
-                                );
-                                pending.insert(
-                                    req_id,
-                                    Pending {
-                                        client_node: env.src,
-                                        key,
-                                        group,
-                                        sent_to_node: target,
-                                        sent_at_ms: now,
-                                        dispatch_at: None,
-                                        promoted: false,
-                                        plan,
-                                    },
-                                );
-                            }
-                            None => {
-                                w.net.send(
-                                    now,
-                                    router_node,
-                                    env.src,
-                                    FleetMsg::ClientResp {
-                                        req_id,
-                                        outcome: WireOutcome::Failed {
-                                            kind: "no-shard".into(),
-                                        },
-                                        origin_shard: usize::MAX,
-                                        forwarded_at_ms: now,
-                                        total_age_ms: 0,
-                                    },
-                                );
-                            }
-                        }
+                        let target = w.primary_node(route.shard);
+                        let req = FleetMsg::ShardReq { req_id, key };
+                        w.net.send(now, router_node, target, req);
+                        router.pending.insert(
+                            req_id,
+                            Pending {
+                                client_node: env.src,
+                                key,
+                                group: route.shard,
+                                sent_to_node: target,
+                                sent_at_ms: now,
+                                dispatch_at: None,
+                                promoted: false,
+                                plan,
+                            },
+                        );
                     }
                     FleetMsg::ShardResp { req_id, outcome } => {
-                        let Some(p) = pending.get(&req_id) else {
+                        let Some(p) = router.pending.get_mut(&req_id) else {
                             continue; // answered or abandoned: a late or duplicated reply
                         };
                         if env.src != p.sent_to_node || p.dispatch_at.is_some() {
@@ -1042,30 +1226,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         // anoint a replica that is behind its backups.
                         if matches!(&outcome, WireOutcome::Failed { kind } if kind == "not-primary")
                         {
-                            let g = p.group;
-                            if let Some(winner) = w.elect(g) {
-                                let epoch = w.groups[g].epoch + 1;
-                                w.groups[g].epoch = epoch;
-                                w.groups[g].primary = winner;
-                                w.promotions += 1;
-                                for r in 0..w.replication {
-                                    let n = w.node(g, r);
-                                    if !w.replicas[n].killed {
-                                        w.net.send(
-                                            now,
-                                            router_node,
-                                            n,
-                                            FleetMsg::Promote {
-                                                req_id,
-                                                group: g as u32,
-                                                epoch,
-                                                primary: winner as u32,
-                                            },
-                                        );
-                                    }
-                                }
-                            }
-                            let p = pending.get_mut(&req_id).expect("present above");
+                            w.promote(p.group, req_id, now);
                             p.dispatch_at = Some(now + 5);
                             continue;
                         }
@@ -1075,7 +1236,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         // the view moved underneath us — re-dispatch.
                         if matches!(&outcome, WireOutcome::Failed { kind } if kind == "stale-epoch")
                         {
-                            let p = pending.get_mut(&req_id).expect("present above");
                             p.dispatch_at = Some(now + 5);
                             continue;
                         }
@@ -1084,52 +1244,19 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                             WireOutcome::Reading { age_ms, .. } => age_ms + transit,
                             WireOutcome::Failed { .. } | WireOutcome::Shed { .. } => 0,
                         };
-                        let from_decommissioned = mutation != FleetMutation::NoDecommissionCheck
-                            && w.decommissioned(origin_group);
                         let too_old = matches!(outcome, WireOutcome::Reading { .. })
                             && total_age > bound + slack;
-                        if from_decommissioned || too_old {
+                        if too_old || w.retired(origin_group) {
                             // Unservable: discard and fail over.
                             if too_old {
                                 w.stale_discarded += 1;
                             } else {
                                 w.decommissioned_discarded += 1;
                             }
-                            let eligible = |g: usize| {
-                                (mutation == FleetMutation::NoDecommissionCheck
-                                    || !w.decommissioned(g))
-                                    && w.group_has_live(g)
-                            };
-                            let p = pending.get_mut(&req_id).expect("present above");
-                            let client = p.client_node;
-                            match policy.advance(&mut p.plan, eligible) {
-                                Some(route) => {
-                                    w.failovers += 1;
-                                    p.group = route.shard;
-                                    p.promoted = false;
-                                    p.dispatch_at = Some(now + route.backoff_ms);
-                                }
-                                None => {
-                                    pending.remove(&req_id);
-                                    w.net.send(
-                                        now,
-                                        router_node,
-                                        client,
-                                        FleetMsg::ClientResp {
-                                            req_id,
-                                            outcome: WireOutcome::Failed {
-                                                kind: "unservable".into(),
-                                            },
-                                            origin_shard: origin_group,
-                                            forwarded_at_ms: now,
-                                            total_age_ms: total_age,
-                                        },
-                                    );
-                                }
-                            }
+                            router.fail_over(w, now, req_id, "unservable", origin_group, total_age);
                             continue;
                         }
-                        let p = pending.remove(&req_id).expect("present above");
+                        let p = router.pending.remove(&req_id).expect("present above");
                         w.net.send(
                             now,
                             router_node,
@@ -1147,9 +1274,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                 }
             }
             // Handle timed-out dispatches: first try an in-group
-            // promotion (deterministic: highest replicated log
-            // position, epoch-major, wins), then cross-group failover.
-            let timed_out: Vec<u64> = pending
+            // promotion, then cross-group failover.
+            let timed_out: Vec<u64> = router
+                .pending
                 .iter()
                 .filter(|(_, p)| {
                     p.dispatch_at.is_none() && now.saturating_sub(p.sent_at_ms) >= shard_timeout
@@ -1157,104 +1284,37 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                 .map(|(id, _)| *id)
                 .collect();
             for req_id in timed_out {
-                let (group, sent_to, already_promoted) = {
-                    let p = pending.get(&req_id).expect("still pending");
-                    (p.group, p.sent_to_node, p.promoted)
-                };
-                let current_primary = w.primary_node(group);
-                if current_primary != sent_to {
+                let p = router.pending.get_mut(&req_id).expect("still pending");
+                if w.primary_node(p.group) != p.sent_to_node {
                     // Another request already promoted past this
                     // target: just re-dispatch to the new primary.
-                    let p = pending.get_mut(&req_id).expect("still pending");
                     p.dispatch_at = Some(now + 5);
-                    continue;
-                }
-                if !already_promoted {
-                    if let Some(winner) = w.elect(group) {
-                        let epoch = w.groups[group].epoch + 1;
-                        w.groups[group].epoch = epoch;
-                        w.groups[group].primary = winner;
-                        w.promotions += 1;
-                        for r in 0..w.replication {
-                            let n = w.node(group, r);
-                            if !w.replicas[n].killed {
-                                w.net.send(
-                                    now,
-                                    router_node,
-                                    n,
-                                    FleetMsg::Promote {
-                                        req_id,
-                                        group: group as u32,
-                                        epoch,
-                                        primary: winner as u32,
-                                    },
-                                );
-                            }
-                        }
-                        let p = pending.get_mut(&req_id).expect("still pending");
-                        p.promoted = true;
-                        p.dispatch_at = Some(now + 5);
-                        continue;
-                    }
-                }
-                // No candidate (all killed or partitioned) or the
-                // promotion already burned: fail over across groups.
-                let eligible = |g: usize| {
-                    (mutation == FleetMutation::NoDecommissionCheck || !w.decommissioned(g))
-                        && w.group_has_live(g)
-                };
-                let p = pending.get_mut(&req_id).expect("still pending");
-                let client = p.client_node;
-                match policy.advance(&mut p.plan, eligible) {
-                    Some(route) => {
-                        w.failovers += 1;
-                        p.group = route.shard;
-                        p.promoted = false;
-                        p.dispatch_at = Some(now + route.backoff_ms);
-                    }
-                    None => {
-                        pending.remove(&req_id);
-                        w.net.send(
-                            now,
-                            router_node,
-                            client,
-                            FleetMsg::ClientResp {
-                                req_id,
-                                outcome: WireOutcome::Failed {
-                                    kind: "timeout".into(),
-                                },
-                                origin_shard: usize::MAX,
-                                forwarded_at_ms: now,
-                                total_age_ms: 0,
-                            },
-                        );
-                    }
+                } else if !p.promoted && w.promote(p.group, req_id, now) {
+                    p.promoted = true;
+                    p.dispatch_at = Some(now + 5);
+                } else {
+                    // No candidate (all killed or partitioned) or the
+                    // promotion already burned: fail over across groups.
+                    router.fail_over(w, now, req_id, "timeout", usize::MAX, 0);
                 }
             }
             // Put due failover dispatches on the wire — always at the
             // group's *current* primary, which may have moved while
             // the backoff rung elapsed.
-            for (req_id, p) in pending.iter_mut() {
+            for (&req_id, p) in router.pending.iter_mut() {
                 if p.dispatch_at.is_some_and(|t| t <= now) {
                     p.dispatch_at = None;
                     p.sent_at_ms = now;
                     p.sent_to_node = w.primary_node(p.group);
-                    let target = p.sent_to_node;
-                    w.net.send(
-                        now,
-                        router_node,
-                        target,
-                        FleetMsg::ShardReq {
-                            req_id: *req_id,
-                            key: p.key,
-                        },
-                    );
+                    let req = FleetMsg::ShardReq { req_id, key: p.key };
+                    w.net.send(now, router_node, p.sent_to_node, req);
                 }
             }
             if now >= end {
                 return TaskState::Done;
             }
-            let next_deadline = pending
+            let next_deadline = router
+                .pending
                 .values()
                 .map(|p| match p.dispatch_at {
                     Some(t) => t,
@@ -1268,418 +1328,60 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         });
     }
 
-    // ----- Replicas: request service, replication, fencing, plus
+    // ----- Replicas: the protocol core driven over the fabric, plus
     // per-replica maintenance -----
     for g in 0..groups {
         for r in 0..replication {
             let me = g * replication + r;
             let world_s = Rc::clone(&world);
-            // In-flight conversions:
-            // (req_id, key, job, deadline_abs, incarnation, read_only).
-            let mut jobs: Vec<(u64, u64, ReadJob, u64, u64, bool)> = Vec::new();
-            // In-flight replications, while this replica is primary.
-            let mut repl: BTreeMap<u64, Replicating> = BTreeMap::new();
-            let sites = cfg.sites_per_shard.max(1);
+            let mut jobs: Vec<Conversion> = Vec::new();
             ex.spawn(format!("shard-{g}-{r}"), 2 + me as u64, move |now| {
                 let mut w = world_s.borrow_mut();
+                let w = &mut *w;
                 if w.replicas[me].killed {
                     return TaskState::Done;
                 }
-                let incarnation = w.replicas[me].incarnation;
-                // State from a previous incarnation died with the process.
-                jobs.retain(|(_, _, _, _, inc, _)| *inc == incarnation);
-                repl.retain(|_, e| e.incarnation == incarnation);
+                // Conversions from a previous incarnation died with the
+                // process.
+                let incarnation = w.replicas[me].repl.incarnation();
+                jobs.retain(|c| c.incarnation == incarnation);
                 while let Some(env) = w.net.poll(me, now) {
-                    match env.payload {
-                        FleetMsg::ShardReq { req_id, key } => {
-                            if !w.replicas[me].is_primary {
-                                // Not (or no longer) the leader; the
-                                // router re-promotes on this refusal.
-                                w.net.send(
-                                    now,
-                                    me,
-                                    router_node,
-                                    FleetMsg::ShardResp {
-                                        req_id,
-                                        outcome: WireOutcome::Failed {
-                                            kind: "not-primary".into(),
-                                        },
-                                    },
-                                );
-                                continue;
-                            }
-                            match w.replicas[me].seen.get(&req_id) {
-                                Some(Some(cached)) => {
-                                    // A replayed datagram for an answered
-                                    // request: absorb it by re-sending the
-                                    // cached reply — no second effect.
-                                    let cached = cached.clone();
-                                    w.duplicates_absorbed += 1;
-                                    w.net.send(
-                                        now,
-                                        me,
-                                        router_node,
-                                        FleetMsg::ShardResp {
-                                            req_id,
-                                            outcome: cached,
-                                        },
-                                    );
-                                }
-                                Some(None) => {
-                                    // Already converting or replicating:
-                                    // drop the duplicate.
-                                    w.duplicates_absorbed += 1;
-                                }
-                                None => {
-                                    // The durable log dedups across
-                                    // restarts and promotions: an effect
-                                    // already replicated to this log must
-                                    // not happen twice, so the re-serve
-                                    // is read-only.
-                                    let read_only = w.replicas[me].log.contains_req(req_id);
-                                    if read_only {
-                                        w.duplicates_absorbed += 1;
-                                    } else {
-                                        let effects =
-                                            w.effects.entry((me, incarnation, req_id)).or_insert(0);
-                                        *effects += 1;
-                                        if *effects > 1 {
-                                            let count = *effects;
-                                            w.flag(
-                                                FleetInvariant::DuplicateEffect,
-                                                now,
-                                                format!("group {g} replica {r} converted req {req_id} {count} times in incarnation {incarnation}"),
-                                            );
-                                        }
-                                    }
-                                    w.replicas[me].seen.insert(req_id, None);
-                                    let core = Arc::clone(&w.replicas[me].core);
-                                    let channel = (key as usize) % sites;
-                                    let submitted = core.now_ms();
-                                    let deadline_abs = submitted + core.config.default_deadline_ms;
-                                    jobs.push((
-                                        req_id,
-                                        key,
-                                        ReadJob::new(&core, channel, submitted, deadline_abs),
-                                        deadline_abs,
-                                        incarnation,
-                                        read_only,
-                                    ));
-                                }
-                            }
-                        }
-                        FleetMsg::Replicate {
-                            req_id,
-                            group,
-                            epoch,
-                            pos,
-                            key,
-                        } => {
-                            let held = w.replicas[me].held_epoch;
-                            // THE epoch fence: a backup refuses writes
-                            // from any epoch older than the one it has
-                            // adopted, answering with the newer epoch so
-                            // the stale primary learns it is fenced. The
-                            // NoEpochFence mutation deletes exactly this.
-                            if epoch < held && mutation != FleetMutation::NoEpochFence {
-                                w.net.send(
-                                    now,
-                                    me,
-                                    env.src,
-                                    FleetMsg::ReplAck {
-                                        req_id,
-                                        group,
-                                        epoch: held,
-                                        pos,
-                                        ok: false,
-                                    },
-                                );
-                                continue;
-                            }
-                            if epoch > held {
-                                // A newer primary exists: adopt its epoch
-                                // and stand down whatever this replica
-                                // thought it was doing as leader.
-                                w.replicas[me].held_epoch = epoch;
-                                w.replicas[me].is_primary = false;
-                                let abandoned: Vec<u64> = repl.keys().copied().collect();
-                                w.fenced_writes += abandoned.len() as u64;
-                                for rid in abandoned {
-                                    w.replicas[me].seen.remove(&rid);
-                                }
-                                repl.clear();
-                            }
-                            let rec = EffectRecord {
-                                epoch,
-                                pos,
-                                req_id,
-                                key,
-                            };
-                            let loglen = w.replicas[me].log.len();
-                            let ok = if pos < loglen {
-                                // Idempotent re-ack: retransmissions and
-                                // anti-entropy-repaired prefixes ack
-                                // cleanly; a *conflicting* record refuses.
-                                let have = w.replicas[me].log.records()[pos as usize];
-                                if mutation == FleetMutation::NoEpochFence {
-                                    // The mutant is epoch-blind here too.
-                                    have.pos == rec.pos
-                                        && have.req_id == rec.req_id
-                                        && have.key == rec.key
-                                } else {
-                                    have == rec
-                                }
-                            } else if pos == loglen {
-                                w.replicas[me].log.append_replicated(rec).is_ok()
-                            } else {
-                                false // gap: anti-entropy must repair first
-                            };
-                            // Invariant 6 (split-brain), judged at the
-                            // earliest observable point: a backup that
-                            // grants an ack to a deposed epoch is
-                            // serving two leadership regimes at once —
-                            // precisely what the fence exists to stop.
-                            // (An ack granted *before* adopting the
-                            // newer epoch is fine: that write reached
-                            // this log and survives any promotion.)
-                            if ok && epoch < w.replicas[me].held_epoch {
-                                let held = w.replicas[me].held_epoch;
-                                w.flag(
-                                    FleetInvariant::SplitBrain,
-                                    now,
-                                    format!(
-                                        "group {g} replica {r} (epoch {held}) acked req {req_id} from fenced epoch {epoch}"
-                                    ),
-                                );
-                            }
-                            let ack_epoch = if ok { epoch } else { w.replicas[me].held_epoch };
-                            w.net.send(
-                                now,
-                                me,
-                                env.src,
-                                FleetMsg::ReplAck {
-                                    req_id,
-                                    group,
-                                    epoch: ack_epoch,
-                                    pos,
-                                    ok,
-                                },
-                            );
-                        }
-                        FleetMsg::ReplAck {
-                            req_id, epoch, ok, ..
-                        } => {
-                            if !repl.contains_key(&req_id) {
-                                continue; // completed or abandoned
-                            }
-                            if ok {
-                                if let Some(entry) = repl.get_mut(&req_id) {
-                                    entry.acks.insert(env.src);
-                                }
-                            } else if epoch > w.replicas[me].held_epoch {
-                                // Fenced: a backup taught us a newer
-                                // epoch. Adopt it, stand down, abandon
-                                // every uncommitted write, and answer
-                                // the router with a typed refusal.
-                                w.replicas[me].held_epoch = epoch;
-                                w.replicas[me].is_primary = false;
-                                let abandoned: Vec<u64> = repl.keys().copied().collect();
-                                w.fenced_writes += abandoned.len() as u64;
-                                for rid in &abandoned {
-                                    w.replicas[me].seen.remove(rid);
-                                    w.net.send(
-                                        now,
-                                        me,
-                                        router_node,
-                                        FleetMsg::ShardResp {
-                                            req_id: *rid,
-                                            outcome: WireOutcome::Failed {
-                                                kind: "stale-epoch".into(),
-                                            },
-                                        },
-                                    );
-                                }
-                                repl.clear();
-                            }
-                        }
-                        FleetMsg::Promote { epoch, primary, .. }
-                            if epoch >= w.replicas[me].held_epoch =>
-                        {
-                            w.replicas[me].held_epoch = epoch;
-                            w.replicas[me].is_primary = primary as usize == r;
-                            // Writes minted under an older epoch may
-                            // no longer complete (their acks would
-                            // race the new fence): abandon them; the
-                            // router re-dispatches under the new
-                            // epoch and the log dedup keeps the
-                            // effect at-most-once.
-                            let stale: Vec<u64> = repl
-                                .iter()
-                                .filter(|(_, e)| e.rec.epoch < epoch)
-                                .map(|(rid, _)| *rid)
-                                .collect();
-                            for rid in stale {
-                                w.replicas[me].seen.remove(&rid);
-                                repl.remove(&rid);
-                            }
-                        }
-                        _ => {}
-                    }
+                    let out = w.replicas[me].repl.on_frame(env.src, env.payload);
+                    apply(w, me, now, out, &mut jobs);
                 }
                 // Step every runnable conversion.
                 let mut next_backoff = u64::MAX;
                 let mut i = 0;
                 while i < jobs.len() {
                     let core = Arc::clone(&w.replicas[me].core);
-                    let (req_id, key, job, deadline_abs, _, read_only) = &mut jobs[i];
-                    match job.step(&core) {
+                    match jobs[i].job.step(&core) {
                         JobStep::Backoff { delay_ms } => {
                             next_backoff = next_backoff.min(now + delay_ms);
                             i += 1;
                         }
                         JobStep::Done(result) => {
-                            let outcome = wire_outcome(&core, *deadline_abs, result);
-                            let req_id = *req_id;
-                            let key = *key;
-                            let read_only = *read_only;
-                            jobs.swap_remove(i);
-                            if !w.replicas[me].is_primary {
-                                // Demoted mid-conversion: the result must
-                                // not be acknowledged under a dead claim
-                                // to leadership.
-                                w.replicas[me].seen.remove(&req_id);
-                                continue;
-                            }
-                            let effectful =
-                                !read_only && matches!(outcome, WireOutcome::Reading { .. });
-                            if !effectful {
-                                // Errors, sheds, and log-deduped
-                                // re-serves carry no new effect: answer
-                                // without replication.
-                                w.replicas[me].seen.insert(req_id, Some(outcome.clone()));
-                                w.net.send(
-                                    now,
-                                    me,
-                                    router_node,
-                                    FleetMsg::ShardResp { req_id, outcome },
-                                );
-                                continue;
-                            }
-                            // Durable local append first, then ship to
-                            // every backup; the ack to the router waits
-                            // for the full live-backup quorum.
-                            let epoch = w.replicas[me].held_epoch;
-                            let rec = match w.replicas[me].log.append(epoch, req_id, key) {
-                                Ok(rec) => rec,
-                                Err(_) => {
-                                    let outcome = WireOutcome::Failed {
-                                        kind: "log-append".into(),
-                                    };
-                                    w.replicas[me].seen.insert(req_id, Some(outcome.clone()));
-                                    w.net.send(
-                                        now,
-                                        me,
-                                        router_node,
-                                        FleetMsg::ShardResp { req_id, outcome },
-                                    );
-                                    continue;
-                                }
-                            };
-                            repl.insert(
-                                req_id,
-                                Replicating {
-                                    outcome,
-                                    rec,
-                                    acks: BTreeSet::new(),
-                                    next_retx: 0, // transmit immediately below
-                                    incarnation,
-                                },
+                            let c = jobs.swap_remove(i);
+                            let outcome = wire_outcome(&core, c.deadline_abs, result);
+                            let out = w.replicas[me].repl.on_converted(
+                                c.req_id,
+                                c.key,
+                                c.read_only,
+                                outcome,
                             );
+                            apply(w, me, now, out, &mut jobs);
                         }
                     }
                 }
-                // Replication drive: (re)transmit to unacked live
-                // siblings, and complete entries whose live-backup
-                // quorum is satisfied (a sibling killed mid-flight
-                // shrinks the quorum — the router's membership view).
-                let mut completed_ids: Vec<u64> = Vec::new();
-                let mut next_retx = u64::MAX;
-                for (rid, entry) in repl.iter_mut() {
-                    let mut all_acked = true;
-                    for sib in 0..w.replication {
-                        let n = g * w.replication + sib;
-                        if n == me || w.replicas[n].killed {
-                            continue;
-                        }
-                        if !entry.acks.contains(&n) {
-                            all_acked = false;
-                        }
-                    }
-                    if all_acked {
-                        completed_ids.push(*rid);
-                        continue;
-                    }
-                    if entry.next_retx <= now {
-                        for sib in 0..w.replication {
-                            let n = g * w.replication + sib;
-                            if n == me || w.replicas[n].killed || entry.acks.contains(&n) {
-                                continue;
-                            }
-                            w.net.send(
-                                now,
-                                me,
-                                n,
-                                FleetMsg::Replicate {
-                                    req_id: *rid,
-                                    group: g as u32,
-                                    epoch: entry.rec.epoch,
-                                    pos: entry.rec.pos,
-                                    key: entry.rec.key,
-                                },
-                            );
-                        }
-                        entry.next_retx = now + 40;
-                    }
-                    next_retx = next_retx.min(entry.next_retx);
-                }
-                for rid in completed_ids {
-                    let entry = repl.remove(&rid).expect("collected above");
-                    // Invariant 6, external form: a request must not be
-                    // completed (acked toward the router) by two
-                    // different replicas of one group. A write that
-                    // merely *completes* after the router bumped the
-                    // epoch is fine — its full-quorum acks put it in
-                    // every live log, so promotion preserves it.
-                    if let Some(prev) = w.completed.get(&(g, rid)) {
-                        if *prev != me {
-                            let prev = *prev;
-                            w.flag(
-                                FleetInvariant::SplitBrain,
-                                now,
-                                format!(
-                                    "group {g}: nodes {prev} and {me} both completed req {rid}"
-                                ),
-                            );
-                        }
-                    }
-                    w.completed.insert((g, rid), me);
-                    w.acked.insert((g, rid), entry.rec.pos);
-                    w.replicas[me]
-                        .seen
-                        .insert(rid, Some(entry.outcome.clone()));
-                    w.net.send(
-                        now,
-                        me,
-                        router_node,
-                        FleetMsg::ShardResp {
-                            req_id: rid,
-                            outcome: entry.outcome,
-                        },
-                    );
-                }
+                let live: Vec<usize> = (0..replication)
+                    .map(|sib| g * replication + sib)
+                    .filter(|&n| n != me && !w.replicas[n].killed)
+                    .collect();
+                let out = w.replicas[me].repl.drive(now, &live);
+                apply(w, me, now, out, &mut jobs);
                 if now >= end {
                     return TaskState::Done;
                 }
+                let next_retx = w.replicas[me].repl.next_retransmit().unwrap_or(u64::MAX);
                 let next_msg = w.net.next_wake(me).unwrap_or(u64::MAX);
                 let wake = next_backoff
                     .min(next_retx)
@@ -1724,7 +1426,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                     let core = Arc::clone(&w.replicas[me].core);
                     // Checkpoints stamp the adopted group epoch so a
                     // recovered ex-primary knows where it was fenced.
-                    core.adopt_group_epoch(w.replicas[me].held_epoch);
+                    core.adopt_group_epoch(w.replicas[me].repl.held_epoch());
                     drop(w);
                     let mut state = core.state.lock().expect("state poisoned");
                     let t = core.now_ms();
@@ -1734,7 +1436,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             }
         }
     }
-
     // ----- Clients: closed-loop request traffic and the two
     // client-visible invariants -----
     for k in 0..cfg.clients {
@@ -1859,21 +1560,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             let mut w = world.borrow_mut();
             // Clear expired faults first, so a back-to-back schedule
             // on the same link applies cleanly.
-            let replication = w.replication;
             live_links.retain(|(clears_at, node, fault)| {
                 if *clears_at <= now {
                     match fault {
-                        Fault::LinkPartition => {
-                            w.net.heal_pair(*node, router_node);
-                            let g = node / replication;
-                            for sib in 0..replication {
-                                let n = g * replication + sib;
-                                if n != *node {
-                                    w.net.heal_pair(*node, n);
-                                }
-                            }
-                            w.replicas[*node].partitioned = false;
-                        }
+                        Fault::LinkPartition => w.set_partitioned(*node, false),
                         _ => w.net.reset_link(*node, router_node),
                     }
                     false
@@ -1913,16 +1603,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         let g = e.channel.min(w.groups.len().saturating_sub(1));
                         let node = w.primary_node(g);
                         match e.fault {
-                            Fault::LinkPartition => {
-                                w.net.partition_pair(node, router_node);
-                                for sib in 0..replication {
-                                    let n = g * replication + sib;
-                                    if n != node {
-                                        w.net.partition_pair(node, n);
-                                    }
-                                }
-                                w.replicas[node].partitioned = true;
-                            }
+                            Fault::LinkPartition => w.set_partitioned(node, true),
                             Fault::LinkLoss { drop } => {
                                 let mut p = LinkProfile::flaky();
                                 p.drop = drop;
@@ -1979,33 +1660,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         w.replicas[node].killed = true;
                         w.net.drop_pending_for(node);
                         w.kills += 1;
-                        // Invariant 5, checked at the kill itself:
-                        // every previously acked effect of this group
-                        // must still live on some surviving replica.
-                        if w.group_has_live(shard) {
-                            let lost: Vec<u64> = w
-                                .acked
-                                .keys()
-                                .filter(|(ag, _)| *ag == shard)
-                                .map(|(_, rid)| *rid)
-                                .filter(|rid| {
-                                    !(0..replication).any(|sib| {
-                                        let n = shard * replication + sib;
-                                        !w.replicas[n].killed
-                                            && w.replicas[n].log.contains_req(*rid)
-                                    })
-                                })
-                                .collect();
-                            for rid in lost {
-                                w.flag(
-                                    FleetInvariant::EffectLost,
-                                    now,
-                                    format!(
-                                        "group {shard}: acked req {rid} survives on no live replica after killing replica {replica}"
-                                    ),
-                                );
-                            }
-                        }
+                        // Invariant 5, checked at the kill itself.
+                        let what =
+                            format!("survives on no live replica after killing replica {replica}");
+                        w.audit_acked(shard, now, &what);
                     }
                 }
             }
@@ -2037,42 +1695,27 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         let interval = cfg.anti_entropy_interval_ms.max(1);
         ex.spawn("anti-entropy", interval, move |now| {
             let mut w = world.borrow_mut();
-            let replication = w.replication;
             if now >= end {
-                // Final audit. First repair from the authoritative
-                // replica (highest (epoch, log length), lowest index on
-                // ties — the same key promotion uses), then assert
+                // Final audit. First repair from the replica the
+                // election would pick among the live ones, then assert
                 // convergence and durability over what remains.
                 for g in 0..w.groups.len() {
-                    let Some((_, _, auth)) = (0..replication)
-                        .filter_map(|sib| {
-                            let n = g * replication + sib;
-                            if w.replicas[n].killed {
-                                return None;
-                            }
-                            Some((w.replicas[n].log.last_epoch(), w.replicas[n].log.len(), n))
-                        })
-                        .fold(None, |best: Option<(u64, u64, usize)>, cand| match best {
-                            Some(b) if (cand.0, cand.1) <= (b.0, b.1) => Some(b),
-                            _ => Some(cand),
-                        })
-                    else {
+                    let Some(auth) = repl::elect((0..replication).map(|sib| {
+                        let n = &w.replicas[g * replication + sib];
+                        (!n.killed).then(|| n.repl.log().records())
+                    })) else {
                         continue; // group fully killed: audited at the kill
                     };
-                    let canonical: Vec<EffectRecord> = w.replicas[auth].log.records().to_vec();
-                    for sib in 0..replication {
-                        let n = g * replication + sib;
-                        if n == auth || w.replicas[n].killed {
+                    let auth = g * replication + auth;
+                    let canonical: Vec<EffectRecord> = w.replicas[auth].repl.log().records().to_vec();
+                    for n in (g * replication..(g + 1) * replication).filter(|&n| n != auth) {
+                        if w.replicas[n].killed {
                             continue;
                         }
-                        if w.replicas[n].log.records() != canonical.as_slice()
-                            && w.replicas[n].log.reset_to(&canonical).is_ok()
-                        {
-                            w.anti_entropy_repairs += 1;
-                        }
-                        if w.replicas[n].log.records() != canonical.as_slice() {
+                        w.repair(n, &canonical);
+                        if w.replicas[n].repl.log().records() != canonical.as_slice() {
                             let len_a = canonical.len();
-                            let len_b = w.replicas[n].log.len();
+                            let len_b = w.replicas[n].repl.log().len();
                             w.flag(
                                 FleetInvariant::Diverged,
                                 now,
@@ -2082,27 +1725,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                             );
                         }
                     }
-                    // Invariant 5, final form: every acked effect of
-                    // this group lives on at least one live replica.
-                    let lost: Vec<u64> = w
-                        .acked
-                        .keys()
-                        .filter(|(ag, _)| *ag == g)
-                        .map(|(_, rid)| *rid)
-                        .filter(|rid| {
-                            !(0..replication).any(|sib| {
-                                let n = g * replication + sib;
-                                !w.replicas[n].killed && w.replicas[n].log.contains_req(*rid)
-                            })
-                        })
-                        .collect();
-                    for rid in lost {
-                        w.flag(
-                            FleetInvariant::EffectLost,
-                            now,
-                            format!("group {g}: acked req {rid} lost from every live replica"),
-                        );
-                    }
+                    // Invariant 5, final form.
+                    w.audit_acked(g, now, "lost from every live replica");
                 }
                 return TaskState::Done;
             }
@@ -2112,35 +1736,27 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             // it), so a reset can only repair — never lose — acked work.
             for g in 0..w.groups.len() {
                 let p = w.primary_node(g);
+                let primary = &w.replicas[p];
                 // Only an *acknowledged* leader is an authority; a
                 // recovered ex-primary that has not won re-election
                 // (is_primary false) must not push its — possibly
                 // rotted-and-truncated — log anywhere.
-                if w.replicas[p].killed
-                    || w.replicas[p].partitioned
-                    || !w.replicas[p].is_primary
-                {
+                if primary.killed || primary.partitioned || !primary.repl.is_primary() {
                     continue;
                 }
-                let p_key = (w.replicas[p].log.last_epoch(), w.replicas[p].log.len());
-                let canonical: Vec<EffectRecord> = w.replicas[p].log.records().to_vec();
-                for sib in 0..replication {
-                    let n = g * replication + sib;
-                    if n == p || w.replicas[n].killed || w.replicas[n].partitioned {
-                        continue;
-                    }
-                    // Never overwrite a backup that is *ahead* of this
-                    // primary (same ordering the election uses): that
-                    // backup may be the only holder of acked effects.
-                    let n_key = (w.replicas[n].log.last_epoch(), w.replicas[n].log.len());
-                    if n_key > p_key {
-                        continue;
-                    }
-                    if w.replicas[n].log.records() != canonical.as_slice()
-                        && w.replicas[n].log.reset_to(&canonical).is_ok()
+                let canonical: Vec<EffectRecord> = primary.repl.log().records().to_vec();
+                for n in (g * replication..(g + 1) * replication).filter(|&n| n != p) {
+                    let backup = &w.replicas[n];
+                    // Never overwrite a backup the election ranks
+                    // *ahead* of this primary: it may be the only
+                    // holder of acked effects.
+                    if backup.killed
+                        || backup.partitioned
+                        || repl::rank(backup.repl.log().records()) > repl::rank(&canonical)
                     {
-                        w.anti_entropy_repairs += 1;
+                        continue;
                     }
+                    w.repair(n, &canonical);
                 }
             }
             TaskState::SleepUntil(now + interval)

@@ -1,7 +1,7 @@
 //! The `runtime` binary's command line: sweep JSON from both
-//! simulators, the node-filtered fleet replay, `--seed-range`
-//! precedence, usage errors (exit 2), and a `--help` that names every
-//! flag of every subcommand.
+//! simulators, the node-filtered fleet replay and its node check,
+//! `--seed-range` precedence, usage errors (exit 2), and a `--help`
+//! that names every flag of every subcommand.
 
 use std::process::{Command, Output};
 
@@ -72,6 +72,37 @@ fn fleet_replay_node_prints_only_that_nodes_steps() {
         steps += 1;
     }
     assert!(steps > 0, "shard-0-1 never ran:\n{text}");
+}
+
+#[test]
+fn replay_node_outside_the_fleet_is_a_usage_error() {
+    // The default fleet: 3 groups of 2 replicas and 2 clients.
+    // Maintenance tasks (`scan-G-R`) replay under their shard's name.
+    for node in [
+        "shard-9-9",
+        "shard-0-2",
+        "shard-3-0",
+        "client-2",
+        "scan-0-0",
+    ] {
+        let out = runtime(&[
+            "dst",
+            "--fleet",
+            "--replay",
+            "3",
+            "--mutation",
+            "no-epoch-fence",
+            "--replay-node",
+            node,
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{node}: {out:?}");
+        assert!(out.stdout.is_empty(), "{node} printed a trace: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("runtime: "), "{node}: {err}");
+        for form in [node, "router", "anti-entropy", "client-K", "shard-G-R"] {
+            assert!(err.contains(form), "{node}: usage lacks {form}: {err}");
+        }
+    }
 }
 
 #[test]

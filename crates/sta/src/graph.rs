@@ -25,6 +25,7 @@ use dsim::netlist::{Component, GateOp, Netlist, SignalId};
 use tsense_core::gate::GateKind;
 
 use crate::error::{Result, StaError};
+use crate::levelize::strongly_connected;
 use crate::loops::{classify_sccs, LoopAnalysis, LoopKind};
 use crate::model::{DelayFs, DelayModel};
 
@@ -642,59 +643,6 @@ pub fn analyze(nl: &Netlist, delays: &[DelayFs]) -> Analysis {
         endpoints,
         max_depth,
     }
-}
-
-/// Iterative Tarjan SCC over an adjacency list (successor sets).
-fn strongly_connected(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = succ.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if *child < succ[v].len() {
-                let w = succ[v][*child];
-                *child += 1;
-                if index[w] == usize::MAX {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-                frames.pop();
-                if let Some(&mut (parent, _)) = frames.last_mut() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-            }
-        }
-    }
-    sccs
 }
 
 #[cfg(test)]

@@ -101,8 +101,11 @@ pub fn levelize(nl: &Netlist) -> Levelization {
 }
 
 /// Iterative Tarjan SCC over an adjacency list (explicit DFS frames —
-/// deep ripple chains must not overflow the call stack).
-fn strongly_connected(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
+/// deep ripple chains must not overflow the call stack). SCCs come out
+/// in reverse topological order of the condensation (sinks first).
+/// Shared by [`levelize`], [`crate::graph::analyze`] and netcheck's
+/// combinational-loop rule.
+pub fn strongly_connected(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
     let n = succ.len();
     let mut index = vec![usize::MAX; n];
     let mut low = vec![0usize; n];

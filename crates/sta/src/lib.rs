@@ -54,7 +54,7 @@ pub use graph::{
     analyze, cell_delays, netlist_delays, Analysis, Arrival, CellMap, Endpoint, EndpointKind,
     PathPoint, Polarity, TimingPath,
 };
-pub use levelize::{component_successors, levelize, Levelization};
+pub use levelize::{component_successors, levelize, strongly_connected, Levelization};
 pub use loops::{LoopAnalysis, LoopKind};
 pub use model::{AnalyticalModel, DelayFs, DelayModel, TableModel};
 pub use rings::{

@@ -55,7 +55,6 @@ pub mod fig1;
 pub mod fig2;
 pub mod fig3;
 pub mod fleet_dst;
-pub mod replicated_fleet;
 pub mod runtime_soak;
 pub mod sta_sweep;
 pub mod ta;
@@ -73,6 +72,25 @@ pub mod wire_fleet;
 pub fn write_artifact(out_dir: &Path, name: &str, contents: &str) {
     fs::create_dir_all(out_dir).expect("create output directory");
     fs::write(out_dir.join(name), contents).expect("write artifact");
+}
+
+/// Renders a paired-run artifact, `{"seed": …, "<run>": {…}, …}`: each
+/// run's own JSON object nested under its tag.
+pub fn runs_json(seed: u64, runs: &[(&str, String)]) -> String {
+    let mut json = format!("{{\n  \"seed\": {seed}");
+    for (tag, run) in runs {
+        json.push_str(&format!(",\n  \"{tag}\": {}", run.replace('\n', "\n  ")));
+    }
+    json + "\n}\n"
+}
+
+/// `PASS` or `FAIL`, as the reports print a check's verdict.
+pub fn verdict(ok: bool) -> &'static str {
+    if ok {
+        "PASS"
+    } else {
+        "FAIL"
+    }
 }
 
 /// Renders a simple aligned two-dimensional table.
@@ -167,8 +185,8 @@ pub fn run_experiment(id: &str, out_dir: &Path) -> String {
         "absint" => absint::run(out_dir),
         "dataflow" => dataflow::run(out_dir),
         "fleet" => fleet_dst::run(out_dir),
-        "wire" => wire_fleet::run(out_dir),
-        "replicated" => replicated_fleet::run(out_dir),
+        "wire" => wire_fleet::run(&wire_fleet::WIRE, out_dir),
+        "replicated" => wire_fleet::run(&wire_fleet::REPLICATED, out_dir),
         other => panic!("unknown experiment id `{other}`; known: {ALL_EXPERIMENTS:?}"),
     }
 }

@@ -15,7 +15,7 @@ use std::path::Path;
 
 use runtime::{run_soak, RuntimeConfig, SoakConfig, SoakReport};
 
-use crate::{render_table, write_artifact};
+use crate::{render_table, runs_json, verdict, write_artifact};
 
 /// Seed shared by both runs (and CI's 60-second smoke soak).
 pub const SOAK_SEED: u64 = 42;
@@ -62,44 +62,6 @@ fn row(tag: &str, r: &SoakReport) -> Vec<String> {
     ]
 }
 
-fn json_block(tag: &str, r: &SoakReport, restart: bool) -> String {
-    let mut j = String::new();
-    let _ = writeln!(j, "  \"{tag}\": {{");
-    let _ = writeln!(j, "    \"requests\": {},", r.requests);
-    let _ = writeln!(j, "    \"throughput_per_s\": {:.1},", r.throughput_per_s);
-    let _ = writeln!(j, "    \"p50_latency_ms\": {},", r.p50_latency_ms);
-    let _ = writeln!(j, "    \"p99_latency_ms\": {},", r.p99_latency_ms);
-    let _ = writeln!(j, "    \"max_latency_ms\": {},", r.max_latency_ms);
-    let _ = writeln!(j, "    \"served_fresh\": {},", r.served_fresh);
-    let _ = writeln!(j, "    \"served_degraded\": {},", r.served_degraded);
-    let _ = writeln!(j, "    \"served_shed\": {},", r.served_shed);
-    let _ = writeln!(j, "    \"typed_errors\": {},", r.typed_errors);
-    let _ = writeln!(j, "    \"deadline_misses\": {},", r.deadline_misses);
-    let _ = writeln!(j, "    \"late_replies\": {},", r.late_replies);
-    let _ = writeln!(j, "    \"silent_stale\": {},", r.silent_stale);
-    let _ = writeln!(j, "    \"injected\": {},", r.injected);
-    let _ = writeln!(j, "    \"cleared\": {},", r.cleared);
-    let _ = writeln!(j, "    \"breaker_trips\": {},", r.breaker_trips);
-    let _ = writeln!(j, "    \"restarts\": {},", r.restarts);
-    let _ = writeln!(
-        j,
-        "    \"recovered_seq\": {},",
-        r.recovered_seq.map_or("null".into(), |s| s.to_string())
-    );
-    let _ = writeln!(
-        j,
-        "    \"corrupt_snapshots_skipped\": {},",
-        r.corrupt_snapshots_skipped
-    );
-    let _ = writeln!(j, "    \"checkpoints\": {},", r.checkpoints);
-    let _ = writeln!(j, "    \"breakers_all_closed\": {},", r.breakers_all_closed);
-    let _ = writeln!(j, "    \"quarantined_at_end\": {},", r.quarantined_at_end);
-    let _ = writeln!(j, "    \"elapsed_s\": {:.2},", r.elapsed_s);
-    let _ = writeln!(j, "    \"liveness_ok\": {}", r.liveness_ok(restart));
-    j.push_str("  }");
-    j
-}
-
 /// Runs the experiment; see module docs.
 ///
 /// # Panics
@@ -110,13 +72,15 @@ pub fn run(out_dir: &Path) -> String {
     let chaos = run_soak(&soak_config("chaos", true)).expect("chaos soak");
 
     // ---- artifacts ----------------------------------------------------
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"seed\": {SOAK_SEED},");
-    json.push_str(&json_block("quiet", &quiet, false));
-    json.push_str(",\n");
-    json.push_str(&json_block("chaos", &chaos, true));
-    json.push_str("\n}\n");
-    write_artifact(out_dir, "BENCH_runtime_soak.json", &json);
+    let runs = [
+        ("quiet", quiet.render_json(false)),
+        ("chaos", chaos.render_json(true)),
+    ];
+    write_artifact(
+        out_dir,
+        "BENCH_runtime_soak.json",
+        &runs_json(SOAK_SEED, &runs),
+    );
 
     // ---- report -------------------------------------------------------
     let mut report = String::new();
@@ -135,20 +99,12 @@ pub fn run(out_dir: &Path) -> String {
         let _ = writeln!(
             report,
             "{tag}: zero late replies + zero silent-stale: {}",
-            if r.late_replies == 0 && r.silent_stale == 0 {
-                "PASS"
-            } else {
-                "FAIL"
-            }
+            verdict(r.late_replies == 0 && r.silent_stale == 0)
         );
         let _ = writeln!(
             report,
             "{tag}: breakers re-closed, liveness invariants hold: {}",
-            if r.liveness_ok(restart) {
-                "PASS"
-            } else {
-                "FAIL"
-            }
+            verdict(r.liveness_ok(restart))
         );
     }
     let _ = writeln!(
@@ -156,11 +112,7 @@ pub fn run(out_dir: &Path) -> String {
         "chaos: kill-and-recover restored checkpoint seq {:?}, skipped {} corrupt snapshot(s): {}",
         chaos.recovered_seq,
         chaos.corrupt_snapshots_skipped,
-        if chaos.restarts == 1 && chaos.recovered_seq.is_some() {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        verdict(chaos.restarts == 1 && chaos.recovered_seq.is_some())
     );
     let slowdown = if chaos.throughput_per_s > 0.0 {
         quiet.throughput_per_s / chaos.throughput_per_s

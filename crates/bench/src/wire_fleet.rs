@@ -1,17 +1,24 @@
-//! `wire` — the real wire-protocol fleet tier as a benchmark: paired
-//! open-loop soaks over live TCP, clean and through the seeded chaos
-//! proxy, recording throughput, tail latency, and the four fleet
-//! invariants.
+//! `wire` and `replicated` — the fleet tier over live TCP as a
+//! benchmark: paired open-loop soaks, clean and through the seeded
+//! chaos proxy, recording throughput, tail latency, and the graded
+//! fleet invariants. The two experiments differ only in their
+//! [`Scenario`].
 //!
-//! This is the network-boundary analogue of the in-process `soak`
+//! `wire` is the network-boundary analogue of the in-process `soak`
 //! experiment: the same supervised cores now sit behind the
 //! length-prefixed frame codec, a threaded server with deadlines and
 //! backpressure, and a retrying client — so the question becomes
 //! *"does the deadline/staleness contract survive a hostile network
 //! (latency spikes, truncation, resets, garbage injection) plus a
-//! mid-soak crash-recover and a decommission?"*. Both runs must hold
-//! all four invariants: honest staleness, no decommissioned shard
-//! served, no resurrected cache, at-most-once effects.
+//! mid-soak crash-recover and a decommission?"*.
+//!
+//! `replicated` asks the replication question on top: *"when the
+//! primary of a shard group is hard-killed under load, does a backup
+//! get promoted with every acked effect intact, do fenced ex-primary
+//! writes stay refused, and what does failover cost in tail
+//! latency?"*. Its runs must also hold *failover completes* (at least
+//! one promotion) and *at-most-once across the promotion* (replayed
+//! retries, zero duplicate effects).
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -19,21 +26,54 @@ use std::path::Path;
 use runtime::{run_wire_soak, RetryPolicy, WireSoakConfig, WireSoakReport};
 use wire::chaos::ChaosProfile;
 
-use crate::{render_table, write_artifact};
+use crate::{render_table, runs_json, verdict, write_artifact};
 
-/// Seed shared by both runs (and CI's seeded chaos smoke soak).
+/// Seed shared by every run (and CI's seeded chaos soaks).
 pub const WIRE_SEED: u64 = 42;
 
-/// In-process baseline from `BENCH_runtime_soak.json`, quoted in the
-/// report so the wire tier's TCP cost reads against something real.
-const BASELINE_QUIET_RPS: f64 = 1287.7;
-const BASELINE_CHAOS_RPS: f64 = 1319.5;
+/// What one experiment does to the tier mid-soak.
+pub struct Scenario {
+    /// Experiment id.
+    pub id: &'static str,
+    /// Artifact stem: `BENCH_<stem>.json` and `<stem>_<run>_hist.txt`.
+    pub stem: &'static str,
+    /// The report's title line.
+    pub title: &'static str,
+    /// Crash-and-recover `(shard, at_ms)`.
+    pub crash: Option<(usize, u64)>,
+    /// Decommission `(shard, at_ms)`.
+    pub decommission: Option<(usize, u64)>,
+    /// Permanently kill `(shard, at_ms)`'s primary.
+    pub kill_primary: Option<(usize, u64)>,
+}
 
-fn wire_config(tag: &str, chaos: bool) -> WireSoakConfig {
+/// `wire`: a crash-recover and a decommission.
+pub const WIRE: Scenario = Scenario {
+    id: "wire",
+    stem: "wire_fleet",
+    title: "fleet tier over live TCP, clean and through the seeded chaos proxy",
+    crash: Some((1, 1_000)),
+    decommission: Some((2, 1_800)),
+    kill_primary: None,
+};
+
+/// `replicated`: a crash-recover and a hard primary kill.
+pub const REPLICATED: Scenario = Scenario {
+    id: "replicated",
+    stem: "replicated_fleet",
+    title: "shard-group failover under load: a mid-soak primary kill, \
+            clean and through the seeded chaos proxy",
+    crash: Some((1, 600)),
+    decommission: None,
+    kill_primary: Some((0, 1_250)),
+};
+
+fn soak_config(scenario: &Scenario, tag: &str, chaos: bool) -> WireSoakConfig {
     // Snapshots are scratch state for the crash-recover leg, not an
     // artifact: keep them out of the results directory.
     let snap_dir = std::env::temp_dir().join(format!(
-        "tsense_bench_wire_snap_{tag}_{}",
+        "tsense_bench_{}_snap_{tag}_{}",
+        scenario.stem,
         std::process::id()
     ));
     std::fs::remove_dir_all(&snap_dir).ok();
@@ -49,8 +89,9 @@ fn wire_config(tag: &str, chaos: bool) -> WireSoakConfig {
             max_delay_ms: 40,
             ..RetryPolicy::default()
         },
-        crash: Some((1, 1_000)),
-        decommission: Some((2, 1_800)),
+        crash: scenario.crash,
+        decommission: scenario.decommission,
+        kill_primary: scenario.kill_primary,
         ..WireSoakConfig::default()
     };
     cfg.server.snapshot_root = Some(snap_dir);
@@ -68,82 +109,35 @@ fn row(tag: &str, r: &WireSoakReport) -> Vec<String> {
         r.server.shed.to_string(),
         r.server.deduped.to_string(),
         r.server.failovers.to_string(),
+        r.server.replicated.to_string(),
+        r.server.promotions.to_string(),
+        r.server.fenced_writes.to_string(),
         r.chaos_faults.map_or("-".into(), |f| f.to_string()),
     ]
 }
 
-fn json_block(tag: &str, r: &WireSoakReport) -> String {
-    let mut j = String::new();
-    let _ = writeln!(j, "  \"{tag}\": {{");
-    let _ = writeln!(j, "    \"requests\": {},", r.requests);
-    let _ = writeln!(j, "    \"completed\": {},", r.completed);
-    let _ = writeln!(j, "    \"failed\": {},", r.failed);
-    let _ = writeln!(j, "    \"exhausted\": {},", r.exhausted);
-    let _ = writeln!(j, "    \"throughput_rps\": {:.1},", r.throughput_rps);
-    let _ = writeln!(j, "    \"mean_latency_ms\": {:.2},", r.histogram.mean_ms());
-    let _ = writeln!(j, "    \"p50_ms\": {},", r.histogram.quantile_ms(0.50));
-    let _ = writeln!(j, "    \"p99_ms\": {},", r.histogram.quantile_ms(0.99));
-    let _ = writeln!(j, "    \"p999_ms\": {},", r.histogram.quantile_ms(0.999));
-    let _ = writeln!(j, "    \"max_latency_ms\": {},", r.histogram.max_ms());
-    let _ = writeln!(j, "    \"shed\": {},", r.server.shed);
-    let _ = writeln!(j, "    \"deduped\": {},", r.server.deduped);
-    let _ = writeln!(
-        j,
-        "    \"duplicate_effects\": {},",
-        r.server.duplicate_effects
-    );
-    let _ = writeln!(j, "    \"failovers\": {},", r.server.failovers);
-    let _ = writeln!(j, "    \"bad_frames\": {},", r.server.bad_frames);
-    let _ = writeln!(j, "    \"crashes\": {},", r.server.crashes);
-    let _ = writeln!(j, "    \"resurrected\": {},", r.server.resurrected);
-    let _ = writeln!(
-        j,
-        "    \"chaos_faults\": {},",
-        r.chaos_faults.map_or("null".into(), |f| f.to_string())
-    );
-    let _ = writeln!(j, "    \"violations\": {},", r.violations.len());
-    let _ = writeln!(j, "    \"invariants_ok\": {}", r.invariants_ok());
-    j.push_str("  }");
-    j
-}
-
-/// Runs the experiment; see module docs.
+/// Runs `scenario`'s experiment; see module docs.
 ///
 /// # Panics
 ///
 /// Panics if a soak cannot start — the harness is a diagnostic tool.
-pub fn run(out_dir: &Path) -> String {
-    let clean = run_wire_soak(&wire_config("clean", false)).expect("clean wire soak");
-    let chaos = run_wire_soak(&wire_config("chaos", true)).expect("chaos wire soak");
+pub fn run(scenario: &Scenario, out_dir: &Path) -> String {
+    let clean = run_wire_soak(&soak_config(scenario, "clean", false)).expect("clean wire soak");
+    let chaos = run_wire_soak(&soak_config(scenario, "chaos", true)).expect("chaos wire soak");
+    let runs = [("clean", &clean), ("chaos", &chaos)];
+    let kill = scenario.kill_primary.is_some();
 
     // ---- artifacts ----------------------------------------------------
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"seed\": {WIRE_SEED},");
-    let _ = writeln!(
-        json,
-        "  \"baseline_in_process\": {{\"quiet_rps\": {BASELINE_QUIET_RPS}, \
-         \"chaos_rps\": {BASELINE_CHAOS_RPS}}},"
-    );
-    json.push_str(&json_block("clean", &clean));
-    json.push_str(",\n");
-    json.push_str(&json_block("chaos", &chaos));
-    json.push_str("\n}\n");
-    write_artifact(out_dir, "BENCH_wire_fleet.json", &json);
-    write_artifact(
-        out_dir,
-        "wire_fleet_clean_hist.txt",
-        &clean.histogram.render(),
-    );
-    write_artifact(
-        out_dir,
-        "wire_fleet_chaos_hist.txt",
-        &chaos.histogram.render(),
-    );
+    let json: Vec<(&str, String)> = runs.iter().map(|(t, r)| (*t, r.render_json())).collect();
+    let name = format!("BENCH_{}.json", scenario.stem);
+    write_artifact(out_dir, &name, &runs_json(WIRE_SEED, &json));
+    for (tag, r) in runs {
+        let hist = format!("{}_{tag}_hist.txt", scenario.stem);
+        write_artifact(out_dir, &hist, &r.histogram.render());
+    }
 
     // ---- report -------------------------------------------------------
-    let mut report = String::new();
-    report
-        .push_str("wire — fleet tier over live TCP, clean and through the seeded chaos proxy\n\n");
+    let mut report = format!("{} — {}\n\n", scenario.id, scenario.title);
     report.push_str(&render_table(
         &[
             "run",
@@ -155,20 +149,36 @@ pub fn run(out_dir: &Path) -> String {
             "shed",
             "deduped",
             "failovers",
+            "replicated",
+            "promotions",
+            "fenced",
             "faults",
         ],
         &[row("clean", &clean), row("chaos", &chaos)],
     ));
     report.push('\n');
-    for (tag, r) in [("clean", &clean), ("chaos", &chaos)] {
+    for (tag, r) in runs {
         let _ = writeln!(
             report,
-            "{tag}: four fleet invariants (honest staleness, no decommissioned serve, \
-             no resurrected cache, at-most-once): {}",
-            if r.invariants_ok() { "PASS" } else { "FAIL" }
+            "{tag}: graded fleet invariants (honest staleness, no decommissioned serve, \
+             no resurrected cache, at-most-once{}): {}",
+            if kill { ", failover completes" } else { "" },
+            verdict(r.invariants_ok())
         );
         for v in &r.violations {
             let _ = writeln!(report, "{tag}:   violation: {v}");
+        }
+        if kill {
+            let _ = writeln!(
+                report,
+                "{tag}: {} promotion(s), {} effect record(s) shipped to backups, \
+                 {} fenced write(s), {} duplicate effect(s): {}",
+                r.server.promotions,
+                r.server.replicated,
+                r.server.fenced_writes,
+                r.server.duplicate_effects,
+                verdict(r.server.promotions >= 1 && r.server.duplicate_effects == 0)
+            );
         }
     }
     let _ = writeln!(
@@ -178,18 +188,21 @@ pub fn run(out_dir: &Path) -> String {
         chaos.chaos_faults.unwrap_or(0),
         chaos.server.deduped,
         chaos.server.duplicate_effects,
-        if chaos.server.duplicate_effects == 0 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
+        verdict(chaos.server.duplicate_effects == 0)
     );
-    let _ = writeln!(
-        report,
-        "wire tier vs in-process soak baseline: {:.0} req/s clean over TCP vs {:.0} \
-         in-process quiet; {:.0} req/s under chaos vs {:.0} in-process chaos",
-        clean.throughput_rps, BASELINE_QUIET_RPS, chaos.throughput_rps, BASELINE_CHAOS_RPS,
-    );
+    if kill {
+        let _ = writeln!(
+            report,
+            "failover cost: clean p99 <{} ms vs chaos p99 <{} ms across the primary kill \
+             ({} vs {} completed of {} / {} scheduled)",
+            clean.histogram.quantile_ms(0.99),
+            chaos.histogram.quantile_ms(0.99),
+            clean.completed,
+            chaos.completed,
+            clean.requests,
+            chaos.requests,
+        );
+    }
     report
 }
 
@@ -201,9 +214,21 @@ mod tests {
     fn wire_report_passes_its_own_checks() {
         let dir = std::env::temp_dir().join("tsense_bench_wire_test");
         std::fs::remove_dir_all(&dir).ok();
-        let report = run(&dir);
+        let report = run(&WIRE, &dir);
         assert!(!report.contains("FAIL"), "{report}");
         let json = std::fs::read_to_string(dir.join("BENCH_wire_fleet.json")).unwrap();
+        assert!(json.contains("\"invariants_ok\": true"));
+        assert!(json.contains("\"duplicate_effects\": 0"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replicated_report_passes_its_own_checks() {
+        let dir = std::env::temp_dir().join("tsense_bench_replicated_test");
+        std::fs::remove_dir_all(&dir).ok();
+        let report = run(&REPLICATED, &dir);
+        assert!(!report.contains("FAIL"), "{report}");
+        let json = std::fs::read_to_string(dir.join("BENCH_replicated_fleet.json")).unwrap();
         assert!(json.contains("\"invariants_ok\": true"));
         assert!(json.contains("\"duplicate_effects\": 0"));
         std::fs::remove_dir_all(&dir).ok();

@@ -1,6 +1,5 @@
 //! The certification artifact: the interval chain, the findings, and
-//! enough identity/coverage metadata for a runtime to accept it as
-//! proof at startup instead of re-deriving point estimates.
+//! the identity of the configuration and envelope they prove.
 
 use sensor::unit::SensorConfig;
 
@@ -15,8 +14,8 @@ pub struct Certificate {
     /// Bundle name.
     pub name: String,
     /// Fingerprint of the exact sensor configuration the chain was
-    /// derived for ([`config_fingerprint`]); a runtime must refuse a
-    /// certificate whose fingerprint does not match its own config.
+    /// derived for ([`config_fingerprint`]); the proof says nothing
+    /// about any other configuration.
     pub fingerprint: String,
     /// Certified junction-temperature range, °C.
     pub temp_range_c: (f64, f64),
@@ -36,26 +35,6 @@ impl Certificate {
     /// they flag missing headroom, not a broken promise).
     pub fn is_proven(&self) -> bool {
         !self.report.has_errors()
-    }
-
-    /// True when this certificate's proof covers a runtime deployed
-    /// with the given knobs: the proof must exist, and each actual
-    /// knob must be no stricter than the certified one (a longer
-    /// deadline, a longer staleness bound, or a shorter checkpoint
-    /// interval only relaxes the proven obligations).
-    pub fn covers(
-        &self,
-        deadline_ms: f64,
-        staleness_bound_ms: u64,
-        checkpoint_interval_ms: u64,
-    ) -> bool {
-        let Some(rt) = &self.runtime else {
-            return false;
-        };
-        self.is_proven()
-            && deadline_ms >= rt.deadline_ms
-            && staleness_bound_ms >= rt.staleness_bound_ms
-            && checkpoint_interval_ms <= rt.checkpoint_interval_ms
     }
 
     /// Human-readable certificate: header, interval chain, findings.
@@ -198,31 +177,18 @@ mod tests {
     const BASE: &str = "[ring]\nmix = 5xINV\n[runtime]\ndeadline_ms = 250\n";
 
     #[test]
-    fn coverage_is_monotone_in_the_right_directions() {
-        let c = cert(BASE);
-        assert!(c.is_proven());
-        // Certified at 250 ms / 600 ms / 500 ms defaults.
-        assert!(c.covers(250.0, 600, 500));
-        assert!(c.covers(300.0, 700, 100), "looser knobs stay covered");
-        assert!(!c.covers(100.0, 600, 500), "shorter deadline uncovered");
-        assert!(!c.covers(250.0, 100, 500), "tighter staleness uncovered");
-        assert!(!c.covers(250.0, 600, 900), "longer checkpoint uncovered");
-    }
-
-    #[test]
     fn unproven_certificate_covers_nothing() {
         let c = cert(
             "[ring]\nmix = 5xINV\n[digitizer]\ncounter_bits = 8\n[runtime]\ndeadline_ms = 250\n",
         );
         assert!(!c.is_proven());
-        assert!(!c.covers(250.0, 600, 500));
     }
 
     #[test]
     fn no_runtime_envelope_covers_nothing() {
         let c = cert("[ring]\nmix = 5xINV\n");
         assert!(c.is_proven());
-        assert!(!c.covers(250.0, 600, 500));
+        assert!(c.runtime.is_none());
     }
 
     #[test]

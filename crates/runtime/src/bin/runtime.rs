@@ -16,9 +16,8 @@ use std::str::FromStr;
 
 use runtime::{
     render_trace, run_soak, run_wire_soak, shrink_failure, sweep_jobs, FleetConfig, FleetMutation,
-    FleetReport, Mutation, RunReport, RuntimeConfig, SimConfig, SimReport, Simulation, SoakConfig,
-    SoakReport, SweepOutcome, Violation, WireClient, WireClientConfig, WireOutcome, WireServer,
-    WireServerConfig, WireSoakConfig,
+    Mutation, RunReport, RuntimeConfig, SimConfig, Simulation, SoakConfig, SweepOutcome,
+    WireClient, WireClientConfig, WireOutcome, WireServer, WireServerConfig, WireSoakConfig,
 };
 
 /// How a flag's value is read and checked.
@@ -363,7 +362,7 @@ fn soak_cmd(args: &Args) -> Result<ExitCode, String> {
         }
     };
     if json {
-        println!("{}", render_json(&report, restart));
+        println!("{}", report.render_json(restart));
     } else {
         print!("{}", report.render_text());
     }
@@ -387,104 +386,6 @@ fn soak_cmd(args: &Args) -> Result<ExitCode, String> {
         }
     }
     Ok(ExitCode::SUCCESS)
-}
-
-fn render_json(report: &SoakReport, restart: bool) -> String {
-    format!(
-        "{{\n  \"requests\": {},\n  \"served_fresh\": {},\n  \"served_degraded\": {},\n  \
-         \"served_shed\": {},\n  \"typed_errors\": {},\n  \"deadline_misses\": {},\n  \
-         \"late_replies\": {},\n  \"silent_stale\": {},\n  \"injected\": {},\n  \
-         \"cleared\": {},\n  \"restarts\": {},\n  \"recovered_seq\": {},\n  \
-         \"corrupt_snapshots_skipped\": {},\n  \"breaker_trips\": {},\n  \
-         \"breakers_all_closed\": {},\n  \"quarantined_at_end\": {},\n  \
-         \"p50_latency_ms\": {},\n  \"p99_latency_ms\": {},\n  \"throughput_per_s\": {:.1},\n  \
-         \"elapsed_s\": {:.2},\n  \"liveness_ok\": {}\n}}",
-        report.requests,
-        report.served_fresh,
-        report.served_degraded,
-        report.served_shed,
-        report.typed_errors,
-        report.deadline_misses,
-        report.late_replies,
-        report.silent_stale,
-        report.injected,
-        report.cleared,
-        report.restarts,
-        report
-            .recovered_seq
-            .map_or("null".into(), |s| s.to_string()),
-        report.corrupt_snapshots_skipped,
-        report.breaker_trips,
-        report.breakers_all_closed,
-        report.quarantined_at_end,
-        report.p50_latency_ms,
-        report.p99_latency_ms,
-        report.throughput_per_s,
-        report.elapsed_s,
-        report.liveness_ok(restart),
-    )
-}
-
-fn violation_json<I: fmt::Display>(violation: Option<&Violation<I>>) -> String {
-    violation.map_or("null".to_string(), |v| {
-        format!(
-            "{{\"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}, \"task\": \"{}\"}}",
-            v.invariant, v.step, v.at_ms, v.task
-        )
-    })
-}
-
-fn render_sim_json(report: &SimReport) -> String {
-    format!(
-        "{{\n  \"seed\": {},\n  \"mutation\": \"{}\",\n  \"steps\": {},\n  \"requests\": {},\n  \
-         \"served_fresh\": {},\n  \"served_degraded\": {},\n  \"typed_errors\": {},\n  \
-         \"deadline_misses\": {},\n  \"injected\": {},\n  \"cleared\": {},\n  \"crashes\": {},\n  \
-         \"checkpoints\": {},\n  \"snapshots_skipped\": {},\n  \"violation\": {}\n}}",
-        report.seed,
-        report.mutation,
-        report.steps,
-        report.requests,
-        report.served_fresh,
-        report.served_degraded,
-        report.typed_errors,
-        report.deadline_misses,
-        report.injected,
-        report.cleared,
-        report.crashes,
-        report.checkpoints,
-        report.snapshots_skipped,
-        violation_json(report.violation.as_ref()),
-    )
-}
-
-fn render_fleet_json(report: &FleetReport) -> String {
-    format!(
-        "{{\n  \"seed\": {},\n  \"mutation\": \"{}\",\n  \"steps\": {},\n  \"requests\": {},\n  \
-         \"served_fresh\": {},\n  \"served_degraded\": {},\n  \"client_errors\": {},\n  \
-         \"client_timeouts\": {},\n  \"failovers\": {},\n  \"promotions\": {},\n  \
-         \"fenced_writes\": {},\n  \"acked_effects\": {},\n  \"anti_entropy_repairs\": {},\n  \
-         \"stale_discarded\": {},\n  \"duplicates_absorbed\": {},\n  \"crashes\": {},\n  \
-         \"decommissions\": {},\n  \"kills\": {},\n  \"violation\": {}\n}}",
-        report.seed,
-        report.mutation,
-        report.steps,
-        report.requests,
-        report.served_fresh,
-        report.served_degraded,
-        report.client_errors,
-        report.client_timeouts,
-        report.failovers,
-        report.promotions,
-        report.fenced_writes,
-        report.acked_effects,
-        report.anti_entropy_repairs,
-        report.stale_discarded,
-        report.duplicates_absorbed,
-        report.crashes,
-        report.decommissions,
-        report.kills,
-        violation_json(report.violation.as_ref()),
-    )
 }
 
 fn render_sweep_json<R: RunReport>(out: &SweepOutcome<R>, seed_base: u64) -> String {
@@ -562,7 +463,7 @@ fn dst_cmd(args: &Args) -> Result<ExitCode, String> {
                 base.replication.max(1)
             ));
         }
-        Ok(run_dst(args, &base, render_fleet_json))
+        Ok(run_dst(args, &base))
     } else {
         let mutation = Mutation::parse(&m)
             .ok_or_else(|| format!("bad mutation `{m}` (none | no-cooldown-rebase)"))?;
@@ -570,13 +471,13 @@ fn dst_cmd(args: &Args) -> Result<ExitCode, String> {
             mutation,
             ..SimConfig::default()
         };
-        Ok(run_dst(args, &base, render_sim_json))
+        Ok(run_dst(args, &base))
     }
 }
 
 /// `runtime dst` for either simulator: replay one seed or sweep a
 /// range, write the shrunk failing trace, and grade `--check`.
-fn run_dst<S: Simulation>(args: &Args, base: &S, json: fn(&S::Report) -> String) -> ExitCode {
+fn run_dst<S: Simulation>(args: &Args, base: &S) -> ExitCode {
     let (check, as_json) = (args.on("--check"), args.on("--json"));
     let trace_out: Option<PathBuf> = args.opt("--trace-out");
 
@@ -584,7 +485,7 @@ fn run_dst<S: Simulation>(args: &Args, base: &S, json: fn(&S::Report) -> String)
         let cfg = base.with_seed(seed);
         let report = cfg.run();
         if as_json {
-            println!("{}", json(&report));
+            println!("{}", report.render_json());
         } else {
             print!("{}", render_trace(&report, args.text("--replay-node")));
         }
@@ -863,40 +764,8 @@ fn wire_soak_cmd(args: &Args) -> Result<ExitCode, String> {
         }
     }
     let p99 = report.histogram.quantile_ms(0.99);
-    let p999 = report.histogram.quantile_ms(0.999);
     if json {
-        let violations: Vec<String> = report
-            .violations
-            .iter()
-            .map(|v| format!("    \"{}\"", v.replace('"', "'")))
-            .collect();
-        println!(
-            "{{\n  \"requests\": {},\n  \"completed\": {},\n  \"failed\": {},\n  \
-             \"exhausted\": {},\n  \"throughput_rps\": {:.1},\n  \"p50_ms\": {},\n  \
-             \"p99_ms\": {},\n  \"p999_ms\": {},\n  \"shed\": {},\n  \"deduped\": {},\n  \
-             \"failovers\": {},\n  \"bad_frames\": {},\n  \"crashes\": {},\n  \
-             \"replicated\": {},\n  \"promotions\": {},\n  \"fenced_writes\": {},\n  \
-             \"chaos_faults\": {},\n  \"invariants_ok\": {},\n  \"violations\": [\n{}\n  ]\n}}",
-            report.requests,
-            report.completed,
-            report.failed,
-            report.exhausted,
-            report.throughput_rps,
-            report.histogram.quantile_ms(0.50),
-            p99,
-            p999,
-            report.server.shed,
-            report.server.deduped,
-            report.server.failovers,
-            report.server.bad_frames,
-            report.server.crashes,
-            report.server.replicated,
-            report.server.promotions,
-            report.server.fenced_writes,
-            report.chaos_faults.map_or("null".into(), |f| f.to_string()),
-            report.invariants_ok(),
-            violations.join(",\n"),
-        );
+        println!("{}", report.render_json());
     } else {
         print!("{}", report.render());
     }

@@ -113,13 +113,14 @@ impl EffectLog {
     /// Opens (or creates) the log at `path`, validating every record
     /// sequentially and truncating the file at the first torn or
     /// corrupt one — a crash between append and fsync leaves exactly
-    /// such a tail.
+    /// such a tail. A log whose header is not a version-1 `TEFL`
+    /// header recovers the same way, as an empty log: nothing after a
+    /// rotted header can be trusted, and anti-entropy refills it.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError`] when the file exists but its header is not a
-    /// version-1 `TEFL` header (corruption beyond a torn tail), or on
-    /// I/O failure rewriting a truncated file.
+    /// [`SnapshotError::Io`] on I/O failure writing the header or
+    /// rewriting a truncated file.
     pub fn open(
         fs: Arc<dyn SimFs>,
         path: &Path,
@@ -128,10 +129,10 @@ impl EffectLog {
             fs.create_dir_all(dir).map_err(|e| io_err(path, e))?;
         }
         let bytes = match fs.read(path) {
-            Ok(b) => b,
-            Err(_) => {
-                // Fresh log: write and sync the header now so the file
-                // exists durably before the first record.
+            Ok(b) if b.len() >= HEADER_LEN && &b[..4] == MAGIC && b[4] == VERSION => b,
+            other => {
+                // Fresh or rotted log: write and sync the header now so
+                // the file exists durably before the first record.
                 let mut header = Vec::with_capacity(HEADER_LEN);
                 header.extend_from_slice(MAGIC);
                 header.push(VERSION);
@@ -145,16 +146,13 @@ impl EffectLog {
                         records: Vec::new(),
                         req_ids: std::collections::HashSet::new(),
                     },
-                    LogRecovery::default(),
+                    LogRecovery {
+                        recovered: 0,
+                        truncated_bytes: other.map_or(0, |b| b.len() as u64),
+                    },
                 ));
             }
         };
-        if bytes.len() < HEADER_LEN || &bytes[..4] != MAGIC || bytes[4] != VERSION {
-            return Err(SnapshotError::Corrupt {
-                path: path.to_path_buf(),
-                detail: format!("not a TEFL v{VERSION} effect log"),
-            });
-        }
         let mut records = Vec::new();
         let mut req_ids = std::collections::HashSet::new();
         let mut off = HEADER_LEN;
@@ -384,12 +382,29 @@ mod tests {
     }
 
     #[test]
-    fn bad_header_is_a_typed_error() {
+    fn bad_header_recovers_an_empty_log() {
         let fs = disk();
         let path = p("/logs/effects.log");
         fs.plant(path.clone(), b"WHAT".to_vec());
-        let err = EffectLog::open(fs, &path).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err:?}");
+        let (mut log, rec) = EffectLog::open(fs.clone(), &path).unwrap();
+        assert!(log.is_empty());
+        assert_eq!(
+            rec,
+            LogRecovery {
+                recovered: 0,
+                truncated_bytes: 4
+            }
+        );
+        log.append(2, 100, 7).unwrap();
+        let (back, rec) = EffectLog::open(fs, &path).unwrap();
+        assert_eq!(
+            rec,
+            LogRecovery {
+                recovered: 1,
+                truncated_bytes: 0
+            }
+        );
+        assert_eq!(back.records(), log.records());
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::service::{
     build_core, checkpoint_locked, maintenance_loop, wire_error_kind, wire_outcome, Core, Field,
     JobStep, ReadJob, RuntimeConfig,
 };
-use crate::snapshot::{SnapshotError, SnapshotStore};
+use crate::snapshot::SnapshotError;
 use crate::soak::reference_array;
 
 /// Poll tick for non-blocking accept, socket reads, and the polled
@@ -407,11 +407,12 @@ impl WireServer {
         let clock = Arc::new(SystemClock::new());
         let ambient = cfg.ambient_c;
         let field: Field = Arc::new(move |x, y| ambient + 2.0e3 * x + 1.0e3 * y);
+        let stats = Counters::default();
         let mut groups = Vec::with_capacity(cfg.shards);
         for group in 0..cfg.shards {
             let mut replicas = Vec::with_capacity(cfg.replication);
             for replica in 0..cfg.replication {
-                let mut shard = start_replica(&cfg, group, replica, &field, None)?;
+                let mut shard = start_replica(&cfg, group, replica, &field, &stats, false)?;
                 // Replica 0 starts as primary under epoch 1; backups
                 // hold epoch 0 until replication or promotion raises
                 // them.
@@ -436,7 +437,7 @@ impl WireServer {
             in_flight: AtomicUsize::new(0),
             accepting: AtomicBool::new(true),
             draining: AtomicBool::new(false),
-            stats: Counters::default(),
+            stats,
         });
 
         let listener =
@@ -557,7 +558,8 @@ impl WireServer {
             group,
             pidx,
             &field,
-            Some(&self.inner.stats),
+            &self.inner.stats,
+            true,
         )?;
         replacement.incarnation = old_incarnation + 1;
         // Crash-recover in place keeps the primary role, so the fence
@@ -728,14 +730,15 @@ fn io_snapshot_err(e: std::io::Error) -> RuntimeError {
     })
 }
 
-/// Builds one replica's core (optionally recovering from its snapshot
-/// directory) and spawns its maintenance thread.
+/// Builds one replica's core (recovering from its snapshot directory
+/// when `recover` is set) and spawns its maintenance thread.
 fn start_replica(
     cfg: &WireServerConfig,
     group: usize,
     replica: usize,
     field: &Field,
-    stats: Option<&Counters>,
+    stats: &Counters,
+    recover: bool,
 ) -> Result<WireShard> {
     let mut rc = cfg.runtime.clone();
     rc.seed = cfg.seed
@@ -745,35 +748,20 @@ fn start_replica(
         .snapshot_root
         .as_ref()
         .map(|root| root.join(format!("shard-{group}-{replica}")));
-    let snap = match (&rc.snapshot_dir, stats.is_some()) {
-        // Initial start is cold; only a crash-recover reloads disk.
-        (Some(dir), true) => {
-            let store = SnapshotStore::open(dir, rc.snapshot_keep)?;
-            match store.load_latest() {
-                Ok((snap, log)) => Some((snap, log.skipped)),
-                Err(SnapshotError::NoValidSnapshot { .. }) => None,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        _ => None,
-    };
     let clock = Arc::new(SystemClock::new());
     let (core, _report) = build_core(
         reference_array(cfg.sites_per_shard),
         Arc::clone(field),
         rc,
-        snap,
+        recover,
         clock as Arc<dyn Clock>,
         Arc::new(RealFs),
         true,
     )?;
-    if let Some(counters) = stats {
-        // Recovery must rescan before serving cached data; a restored
-        // cache would be silent staleness (`ResurrectedCache`).
-        let state = core.state.lock().expect("state poisoned");
-        if state.cache.is_some() {
-            counters.resurrected.fetch_add(1, Ordering::SeqCst);
-        }
+    // A core must scan before serving cached data; a restored cache
+    // would be silent staleness (`ResurrectedCache`).
+    if core.state.lock().expect("state poisoned").cache.is_some() {
+        stats.resurrected.fetch_add(1, Ordering::SeqCst);
     }
     let maint_core = Arc::clone(&core);
     let maintenance = thread::Builder::new()

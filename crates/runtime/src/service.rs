@@ -86,16 +86,6 @@ pub struct RuntimeConfig {
     pub snapshot_keep: usize,
     /// Seed for retry jitter (the only randomness in the service).
     pub seed: u64,
-    /// Optional `netcheck certify` certificate. When present, proven,
-    /// fingerprint-matched to every site's sensor configuration, and
-    /// covering this config's deadline/staleness/checkpoint knobs, the
-    /// startup preflight accepts the certificate's interval proof in
-    /// place of its own point-estimate checks (the proof bounds the
-    /// conversion over the whole certified temperature × supply
-    /// envelope, not just the nominal hot corner). A certificate that
-    /// does not apply is ignored and the point-estimate preflight runs
-    /// as usual — it can relax nothing.
-    pub certificate: Option<netcheck::absint::Certificate>,
 }
 
 impl Default for RuntimeConfig {
@@ -116,7 +106,6 @@ impl Default for RuntimeConfig {
             snapshot_dir: None,
             snapshot_keep: 4,
             seed: 0,
-            certificate: None,
         }
     }
 }
@@ -211,6 +200,9 @@ pub struct RecoveryReport {
     /// The replica-group epoch carried by the recovered snapshot (0
     /// when nothing was recovered or the snapshot predates epochs).
     pub recovered_epoch: u64,
+    /// Snapshots skipped as torn or corrupt: every entry of `skipped`
+    /// when one validated, every candidate examined when none did.
+    pub snapshots_skipped: usize,
 }
 
 #[derive(Debug, Default)]
@@ -351,7 +343,7 @@ impl MonitorRuntime {
     /// [`RuntimeError::Snapshot`] when the snapshot directory cannot
     /// be opened.
     pub fn start(array: SensorArray, field: Field, config: RuntimeConfig) -> Result<RuntimeHandle> {
-        Self::start_inner(array, field, config, None).map(|(h, _)| h)
+        Self::start_inner(array, field, config, false).map(|(h, _)| h)
     }
 
     /// Starts a runtime, first restoring calibration, quarantine,
@@ -372,31 +364,20 @@ impl MonitorRuntime {
         field: Field,
         config: RuntimeConfig,
     ) -> Result<(RuntimeHandle, RecoveryReport)> {
-        let snap = match &config.snapshot_dir {
-            None => None,
-            Some(dir) => {
-                let store = SnapshotStore::open(dir, config.snapshot_keep)?;
-                match store.load_latest() {
-                    Ok((snap, log)) => Some((snap, log.skipped)),
-                    Err(SnapshotError::NoValidSnapshot { .. }) => None,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        };
-        Self::start_inner(array, field, config, snap)
+        Self::start_inner(array, field, config, true)
     }
 
     fn start_inner(
         array: SensorArray,
         field: Field,
         config: RuntimeConfig,
-        snap: Option<(RuntimeSnapshot, Vec<(PathBuf, String)>)>,
+        recover: bool,
     ) -> Result<(RuntimeHandle, RecoveryReport)> {
         let (core, report) = build_core(
             array,
             field,
             config,
-            snap,
+            recover,
             Arc::new(SystemClock::new()),
             Arc::new(RealFs),
             true,
@@ -431,6 +412,12 @@ impl MonitorRuntime {
 /// deterministic simulation calls it with a [`dst::VirtualClock`] and a
 /// [`dst::SimDisk`] and drives the identical logic single-threaded.
 ///
+/// With `recover`, the core restores calibration, quarantine, breaker
+/// states and the reading ring from the newest valid checkpoint in
+/// `config.snapshot_dir`, skipping torn or corrupt ones; otherwise it
+/// starts cold. Either way the store opens once, and that open
+/// garbage-collects orphaned temp files.
+///
 /// `rebase_breakers` selects how checkpointed `Open` breaker deadlines
 /// are restored: `true` is the correct behavior (re-serve the cooldown
 /// against this incarnation's clock); `false` trusts the foreign
@@ -440,7 +427,7 @@ pub(crate) fn build_core(
     mut array: SensorArray,
     field: Field,
     config: RuntimeConfig,
-    snap: Option<(RuntimeSnapshot, Vec<(PathBuf, String)>)>,
+    recover: bool,
     clock: Arc<dyn Clock>,
     fs: Arc<dyn SimFs>,
     rebase_breakers: bool,
@@ -459,15 +446,28 @@ pub(crate) fn build_core(
         .collect();
 
     let mut report = RecoveryReport::default();
+    let mut snap = None;
     if let Some(store) = &store {
         report.gc_orphaned_tmp = store.orphaned_tmp_collected();
+        if recover {
+            match store.load_latest() {
+                Ok((snapshot, log)) => {
+                    report.snapshots_skipped = log.skipped.len();
+                    report.skipped = log.skipped;
+                    snap = Some(snapshot);
+                }
+                Err(SnapshotError::NoValidSnapshot { examined, .. }) => {
+                    report.snapshots_skipped = examined;
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
     let mut history = VecDeque::new();
     let mut seq = 0;
     let mut group_epoch = 0;
-    if let Some((snapshot, skipped)) = snap {
+    if let Some(snapshot) = snap {
         report.recovered_seq = Some(snapshot.seq);
-        report.skipped = skipped;
         report.recovered_epoch = snapshot.epoch;
         seq = snapshot.seq;
         group_epoch = snapshot.epoch;
@@ -518,19 +518,12 @@ pub(crate) fn build_core(
     Ok((core, report))
 }
 
-/// Startup preflight over the deadline and freshness budgets.
-///
-/// With an applicable certificate ([`certificate_applies`]), the
-/// interval proof stands in for the point-estimate checks: `NC1001`/
-/// `NC1003` subsume `NC0701`/`NC0801` over the whole certified
-/// envelope. Otherwise the shared `netcheck` passes run here — the
-/// same `NC0701` (worst-case conversion vs deadline) and `NC0801`
-/// (staleness vs checkpoint interval) rules the lint frontend fires,
-/// so the static and dynamic verdicts can never drift apart.
+/// Startup preflight over the deadline and freshness budgets: the
+/// shared `netcheck` passes run here — the same `NC0701` (worst-case
+/// conversion vs deadline) and `NC0801` (staleness vs checkpoint
+/// interval) rules the lint frontend fires, so the static and dynamic
+/// verdicts can never drift apart.
 pub(crate) fn validate_deadline_budget(array: &SensorArray, config: &RuntimeConfig) -> Result<()> {
-    if certificate_applies(array, config) {
-        return Ok(());
-    }
     let deadline_s = config.default_deadline_ms as f64 * 1e-3;
     for site in array.sites() {
         let cfg = site.unit.config();
@@ -555,25 +548,6 @@ pub(crate) fn validate_deadline_budget(array: &SensorArray, config: &RuntimeConf
         });
     }
     Ok(())
-}
-
-/// True when the attached certificate proves this deployment: the
-/// proof is discharged, its runtime envelope covers this config's
-/// knobs, and its fingerprint matches *every* site's sensor
-/// configuration (a certificate for a different ring, window, or
-/// counter width proves nothing about this array).
-fn certificate_applies(array: &SensorArray, config: &RuntimeConfig) -> bool {
-    let Some(cert) = &config.certificate else {
-        return false;
-    };
-    cert.covers(
-        config.default_deadline_ms as f64,
-        config.staleness_bound_ms,
-        config.checkpoint_interval_ms,
-    ) && array
-        .sites()
-        .iter()
-        .all(|site| netcheck::absint::config_fingerprint(site.unit.config()) == cert.fingerprint)
 }
 
 /// Handle to a running monitor. Dropping it without
@@ -1369,6 +1343,21 @@ mod tests {
         assert!(report.skipped.is_empty());
         let r = h.read(0).unwrap();
         assert!(matches!(r.provenance, Provenance::Fresh { .. }));
+        h.shutdown().unwrap();
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn recovery_reports_the_orphaned_checkpoint_it_collects() {
+        let dir = std::env::temp_dir().join(format!("tsense-rt-orphan-{}", dst::unique_nonce()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let orphan = dir.join("snap-0000000099.tmp");
+        std::fs::write(&orphan, "TSNAP\tv1\nseq\t99").unwrap();
+        let mut cfg = quick_config();
+        cfg.snapshot_dir = Some(dir.clone());
+        let (h, report) = MonitorRuntime::recover(array(2), uniform_field(25.0), cfg).unwrap();
+        assert_eq!(report.gc_orphaned_tmp, 1, "{report:?}");
+        assert!(!orphan.exists());
         h.shutdown().unwrap();
         std::fs::remove_dir_all(dir).ok();
     }

@@ -89,11 +89,10 @@ use crate::service::{
     build_core, checkpoint_locked, refresh_cache_locked, wire_outcome, Core, Field, JobStep,
     ReadJob, RuntimeConfig,
 };
-use crate::snapshot::{SnapshotError, SnapshotStore};
 use crate::soak::reference_array;
 use wire::{FleetMsg, HashRing, WireOutcome};
 
-use super::{RunReport, SimConfig, Simulation, Violation};
+use super::{json_object, violation_json, RunReport, SimConfig, Simulation, Violation};
 
 /// A deliberate, known-bad change to the fleet, applied under
 /// simulation to prove the fleet invariant sweep catches real
@@ -183,6 +182,70 @@ impl fmt::Display for FleetInvariant {
         };
         write!(f, "{s}")
     }
+}
+
+/// One reading as a fleet client received it — what [`check_reading`]
+/// grades.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ClientReading {
+    /// The client that received it.
+    pub(crate) client: usize,
+    /// The group that served it.
+    pub(crate) group: usize,
+    /// Whether the shard served it `Fresh`.
+    pub(crate) fresh: bool,
+    /// The age the shard reported, in its local milliseconds.
+    pub(crate) age_ms: u64,
+    /// The honest age the client sees: shard age plus fabric transit.
+    pub(crate) total_age_ms: u64,
+    /// When the router forwarded it, on the router's timeline.
+    pub(crate) forwarded_at_ms: u64,
+}
+
+/// Grades one reading against the client-visible fleet invariants —
+/// the check both fleet tiers share: [`run_fleet`]'s clients and the
+/// TCP soak ([`crate::soak_wire::run_wire_soak`]) call it on every
+/// reading. Returns each broken invariant with its detail, in this
+/// order:
+///
+/// - [`FleetInvariant::StaleServed`]: the honest age is past
+///   `bound_ms` plus `slack_ms`, the clock-skew tolerance (0 for a
+///   tier on one clock);
+/// - [`FleetInvariant::StaleServed`]: a `Fresh` reading carries a
+///   nonzero shard age;
+/// - [`FleetInvariant::RoutedDecommissioned`]: the reading was
+///   forwarded *after* its group's `decommissioned_at_ms`. At
+///   millisecond granularity a forward in the decommission's own
+///   millisecond is an undefined ordering, not a routing bug; in the
+///   TCP tier it provably ran first, because the decommission stamps
+///   under every replica lock of the group and the forward checks the
+///   stamp under one of them before stamping its own time.
+pub(crate) fn check_reading(
+    r: &ClientReading,
+    decommissioned_at_ms: Option<u64>,
+    bound_ms: u64,
+    slack_ms: u64,
+) -> Vec<(FleetInvariant, String)> {
+    let (client, group, fresh) = (r.client, r.group, r.fresh);
+    let (age_ms, total_age_ms, forwarded_at_ms) = (r.age_ms, r.total_age_ms, r.forwarded_at_ms);
+    let mut broken = Vec::new();
+    if total_age_ms > bound_ms + slack_ms {
+        let detail = format!(
+            "client {client} got age {total_age_ms} ms past bound {bound_ms} (+{slack_ms} slack) from group {group}"
+        );
+        broken.push((FleetInvariant::StaleServed, detail));
+    }
+    if fresh && age_ms != 0 {
+        let detail = format!("Fresh reading from group {group} with shard-side age {age_ms} ms");
+        broken.push((FleetInvariant::StaleServed, detail));
+    }
+    if let Some(at) = decommissioned_at_ms.filter(|at| *at < forwarded_at_ms) {
+        let detail = format!(
+            "served from group {group}, decommissioned at t={at}, forwarded at t={forwarded_at_ms}"
+        );
+        broken.push((FleetInvariant::RoutedDecommissioned, detail));
+    }
+    broken
 }
 
 /// One event of a fleet scenario. The whole scenario — network
@@ -809,7 +872,7 @@ fn build_replica(
         reference_array(cfg.sites_per_shard),
         Arc::clone(field),
         shard_runtime_config(cfg, group, replica),
-        None,
+        false,
         Arc::clone(&clock) as Arc<dyn Clock>,
         Arc::clone(&disk) as Arc<dyn dst::SimFs>,
         true,
@@ -865,21 +928,15 @@ fn crash_replica(
     let clock = Arc::clone(&w.replicas[node_idx].clock);
     let namespace = Arc::clone(&w.replicas[node_idx].namespace);
     let active_faults = w.replicas[node_idx].active_faults.clone();
-    let runtime_cfg = shard_runtime_config(cfg, group, replica);
-    let snap = runtime_cfg.snapshot_dir.as_ref().and_then(|dir| {
-        let store = SnapshotStore::open_on(
-            Arc::clone(&disk) as Arc<dyn dst::SimFs>,
-            dir,
-            runtime_cfg.snapshot_keep,
-        )
-        .ok()?;
-        match store.load_latest() {
-            Ok((snap, log)) => Some((snap, log.skipped)),
-            Err(SnapshotError::NoValidSnapshot { .. }) => None,
-            Err(_) => None,
-        }
-    });
-    let had_snapshot = snap.is_some();
+    let rebuilt = build_core(
+        reference_array(cfg.sites_per_shard),
+        Arc::clone(field),
+        shard_runtime_config(cfg, group, replica),
+        true,
+        Arc::clone(&clock) as Arc<dyn Clock>,
+        Arc::clone(&disk) as Arc<dyn dst::SimFs>,
+        true,
+    );
     let log = match EffectLog::open(
         Arc::clone(&disk) as Arc<dyn dst::SimFs>,
         &effect_log_path(group, replica),
@@ -894,15 +951,7 @@ fn crash_replica(
             return;
         }
     };
-    match build_core(
-        reference_array(cfg.sites_per_shard),
-        Arc::clone(field),
-        runtime_cfg,
-        snap,
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&disk) as Arc<dyn dst::SimFs>,
-        true,
-    ) {
+    match rebuilt {
         Ok((core, rec)) => {
             let resurrected = {
                 let mut state = core.state.lock().expect("state poisoned");
@@ -931,7 +980,7 @@ fn crash_replica(
             let node = &mut w.replicas[node_idx];
             node.core = core;
             node.repl.recover(log, rec.recovered_epoch);
-            if had_snapshot {
+            if rec.recovered_seq.is_some() {
                 w.recovered_with_snapshot += 1;
             }
         }
@@ -1466,42 +1515,22 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                 waiting = None;
                 match outcome {
                     WireOutcome::Reading { fresh, age_ms, .. } => {
-                        // Invariant 1: honest staleness across groups.
-                        if total_age_ms > bound + slack {
-                            w.flag(
-                                FleetInvariant::StaleServed,
-                                now,
-                                format!(
-                                    "client {k} got age {total_age_ms} ms past bound {bound} (+{slack} slack) from group {origin_shard}"
-                                ),
-                            );
-                        }
-                        if fresh && age_ms != 0 {
-                            w.flag(
-                                FleetInvariant::StaleServed,
-                                now,
-                                format!("Fresh reading from group {origin_shard} with shard-side age {age_ms} ms"),
-                            );
-                        }
-                        // Invariant 2: no decommissioned group served.
-                        if let Some(at) = w
+                        let reading = ClientReading {
+                            client: k,
+                            group: origin_shard,
+                            fresh,
+                            age_ms,
+                            total_age_ms,
+                            forwarded_at_ms,
+                        };
+                        let decommissioned_at = w
                             .groups
                             .get(origin_shard)
-                            .and_then(|gr| gr.decommissioned_at)
+                            .and_then(|gr| gr.decommissioned_at);
+                        for (invariant, detail) in
+                            check_reading(&reading, decommissioned_at, bound, slack)
                         {
-                            // Strict: at millisecond granularity a
-                            // forward in the *same* tick as the
-                            // decommission is an undefined ordering,
-                            // not a routing bug.
-                            if at < forwarded_at_ms {
-                                w.flag(
-                                    FleetInvariant::RoutedDecommissioned,
-                                    now,
-                                    format!(
-                                        "served from group {origin_shard}, decommissioned at t={at}, forwarded at t={forwarded_at_ms}"
-                                    ),
-                                );
-                            }
+                            w.flag(invariant, now, detail);
                         }
                         if fresh {
                             w.served_fresh += 1;
@@ -1509,9 +1538,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                             w.served_degraded += 1;
                         }
                     }
-                    WireOutcome::Failed { .. } | WireOutcome::Shed { .. } => {
-                        w.client_errors += 1
-                    }
+                    WireOutcome::Failed { .. } | WireOutcome::Shed { .. } => w.client_errors += 1,
                 }
             }
             if let Some((_, sent_at)) = waiting {
@@ -1539,7 +1566,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             key = key.wrapping_add(0x9E37_79B9).wrapping_mul(3) | 1;
             let req_id = (me as u64) << 32 | seq;
             w.requests += 1;
-            w.net.send(now, me, router_node, FleetMsg::ClientReq { req_id, key });
+            w.net
+                .send(now, me, router_node, FleetMsg::ClientReq { req_id, key });
             waiting = Some((req_id, now));
             TaskState::SleepUntil(now + interval)
         });
@@ -1865,6 +1893,33 @@ impl RunReport for FleetReport {
     fn totals(&self) -> [u64; 3] {
         [self.steps, self.requests, self.crashes]
     }
+
+    fn render_json(&self) -> String {
+        json_object(&[
+            ("seed", self.seed.to_string()),
+            ("mutation", format!("\"{}\"", self.mutation)),
+            ("steps", self.steps.to_string()),
+            ("requests", self.requests.to_string()),
+            ("served_fresh", self.served_fresh.to_string()),
+            ("served_degraded", self.served_degraded.to_string()),
+            ("client_errors", self.client_errors.to_string()),
+            ("client_timeouts", self.client_timeouts.to_string()),
+            ("failovers", self.failovers.to_string()),
+            ("promotions", self.promotions.to_string()),
+            ("fenced_writes", self.fenced_writes.to_string()),
+            ("acked_effects", self.acked_effects.to_string()),
+            (
+                "anti_entropy_repairs",
+                self.anti_entropy_repairs.to_string(),
+            ),
+            ("stale_discarded", self.stale_discarded.to_string()),
+            ("duplicates_absorbed", self.duplicates_absorbed.to_string()),
+            ("crashes", self.crashes.to_string()),
+            ("decommissions", self.decommissions.to_string()),
+            ("kills", self.kills.to_string()),
+            ("violation", violation_json(self.violation.as_ref())),
+        ])
+    }
 }
 
 /// The fleet node a task label belongs to: per-replica maintenance
@@ -2058,5 +2113,53 @@ mod tests {
         }
         let c = resolve_fleet_events(&FleetConfig { seed: 9, ..quick() });
         assert_ne!(a, c, "different seeds draw different scenarios");
+    }
+
+    #[test]
+    fn reading_check_boundaries() {
+        let ok = ClientReading {
+            client: 0,
+            group: 1,
+            fresh: false,
+            age_ms: 600,
+            total_age_ms: 603,
+            forwarded_at_ms: 100,
+        };
+        let broken = |r: ClientReading, decommissioned_at: Option<u64>| -> Vec<FleetInvariant> {
+            check_reading(&r, decommissioned_at, 600, 3)
+                .into_iter()
+                .map(|(invariant, _)| invariant)
+                .collect()
+        };
+        // Forwarded in the decommission's own millisecond: clean; one
+        // millisecond later: routed-decommissioned.
+        assert!(broken(ok, Some(100)).is_empty());
+        let late = ClientReading {
+            forwarded_at_ms: 101,
+            ..ok
+        };
+        assert_eq!(
+            broken(late, Some(100)),
+            [FleetInvariant::RoutedDecommissioned]
+        );
+        // Honest age at bound + slack: clean; one more: stale.
+        assert!(broken(ok, None).is_empty());
+        let old = ClientReading {
+            total_age_ms: 604,
+            ..ok
+        };
+        assert_eq!(broken(old, None), [FleetInvariant::StaleServed]);
+        let aged_fresh = ClientReading {
+            fresh: true,
+            age_ms: 1,
+            total_age_ms: 1,
+            ..ok
+        };
+        assert_eq!(broken(aged_fresh, None), [FleetInvariant::StaleServed]);
+        let detail = &check_reading(&late, Some(100), 600, 3)[0].1;
+        assert_eq!(
+            detail,
+            "served from group 1, decommissioned at t=100, forwarded at t=101"
+        );
     }
 }

@@ -58,9 +58,8 @@ use crate::breaker::BreakerState;
 use crate::error::RuntimeError;
 use crate::service::{
     build_core, checkpoint_locked, enforce_deadline, refresh_cache_locked, Core, Field, JobStep,
-    Provenance, ReadJob, RuntimeConfig,
+    Provenance, ReadJob, RuntimeConfig, ServedReading,
 };
-use crate::snapshot::{SnapshotError, SnapshotStore};
 use crate::soak::reference_array;
 
 /// A deliberate, known-bad change to the service, applied under
@@ -132,6 +131,40 @@ impl fmt::Display for Invariant {
         };
         write!(f, "{s}")
     }
+}
+
+/// Grades one `Ok` reply against the service's promises — the check
+/// both single-node tiers share: [`run_sim`]'s clients and the
+/// in-process soak ([`crate::soak::run_soak`]) call it on every reply.
+/// Returns each broken promise with its detail, in this order:
+///
+/// - [`Invariant::LateReply`]: the reply's `latency_ms` is past the
+///   relative `deadline_ms`. Virtual time stands still within a
+///   simulation step, so this is the simulator's absolute test;
+/// - [`Invariant::SilentStale`]: the reading is older than
+///   `staleness_bound_ms`;
+/// - [`Invariant::SilentStale`]: a `Fresh` reading claims a nonzero
+///   age.
+pub(crate) fn check_reply(
+    r: &ServedReading,
+    deadline_ms: u64,
+    staleness_bound_ms: u64,
+) -> Vec<(Invariant, String)> {
+    let (age_ms, latency_ms) = (r.age_ms, r.latency_ms);
+    let mut broken = Vec::new();
+    if latency_ms > deadline_ms {
+        let detail = format!("Ok reply after {latency_ms} ms, past its {deadline_ms} ms deadline");
+        broken.push((Invariant::LateReply, detail));
+    }
+    if age_ms > staleness_bound_ms {
+        let detail = format!("served age {age_ms} > bound {staleness_bound_ms}");
+        broken.push((Invariant::SilentStale, detail));
+    }
+    if matches!(r.provenance, Provenance::Fresh { .. }) && age_ms != 0 {
+        let detail = format!("Fresh reading with age {age_ms} ms");
+        broken.push((Invariant::SilentStale, detail));
+    }
+    broken
 }
 
 /// One invariant violation, pinned to the scheduler step that produced
@@ -294,6 +327,30 @@ pub trait RunReport {
     /// Scheduler steps, client requests and crashes: what this run
     /// adds to a sweep's totals.
     fn totals(&self) -> [u64; 3];
+    /// The run as one JSON object — what `runtime dst --replay S
+    /// --json` prints.
+    fn render_json(&self) -> String;
+}
+
+/// Renders `fields` — keys with values that are JSON already — as one
+/// flat JSON object, a field per line: the shape of every report the
+/// `runtime` CLI prints with `--json`.
+pub(crate) fn json_object(fields: &[(&str, String)]) -> String {
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    format!("{{\n{}\n}}", body.join(",\n"))
+}
+
+/// A run's first violation as a one-line JSON object, or `null`.
+fn violation_json<I: fmt::Display>(violation: Option<&Violation<I>>) -> String {
+    violation.map_or("null".to_string(), |v| {
+        format!(
+            "{{\"invariant\": \"{}\", \"step\": {}, \"at_ms\": {}, \"task\": \"{}\"}}",
+            v.invariant, v.step, v.at_ms, v.task
+        )
+    })
 }
 
 impl Simulation for SimConfig {
@@ -366,6 +423,25 @@ impl RunReport for SimReport {
 
     fn totals(&self) -> [u64; 3] {
         [self.steps, self.requests, self.crashes]
+    }
+
+    fn render_json(&self) -> String {
+        json_object(&[
+            ("seed", self.seed.to_string()),
+            ("mutation", format!("\"{}\"", self.mutation)),
+            ("steps", self.steps.to_string()),
+            ("requests", self.requests.to_string()),
+            ("served_fresh", self.served_fresh.to_string()),
+            ("served_degraded", self.served_degraded.to_string()),
+            ("typed_errors", self.typed_errors.to_string()),
+            ("deadline_misses", self.deadline_misses.to_string()),
+            ("injected", self.injected.to_string()),
+            ("cleared", self.cleared.to_string()),
+            ("crashes", self.crashes.to_string()),
+            ("checkpoints", self.checkpoints.to_string()),
+            ("snapshots_skipped", self.snapshots_skipped.to_string()),
+            ("violation", violation_json(self.violation.as_ref())),
+        ])
     }
 }
 
@@ -475,7 +551,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         reference_array(cfg.sites),
         Arc::clone(&field),
         runtime_cfg.clone(),
-        None,
+        false,
         Arc::clone(&clock) as Arc<dyn Clock>,
         Arc::clone(&disk) as Arc<dyn dst::SimFs>,
         true,
@@ -511,6 +587,8 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         let world = Rc::clone(&world);
         let sites = cfg.sites.max(1);
         let interval = cfg.request_interval_ms.max(1);
+        let budget_ms = runtime_cfg.default_deadline_ms;
+        let bound_ms = runtime_cfg.staleness_bound_ms;
         let mut remaining = cfg.requests_per_client;
         let mut chan = k % sites;
         let mut job: Option<(ReadJob, u64, u64)> = None; // (job, deadline_abs, incarnation)
@@ -548,42 +626,16 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                         JobStep::Backoff { delay_ms } => TaskState::SleepUntil(now + delay_ms),
                         JobStep::Done(result) => {
                             job = None;
-                            let result = enforce_deadline(&core, deadline, result);
-                            let done = core.now_ms();
-                            match result {
+                            match enforce_deadline(&core, deadline, result) {
                                 Ok(r) => {
-                                    if done > deadline {
-                                        w.flag(
-                                            Invariant::LateReply,
-                                            now,
-                                            format!(
-                                                "Ok reply at t={done} past deadline {deadline}"
-                                            ),
-                                        );
+                                    for (invariant, detail) in check_reply(&r, budget_ms, bound_ms)
+                                    {
+                                        w.flag(invariant, now, detail);
                                     }
-                                    let bound = core.config.staleness_bound_ms;
-                                    if r.age_ms > bound {
-                                        w.flag(
-                                            Invariant::SilentStale,
-                                            now,
-                                            format!("served age {} > bound {bound}", r.age_ms),
-                                        );
-                                    }
-                                    match r.provenance {
-                                        Provenance::Fresh { .. } => {
-                                            if r.age_ms != 0 {
-                                                w.flag(
-                                                    Invariant::SilentStale,
-                                                    now,
-                                                    format!(
-                                                        "Fresh reading with age {} ms",
-                                                        r.age_ms
-                                                    ),
-                                                );
-                                            }
-                                            w.served_fresh += 1;
-                                        }
-                                        _ => w.served_degraded += 1,
+                                    if matches!(r.provenance, Provenance::Fresh { .. }) {
+                                        w.served_fresh += 1;
+                                    } else {
+                                        w.served_degraded += 1;
                                     }
                                 }
                                 Err(e) => {
@@ -705,35 +757,17 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
             disk.crash();
             w.crashes += 1;
             idx += 1;
-            let snap = runtime_cfg.snapshot_dir.as_ref().and_then(|dir| {
-                let store = SnapshotStore::open_on(
-                    Arc::clone(&disk) as Arc<dyn dst::SimFs>,
-                    dir,
-                    runtime_cfg.snapshot_keep,
-                )
-                .ok()?;
-                match store.load_latest() {
-                    Ok((snap, log)) => {
-                        w.snapshots_skipped += log.skipped.len() as u64;
-                        Some((snap, log.skipped))
-                    }
-                    Err(SnapshotError::NoValidSnapshot { examined, .. }) => {
-                        w.snapshots_skipped += examined as u64;
-                        None
-                    }
-                    Err(_) => None,
-                }
-            });
             match build_core(
                 reference_array(sites),
                 Arc::clone(&field),
                 runtime_cfg.clone(),
-                snap,
+                true,
                 Arc::clone(&clock) as Arc<dyn Clock>,
                 Arc::clone(&disk) as Arc<dyn dst::SimFs>,
                 rebase,
             ) {
                 Ok((core, rec)) => {
+                    w.snapshots_skipped += rec.snapshots_skipped as u64;
                     {
                         let state = core.state.lock().expect("state poisoned");
                         if state.cache.is_some() {
@@ -1147,6 +1181,38 @@ mod tests {
         assert_eq!(report.crashes, 0);
         assert!(report.served_fresh > 0);
         assert_eq!(report.served_degraded, 0, "no faults, no fallbacks");
+    }
+
+    #[test]
+    fn reply_check_boundaries() {
+        let ok = ServedReading {
+            value_c: 85.0,
+            provenance: Provenance::DegradedMedian {
+                confidence: 1.0,
+                quarantined: 0,
+            },
+            age_ms: 600,
+            latency_ms: 250,
+        };
+        let broken = |r: &ServedReading| -> Vec<Invariant> {
+            check_reply(r, 250, 600)
+                .into_iter()
+                .map(|(invariant, _)| invariant)
+                .collect()
+        };
+        // Latency at the deadline and age at the bound: clean.
+        assert!(broken(&ok).is_empty());
+        let late = ServedReading {
+            latency_ms: 251,
+            ..ok.clone()
+        };
+        assert_eq!(broken(&late), [Invariant::LateReply]);
+        let aged_fresh = ServedReading {
+            provenance: Provenance::Fresh { channel: 0 },
+            age_ms: 1,
+            ..ok
+        };
+        assert_eq!(broken(&aged_fresh), [Invariant::SilentStale]);
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //!
 //! 1. every request was answered inside its deadline or with a typed
 //!    error — zero silently late replies;
-//! 2. zero silently stale readings (age within the staleness bound,
-//!    always);
+//! 2. zero silently stale readings: age within the staleness bound,
+//!    always, and `Fresh` readings at age 0;
 //! 3. if a restart was requested, recovery restored a checkpoint;
 //! 4. after faults clear, every breaker is Closed again.
+//!
+//! The first two are graded per reply by `sim::check_reply`, the same
+//! check the deterministic simulation runs on every reply.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -32,6 +35,7 @@ use sensor::SensorArray;
 use crate::breaker::BreakerState;
 use crate::error::{Result, RuntimeError};
 use crate::service::{Field, MonitorRuntime, Provenance, RuntimeConfig, RuntimeHandle};
+use crate::sim::{check_reply, json_object, Invariant};
 
 /// Tuning for one soak run.
 #[derive(Debug, Clone)]
@@ -191,6 +195,47 @@ impl SoakReport {
         ));
         s
     }
+
+    /// The report as one JSON object — the one rendering `runtime soak
+    /// --json` prints and the `soak` bench nests per run.
+    /// `liveness_ok` is [`SoakReport::liveness_ok`] of
+    /// `restart_requested`.
+    pub fn render_json(&self, restart_requested: bool) -> String {
+        json_object(&[
+            ("requests", self.requests.to_string()),
+            ("served_fresh", self.served_fresh.to_string()),
+            ("served_degraded", self.served_degraded.to_string()),
+            ("served_shed", self.served_shed.to_string()),
+            ("typed_errors", self.typed_errors.to_string()),
+            ("deadline_misses", self.deadline_misses.to_string()),
+            ("late_replies", self.late_replies.to_string()),
+            ("silent_stale", self.silent_stale.to_string()),
+            ("injected", self.injected.to_string()),
+            ("cleared", self.cleared.to_string()),
+            ("restarts", self.restarts.to_string()),
+            (
+                "recovered_seq",
+                self.recovered_seq.map_or("null".into(), |s| s.to_string()),
+            ),
+            (
+                "corrupt_snapshots_skipped",
+                self.corrupt_snapshots_skipped.to_string(),
+            ),
+            ("breaker_trips", self.breaker_trips.to_string()),
+            ("checkpoints", self.checkpoints.to_string()),
+            ("breakers_all_closed", self.breakers_all_closed.to_string()),
+            ("quarantined_at_end", self.quarantined_at_end.to_string()),
+            ("p50_latency_ms", self.p50_latency_ms.to_string()),
+            ("p99_latency_ms", self.p99_latency_ms.to_string()),
+            ("max_latency_ms", self.max_latency_ms.to_string()),
+            ("throughput_per_s", format!("{:.1}", self.throughput_per_s)),
+            ("elapsed_s", format!("{:.2}", self.elapsed_s)),
+            (
+                "liveness_ok",
+                self.liveness_ok(restart_requested).to_string(),
+            ),
+        ])
+    }
 }
 
 #[derive(Default)]
@@ -303,11 +348,15 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport> {
                                                 .lock()
                                                 .expect("latency lock")
                                                 .push(r.latency_ms);
-                                            if r.latency_ms > deadline {
-                                                col.late_replies.fetch_add(1, Ordering::Relaxed);
-                                            }
-                                            if r.age_ms > staleness_bound {
-                                                col.silent_stale.fetch_add(1, Ordering::Relaxed);
+                                            for (invariant, _) in
+                                                check_reply(&r, deadline, staleness_bound)
+                                            {
+                                                let count = if invariant == Invariant::LateReply {
+                                                    &col.late_replies
+                                                } else {
+                                                    &col.silent_stale
+                                                };
+                                                count.fetch_add(1, Ordering::Relaxed);
                                             }
                                             match r.provenance {
                                                 Provenance::Fresh { .. } => {

@@ -12,18 +12,20 @@
 //! primary, decommission another, and permanently **kill** a third
 //! group's primary (forcing an epoch-bumping backup promotion), then
 //! grades the run against the same client-observed invariants the
-//! deterministic fleet simulation checks:
+//! deterministic fleet simulation checks, each violation named after
+//! its [`FleetInvariant`]:
 //!
-//! 1. **Honest staleness** — no reading older than the staleness
-//!    bound; `fresh` readings have age 0.
-//! 2. **No decommissioned shard served** — no response forwarded from
-//!    a shard at or after its decommission stamp.
-//! 3. **No resurrected cache** — recovery never restores a cached
-//!    median.
-//! 4. **At-most-once effects** — no `(incarnation, req_id)` executes
-//!    twice; client retries replay the recorded outcome, including
-//!    across a primary failover (the dedup map is replicated).
-//! 5. **Failover completes** — a configured primary kill must produce
+//! 1. **Honest staleness** (`fleet-stale-served`) and **no
+//!    decommissioned shard served** (`routed-decommissioned`) — every
+//!    reading goes through `sim::fleet::check_reading`, the
+//!    simulator's own check, with zero skew slack: the TCP tier runs on one clock.
+//! 2. **No resurrected cache** (`resurrected-cache`) — recovery never
+//!    restores a cached median.
+//! 3. **At-most-once effects** (`duplicate-effect`) — no
+//!    `(incarnation, req_id)` executes twice; client retries replay
+//!    the recorded outcome, including across a primary failover (the
+//!    dedup map is replicated).
+//! 4. **Failover completes** — a configured primary kill must produce
 //!    a promotion, and no split-brain double execution with it.
 
 use std::sync::mpsc;
@@ -39,6 +41,8 @@ use crate::client::{ClientError, WireClient, WireClientConfig};
 use crate::error::Result;
 use crate::retry::RetryPolicy;
 use crate::serve::{WireServer, WireServerConfig, WireServerStats};
+use crate::sim::fleet::{check_reading, ClientReading, FleetInvariant};
+use crate::sim::json_object;
 
 /// Tuning for one wire soak.
 #[derive(Debug, Clone)]
@@ -273,10 +277,52 @@ impl WireSoakReport {
         }
         out
     }
+
+    /// The report as one JSON object — the one rendering `runtime
+    /// wire-soak --json` prints and the `wire` and `replicated` benches
+    /// nest per run. `violations` is an array of escaped strings.
+    pub fn render_json(&self) -> String {
+        let (h, s) = (&self.histogram, &self.server);
+        let violations: Vec<String> = self
+            .violations
+            .iter()
+            .map(|v| format!("\"{}\"", faultsim::report::json_escape(v)))
+            .collect();
+        json_object(&[
+            ("requests", self.requests.to_string()),
+            ("completed", self.completed.to_string()),
+            ("failed", self.failed.to_string()),
+            ("exhausted", self.exhausted.to_string()),
+            ("throughput_rps", format!("{:.1}", self.throughput_rps)),
+            ("mean_latency_ms", format!("{:.2}", h.mean_ms())),
+            ("p50_ms", h.quantile_ms(0.50).to_string()),
+            ("p99_ms", h.quantile_ms(0.99).to_string()),
+            ("p999_ms", h.quantile_ms(0.999).to_string()),
+            ("max_latency_ms", h.max_ms().to_string()),
+            ("shed", s.shed.to_string()),
+            ("deduped", s.deduped.to_string()),
+            ("duplicate_effects", s.duplicate_effects.to_string()),
+            ("failovers", s.failovers.to_string()),
+            ("bad_frames", s.bad_frames.to_string()),
+            ("crashes", s.crashes.to_string()),
+            ("resurrected", s.resurrected.to_string()),
+            ("replicated", s.replicated.to_string()),
+            ("promotions", s.promotions.to_string()),
+            ("fenced_writes", s.fenced_writes.to_string()),
+            ("rejoin_repairs", s.rejoin_repairs.to_string()),
+            (
+                "chaos_faults",
+                self.chaos_faults.map_or("null".into(), |f| f.to_string()),
+            ),
+            ("invariants_ok", self.invariants_ok().to_string()),
+            ("violations", format!("[{}]", violations.join(", "))),
+        ])
+    }
 }
 
 /// One answered request as the grader sees it.
 struct Sample {
+    client: usize,
     latency_ms: u64,
     result: std::result::Result<crate::client::ClientOutcome, ClientError>,
 }
@@ -362,7 +408,12 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
                         let scheduled = start + due;
                         let result = client.request(req_id, key);
                         let latency_ms = scheduled.elapsed().as_millis() as u64;
-                        if sample_tx.send(Sample { latency_ms, result }).is_err() {
+                        let sample = Sample {
+                            client: w,
+                            latency_ms,
+                            result,
+                        };
+                        if sample_tx.send(sample).is_err() {
                             return;
                         }
                     }
@@ -390,7 +441,7 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
         events.push((at, Fault::KillPrimary, shard));
     }
     events.sort_unstable();
-    let mut decommissioned: Vec<(usize, u64)> = Vec::new(); // (shard, server stamp)
+    let mut decommissioned_at = vec![None; cfg.server.shards]; // server stamp per shard
     let mut crash_errors = Vec::new();
     for (at_ms, fault, shard) in events {
         let due = Duration::from_millis(at_ms);
@@ -405,7 +456,7 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
                 }
             }
             Fault::Decommission => match server.decommission(shard) {
-                Ok(stamp) => decommissioned.push((shard, stamp)),
+                Ok(stamp) => decommissioned_at[shard] = Some(stamp),
                 Err(e) => crash_errors.push(format!("decommission of shard {shard} failed: {e}")),
             },
             Fault::KillPrimary => {
@@ -439,30 +490,17 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
             Ok(out) => match &out.outcome {
                 WireOutcome::Reading { fresh, age_ms, .. } => {
                     completed += 1;
-                    if *fresh && *age_ms != 0 {
-                        violations.push(format!(
-                            "dishonest freshness: fresh reading with age {age_ms} ms \
-                             from shard {}",
-                            out.origin_shard
-                        ));
-                    }
-                    if *age_ms > staleness_bound {
-                        violations.push(format!(
-                            "stale served: age {age_ms} ms past the {staleness_bound} ms \
-                             bound from shard {}",
-                            out.origin_shard
-                        ));
-                    }
-                    if let Some((_, stamp)) =
-                        decommissioned.iter().find(|(s, _)| *s == out.origin_shard)
-                    {
-                        if out.forwarded_at_ms >= *stamp {
-                            violations.push(format!(
-                                "decommissioned shard {} served at t={} ms \
-                                 (decommissioned at t={stamp} ms)",
-                                out.origin_shard, out.forwarded_at_ms
-                            ));
-                        }
+                    let reading = ClientReading {
+                        client: sample.client,
+                        group: out.origin_shard,
+                        fresh: *fresh,
+                        age_ms: *age_ms,
+                        total_age_ms: out.total_age_ms,
+                        forwarded_at_ms: out.forwarded_at_ms,
+                    };
+                    let stamp = decommissioned_at.get(out.origin_shard).copied().flatten();
+                    for (invariant, detail) in check_reading(&reading, stamp, staleness_bound, 0) {
+                        violations.push(format!("{invariant}: {detail}"));
                     }
                 }
                 WireOutcome::Failed { .. } => failed += 1,
@@ -478,13 +516,15 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
     };
     if server_stats.resurrected > 0 {
         violations.push(format!(
-            "resurrected cache: {} recover(ies) came back with a cached median",
+            "{}: {} recover(ies) came back with a cached median",
+            FleetInvariant::ResurrectedCache,
             server_stats.resurrected
         ));
     }
     if server_stats.duplicate_effects > 0 {
         violations.push(format!(
-            "duplicate effects: {} request(s) executed twice on one incarnation",
+            "{}: {} request(s) executed twice on one incarnation",
+            FleetInvariant::DuplicateEffect,
             server_stats.duplicate_effects
         ));
     }
@@ -531,5 +571,27 @@ mod tests {
         assert_eq!(other.count(), 10);
         let r = other.render();
         assert!(r.contains("samples 10"), "{r}");
+    }
+
+    #[test]
+    fn json_escapes_violation_strings() {
+        let report = WireSoakReport {
+            requests: 1,
+            completed: 1,
+            failed: 0,
+            exhausted: 0,
+            histogram: LatencyHistogram::new(),
+            throughput_rps: 0.0,
+            violations: vec!["a \"quoted\" \\ path\nnext line".into()],
+            server: WireServerStats::default(),
+            chaos_faults: None,
+            chaos_summary: None,
+        };
+        let json = report.render_json();
+        assert!(
+            json.contains(r#""violations": ["a \"quoted\" \\ path\nnext line"]"#),
+            "{json}"
+        );
+        assert!(json.contains("\"invariants_ok\": false"), "{json}");
     }
 }

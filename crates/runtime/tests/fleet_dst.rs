@@ -163,3 +163,18 @@ fn replay_node_filter_shows_only_that_nodes_steps() {
         assert!(saw_any, "node {node} never ran");
     }
 }
+
+#[test]
+fn a_rotted_effect_log_header_recovers_like_a_torn_tail() {
+    // On each seed a crash flips a bit in a replica's `TEFL` magic; the
+    // log must reopen empty for anti-entropy to refill, not fail
+    // recovery.
+    for seed in [1214, 1231, 1712, 1915, 2480, 2691] {
+        let report = run_fleet(&FleetConfig { seed, ..base() });
+        assert!(
+            report.violation.is_none(),
+            "seed {seed}: {:?}",
+            report.violation
+        );
+    }
+}

@@ -40,8 +40,10 @@ impl Default for VariationSpec {
     }
 }
 
-/// Draws one standard-normal variate (Box–Muller; consumes two uniforms).
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// Draws one standard-normal variate (Box–Muller; consumes two
+/// uniforms). The one normal sampler every crate's Monte Carlo and
+/// jitter model draws from.
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.random();
         if u1 > f64::MIN_POSITIVE {

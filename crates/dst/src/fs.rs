@@ -1,5 +1,7 @@
 //! Storage as a capability: the [`SimFs`] trait, the passthrough
-//! [`RealFs`], and the fault-injecting in-memory [`SimDisk`].
+//! [`RealFs`], the store-nothing [`NoDisk`], the append-buffering
+//! [`WriteBehind`] adapter, and the fault-injecting in-memory
+//! [`SimDisk`].
 //!
 //! The operations are exactly the ones an atomic-checkpoint path needs
 //! — write, fsync, rename, read, list, remove — each a *separate* call
@@ -21,7 +23,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -176,6 +178,150 @@ impl SimFs for RealFs {
 
     fn remove_file(&self, path: &Path) -> Result<(), FsError> {
         std::fs::remove_file(path).map_err(|e| fs_err(path, e))
+    }
+}
+
+/// A filesystem with no backing store: every write succeeds and is
+/// forgotten, every read finds nothing. A caller that keeps its own
+/// in-memory copy (an effect log's records) runs over it unchanged,
+/// and a reopen after a crash starts empty.
+#[derive(Debug, Clone, Default)]
+pub struct NoDisk;
+
+impl SimFs for NoDisk {
+    fn create_dir_all(&self, _dir: &Path) -> Result<(), FsError> {
+        Ok(())
+    }
+
+    fn write_file(&self, _path: &Path, _bytes: &[u8]) -> Result<(), FsError> {
+        Ok(())
+    }
+
+    fn append(&self, _path: &Path, _bytes: &[u8]) -> Result<(), FsError> {
+        Ok(())
+    }
+
+    fn sync(&self, _path: &Path) -> Result<(), FsError> {
+        Ok(())
+    }
+
+    fn rename(&self, _from: &Path, _to: &Path) -> Result<(), FsError> {
+        Ok(())
+    }
+
+    fn read(&self, path: &Path) -> Result<Vec<u8>, FsError> {
+        Err(fs_err(path, "no backing store"))
+    }
+
+    fn list(&self, _dir: &Path) -> Result<Vec<PathBuf>, FsError> {
+        Ok(Vec::new())
+    }
+
+    fn remove_file(&self, _path: &Path) -> Result<(), FsError> {
+        Ok(())
+    }
+}
+
+/// A write-behind adapter over another filesystem: an append, and the
+/// sync that follows it, cost no I/O. The bytes wait in memory until
+/// the next operation that reads, rewrites, renames or removes a file,
+/// which first writes and fsyncs them in order — so a checkpoint
+/// written through the adapter carries the appends before it to disk.
+/// A process that dies in between loses the buffered tail: the tear a
+/// crash between append and sync leaves.
+#[derive(Debug)]
+pub struct WriteBehind<F> {
+    inner: F,
+    /// Appends not yet handed to `inner`, oldest first; consecutive
+    /// appends to one path share an entry.
+    pending: Mutex<Vec<(PathBuf, Vec<u8>)>>,
+    /// Held across every write to `inner`, so writes reach it in order
+    /// while appends go on buffering.
+    writing: Mutex<()>,
+}
+
+impl<F: SimFs> WriteBehind<F> {
+    /// Buffers appends in front of `inner`.
+    pub fn new(inner: F) -> Self {
+        WriteBehind {
+            inner,
+            pending: Mutex::new(Vec::new()),
+            writing: Mutex::new(()),
+        }
+    }
+
+    /// Writes and fsyncs every buffered append, oldest first, and
+    /// returns the write lock for the caller's own operation. On an
+    /// error, what was left unwritten stays buffered, ahead of anything
+    /// appended since.
+    fn flushed(&self) -> Result<MutexGuard<'_, ()>, FsError> {
+        let order = self.writing.lock().expect("write lock poisoned");
+        let mut batch =
+            std::mem::take(&mut *self.pending.lock().expect("buffer poisoned")).into_iter();
+        while let Some((path, bytes)) = batch.next() {
+            if let Err(e) = self
+                .inner
+                .append(&path, &bytes)
+                .and_then(|()| self.inner.sync(&path))
+            {
+                let mut pending = self.pending.lock().expect("buffer poisoned");
+                let later = std::mem::take(&mut *pending);
+                pending.push((path, bytes));
+                pending.extend(batch.chain(later));
+                return Err(e);
+            }
+        }
+        Ok(order)
+    }
+}
+
+impl<F: SimFs> SimFs for WriteBehind<F> {
+    fn create_dir_all(&self, dir: &Path) -> Result<(), FsError> {
+        self.inner.create_dir_all(dir)
+    }
+
+    fn write_file(&self, path: &Path, bytes: &[u8]) -> Result<(), FsError> {
+        let _order = self.flushed()?;
+        self.inner.write_file(path, bytes)
+    }
+
+    fn append(&self, path: &Path, bytes: &[u8]) -> Result<(), FsError> {
+        let mut pending = self.pending.lock().expect("buffer poisoned");
+        match pending.last_mut() {
+            Some((last, buf)) if last == path => buf.extend_from_slice(bytes),
+            _ => pending.push((path.to_path_buf(), bytes.to_vec())),
+        }
+        Ok(())
+    }
+
+    fn sync(&self, path: &Path) -> Result<(), FsError> {
+        // A buffered append is synced by the flush that writes it.
+        let pending = self.pending.lock().expect("buffer poisoned");
+        if pending.iter().any(|(p, _)| p == path) {
+            return Ok(());
+        }
+        drop(pending);
+        self.inner.sync(path)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> Result<(), FsError> {
+        let _order = self.flushed()?;
+        self.inner.rename(from, to)
+    }
+
+    fn read(&self, path: &Path) -> Result<Vec<u8>, FsError> {
+        let _order = self.flushed()?;
+        self.inner.read(path)
+    }
+
+    fn list(&self, dir: &Path) -> Result<Vec<PathBuf>, FsError> {
+        let _order = self.flushed()?;
+        self.inner.list(dir)
+    }
+
+    fn remove_file(&self, path: &Path) -> Result<(), FsError> {
+        let _order = self.flushed()?;
+        self.inner.remove_file(path)
     }
 }
 
@@ -485,6 +631,43 @@ mod tests {
             Vec::<PathBuf>::new(),
             "missing directory lists empty"
         );
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn no_disk_accepts_every_write_and_finds_nothing() {
+        let fs = NoDisk;
+        let (tmp, fin) = (p("/d/a.tmp"), p("/d/a.dat"));
+        fs.create_dir_all(&p("/d")).unwrap();
+        fs.write_file(&tmp, b"hello").unwrap();
+        fs.append(&tmp, b"!").unwrap();
+        fs.sync(&tmp).unwrap();
+        fs.rename(&tmp, &fin).unwrap();
+        assert!(fs.read(&fin).is_err());
+        assert!(fs.read(&tmp).is_err());
+        assert_eq!(fs.list(&p("/d")).unwrap(), Vec::<PathBuf>::new());
+        fs.remove_file(&fin).unwrap();
+    }
+
+    #[test]
+    fn write_behind_holds_appends_until_another_operation() {
+        let dir = std::env::temp_dir().join(format!("dst-behind-{}", crate::unique_nonce()));
+        let on_disk = |name| std::fs::read(dir.join(name)).unwrap();
+        let log = dir.join("log");
+        let fs = WriteBehind::new(RealFs);
+        fs.create_dir_all(&dir).unwrap();
+        fs.write_file(&log, b"H").unwrap();
+        fs.sync(&log).unwrap();
+        fs.append(&log, b"ab").unwrap();
+        fs.sync(&log).unwrap();
+        assert_eq!(on_disk("log"), b"H", "an append and its sync wait");
+        fs.write_file(&dir.join("ckpt"), b"x").unwrap();
+        assert_eq!(on_disk("log"), b"Hab", "another file's write flushes first");
+        fs.append(&log, b"c").unwrap();
+        assert_eq!(fs.read(&log).unwrap(), b"Habc", "a read flushes first");
+        fs.append(&log, b"!").unwrap();
+        drop(fs); // a crash: the buffered tail never reaches the disk
+        assert_eq!(on_disk("log"), b"Habc");
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -14,10 +14,11 @@
 //!   cooldown, and staleness bound a deterministic function of the
 //!   schedule.
 //! * [`fs`] — the [`SimFs`] abstraction over storage. [`RealFs`] is
-//!   `std::fs`; [`SimDisk`] is an in-memory filesystem that models
-//!   sync/crash semantics: unsynced data tears at a seeded byte
-//!   boundary on power loss, renames can be left unjournaled, and
-//!   surviving files can suffer bit rot.
+//!   `std::fs`; [`NoDisk`] stores nothing; [`WriteBehind`] buffers
+//!   appends until a flush or a checkpoint write; [`SimDisk`] is an
+//!   in-memory filesystem that models sync/crash semantics: unsynced
+//!   data tears at a seeded byte boundary on power loss, renames can
+//!   be left unjournaled, and surviving files can suffer bit rot.
 //! * [`executor`] — a seeded single-threaded [`Executor`] that runs
 //!   cooperative tasks under permuted interleavings, advances the
 //!   virtual clock only at quiescence, records the schedule as a
@@ -56,7 +57,7 @@ pub mod shrink;
 
 pub use clock::{unique_nonce, Clock, NonceNamespace, SkewedClock, SystemClock, VirtualClock};
 pub use executor::{Executor, StepRecord, TaskState};
-pub use fs::{FsError, RealFs, SimDisk, SimDiskProfile, SimDiskStats, SimFs};
+pub use fs::{FsError, NoDisk, RealFs, SimDisk, SimDiskProfile, SimDiskStats, SimFs, WriteBehind};
 pub use hash::{crc32, fnv1a64};
 pub use net::{Envelope, LinkProfile, NetStats, NodeId, SendOutcome, SimNet};
 pub use par::run_indexed;

@@ -132,7 +132,8 @@ const SERVE: &[Flag] = &[
     flag("--port", "P", Port, "0", "TCP port to bind on 127.0.0.1; 0 is ephemeral"),
     flag("--seconds", "N", Positive, "10", "serve for N seconds, then drain"),
     flag("--seed", "N", Uint, "42", "router jitter seed"),
-    flag("--snapshot-dir", "P", Text, "", "per-shard checkpoint root (default: none)"),
+    flag("--snapshot-dir", "P", Text, "", "per-shard checkpoint and effect-log root \
+                                          (default: none; logs in memory)"),
     switch("--json", "machine-readable final stats"),
 ];
 
@@ -159,7 +160,8 @@ const WIRE_SOAK: &[Flag] = &[
     flag("--kill-primary-at", "MS", Uint, "", "hard-kill shard group 0's primary at MS, \
                                                forcing an epoch-bumping backup promotion \
                                                (default: disabled; 0 disables)"),
-    flag("--snapshot-dir", "P", Text, "", "per-shard checkpoint root (default: a temp dir)"),
+    flag("--snapshot-dir", "P", Text, "", "per-shard checkpoint and effect-log root \
+                                          (default: a temp dir)"),
     flag("--p99", "MS", Uint, "", "with --check, also fail if p99 exceeds MS"),
     flag("--hist-out", "P", Text, "", "write the latency histogram artifact to P"),
     switch("--check", "fail (exit 1) unless the graded fleet invariants hold (honest \

@@ -9,8 +9,9 @@
 //! ([`Replica::drive`]) and crash recovery ([`Replica::recover`]), and
 //! answers with [`Output`]s: frames to send, conversions to start, and
 //! the facts its caller grades. It owns no clock, socket, lock or
-//! fabric — the caller does that I/O, which is how the deterministic
-//! fleet simulation runs it over `dst::SimNet`.
+//! fabric — the caller does that I/O, which is how both tiers run it:
+//! the deterministic fleet simulation over `dst::SimNet`, the TCP tier
+//! in process, under each group's lock.
 //!
 //! [`elect`] is the one election rule: both the simulator's router and
 //! the TCP tier's promotion and rejoin pick their replica through it.
@@ -26,31 +27,19 @@ use crate::effect_log::{EffectLog, EffectRecord};
 /// acked, milliseconds.
 const RETRANSMIT_MS: u64 = 40;
 
-/// A log entry as the election sees it: only its epoch matters.
-pub(crate) trait Epoched {
-    /// The primary epoch the entry was accepted under.
-    fn epoch(&self) -> u64;
-}
-
-impl Epoched for EffectRecord {
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
 /// The election key of a replica log: `(epoch of its last record,
 /// length)`, 0 for an empty log. Epoch-major, so a healed ex-primary's
 /// uncommitted tail can never outrank a replica that holds later-epoch
 /// acked effects.
-pub(crate) fn rank<R: Epoched>(log: &[R]) -> (u64, u64) {
-    (log.last().map_or(0, R::epoch), log.len() as u64)
+pub(crate) fn rank(log: &[EffectRecord]) -> (u64, u64) {
+    (log.last().map_or(0, |r| r.epoch), log.len() as u64)
 }
 
 /// Picks the replica a group promotes: `logs[i]` is replica `i`'s log,
 /// or `None` when it may not stand. The highest [`rank`] wins and the
 /// lowest index breaks ties; `None` when nobody may stand.
-pub(crate) fn elect<'a, R: Epoched + 'a>(
-    logs: impl IntoIterator<Item = Option<&'a [R]>>,
+pub(crate) fn elect<'a>(
+    logs: impl IntoIterator<Item = Option<&'a [EffectRecord]>>,
 ) -> Option<usize> {
     logs.into_iter()
         .enumerate()
@@ -158,9 +147,10 @@ impl Replica {
         &self.log
     }
 
-    /// The durable effect log, for anti-entropy repair.
-    pub(crate) fn log_mut(&mut self) -> &mut EffectLog {
-        &mut self.log
+    /// Anti-entropy and rejoin repair: rewrites the durable log to
+    /// `canonical` when the two differ. True when it did.
+    pub(crate) fn repair(&mut self, canonical: &[EffectRecord]) -> bool {
+        self.log.records() != canonical && self.log.reset_to(canonical).is_ok()
     }
 
     /// The group epoch this replica has adopted.

@@ -1,7 +1,7 @@
 //! The real wire-protocol fleet tier: a threaded TCP server fronting
 //! **replicated shard groups** that run the *same* `build_core`
-//! service the deterministic simulation drives, behind the *same*
-//! [`RouterPolicy`] placement.
+//! service and the *same* replication protocol the deterministic
+//! simulation drives, behind the *same* [`RouterPolicy`] placement.
 //!
 //! ```text
 //!   TCP clients ──▶ accept loop ──▶ per-connection thread
@@ -14,6 +14,14 @@
 //!                      typed Shed)         RetryPolicy      backups
 //!                                          failover)        (quorum ack)
 //! ```
+//!
+//! Each replica holds the fleet's one replication protocol, the
+//! sans-IO `repl::Replica` the simulator runs over `dst::SimNet`. This
+//! tier drives it synchronously, in process: a request's `ShardReq` is
+//! fed to the group's primary under the group's lock, the conversion
+//! runs outside it, and the finished conversion is fed back, after
+//! which every frame the cores emit is delivered to its sibling at once
+//! until none is left.
 //!
 //! Robustness contract, mirroring the fleet-simulation invariants:
 //!
@@ -28,30 +36,41 @@
 //! * **Typed backpressure** — past `max_in_flight` concurrent
 //!   requests, the server answers [`WireOutcome::Shed`] with a retry
 //!   hint instead of queueing unboundedly.
-//! * **Replicated at-most-once effects** — each group's primary
-//!   deduplicates by `(incarnation, req_id)` and ships every recorded
-//!   effect to its live backups **before** the answer is forwarded, so
-//!   a promoted backup replays retried requests instead of
-//!   re-executing them.
-//! * **Epoch fencing** — promotion bumps the group's epoch; a fenced
-//!   ex-primary that tries to record an effect under a stale epoch is
-//!   refused with a typed [`RuntimeError::StaleEpoch`] (on the wire:
+//! * **Replicated at-most-once effects** — a reading is an effect: the
+//!   primary appends it to its effect log and ships it to every live
+//!   backup **before** the answer is forwarded. Within one
+//!   incarnation the primary dedups by `req_id`: a retry that arrives
+//!   while the first attempt converts is shed with a retry hint, and
+//!   one that arrives after it replays the cached answer. A promoted or
+//!   restarted replica whose log already holds the effect re-serves
+//!   the request as a read-only conversion that adds none.
+//! * **Epoch fencing** — promotion elects a replica, bumps the group's
+//!   epoch and tells every live replica; an ex-primary that finishes a
+//!   conversion after losing the role is refused with a typed
+//!   [`RuntimeError::StaleEpoch`] (on the wire:
 //!   `Failed { kind: "stale-epoch" }`), never allowed to split the
 //!   brain.
 //! * **Honest decommission and recovery** — a decommissioned group's
 //!   in-flight answers are discarded (the router fails over), and a
-//!   crash-recovered replica restarts with no resurrected cache, then
-//!   repairs its effect log from the live sibling the fleet's one
-//!   election rule ranks highest before serving.
+//!   crash-recovered replica restarts with no resurrected cache over
+//!   its reopened effect log, is repaired from the replica the fleet's
+//!   one election rule ranks highest, and the group re-elects its
+//!   primary. A server started over an existing snapshot root rejoins
+//!   each group the same way before it serves.
+//! * **Logs reach disk with checkpoints** — under a snapshot root a
+//!   replica's core and effect log share one write-behind disk: an
+//!   append costs no I/O, and each checkpoint, and the drain, writes
+//!   and fsyncs the log's tail before the snapshot. A crash loses only
+//!   the tail since the replica's last checkpoint, which the rejoin
+//!   repair restores from a live sibling.
 //! * **Graceful drain** — [`WireServer::drain`] stops accepting,
 //!   lets every accepted in-flight request finish, flushes a final
-//!   snapshot per group, and only then stops the cores.
+//!   snapshot per live replica, and only then stops the cores.
 //!
 //! The replication tuning is preflighted at [`WireServer::start`] with
 //! the same `NC1601`/`NC1602` rules the `netcheck` lint applies
 //! statically, refused with a typed [`RuntimeError::BadReplication`].
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -60,17 +79,18 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dst::{Clock, RealFs, SystemClock};
+use dst::{Clock, NoDisk, RealFs, SimFs, SystemClock, WriteBehind};
 use netcheck::ReplicationTuning;
 use wire::{Decoder, FleetMsg, HashRing, MapEntry, WireOutcome};
 
+use crate::effect_log::EffectLog;
 use crate::error::{Result, RuntimeError};
-use crate::repl::{self, Epoched};
+use crate::repl::{self, Output, Replica};
 use crate::retry::RetryPolicy;
 use crate::route::RouterPolicy;
 use crate::service::{
     build_core, checkpoint_locked, maintenance_loop, wire_error_kind, wire_outcome, Core, Field,
-    JobStep, ReadJob, RuntimeConfig,
+    JobStep, ReadJob, RecoveryReport, RuntimeConfig,
 };
 use crate::snapshot::SnapshotError;
 use crate::soak::reference_array;
@@ -81,6 +101,10 @@ const POLL_MS: u64 = 25;
 
 /// Ring virtual nodes per shard group — matches the simulated fleet.
 const VNODES: usize = 8;
+
+/// The node id the router feeds a replica's core as; the replicas of a
+/// group are its nodes `0..replication`.
+const ROUTER: usize = usize::MAX;
 
 /// Tuning for one wire fleet server.
 #[derive(Debug, Clone)]
@@ -126,8 +150,11 @@ pub struct WireServerConfig {
     /// Per-replica runtime tuning (`snapshot_dir` is overridden with a
     /// per-replica directory under `snapshot_root`).
     pub runtime: RuntimeConfig,
-    /// Where replica checkpoints go; `None` disables checkpointing
-    /// (and crash recovery starts cold).
+    /// Where each replica's checkpoints and effect log go
+    /// (`shard-G-R/`, the log as `shard-G-R/effects.log`, written with
+    /// each checkpoint); `None` disables checkpointing and keeps the
+    /// effect logs in memory only, so crash recovery starts cold with
+    /// an empty log.
     pub snapshot_root: Option<PathBuf>,
     /// Seed for the router's backoff jitter.
     pub seed: u64,
@@ -191,7 +218,10 @@ pub struct WireServerStats {
     pub bad_frames: u64,
     /// Requests answered with [`WireOutcome::Shed`].
     pub shed: u64,
-    /// Requests replayed from a group's at-most-once dedup map.
+    /// Requests a group's at-most-once dedup absorbed: replayed from
+    /// the primary's dedup window, shed while their first attempt
+    /// converts, or re-served read-only because the effect log already
+    /// holds their effect.
     pub deduped: u64,
     /// Router failovers to another group.
     pub failovers: u64,
@@ -207,9 +237,9 @@ pub struct WireServerStats {
     /// Recoveries that came back with a cached median — must stay 0
     /// (the `ResurrectedCache` fleet invariant).
     pub resurrected: u64,
-    /// Requests whose effects ran twice for one
-    /// `(incarnation, req_id)` — must stay 0 (the `DuplicateEffect`
-    /// fleet invariant).
+    /// Effectful conversions that finished for a request whose effect
+    /// the replica's log already held — must stay 0 (the
+    /// `DuplicateEffect` fleet invariant).
     pub duplicate_effects: u64,
     /// Well-formed frames of a type the server does not serve.
     pub protocol_errors: u64,
@@ -226,81 +256,97 @@ pub struct WireServerStats {
     pub rejoin_repairs: u64,
 }
 
-/// One replicated effect record, as shipped primary → backups. The
-/// recorded outcome rides along so a promoted backup can *replay*
-/// retried requests instead of re-executing them.
-#[derive(Debug, Clone)]
-struct ReplRecord {
-    /// Primary epoch the effect was accepted under.
-    epoch: u64,
-    /// Dense zero-based log position, minted by the primary.
-    pos: u64,
-    /// The client request id (the dedup key).
-    req_id: u64,
-    /// The recorded outcome, replayed on retry.
-    outcome: WireOutcome,
-}
-
-impl Epoched for ReplRecord {
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
-/// One replica behind the server: a real service core plus the wire
-/// tier's bookkeeping (dedup, incarnation, epoch fence, effect log).
+/// One replica behind the server: a real service core and its side of
+/// the replication protocol.
 struct WireShard {
     core: Arc<Core>,
     maintenance: Option<JoinHandle<()>>,
-    incarnation: u64,
-    /// The epoch this replica last held (or acknowledged) the primary
-    /// role at. A record arriving under a lower epoch is fenced.
-    held_epoch: u64,
+    /// Held epoch, leadership, dedup window, in-flight writes and the
+    /// durable effect log.
+    repl: Replica,
     /// Permanently killed — never serves or acks again.
     killed: bool,
-    /// At-most-once dedup: `req_id` → position in `log`, replayed on
-    /// retry instead of converting again. Backups receive entries via
-    /// replication, so the map survives primary failover.
-    seen: HashMap<u64, u64>,
-    /// The replicated effect log, position-dense within the group.
-    log: Vec<ReplRecord>,
-    /// Requests whose effects actually executed on this replica.
+    /// Writes this replica completed as primary.
     effects: u64,
-    /// Server time of decommission, if any (group-wide: the stamp is
-    /// written to every replica under its own lock).
-    decommissioned_at_ms: Option<u64>,
 }
 
-/// One hash-ring slot: an epoch-fenced group of replicas.
+/// One hash-ring slot: its replicas, and the router's view of them —
+/// the epoch it last promoted at and the primary it sends to.
 struct ShardGroup {
-    /// Monotone fencing epoch; bumped by every promotion.
-    epoch: AtomicU64,
-    /// Index of the current primary in `replicas`.
-    primary: AtomicUsize,
-    replicas: Vec<Mutex<WireShard>>,
+    epoch: u64,
+    primary: usize,
+    /// Server time of decommission, if any.
+    decommissioned_at_ms: Option<u64>,
+    replicas: Vec<WireShard>,
 }
 
 impl ShardGroup {
-    /// Locks every replica in index order — the single lock order the
-    /// whole module uses, so record-time fan-out, promotion, and
-    /// decommission can never deadlock against each other.
-    fn lock_all(&self) -> Vec<MutexGuard<'_, WireShard>> {
-        self.replicas
-            .iter()
-            .map(|r| r.lock().expect("replica poisoned"))
-            .collect()
+    /// Whether the router may place a request here.
+    fn serves(&self) -> bool {
+        self.decommissioned_at_ms.is_none() && !self.replicas[self.primary].killed
+    }
+
+    /// `repl::elect` over the live replicas, `barred` excepted.
+    fn elect(&self, barred: Option<usize>) -> Option<usize> {
+        repl::elect(
+            self.replicas
+                .iter()
+                .enumerate()
+                .map(|(r, sh)| (!sh.killed && Some(r) != barred).then(|| sh.repl.log().records())),
+        )
+    }
+
+    /// Promotion: the election winner gets a fresh epoch, sent as a
+    /// `Promote` to every live replica. Returns the new epoch.
+    fn promote(&mut self, group: usize, barred: Option<usize>) -> Result<u64> {
+        let Some(winner) = self.elect(barred) else {
+            return Err(RuntimeError::NoHealthy {
+                total: self.replicas.len(),
+                quarantined: self.replicas.len(),
+            });
+        };
+        self.epoch += 1;
+        self.primary = winner;
+        let promote = FleetMsg::Promote {
+            req_id: 0,
+            group: group as u32,
+            epoch: self.epoch,
+            primary: winner as u32,
+        };
+        for sh in self.replicas.iter_mut().filter(|sh| !sh.killed) {
+            // A `Promote` answers nothing.
+            sh.repl.on_frame(ROUTER, promote.clone());
+        }
+        Ok(self.epoch)
+    }
+
+    /// Rejoin after a restart: every live replica whose log differs
+    /// from the one [`ShardGroup::elect`] picks is rewritten to it
+    /// (counted in `repairs`), then the winner is promoted.
+    fn rejoin(&mut self, group: usize, repairs: &AtomicU64) -> Result<u64> {
+        if let Some(donor) = self.elect(None) {
+            let canonical = self.replicas[donor].repl.log().records().to_vec();
+            for sh in self.replicas.iter_mut().filter(|sh| !sh.killed) {
+                if sh.repl.repair(&canonical) {
+                    repairs.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }
+        self.promote(group, None)
     }
 }
 
 struct Inner {
     cfg: WireServerConfig,
     policy: RouterPolicy,
+    /// The served thermal field, shared by every replica's core.
+    field: Field,
     /// Server-wide clock: `forwarded_at_ms` and decommission stamps
     /// share this timeline, so the soak's "no decommissioned shard
     /// served" check needs no cross-clock slack.
     clock: Arc<SystemClock>,
     epoch_ms: u64,
-    groups: Vec<ShardGroup>,
+    groups: Vec<Mutex<ShardGroup>>,
     in_flight: AtomicUsize,
     accepting: AtomicBool,
     draining: AtomicBool,
@@ -310,6 +356,10 @@ struct Inner {
 impl Inner {
     fn now_ms(&self) -> u64 {
         self.clock.now_ms().saturating_sub(self.epoch_ms)
+    }
+
+    fn group(&self, g: usize) -> MutexGuard<'_, ShardGroup> {
+        self.groups[g].lock().expect("group poisoned")
     }
 
     fn snapshot_stats(&self) -> WireServerStats {
@@ -412,18 +462,29 @@ impl WireServer {
         for group in 0..cfg.shards {
             let mut replicas = Vec::with_capacity(cfg.replication);
             for replica in 0..cfg.replication {
-                let mut shard = start_replica(&cfg, group, replica, &field, &stats, false)?;
-                // Replica 0 starts as primary under epoch 1; backups
-                // hold epoch 0 until replication or promotion raises
-                // them.
-                shard.held_epoch = u64::from(replica == 0);
-                replicas.push(Mutex::new(shard));
+                let (core, maintenance, log, _) =
+                    start_replica(&cfg, group, replica, &field, &stats, false)?;
+                replicas.push(WireShard {
+                    core,
+                    maintenance: Some(maintenance),
+                    repl: Replica::new(group, replica, log, true),
+                    killed: false,
+                    effects: 0,
+                });
             }
-            groups.push(ShardGroup {
-                epoch: AtomicU64::new(1),
-                primary: AtomicUsize::new(0),
+            // Epochs continue past any a rooted server's logs hold (the
+            // election ranks logs by their last record's epoch), so a
+            // fresh group's replica 0 leads at epoch 1. Logs a previous
+            // run left unequal are repaired before anything is served.
+            let epoch = replicas.iter().map(|sh| sh.repl.log().last_epoch()).max();
+            let mut g = ShardGroup {
+                epoch: epoch.unwrap_or(0),
+                primary: 0,
+                decommissioned_at_ms: None,
                 replicas,
-            });
+            };
+            g.rejoin(group, &stats.rejoin_repairs)?;
+            groups.push(Mutex::new(g));
         }
 
         let policy = RouterPolicy::new(HashRing::new(cfg.shards, VNODES), cfg.router_retry.clone());
@@ -431,6 +492,7 @@ impl WireServer {
         let inner = Arc::new(Inner {
             cfg,
             policy,
+            field,
             clock,
             epoch_ms,
             groups,
@@ -479,18 +541,12 @@ impl WireServer {
     /// decommissioned)` view, for harnesses asserting at-most-once
     /// accounting.
     pub fn shard_ledger(&self) -> Vec<(u64, u64, bool)> {
-        self.inner
-            .groups
-            .iter()
+        (0..self.inner.groups.len())
             .map(|g| {
-                let sh = g.replicas[g.primary.load(Ordering::SeqCst)]
-                    .lock()
-                    .expect("replica poisoned");
-                (
-                    sh.incarnation,
-                    sh.effects,
-                    sh.decommissioned_at_ms.is_some(),
-                )
+                let g = self.inner.group(g);
+                let sh = &g.replicas[g.primary];
+                let decommissioned = g.decommissioned_at_ms.is_some();
+                (sh.repl.incarnation(), sh.effects, decommissioned)
             })
             .collect()
     }
@@ -503,89 +559,58 @@ impl WireServer {
     /// [`RuntimeError::BadChannel`] when `group` is out of range.
     pub fn group_view(&self, group: usize) -> Result<(u64, usize, Vec<u64>)> {
         let g = self.group(group)?;
-        let lens = g
-            .replicas
-            .iter()
-            .map(|r| r.lock().expect("replica poisoned").log.len() as u64)
-            .collect();
-        Ok((
-            g.epoch.load(Ordering::SeqCst),
-            g.primary.load(Ordering::SeqCst),
-            lens,
-        ))
+        let lens = g.replicas.iter().map(|sh| sh.repl.log().len()).collect();
+        Ok((g.epoch, g.primary, lens))
     }
 
-    fn group(&self, group: usize) -> Result<&ShardGroup> {
-        self.inner
-            .groups
-            .get(group)
-            .ok_or(RuntimeError::BadChannel {
+    fn group(&self, group: usize) -> Result<MutexGuard<'_, ShardGroup>> {
+        if group >= self.inner.groups.len() {
+            return Err(RuntimeError::BadChannel {
                 channel: group,
                 available: self.inner.cfg.shards,
-            })
+            });
+        }
+        Ok(self.inner.group(group))
     }
 
     /// Crash-and-recover `group`'s current primary in place: stop its
-    /// core, reload the newest valid snapshot from disk, start a fresh
-    /// incarnation, and repair its effect log and dedup map from the
-    /// live sibling `repl::elect` picks (counted in
-    /// [`WireServerStats::rejoin_repairs`]). A recovery that comes
-    /// back holding a cached median is counted in
-    /// [`WireServerStats::resurrected`].
+    /// core, reload the newest valid snapshot from disk, and restart
+    /// its replication protocol as a backup of a fresh incarnation over
+    /// its reopened effect log — everything up to its last checkpoint
+    /// under a snapshot root, nothing without one. Every live replica
+    /// whose log differs from the one `repl::elect` picks is repaired
+    /// to it (counted in [`WireServerStats::rejoin_repairs`]), and the
+    /// group re-elects its primary under a fresh epoch (a restart, not
+    /// counted in [`WireServerStats::promotions`]). A recovery that
+    /// comes back holding a cached median is counted in
+    /// [`WireServerStats::resurrected`]. A killed primary stays dead.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::BadChannel`] when `group` is out of range;
     /// otherwise as [`crate::MonitorRuntime::recover`].
     pub fn crash_shard(&self, group: usize) -> Result<()> {
-        let g = self.group(group)?;
-        let ambient = self.inner.cfg.ambient_c;
-        let field: Field = Arc::new(move |x, y| ambient + 2.0e3 * x + 1.0e3 * y);
-        let pidx = g.primary.load(Ordering::SeqCst);
-        let mut guards = g.lock_all();
-        guards[pidx].core.request_stop();
+        let mut g = self.group(group)?;
+        let pidx = g.primary;
+        let sh = &mut g.replicas[pidx];
+        if sh.killed {
+            return Ok(());
+        }
+        sh.core.request_stop();
         // The old thread must finish before the replacement starts: it
         // may still be writing a checkpoint into the snapshot directory
         // the replacement recovers from.
-        if let Some(h) = guards[pidx].maintenance.take() {
+        if let Some(h) = sh.maintenance.take() {
             drop(h.join());
         }
-        let old_incarnation = guards[pidx].incarnation;
-        let old_held_epoch = guards[pidx].held_epoch;
-        let decommissioned = guards[pidx].decommissioned_at_ms;
-        let mut replacement = start_replica(
-            &self.inner.cfg,
-            group,
-            pidx,
-            &field,
-            &self.inner.stats,
-            true,
-        )?;
-        replacement.incarnation = old_incarnation + 1;
-        // Crash-recover in place keeps the primary role, so the fence
-        // epoch carries over — a recovered primary is not an imposter.
-        replacement.held_epoch = old_held_epoch;
-        replacement.decommissioned_at_ms = decommissioned;
-        *guards[pidx] = replacement;
-        // Rejoin repair: adopt the elected live sibling's log (every
-        // acked effect is on every live backup, so it is complete). An
-        // empty log ranks lowest, so when the winner would be empty
-        // there is nothing to adopt.
-        let donor = repl::elect(guards.iter().enumerate().map(|(r, s)| {
-            let adoptable = r != pidx && !s.killed && !s.log.is_empty();
-            adoptable.then_some(&s.log[..])
-        }));
-        if let Some(d) = donor {
-            let log = guards[d].log.clone();
-            let seen = guards[d].seen.clone();
-            guards[pidx].log = log;
-            guards[pidx].seen = seen;
-            self.inner
-                .stats
-                .rejoin_repairs
-                .fetch_add(1, Ordering::SeqCst);
-        }
-        self.inner.stats.crashes.fetch_add(1, Ordering::SeqCst);
+        let inner = &self.inner;
+        let (core, maintenance, log, rec) =
+            start_replica(&inner.cfg, group, pidx, &inner.field, &inner.stats, true)?;
+        sh.core = core;
+        sh.maintenance = Some(maintenance);
+        sh.repl.recover(log, rec.recovered_epoch);
+        g.rejoin(group, &inner.stats.rejoin_repairs)?;
+        inner.stats.crashes.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
@@ -601,17 +626,18 @@ impl WireServer {
     /// [`RuntimeError::NoHealthy`] when no live replica remains to
     /// promote.
     pub fn kill_primary(&self, group: usize) -> Result<u64> {
-        let g = self.group(group)?;
-        let pidx = g.primary.load(Ordering::SeqCst);
-        let mut guards = g.lock_all();
-        guards[pidx].killed = true;
+        let mut g = self.group(group)?;
+        let pidx = g.primary;
+        g.replicas[pidx].killed = true;
         // The stopped maintenance thread exits on its next tick. Its
-        // handle stays on the replica for `drain` (or a later
-        // `crash_shard`) to join: joining here would hold every lock of
-        // the group, and with it every request routed to the group, for
-        // up to a tick plus any checkpoint in progress.
-        guards[pidx].core.request_stop();
-        self.promote_locked(g, &mut guards)
+        // handle stays on the replica for `drain` to join: joining here
+        // would hold the group's lock, and with it every request routed
+        // to the group, for up to a tick plus any checkpoint in
+        // progress.
+        g.replicas[pidx].core.request_stop();
+        let epoch = g.promote(group, None)?;
+        self.inner.stats.promotions.fetch_add(1, Ordering::SeqCst);
+        Ok(epoch)
     }
 
     /// Gracefully demotes `group`'s current primary (it stays alive
@@ -624,35 +650,9 @@ impl WireServer {
     ///
     /// As [`WireServer::kill_primary`].
     pub fn step_down(&self, group: usize) -> Result<u64> {
-        let g = self.group(group)?;
-        let pidx = g.primary.load(Ordering::SeqCst);
-        let mut guards = g.lock_all();
-        // Exclude the demoted primary from the election without
-        // killing it.
-        let was_killed = guards[pidx].killed;
-        guards[pidx].killed = true;
-        let out = self.promote_locked(g, &mut guards);
-        guards[pidx].killed = was_killed;
-        out
-    }
-
-    /// Election under the group's locks: `repl::elect` picks the live
-    /// winner, the epoch bumps, and the winner's fence epoch raises.
-    fn promote_locked(
-        &self,
-        g: &ShardGroup,
-        guards: &mut [MutexGuard<'_, WireShard>],
-    ) -> Result<u64> {
-        let Some(winner) = repl::elect(guards.iter().map(|s| (!s.killed).then_some(&s.log[..])))
-        else {
-            return Err(RuntimeError::NoHealthy {
-                total: self.inner.cfg.replication,
-                quarantined: guards.iter().filter(|s| s.killed).count(),
-            });
-        };
-        let epoch = g.epoch.fetch_add(1, Ordering::SeqCst) + 1;
-        guards[winner].held_epoch = epoch;
-        g.primary.store(winner, Ordering::SeqCst);
+        let mut g = self.group(group)?;
+        let pidx = g.primary;
+        let epoch = g.promote(group, Some(pidx))?;
         self.inner.stats.promotions.fetch_add(1, Ordering::SeqCst);
         Ok(epoch)
     }
@@ -666,18 +666,15 @@ impl WireServer {
     ///
     /// [`RuntimeError::BadChannel`] when `group` is out of range.
     pub fn decommission(&self, group: usize) -> Result<u64> {
-        let g = self.group(group)?;
-        let mut guards = g.lock_all();
+        let mut g = self.group(group)?;
         let at = self.inner.now_ms();
-        for sh in guards.iter_mut() {
-            sh.decommissioned_at_ms.get_or_insert(at);
-        }
-        Ok(guards[0].decommissioned_at_ms.expect("just set"))
+        Ok(*g.decommissioned_at_ms.get_or_insert(at))
     }
 
     /// Graceful drain: stop accepting, let every accepted in-flight
-    /// request finish and flush, write a final checkpoint per group
-    /// primary, then stop every replica core. Consumes the server.
+    /// request finish and flush, write a final checkpoint per live
+    /// replica (which carries its effect log to disk first), then stop
+    /// every replica core. Consumes the server.
     ///
     /// # Errors
     ///
@@ -695,16 +692,19 @@ impl WireServer {
             drop(h.join());
         }
         let mut flushed_seqs = Vec::with_capacity(self.inner.cfg.shards);
-        for g in &self.inner.groups {
-            let pidx = g.primary.load(Ordering::SeqCst);
+        for g in 0..self.inner.groups.len() {
+            let mut g = self.inner.group(g);
+            let pidx = g.primary;
             let mut seq = None;
-            for (r, replica) in g.replicas.iter().enumerate() {
-                let mut sh = replica.lock().expect("replica poisoned");
-                if r == pidx && !sh.killed {
+            for (r, sh) in g.replicas.iter_mut().enumerate() {
+                if !sh.killed {
                     let core = Arc::clone(&sh.core);
                     let mut state = core.state.lock().expect("state poisoned");
                     let now = core.now_ms();
-                    seq = checkpoint_locked(&core, &mut state, now).ok();
+                    let flushed = checkpoint_locked(&core, &mut state, now).ok();
+                    if r == pidx {
+                        seq = flushed;
+                    }
                 }
                 sh.core.request_stop();
                 if let Some(h) = sh.maintenance.take() {
@@ -731,7 +731,12 @@ fn io_snapshot_err(e: std::io::Error) -> RuntimeError {
 }
 
 /// Builds one replica's core (recovering from its snapshot directory
-/// when `recover` is set) and spawns its maintenance thread.
+/// when `recover` is set), spawns its maintenance thread, and opens its
+/// effect log at `shard-G-R/effects.log`. Core and log share one disk,
+/// as in the fleet simulation: under a snapshot root a fresh
+/// [`WriteBehind`] over [`RealFs`], so the log's appends reach the disk
+/// with the core's checkpoints and an unflushed tail dies with the
+/// process; without one [`NoDisk`], which keeps the log in memory only.
 fn start_replica(
     cfg: &WireServerConfig,
     group: usize,
@@ -739,23 +744,25 @@ fn start_replica(
     field: &Field,
     stats: &Counters,
     recover: bool,
-) -> Result<WireShard> {
+) -> Result<(Arc<Core>, JoinHandle<()>, EffectLog, RecoveryReport)> {
     let mut rc = cfg.runtime.clone();
     rc.seed = cfg.seed
         ^ (group as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (replica as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
-    rc.snapshot_dir = cfg
-        .snapshot_root
-        .as_ref()
-        .map(|root| root.join(format!("shard-{group}-{replica}")));
+    let shard = PathBuf::from(format!("shard-{group}-{replica}"));
+    rc.snapshot_dir = cfg.snapshot_root.as_ref().map(|root| root.join(&shard));
+    let (fs, log_path): (Arc<dyn SimFs>, PathBuf) = match &rc.snapshot_dir {
+        Some(dir) => (Arc::new(WriteBehind::new(RealFs)), dir.join("effects.log")),
+        None => (Arc::new(NoDisk), shard.join("effects.log")),
+    };
     let clock = Arc::new(SystemClock::new());
-    let (core, _report) = build_core(
+    let (core, report) = build_core(
         reference_array(cfg.sites_per_shard),
         Arc::clone(field),
         rc,
         recover,
         clock as Arc<dyn Clock>,
-        Arc::new(RealFs),
+        Arc::clone(&fs),
         true,
     )?;
     // A core must scan before serving cached data; a restored cache
@@ -763,22 +770,13 @@ fn start_replica(
     if core.state.lock().expect("state poisoned").cache.is_some() {
         stats.resurrected.fetch_add(1, Ordering::SeqCst);
     }
+    let (log, _recovery) = EffectLog::open(fs, &log_path)?;
     let maint_core = Arc::clone(&core);
     let maintenance = thread::Builder::new()
         .name(format!("wire-shard-{group}-{replica}-maint"))
         .spawn(move || maintenance_loop(&maint_core))
         .expect("spawn shard maintenance");
-    Ok(WireShard {
-        core,
-        maintenance: Some(maintenance),
-        incarnation: 0,
-        held_epoch: 0,
-        killed: false,
-        seen: HashMap::new(),
-        log: Vec::new(),
-        effects: 0,
-        decommissioned_at_ms: None,
-    })
+    Ok((core, maintenance, log, report))
 }
 
 /// Accepts until drain, spawning one thread per connection; returns
@@ -935,52 +933,44 @@ fn connection_loop(inner: &Arc<Inner>, stream: TcpStream) {
 /// Answers one decoded frame. Every path returns a well-typed
 /// response; "wrong message type at the server" is a typed `Failed`,
 /// not a dropped connection.
-fn handle_request(inner: &Arc<Inner>, msg: FleetMsg) -> FleetMsg {
+fn handle_request(inner: &Inner, msg: FleetMsg) -> FleetMsg {
     match msg {
-        FleetMsg::ClientReq { req_id, key } => {
-            let Some(_slot) = InFlightSlot::acquire(inner) else {
-                inner.stats.shed.fetch_add(1, Ordering::SeqCst);
-                return FleetMsg::ClientResp {
-                    req_id,
-                    outcome: WireOutcome::Shed {
-                        retry_after_ms: inner.cfg.router_retry.base_delay_ms.max(1),
-                    },
-                    origin_shard: usize::MAX,
-                    forwarded_at_ms: inner.now_ms(),
-                    total_age_ms: 0,
-                };
-            };
-            serve_client_req(inner, req_id, key)
-        }
-        FleetMsg::MapReq { req_id } => {
-            let Some(_slot) = InFlightSlot::acquire(inner) else {
-                inner.stats.shed.fetch_add(1, Ordering::SeqCst);
-                return FleetMsg::ClientResp {
-                    req_id,
-                    outcome: WireOutcome::Shed {
-                        retry_after_ms: inner.cfg.router_retry.base_delay_ms.max(1),
-                    },
-                    origin_shard: usize::MAX,
-                    forwarded_at_ms: inner.now_ms(),
-                    total_age_ms: 0,
-                };
-            };
-            serve_map_req(inner, req_id)
-        }
+        FleetMsg::ClientReq { req_id, key } => match InFlightSlot::acquire(inner) {
+            Some(_slot) => serve_client_req(inner, req_id, key),
+            None => shed(inner, req_id),
+        },
+        FleetMsg::MapReq { req_id } => match InFlightSlot::acquire(inner) {
+            Some(_slot) => serve_map_req(inner, req_id),
+            None => shed(inner, req_id),
+        },
         // Router-internal and response messages are not served here.
         other => {
             inner.stats.protocol_errors.fetch_add(1, Ordering::SeqCst);
-            FleetMsg::ClientResp {
-                req_id: other.req_id(),
-                outcome: WireOutcome::Failed {
-                    kind: "protocol".into(),
-                },
-                origin_shard: usize::MAX,
-                forwarded_at_ms: inner.now_ms(),
-                total_age_ms: 0,
-            }
+            let protocol = WireOutcome::Failed {
+                kind: "protocol".into(),
+            };
+            refusal(inner, other.req_id(), protocol)
         }
     }
+}
+
+/// An answer no group produced: no origin shard, no age.
+fn refusal(inner: &Inner, req_id: u64, outcome: WireOutcome) -> FleetMsg {
+    FleetMsg::ClientResp {
+        req_id,
+        outcome,
+        origin_shard: usize::MAX,
+        forwarded_at_ms: inner.now_ms(),
+        total_age_ms: 0,
+    }
+}
+
+/// The typed backpressure answer: retry after the router's base
+/// backoff.
+fn shed(inner: &Inner, req_id: u64) -> FleetMsg {
+    inner.stats.shed.fetch_add(1, Ordering::SeqCst);
+    let retry_after_ms = inner.cfg.router_retry.base_delay_ms.max(1);
+    refusal(inner, req_id, WireOutcome::Shed { retry_after_ms })
 }
 
 /// RAII in-flight token: admission at construction, release on drop —
@@ -1010,35 +1000,26 @@ impl Drop for InFlightSlot<'_> {
 enum GroupAttempt {
     /// The answer and its forward stamp.
     Served(WireOutcome, u64),
-    /// The admitted replica was fenced before the effect could be
-    /// recorded — a typed stale-epoch refusal the client retries.
+    /// The request's first attempt is still converting or replicating
+    /// — shed, so the retry finds the answer cached.
+    InFlight,
+    /// The replica was fenced before the effect could be recorded — a
+    /// typed stale-epoch refusal the client retries.
     Fenced,
-    /// The group cannot serve (decommissioned, killed, incarnation
-    /// raced) — the router fails over.
+    /// The group cannot serve (decommissioned, killed, crashed
+    /// mid-conversion) — the router fails over.
     Unavailable,
 }
 
 /// Routes one read through the ring with backoff-paced failover.
-fn serve_client_req(inner: &Arc<Inner>, req_id: u64, key: u64) -> FleetMsg {
+fn serve_client_req(inner: &Inner, req_id: u64, key: u64) -> FleetMsg {
     let mut plan = inner.policy.plan(key, inner.cfg.seed ^ req_id);
-    let eligible = |g: usize| {
-        let group = &inner.groups[g];
-        group.replicas[group.primary.load(Ordering::SeqCst)]
-            .lock()
-            .map(|sh| sh.decommissioned_at_ms.is_none() && !sh.killed)
-            .unwrap_or(false)
-    };
     loop {
-        let Some(route) = inner.policy.advance(&mut plan, eligible) else {
-            return FleetMsg::ClientResp {
-                req_id,
-                outcome: WireOutcome::Failed {
-                    kind: "unservable".into(),
-                },
-                origin_shard: usize::MAX,
-                forwarded_at_ms: inner.now_ms(),
-                total_age_ms: 0,
+        let Some(route) = inner.policy.advance(&mut plan, |g| inner.group(g).serves()) else {
+            let unservable = WireOutcome::Failed {
+                kind: "unservable".into(),
             };
+            return refusal(inner, req_id, unservable);
         };
         if route.attempt > 1 {
             inner.stats.failovers.fetch_add(1, Ordering::SeqCst);
@@ -1060,12 +1041,12 @@ fn serve_client_req(inner: &Arc<Inner>, req_id: u64, key: u64) -> FleetMsg {
                     total_age_ms,
                 };
             }
-            // The admitted primary was fenced mid-flight: answer with
-            // the typed stale epoch so the client retries — the retry
-            // lands on the newly promoted primary.
+            GroupAttempt::InFlight => return shed(inner, req_id),
+            // The primary was fenced mid-flight: answer with the typed
+            // stale epoch so the client retries — the retry lands on
+            // the newly promoted primary.
             GroupAttempt::Fenced => {
-                let g = &inner.groups[route.shard];
-                let current = g.epoch.load(Ordering::SeqCst);
+                let current = inner.group(route.shard).epoch;
                 let err = RuntimeError::StaleEpoch {
                     held_epoch: current.saturating_sub(1),
                     current_epoch: current,
@@ -1088,168 +1069,187 @@ fn serve_client_req(inner: &Arc<Inner>, req_id: u64, key: u64) -> FleetMsg {
     }
 }
 
-/// What admission against a group's primary found.
-enum Admission {
-    /// Replay of a recorded outcome (at-most-once dedup).
-    Deduped(WireOutcome, u64),
-    /// Admitted for execution under `(epoch, primary, incarnation)`.
-    Admitted {
-        core: Arc<Core>,
-        epoch: u64,
-        pidx: usize,
-        incarnation: u64,
-    },
-    /// The group cannot admit (decommissioned / killed).
-    Unavailable,
-}
-
-/// Admission: dedup against the primary's replicated `seen` map, or
-/// capture the execution token `(epoch, primary, incarnation)` the
-/// record step will re-validate.
-fn admit_group(inner: &Arc<Inner>, g: usize, req_id: u64) -> Admission {
-    let group = &inner.groups[g];
-    let epoch = group.epoch.load(Ordering::SeqCst);
-    let pidx = group.primary.load(Ordering::SeqCst);
-    let sh = group.replicas[pidx].lock().expect("replica poisoned");
-    if sh.decommissioned_at_ms.is_some() || sh.killed {
-        return Admission::Unavailable;
-    }
-    if let Some(&pos) = sh.seen.get(&req_id) {
-        let rec = &sh.log[pos as usize];
-        debug_assert_eq!(rec.req_id, req_id, "dedup map points at a foreign record");
-        inner.stats.deduped.fetch_add(1, Ordering::SeqCst);
-        return Admission::Deduped(rec.outcome.clone(), inner.now_ms());
-    }
-    Admission::Admitted {
-        core: Arc::clone(&sh.core),
-        epoch,
-        pidx,
-        incarnation: sh.incarnation,
-    }
-}
-
-/// Record: under the group's full lock set, re-validate the fence and
-/// incarnation, ship the effect to every live backup, and only then
-/// record it on the primary and forward the answer. The
-/// backups-before-ack ordering is the durability argument: once the
-/// client sees an answer, every live replica can replay it.
-fn record_group(
-    inner: &Arc<Inner>,
-    g: usize,
-    epoch: u64,
-    pidx: usize,
+/// A conversion a group's primary started for one request.
+struct Dispatched {
+    core: Arc<Core>,
+    /// The replica that started it, and its incarnation then.
+    replica: usize,
     incarnation: u64,
     req_id: u64,
-    outcome: WireOutcome,
-) -> GroupAttempt {
-    let group = &inner.groups[g];
-    let mut guards = group.lock_all();
-    if guards[pidx].incarnation != incarnation || guards[pidx].decommissioned_at_ms.is_some() {
+    key: u64,
+    /// The replica's log already holds the effect: add none.
+    read_only: bool,
+}
+
+impl Dispatched {
+    /// Runs the conversion, outside every group lock.
+    fn convert(&self, sites: usize) -> WireOutcome {
+        let core = &self.core;
+        let channel = (self.key % sites.max(1) as u64) as usize;
+        let submitted = core.now_ms();
+        let deadline = submitted + core.config.default_deadline_ms;
+        let mut job = ReadJob::new(core, channel, submitted, deadline);
+        let result = loop {
+            match job.step(core) {
+                JobStep::Done(result) => break result,
+                JobStep::Backoff { delay_ms } => thread::sleep(Duration::from_millis(delay_ms)),
+            }
+        };
+        wire_outcome(core, deadline, result)
+    }
+}
+
+/// Runs one request on one group: dispatch to the primary, convert,
+/// then settle.
+fn try_group(inner: &Inner, g: usize, req_id: u64, key: u64) -> GroupAttempt {
+    match dispatch(inner, g, req_id, key) {
+        Ok(d) => {
+            let outcome = d.convert(inner.cfg.sites_per_shard);
+            settle(inner, g, &d, outcome)
+        }
+        Err(attempt) => attempt,
+    }
+}
+
+/// Feeds the request to the group's primary under the group's lock. A
+/// cached answer is served at once; a conversion to run is handed back.
+fn dispatch(
+    inner: &Inner,
+    g: usize,
+    req_id: u64,
+    key: u64,
+) -> std::result::Result<Dispatched, GroupAttempt> {
+    let mut group = inner.group(g);
+    if !group.serves() {
+        return Err(GroupAttempt::Unavailable);
+    }
+    let replica = group.primary;
+    let sh = &mut group.replicas[replica];
+    let mut read_only = None;
+    for o in sh.repl.on_frame(ROUTER, FleetMsg::ShardReq { req_id, key }) {
+        match o {
+            Output::Absorbed => {
+                inner.stats.deduped.fetch_add(1, Ordering::SeqCst);
+            }
+            Output::Reply(_, outcome) => return Err(GroupAttempt::Served(outcome, inner.now_ms())),
+            Output::Convert { read_only: r, .. } => read_only = Some(r),
+            _ => {}
+        }
+    }
+    Ok(Dispatched {
+        core: Arc::clone(&sh.core),
+        replica,
+        incarnation: sh.repl.incarnation(),
+        req_id,
+        key,
+        read_only: read_only.ok_or(GroupAttempt::InFlight)?,
+    })
+}
+
+/// Feeds a finished conversion back under the group's lock, then drives
+/// the primary and delivers every frame until none is left: a write is
+/// answered only once every live sibling holds it.
+fn settle(inner: &Inner, g: usize, d: &Dispatched, outcome: WireOutcome) -> GroupAttempt {
+    let mut group = inner.group(g);
+    let retired = group.decommissioned_at_ms.is_some();
+    let sh = &mut group.replicas[d.replica];
+    if sh.repl.incarnation() != d.incarnation || retired {
+        // The conversion died in a crash, or its group was retired:
+        // nothing is recorded and the router fails over.
         return GroupAttempt::Unavailable;
     }
-    // Epoch fence: the group moved on (promotion) while this request
-    // executed — the ex-primary must refuse, typed, or a request
-    // admitted before the promotion could ack an effect the new
-    // primary never sees (split-brain).
-    if guards[pidx].killed
-        || group.epoch.load(Ordering::SeqCst) != epoch
-        || group.primary.load(Ordering::SeqCst) != pidx
-        || guards[pidx].held_epoch != epoch
-    {
+    if sh.killed || !sh.repl.is_primary() {
+        if !sh.killed {
+            // Demoted mid-conversion: the core drops the result and
+            // frees the request's dedup slot.
+            sh.repl.on_converted(d.req_id, d.key, d.read_only, outcome);
+        }
         inner.stats.fenced_writes.fetch_add(1, Ordering::SeqCst);
         return GroupAttempt::Fenced;
     }
-    let rec = ReplRecord {
-        epoch,
-        pos: guards[pidx].log.len() as u64,
-        req_id,
-        outcome: outcome.clone(),
-    };
-    // Ship to every live backup BEFORE acknowledging.
-    let mut fenced_backup = false;
-    let mut acks: usize = 0;
-    for r in 0..guards.len() {
-        if r == pidx || guards[r].killed {
-            continue;
-        }
-        if guards[r].held_epoch > epoch {
-            // This backup has already seen a higher epoch: the write
-            // is from the past; refuse the ack.
-            inner.stats.fenced_writes.fetch_add(1, Ordering::SeqCst);
-            fenced_backup = true;
-            continue;
-        }
-        if guards[r].log.len() as u64 != rec.pos {
-            // Divergent backup (e.g. it joined cold): converge it to
-            // the primary's canonical log before appending.
-            guards[r].log = guards[pidx].log.clone();
-            guards[r].seen = guards[pidx].seen.clone();
-            inner.stats.rejoin_repairs.fetch_add(1, Ordering::SeqCst);
-        }
-        guards[r].held_epoch = epoch;
-        guards[r].seen.insert(req_id, rec.pos);
-        guards[r].log.push(rec.clone());
-        acks += 1;
-        inner.stats.replicated.fetch_add(1, Ordering::SeqCst);
-    }
-    let live_backups = (0..guards.len())
-        .filter(|&r| r != pidx && !guards[r].killed)
-        .count();
-    let needed = inner.cfg.ack_quorum.min(live_backups);
-    if acks < needed || fenced_backup {
-        // Under-replicated because a backup is fenced: the group is
-        // mid-promotion; refuse typed so the client retries.
-        return GroupAttempt::Fenced;
-    }
-    if guards[pidx].seen.insert(req_id, rec.pos).is_some() {
+    let effectful = !d.read_only && matches!(outcome, WireOutcome::Reading { .. });
+    if effectful && sh.repl.log().contains_req(d.req_id) {
         inner.stats.duplicate_effects.fetch_add(1, Ordering::SeqCst);
     }
-    guards[pidx].log.push(rec);
-    guards[pidx].effects += 1;
-    // Stamp under the group locks: a decommission stamp is strictly
-    // ordered against every forwarded answer from this group.
-    GroupAttempt::Served(outcome, inner.now_ms())
+    let mut out = sh.repl.on_converted(d.req_id, d.key, d.read_only, outcome);
+    let live: Vec<usize> = (0..group.replicas.len())
+        .filter(|&r| r != d.replica && !group.replicas[r].killed)
+        .collect();
+    // Stamped under the group's lock: a decommission stamp is strictly
+    // ordered against every answer forwarded from this group.
+    let now = inner.now_ms();
+    let mut answer = None;
+    loop {
+        out.extend(group.replicas[d.replica].repl.drive(now, &live));
+        if !deliver(inner, &mut group, d.replica, out, d.req_id, &mut answer) {
+            break;
+        }
+        out = Vec::new();
+    }
+    match answer {
+        Some(outcome) => GroupAttempt::Served(outcome, now),
+        // A live sibling has not acked the write: it stays in flight,
+        // and a retry replays it once a later drive completes it.
+        None => GroupAttempt::InFlight,
+    }
 }
 
-/// Runs one request on one group: admit at the primary, execute, then
-/// replicate-and-record with the epoch fence re-checked.
-fn try_group(inner: &Arc<Inner>, g: usize, req_id: u64, key: u64) -> GroupAttempt {
-    let (core, epoch, pidx, incarnation) = match admit_group(inner, g, req_id) {
-        Admission::Deduped(outcome, at) => return GroupAttempt::Served(outcome, at),
-        Admission::Unavailable => return GroupAttempt::Unavailable,
-        Admission::Admitted {
-            core,
-            epoch,
-            pidx,
-            incarnation,
-        } => (core, epoch, pidx, incarnation),
-    };
-    let channel = (key % inner.cfg.sites_per_shard.max(1) as u64) as usize;
-    let submitted = core.now_ms();
-    let deadline = submitted + core.config.default_deadline_ms;
-    let mut job = ReadJob::new(&core, channel, submitted, deadline);
-    let result = loop {
-        match job.step(&core) {
-            JobStep::Done(result) => break result,
-            JobStep::Backoff { delay_ms } => thread::sleep(Duration::from_millis(delay_ms)),
+/// Delivers replica `from`'s outputs inside its group: each frame goes
+/// straight to its addressee's core, whose outputs are delivered in
+/// turn. The reply to `req_id` lands in `answer`; the graded facts land
+/// in the counters. True when a frame moved.
+fn deliver(
+    inner: &Inner,
+    group: &mut ShardGroup,
+    from: usize,
+    out: Vec<Output>,
+    req_id: u64,
+    answer: &mut Option<WireOutcome>,
+) -> bool {
+    let c = &inner.stats;
+    let mut moved = false;
+    for o in out {
+        match o {
+            Output::Send(to, msg) => {
+                moved = true;
+                if matches!(msg, FleetMsg::ReplAck { ok: true, .. }) {
+                    c.replicated.fetch_add(1, Ordering::SeqCst);
+                }
+                let sibling = &mut group.replicas[to];
+                if !sibling.killed {
+                    let next = sibling.repl.on_frame(from, msg);
+                    deliver(inner, group, to, next, req_id, answer);
+                }
+            }
+            Output::Reply(id, outcome) if id == req_id => *answer = Some(outcome),
+            Output::Completed { .. } => group.replicas[from].effects += 1,
+            Output::Absorbed => {
+                c.deduped.fetch_add(1, Ordering::SeqCst);
+            }
+            Output::Fenced(writes) => {
+                c.fenced_writes.fetch_add(writes, Ordering::SeqCst);
+            }
+            // Nobody waits for another request's reply; conversions
+            // start only from a `ShardReq`; and only the unfenced
+            // mutant, which this tier never runs, acks a deposed epoch.
+            Output::Reply(..) | Output::Convert { .. } | Output::AckedDeposed { .. } => {}
         }
-    };
-    let outcome = wire_outcome(&core, deadline, result);
-    record_group(inner, g, epoch, pidx, incarnation, req_id, outcome)
+    }
+    moved
 }
 
 /// Assembles the whole-fleet thermal map — the protocol's largest
 /// response, and why the frame budget must be sized to the array.
-fn serve_map_req(inner: &Arc<Inner>, req_id: u64) -> FleetMsg {
+fn serve_map_req(inner: &Inner, req_id: u64) -> FleetMsg {
     let mut entries = Vec::new();
-    for (group_idx, group) in inner.groups.iter().enumerate() {
-        let pidx = group.primary.load(Ordering::SeqCst);
-        let sh = group.replicas[pidx].lock().expect("replica poisoned");
-        if sh.decommissioned_at_ms.is_some() || sh.killed {
-            continue;
-        }
-        let core = Arc::clone(&sh.core);
-        drop(sh);
+    for group_idx in 0..inner.groups.len() {
+        let core = {
+            let g = inner.group(group_idx);
+            if !g.serves() {
+                continue;
+            }
+            Arc::clone(&g.replicas[g.primary].core)
+        };
         let state = core.state.lock().expect("state poisoned");
         let now = core.now_ms();
         let Some(cache) = state.cache.as_ref() else {
@@ -1360,45 +1360,75 @@ mod tests {
         assert_eq!(report.in_flight_at_drain, 0);
     }
 
+    fn one_group_cfg(replication: usize) -> WireServerConfig {
+        WireServerConfig {
+            shards: 1,
+            replication,
+            ack_quorum: replication - 1,
+            sites_per_shard: 3,
+            ..WireServerConfig::default()
+        }
+    }
+
+    fn one_group(replication: usize) -> WireServer {
+        WireServer::start(one_group_cfg(replication), None).expect("server starts")
+    }
+
+    #[test]
+    fn a_restart_over_unequal_logs_repairs_them_before_serving() {
+        let root = std::env::temp_dir().join(format!("serve-rejoin-{}", dst::unique_nonce()));
+        // A previous run left replica 1's log a record behind replica
+        // 0's, as a killed replica's or a torn tail's would be.
+        for (replica, req_ids) in [(0, &[7, 8][..]), (1, &[7][..])] {
+            let path = root.join(format!("shard-0-{replica}/effects.log"));
+            let (mut log, _) = EffectLog::open(Arc::new(RealFs), &path).expect("log opens");
+            for &req_id in req_ids {
+                log.append(1, req_id, 1).expect("append");
+            }
+        }
+        let cfg = WireServerConfig {
+            snapshot_root: Some(root.clone()),
+            ..one_group_cfg(2)
+        };
+        let server = WireServer::start(cfg, None).expect("server starts");
+        assert_eq!(server.stats().rejoin_repairs, 1);
+        assert_eq!(server.group_view(0).expect("view"), (2, 0, vec![2, 2]));
+        // A fresh request reaches both logs; one they hold already is
+        // re-served read-only.
+        let fresh = try_group(&server.inner, 0, 9, 1);
+        assert!(
+            matches!(fresh, GroupAttempt::Served(WireOutcome::Reading { .. }, _)),
+            "a fresh request is served"
+        );
+        assert!(matches!(
+            try_group(&server.inner, 0, 8, 1),
+            GroupAttempt::Served(..)
+        ));
+        assert_eq!(server.group_view(0).expect("view").2, vec![3, 3]);
+        let stats = server.drain().expect("drain").stats;
+        assert_eq!((stats.deduped, stats.fenced_writes), (1, 0));
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     #[test]
     fn fenced_ex_primary_refuses_the_record_with_a_typed_stale_epoch() {
-        let server = WireServer::start(
-            WireServerConfig {
-                shards: 1,
-                sites_per_shard: 3,
-                ..WireServerConfig::default()
-            },
-            None,
-        )
-        .expect("server starts");
-        // Admit a request on the current primary, then promote a
-        // backup *before* the record step runs — exactly the race a
-        // slow ex-primary loses.
-        let Admission::Admitted {
-            epoch,
-            pidx,
-            incarnation,
-            ..
-        } = admit_group(&server.inner, 0, 42)
-        else {
-            panic!("fresh group must admit");
+        let server = one_group(2);
+        // Start a conversion on the current primary, then promote a
+        // backup *before* the finished conversion is fed back —
+        // exactly the race a slow ex-primary loses.
+        let Ok(d) = dispatch(&server.inner, 0, 42, 1) else {
+            panic!("fresh group must start a conversion");
         };
-        assert_eq!((epoch, pidx), (1, 0));
+        let (epoch, _, _) = server.group_view(0).expect("view");
+        assert_eq!((epoch, d.replica), (1, 0));
         let new_epoch = server.step_down(0).expect("promotion");
         assert_eq!(new_epoch, 2);
-        let attempt = record_group(
-            &server.inner,
-            0,
-            epoch,
-            pidx,
-            incarnation,
-            42,
-            WireOutcome::Reading {
-                value_c: 61.0,
-                fresh: true,
-                age_ms: 0,
-            },
-        );
+        let reading = WireOutcome::Reading {
+            value_c: 61.0,
+            fresh: true,
+            age_ms: 0,
+        };
+        let attempt = settle(&server.inner, 0, &d, reading);
         assert!(matches!(attempt, GroupAttempt::Fenced));
         let stats = server.stats();
         assert!(stats.fenced_writes >= 1, "fence must be counted");
@@ -1410,18 +1440,43 @@ mod tests {
     }
 
     #[test]
+    fn a_conversion_that_loses_its_group_or_its_role_records_nothing() {
+        let reading = || WireOutcome::Reading {
+            value_c: 61.0,
+            fresh: true,
+            age_ms: 0,
+        };
+        // Decommissioned mid-conversion: the router fails over, and the
+        // retired group's logs stay empty.
+        let server = one_group(2);
+        let Ok(d) = dispatch(&server.inner, 0, 3, 1) else {
+            panic!("fresh group must start a conversion");
+        };
+        server.decommission(0).expect("decommission");
+        let attempt = settle(&server.inner, 0, &d, reading());
+        assert!(matches!(attempt, GroupAttempt::Unavailable));
+        assert_eq!(server.group_view(0).expect("view").2, vec![0, 0]);
+        server.drain().expect("drain");
+
+        // Demoted mid-conversion after the new primary served the same
+        // request: one effect, fenced, and no duplicate counted.
+        let server = one_group(2);
+        let Ok(d) = dispatch(&server.inner, 0, 4, 1) else {
+            panic!("fresh group must start a conversion");
+        };
+        server.step_down(0).expect("promotion");
+        let served = try_group(&server.inner, 0, 4, 1);
+        assert!(matches!(served, GroupAttempt::Served(..)));
+        let attempt = settle(&server.inner, 0, &d, reading());
+        assert!(matches!(attempt, GroupAttempt::Fenced));
+        assert_eq!(server.group_view(0).expect("view").2, vec![1, 1]);
+        let stats = server.drain().expect("drain").stats;
+        assert_eq!((stats.duplicate_effects, stats.fenced_writes), (0, 1));
+    }
+
+    #[test]
     fn kill_primary_promotes_the_longest_log_and_bumps_the_epoch() {
-        let server = WireServer::start(
-            WireServerConfig {
-                shards: 1,
-                replication: 3,
-                ack_quorum: 2,
-                sites_per_shard: 3,
-                ..WireServerConfig::default()
-            },
-            None,
-        )
-        .expect("server starts");
+        let server = one_group(3);
         // Record one effect so the logs are non-empty and replicated.
         let out = try_group(&server.inner, 0, 7, 1);
         assert!(matches!(out, GroupAttempt::Served(..)));
@@ -1433,13 +1488,53 @@ mod tests {
         assert_eq!(new_epoch, 2);
         let (_, new_pidx, _) = server.group_view(0).expect("view");
         assert_ne!(new_pidx, 0, "killed primary cannot win its own election");
-        // The retried request replays from the promoted backup's
-        // replicated dedup map — never re-executes.
+        // The promoted backup's log already holds the retried
+        // request's effect, so it re-serves the request read-only —
+        // never a second effect.
         let replay = try_group(&server.inner, 0, 7, 1);
         assert!(matches!(replay, GroupAttempt::Served(..)));
         let stats = server.stats();
         assert_eq!(stats.deduped, 1);
         assert_eq!(stats.duplicate_effects, 0);
+        server.drain().expect("drain");
+    }
+
+    #[test]
+    fn a_retry_while_the_first_attempt_converts_is_shed_then_replays() {
+        let server = one_group(2);
+        // The first attempt is mid-conversion when the second arrives.
+        let Ok(first) = dispatch(&server.inner, 0, 5, 2) else {
+            panic!("fresh group must start a conversion");
+        };
+        let second = serve_client_req(&server.inner, 5, 2);
+        assert!(
+            matches!(
+                second,
+                FleetMsg::ClientResp {
+                    outcome: WireOutcome::Shed { .. },
+                    ..
+                }
+            ),
+            "{second:?}"
+        );
+        let outcome = first.convert(3);
+        let GroupAttempt::Served(answer, _) = settle(&server.inner, 0, &first, outcome) else {
+            panic!("the first attempt is answered");
+        };
+        assert!(matches!(answer, WireOutcome::Reading { .. }), "{answer:?}");
+        // The retry replays the cached answer.
+        let FleetMsg::ClientResp {
+            outcome: replay, ..
+        } = serve_client_req(&server.inner, 5, 2)
+        else {
+            panic!("a read is answered with a ClientResp");
+        };
+        assert_eq!(replay, answer);
+        let (_, _, lens) = server.group_view(0).expect("view");
+        assert_eq!(lens, vec![1, 1], "one log record per replica");
+        let stats = server.stats();
+        assert_eq!(stats.duplicate_effects, 0);
+        assert_eq!((stats.shed, stats.deduped), (1, 2));
         server.drain().expect("drain");
     }
 }

@@ -822,8 +822,7 @@ impl FleetWorld {
     /// Anti-entropy repair: rewrites `node`'s log to `canonical` when
     /// the two differ.
     fn repair(&mut self, node: usize, canonical: &[EffectRecord]) {
-        let log = self.replicas[node].repl.log_mut();
-        if log.records() != canonical && log.reset_to(canonical).is_ok() {
+        if self.replicas[node].repl.repair(canonical) {
             self.anti_entropy_repairs += 1;
         }
     }

@@ -21,10 +21,10 @@
 //!    simulator's own check, with zero skew slack: the TCP tier runs on one clock.
 //! 2. **No resurrected cache** (`resurrected-cache`) — recovery never
 //!    restores a cached median.
-//! 3. **At-most-once effects** (`duplicate-effect`) — no
-//!    `(incarnation, req_id)` executes twice; client retries replay
-//!    the recorded outcome, including across a primary failover (the
-//!    dedup map is replicated).
+//! 3. **At-most-once effects** (`duplicate-effect`) — no request's
+//!    effect is recorded twice: a client retry replays the cached
+//!    answer within one incarnation, and after a failover or a crash
+//!    the replica whose log holds the effect re-serves it read-only.
 //! 4. **Failover completes** — a configured primary kill must produce
 //!    a promotion, and no split-brain double execution with it.
 

@@ -244,32 +244,79 @@ fn graceful_drain_answers_every_accepted_request() {
     );
 }
 
+/// Sends fresh requests until `group`'s primary holds a logged effect.
+fn load_group(server: &WireServer, client: &mut WireClient, group: usize, base: u64) {
+    for i in 0..64 {
+        if server.group_view(group).expect("view").2[0] > 0 {
+            return;
+        }
+        client.request(base + i, i).expect("loading request");
+    }
+    panic!("no request landed on group {group}");
+}
+
 #[test]
 fn crash_recover_has_no_resurrected_cache_and_a_fresh_incarnation() {
     let dir = scratch_dir("crash");
     let mut cfg = quick_server_cfg();
     cfg.snapshot_root = Some(dir.clone());
-    let server = WireServer::start(cfg, None).expect("server starts");
+    let server = WireServer::start(cfg.clone(), None).expect("server starts");
     let mut client = WireClient::new(quick_client_cfg(&server));
 
     for i in 0..5 {
         client.request(i, i).expect("warmup request");
     }
+    load_group(&server, &mut client, 0, 1_000);
     // Let maintenance warm caches and write a checkpoint.
     thread::sleep(Duration::from_millis(600));
     server.crash_shard(0).expect("crash shard 0");
+    // A rooted replica reopens its effect log from disk as of its last
+    // checkpoint; any tail it lost since is repaired from its sibling.
+    let (_, _, lens) = server.group_view(0).expect("view");
+    assert!(lens[0] > 0 && lens[0] == lens[1], "logs {lens:?}");
     for i in 100..105 {
         client.request(i, i).expect("post-crash request");
     }
     let ledger = server.shard_ledger();
     assert_eq!(ledger[0].0, 1, "shard 0 is on its second incarnation");
+    let effect = client.request(7_000, 7).expect("logged request");
+    assert!(matches!(effect.outcome, WireOutcome::Reading { .. }));
+    let logs = |server: &WireServer| -> Vec<Vec<u64>> {
+        (0..3)
+            .map(|g| server.group_view(g).expect("view").2)
+            .collect()
+    };
+    let logged = logs(&server);
     let report = server.drain().expect("drain");
     assert_eq!(report.stats.crashes, 1);
     assert_eq!(
         report.stats.resurrected, 0,
         "recovery must rescan, never resurrect a cached median"
     );
+
+    // The drain wrote every live log to disk: a server started over the
+    // same root recovers them whole, with nothing to repair, and
+    // re-serves a logged request read-only.
+    let server = WireServer::start(cfg, None).expect("server restarts");
+    assert_eq!(logs(&server), logged, "every log survived the restart");
+    let mut client = WireClient::new(quick_client_cfg(&server));
+    client.request(7_000, 7).expect("re-served request");
+    assert_eq!(logs(&server), logged, "the re-serve added no effect");
+    let report = server.drain().expect("drain");
+    assert_eq!(report.stats.deduped, 1);
+    assert_eq!(report.stats.rejoin_repairs, 0);
     std::fs::remove_dir_all(&dir).ok();
+
+    // An unrooted server keeps its effect logs in memory only: the
+    // crashed replica comes back empty and is repaired from its sibling.
+    let server = WireServer::start(quick_server_cfg(), None).expect("server starts");
+    let mut client = WireClient::new(quick_client_cfg(&server));
+    load_group(&server, &mut client, 0, 2_000);
+    server.crash_shard(0).expect("crash shard 0");
+    let (_, _, lens) = server.group_view(0).expect("view");
+    assert_eq!(lens[0], lens[1], "repaired from the sibling");
+    let report = server.drain().expect("drain");
+    assert_eq!(report.stats.rejoin_repairs, 1);
 }
 
 #[test]
@@ -341,21 +388,32 @@ fn killed_primary_fails_over_and_replays_the_replicated_dedup() {
         .expect("a backup gets promoted");
     assert_eq!(epoch, 2, "first promotion moves the group to epoch 2");
 
-    // The retried request (same req_id) lands on the promoted backup,
-    // whose *replicated* dedup map replays the recorded outcome —
-    // failover does not forget acked work.
-    let second = client.request(900, 3).expect("replayed answer");
+    // The retried request (same req_id) lands on the promoted backup.
+    // Its *replicated* effect log already holds the request, so it
+    // re-serves it read-only — a fresh conversion of the same static
+    // field, counted as deduped, with no second effect: failover does
+    // not forget acked work.
+    let (_, promoted, lens) = server.group_view(first.origin_shard).expect("view");
+    let second = client.request(900, 3).expect("re-served answer");
     assert_eq!(second.origin_shard, first.origin_shard);
     match (&first.outcome, &second.outcome) {
         (WireOutcome::Reading { value_c: a, .. }, WireOutcome::Reading { value_c: b, .. }) => {
-            assert_eq!(a, b, "promoted backup must replay, not re-execute")
+            assert_eq!(a, b, "the read-only re-serve converts the same field")
         }
         other => panic!("expected two readings, got {other:?}"),
     }
     let stats = server.stats();
     assert_eq!(stats.promotions, 1);
-    assert!(stats.deduped >= 1, "replay came from the replicated map");
+    assert!(
+        stats.deduped >= 1,
+        "the promoted backup's replicated log absorbed the retry"
+    );
     assert_eq!(stats.duplicate_effects, 0);
+    let (_, _, after) = server.group_view(first.origin_shard).expect("view");
+    assert_eq!(
+        after[promoted], lens[promoted],
+        "the re-serve added no effect to the promoted log"
+    );
     server.drain().expect("drain");
 }
 

@@ -9,6 +9,7 @@
 use rand::Rng;
 
 use tsense_core::units::{Celsius, Seconds};
+use tsense_core::variation::standard_normal;
 
 use crate::error::Result;
 use crate::unit::{Measurement, SmartSensorUnit};
@@ -44,16 +45,6 @@ impl JitterModel {
     pub fn perturb<R: Rng + ?Sized>(&self, nominal: Seconds, rng: &mut R) -> Seconds {
         let z = standard_normal(rng);
         Seconds::new(nominal.get() * (1.0 + self.sigma_rel * z))
-    }
-}
-
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.random();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random();
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        }
     }
 }
 

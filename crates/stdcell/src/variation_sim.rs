@@ -13,6 +13,7 @@ use rand::{Rng, SeedableRng};
 use spicelite::devices::MosModel;
 use spicelite::error::Result;
 use tsense_core::gate::GateKind;
+use tsense_core::variation::standard_normal;
 
 use crate::cells::CellSizing;
 use crate::library::CellLibrary;
@@ -38,16 +39,6 @@ impl Default for SimVariationSpec {
             sigma_vto: 0.030,
             sigma_kp_rel: 0.05,
             sigma_width_rel: 0.02,
-        }
-    }
-}
-
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.random();
-        if u1 > f64::MIN_POSITIVE {
-            let u2: f64 = rng.random();
-            return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
         }
     }
 }

@@ -52,8 +52,8 @@ fn row(tag: &str, r: &SoakReport) -> Vec<String> {
         tag.to_string(),
         r.requests.to_string(),
         format!("{:.0}", r.throughput_per_s),
-        r.p50_latency_ms.to_string(),
-        r.p99_latency_ms.to_string(),
+        r.latency.quantile(0.50).to_string(),
+        r.latency.quantile(0.99).to_string(),
         r.served_fresh.to_string(),
         r.served_degraded.to_string(),
         r.typed_errors.to_string(),
@@ -89,7 +89,7 @@ pub fn run(out_dir: &Path) -> String {
     );
     report.push_str(&render_table(
         &[
-            "run", "requests", "req/s", "p50 ms", "p99 ms", "fresh", "degraded", "errors", "trips",
+            "run", "requests", "req/s", "p50 us", "p99 us", "fresh", "degraded", "errors", "trips",
             "restarts",
         ],
         &[row("quiet", &quiet), row("chaos", &chaos)],

@@ -103,9 +103,9 @@ fn row(tag: &str, r: &WireSoakReport) -> Vec<String> {
         tag.to_string(),
         r.requests.to_string(),
         format!("{:.0}", r.throughput_rps),
-        format!("<{}", r.histogram.quantile_ms(0.50)),
-        format!("<{}", r.histogram.quantile_ms(0.99)),
-        format!("<{}", r.histogram.quantile_ms(0.999)),
+        r.latency.quantile(0.50).to_string(),
+        r.latency.quantile(0.99).to_string(),
+        r.latency.quantile(0.999).to_string(),
         r.server.shed.to_string(),
         r.server.deduped.to_string(),
         r.server.failovers.to_string(),
@@ -133,7 +133,7 @@ pub fn run(scenario: &Scenario, out_dir: &Path) -> String {
     write_artifact(out_dir, &name, &runs_json(WIRE_SEED, &json));
     for (tag, r) in runs {
         let hist = format!("{}_{tag}_hist.txt", scenario.stem);
-        write_artifact(out_dir, &hist, &r.histogram.render());
+        write_artifact(out_dir, &hist, &r.latency.render());
     }
 
     // ---- report -------------------------------------------------------
@@ -143,9 +143,9 @@ pub fn run(scenario: &Scenario, out_dir: &Path) -> String {
             "run",
             "requests",
             "req/s",
-            "p50 ms",
-            "p99 ms",
-            "p999 ms",
+            "p50 us",
+            "p99 us",
+            "p999 us",
             "shed",
             "deduped",
             "failovers",
@@ -193,10 +193,10 @@ pub fn run(scenario: &Scenario, out_dir: &Path) -> String {
     if kill {
         let _ = writeln!(
             report,
-            "failover cost: clean p99 <{} ms vs chaos p99 <{} ms across the primary kill \
+            "failover cost: clean p99 {} us vs chaos p99 {} us across the primary kill \
              ({} vs {} completed of {} / {} scheduled)",
-            clean.histogram.quantile_ms(0.99),
-            chaos.histogram.quantile_ms(0.99),
+            clean.latency.quantile(0.99),
+            chaos.latency.quantile(0.99),
             clean.completed,
             chaos.completed,
             clean.requests,

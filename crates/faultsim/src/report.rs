@@ -1,25 +1,11 @@
 //! Text and JSON rendering of campaign results for the `faultsim` CLI.
 //!
-//! JSON is emitted by hand (the workspace is offline — no serde), with
-//! the same escaping discipline as `netcheck` and `sta`.
+//! JSON is emitted by hand (the workspace is offline — no serde);
+//! strings go through `sta`'s escaper, as in `netcheck` and `runtime`.
+
+use sensor::sta::report::json_escape;
 
 use crate::campaign::{CampaignResult, Outcome};
-
-/// Escapes a string for inclusion in a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn outcome_name(o: &Outcome) -> &'static str {
     match o {
@@ -212,12 +198,5 @@ mod tests {
         assert!(json.contains("\\n"));
         assert!(json.contains("\"coverage\":1.0000"));
         assert!(!json.contains('\n'), "single-line JSON");
-    }
-
-    #[test]
-    fn json_escape_handles_control_chars() {
-        assert_eq!(json_escape("a\tb"), "a\\tb");
-        assert_eq!(json_escape("a\u{1}b"), "a\\u0001b");
-        assert_eq!(json_escape(r#"a\b"#), r#"a\\b"#);
     }
 }

@@ -3,7 +3,7 @@
 
 use sensor::unit::SensorConfig;
 
-use crate::diagnostic::Report;
+use crate::diagnostic::{json_string, Report};
 
 use super::bundle::RuntimeEnvelope;
 use super::ir::FlowGraph;
@@ -143,25 +143,6 @@ pub fn config_fingerprint(config: &SensorConfig) -> String {
         ));
     }
     format!("{:016x}", dst::hash::fnv1a64(canon.as_bytes()))
-}
-
-/// Escapes a string for embedding in JSON output.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -191,23 +191,9 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes a string for embedding in JSON output.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// `s` as a JSON string literal: escaped by `sta`'s escaper, in quotes.
+pub(crate) fn json_string(s: &str) -> String {
+    format!("\"{}\"", sta::report::json_escape(s))
 }
 
 /// The accumulated output of one or more passes.

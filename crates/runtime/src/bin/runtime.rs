@@ -607,19 +607,9 @@ fn serve_cmd(args: &Args) -> Result<ExitCode, String> {
     let s = &report.stats;
     if json {
         println!(
-            "{{\n  \"connections\": {},\n  \"frames_in\": {},\n  \"responses\": {},\n  \
-             \"bad_frames\": {},\n  \"shed\": {},\n  \"deduped\": {},\n  \"failovers\": {},\n  \
-             \"idle_closed\": {},\n  \"stalled_closed\": {},\n  \"in_flight_at_drain\": {}\n}}",
-            s.connections,
-            s.frames_in,
-            s.responses,
-            s.bad_frames,
-            s.shed,
-            s.deduped,
-            s.failovers,
-            s.idle_closed,
-            s.stalled_closed,
+            "{{\n  \"in_flight_at_drain\": {},\n  \"server\": {}\n}}",
             report.in_flight_at_drain,
+            s.render_json().replace('\n', "\n  ")
         );
     } else {
         println!(
@@ -758,29 +748,28 @@ fn wire_soak_cmd(args: &Args) -> Result<ExitCode, String> {
         }
     };
     if let Some(path) = args.opt::<PathBuf>("--hist-out") {
-        if let Err(e) = std::fs::write(&path, report.histogram.render()) {
+        if let Err(e) = std::fs::write(&path, report.latency.render()) {
             eprintln!(
                 "runtime: could not write histogram to {}: {e}",
                 path.display()
             );
         }
     }
-    let p99 = report.histogram.quantile_ms(0.99);
+    let p99_us = report.latency.quantile(0.99);
     if json {
         println!("{}", report.render_json());
     } else {
         print!("{}", report.render());
     }
     if args.on("--check") {
-        let p99_bound: Option<u64> = args.opt("--p99");
-        let p99_ok = p99_bound.is_none_or(|bound| p99 <= bound);
+        let p99_bound_ms: Option<u64> = args.opt("--p99");
+        let p99_ok = p99_bound_ms.is_none_or(|ms| p99_us <= ms.saturating_mul(1000));
         if !report.invariants_ok() || !p99_ok {
             if !json {
                 eprintln!(
-                    "runtime: wire-soak check FAILED ({} violation(s), p99 <{} ms{})",
+                    "runtime: wire-soak check FAILED ({} violation(s), p99 {p99_us} us{})",
                     report.violations.len(),
-                    p99,
-                    p99_bound.map_or(String::new(), |b| format!(" vs bound {b} ms")),
+                    p99_bound_ms.map_or(String::new(), |ms| format!(" vs bound {ms} ms")),
                 );
             }
             return Ok(ExitCode::from(1));

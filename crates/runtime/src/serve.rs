@@ -92,6 +92,7 @@ use crate::service::{
     build_core, checkpoint_locked, maintenance_loop, wire_error_kind, wire_outcome, Core, Field,
     JobStep, ReadJob, RecoveryReport, RuntimeConfig,
 };
+use crate::sim::json_object;
 use crate::snapshot::SnapshotError;
 use crate::soak::reference_array;
 
@@ -254,6 +255,36 @@ pub struct WireServerStats {
     /// Divergent or crash-recovered replicas whose effect log was
     /// repaired from a live sibling.
     pub rejoin_repairs: u64,
+}
+
+impl WireServerStats {
+    /// Every counter as one JSON object — what `runtime serve --json`
+    /// prints and the wire soak's report nests as `"server"`.
+    pub fn render_json(&self) -> String {
+        json_object(&[
+            ("connections", self.connections.to_string()),
+            ("frames_in", self.frames_in.to_string()),
+            ("responses", self.responses.to_string()),
+            ("bad_frames", self.bad_frames.to_string()),
+            ("shed", self.shed.to_string()),
+            ("deduped", self.deduped.to_string()),
+            ("failovers", self.failovers.to_string()),
+            ("idle_closed", self.idle_closed.to_string()),
+            ("stalled_closed", self.stalled_closed.to_string()),
+            (
+                "write_timeout_closed",
+                self.write_timeout_closed.to_string(),
+            ),
+            ("crashes", self.crashes.to_string()),
+            ("resurrected", self.resurrected.to_string()),
+            ("duplicate_effects", self.duplicate_effects.to_string()),
+            ("protocol_errors", self.protocol_errors.to_string()),
+            ("replicated", self.replicated.to_string()),
+            ("fenced_writes", self.fenced_writes.to_string()),
+            ("promotions", self.promotions.to_string()),
+            ("rejoin_repairs", self.rejoin_repairs.to_string()),
+        ])
+    }
 }
 
 /// One replica behind the server: a real service core and its side of

@@ -489,7 +489,7 @@ impl FleetConfig {
 }
 
 /// What one simulated fleet run did and found.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetReport {
     /// The seed that produced this run.
     pub seed: u64,
@@ -685,23 +685,11 @@ struct FleetWorld {
     /// Which replica completed `(group, req_id)` — a second completion
     /// by a different replica is split brain.
     completed: BTreeMap<(usize, u64), usize>,
+    /// The first violation, until the per-step check pins its step.
     violation: Option<Violation<FleetInvariant>>,
-    requests: u64,
-    served_fresh: u64,
-    served_degraded: u64,
-    client_errors: u64,
-    client_timeouts: u64,
-    failovers: u64,
-    promotions: u64,
-    fenced_writes: u64,
-    anti_entropy_repairs: u64,
-    stale_discarded: u64,
-    decommissioned_discarded: u64,
-    duplicates_absorbed: u64,
-    crashes: u64,
-    recovered_with_snapshot: u64,
-    decommissions: u64,
-    kills: u64,
+    /// The report the tasks count into; the end-of-run facts are set
+    /// after the run.
+    report: FleetReport,
 }
 
 impl FleetWorld {
@@ -763,7 +751,7 @@ impl FleetWorld {
         let epoch = self.groups[group].epoch + 1;
         self.groups[group].epoch = epoch;
         self.groups[group].primary = winner;
-        self.promotions += 1;
+        self.report.promotions += 1;
         for r in 0..self.replication {
             let n = self.node(group, r);
             if !self.replicas[n].killed {
@@ -823,7 +811,7 @@ impl FleetWorld {
     /// the two differ.
     fn repair(&mut self, node: usize, canonical: &[EffectRecord]) {
         if self.replicas[node].repl.repair(canonical) {
-            self.anti_entropy_repairs += 1;
+            self.report.anti_entropy_repairs += 1;
         }
     }
 }
@@ -921,7 +909,7 @@ fn crash_replica(
         return;
     }
     w.net.drop_pending_for(node_idx);
-    w.crashes += 1;
+    w.report.crashes += 1;
     w.replicas[node_idx].disk.crash();
     let disk = Arc::clone(&w.replicas[node_idx].disk);
     let clock = Arc::clone(&w.replicas[node_idx].clock);
@@ -980,7 +968,7 @@ fn crash_replica(
             node.core = core;
             node.repl.recover(log, rec.recovered_epoch);
             if rec.recovered_seq.is_some() {
-                w.recovered_with_snapshot += 1;
+                w.report.recovered_with_snapshot += 1;
             }
         }
         Err(e) => {
@@ -1033,7 +1021,7 @@ impl Router {
         let p = self.pending.get_mut(&req_id).expect("still pending");
         match self.policy.advance(&mut p.plan, |g| w.servable(g)) {
             Some(route) => {
-                w.failovers += 1;
+                w.report.failovers += 1;
                 p.group = route.shard;
                 p.promoted = false;
                 p.dispatch_at = Some(now + route.backoff_ms);
@@ -1145,8 +1133,8 @@ fn apply(w: &mut FleetWorld, me: usize, now: u64, out: Vec<Output>, jobs: &mut V
                     "group {g} replica {r} (epoch {held}) acked req {req_id} from fenced epoch {epoch}"
                 ),
             ),
-            Output::Absorbed => w.duplicates_absorbed += 1,
-            Output::Fenced(writes) => w.fenced_writes += writes,
+            Output::Absorbed => w.report.duplicates_absorbed += 1,
+            Output::Fenced(writes) => w.report.fenced_writes += writes,
         }
     }
 }
@@ -1192,22 +1180,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         acked: BTreeMap::new(),
         completed: BTreeMap::new(),
         violation: None,
-        requests: 0,
-        served_fresh: 0,
-        served_degraded: 0,
-        client_errors: 0,
-        client_timeouts: 0,
-        failovers: 0,
-        promotions: 0,
-        fenced_writes: 0,
-        anti_entropy_repairs: 0,
-        stale_discarded: 0,
-        decommissioned_discarded: 0,
-        duplicates_absorbed: 0,
-        crashes: 0,
-        recovered_with_snapshot: 0,
-        decommissions: 0,
-        kills: 0,
+        report: FleetReport {
+            seed: cfg.seed,
+            mutation: cfg.mutation,
+            ..FleetReport::default()
+        },
     }));
 
     let mut ex = Executor::new(cfg.seed, Arc::clone(&base));
@@ -1297,9 +1274,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         if too_old || w.retired(origin_group) {
                             // Unservable: discard and fail over.
                             if too_old {
-                                w.stale_discarded += 1;
+                                w.report.stale_discarded += 1;
                             } else {
-                                w.decommissioned_discarded += 1;
+                                w.report.decommissioned_discarded += 1;
                             }
                             router.fail_over(w, now, req_id, "unservable", origin_group, total_age);
                             continue;
@@ -1532,18 +1509,20 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                             w.flag(invariant, now, detail);
                         }
                         if fresh {
-                            w.served_fresh += 1;
+                            w.report.served_fresh += 1;
                         } else {
-                            w.served_degraded += 1;
+                            w.report.served_degraded += 1;
                         }
                     }
-                    WireOutcome::Failed { .. } | WireOutcome::Shed { .. } => w.client_errors += 1,
+                    WireOutcome::Failed { .. } | WireOutcome::Shed { .. } => {
+                        w.report.client_errors += 1
+                    }
                 }
             }
             if let Some((_, sent_at)) = waiting {
                 if now.saturating_sub(sent_at) >= client_timeout {
                     waiting = None;
-                    w.client_timeouts += 1;
+                    w.report.client_timeouts += 1;
                 } else {
                     // Probe at the request cadence while waiting: the
                     // replicated write path adds hops, so the reply is
@@ -1564,7 +1543,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             seq += 1;
             key = key.wrapping_add(0x9E37_79B9).wrapping_mul(3) | 1;
             let req_id = (me as u64) << 32 | seq;
-            w.requests += 1;
+            w.report.requests += 1;
             w.net
                 .send(now, me, router_node, FleetMsg::ClientReq { req_id, key });
             waiting = Some((req_id, now));
@@ -1673,7 +1652,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                     FleetEvent::Decommission { shard, .. } => {
                         if shard < w.groups.len() && w.groups[shard].decommissioned_at.is_none() {
                             w.groups[shard].decommissioned_at = Some(now);
-                            w.decommissions += 1;
+                            w.report.decommissions += 1;
                         }
                     }
                     FleetEvent::Kill { shard, replica, .. } => {
@@ -1686,7 +1665,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         }
                         w.replicas[node].killed = true;
                         w.net.drop_pending_for(node);
-                        w.kills += 1;
+                        w.report.kills += 1;
                         // Invariant 5, checked at the kill itself.
                         let what =
                             format!("survives on no live replica after killing replica {replica}");
@@ -1802,31 +1781,14 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         None
     });
 
-    let w = world.borrow();
+    let mut w = world.borrow_mut();
     FleetReport {
-        seed: cfg.seed,
-        mutation: cfg.mutation,
         violation,
         trace: ex.trace().to_vec(),
         steps: ex.steps(),
-        requests: w.requests,
-        served_fresh: w.served_fresh,
-        served_degraded: w.served_degraded,
-        client_errors: w.client_errors,
-        client_timeouts: w.client_timeouts,
-        failovers: w.failovers,
-        promotions: w.promotions,
-        fenced_writes: w.fenced_writes,
         acked_effects: w.acked.len() as u64,
-        anti_entropy_repairs: w.anti_entropy_repairs,
-        stale_discarded: w.stale_discarded,
-        decommissioned_discarded: w.decommissioned_discarded,
-        duplicates_absorbed: w.duplicates_absorbed,
-        crashes: w.crashes,
-        recovered_with_snapshot: w.recovered_with_snapshot,
-        decommissions: w.decommissions,
-        kills: w.kills,
         net: w.net.stats(),
+        ..std::mem::take(&mut w.report)
     }
 }
 

@@ -247,7 +247,7 @@ impl Default for SimConfig {
 }
 
 /// What one simulated run did and found.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
     /// The seed that produced this run.
     pub seed: u64,
@@ -333,12 +333,13 @@ pub trait RunReport {
 }
 
 /// Renders `fields` — keys with values that are JSON already — as one
-/// flat JSON object, a field per line: the shape of every report the
-/// `runtime` CLI prints with `--json`.
+/// JSON object, a field per line, indenting a nested object's lines
+/// one level: the shape of every report the `runtime` CLI prints with
+/// `--json`.
 pub(crate) fn json_object(fields: &[(&str, String)]) -> String {
     let body: Vec<String> = fields
         .iter()
-        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .map(|(key, value)| format!("  \"{key}\": {}", value.replace('\n', "\n  ")))
         .collect();
     format!("{{\n{}\n}}", body.join(",\n"))
 }
@@ -485,19 +486,11 @@ struct SimWorld {
     /// live in the silicon and survive crashes.
     active: Vec<(u64, usize, RingFault)>,
     prev_breakers: Vec<BreakerState>,
+    /// The first violation, until the per-step check pins its step.
     violation: Option<Violation<Invariant>>,
-    requests: u64,
-    served_fresh: u64,
-    served_degraded: u64,
-    typed_errors: u64,
-    deadline_misses: u64,
-    injected: u64,
-    cleared: u64,
-    crashes: u64,
-    checkpoints: u64,
-    aborted_in_flight: u64,
-    recovered_seqs: Vec<Option<u64>>,
-    snapshots_skipped: u64,
+    /// The report the tasks count into; the end-of-run facts are set
+    /// after the run.
+    report: SimReport,
 }
 
 impl SimWorld {
@@ -564,18 +557,11 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         incarnation: 0,
         active: Vec::new(),
         violation: None,
-        requests: 0,
-        served_fresh: 0,
-        served_degraded: 0,
-        typed_errors: 0,
-        deadline_misses: 0,
-        injected: 0,
-        cleared: 0,
-        crashes: 0,
-        checkpoints: 0,
-        aborted_in_flight: 0,
-        recovered_seqs: Vec::new(),
-        snapshots_skipped: 0,
+        report: SimReport {
+            seed: cfg.seed,
+            mutation: cfg.mutation,
+            ..SimReport::default()
+        },
     }));
 
     let mut ex = Executor::new(cfg.seed, Arc::clone(&clock));
@@ -598,7 +584,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                 if *inc != w.incarnation {
                     // The process serving this request died mid-flight.
                     job = None;
-                    w.aborted_in_flight += 1;
+                    w.report.aborted_in_flight += 1;
                 }
             }
             match &mut job {
@@ -607,7 +593,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                         return TaskState::Done;
                     }
                     remaining -= 1;
-                    w.requests += 1;
+                    w.report.requests += 1;
                     let core = Arc::clone(&w.core);
                     let submitted = core.now_ms();
                     let deadline_abs = submitted + core.config.default_deadline_ms;
@@ -633,15 +619,15 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                                         w.flag(invariant, now, detail);
                                     }
                                     if matches!(r.provenance, Provenance::Fresh { .. }) {
-                                        w.served_fresh += 1;
+                                        w.report.served_fresh += 1;
                                     } else {
-                                        w.served_degraded += 1;
+                                        w.report.served_degraded += 1;
                                     }
                                 }
                                 Err(e) => {
-                                    w.typed_errors += 1;
+                                    w.report.typed_errors += 1;
                                     if matches!(e, RuntimeError::DeadlineExceeded { .. }) {
-                                        w.deadline_misses += 1;
+                                        w.report.deadline_misses += 1;
                                     }
                                 }
                             }
@@ -685,7 +671,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
             let t = core.now_ms();
             if checkpoint_locked(&core, &mut state, t).is_ok() {
                 drop(state);
-                w.checkpoints += 1;
+                w.report.checkpoints += 1;
             }
             TaskState::SleepUntil(now + interval)
         });
@@ -711,7 +697,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                         if let Some(site) = state.array.sites_mut().get_mut(ch) {
                             site.unit.clear_fault();
                         }
-                        w.cleared += 1;
+                        w.report.cleared += 1;
                     } else {
                         still.push((clears_at, ch, rf));
                     }
@@ -722,7 +708,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                     if let Some(rf) = ev.fault.as_ring_fault() {
                         if let Some(site) = state.array.sites_mut().get_mut(ev.channel) {
                             site.unit.inject_fault(rf);
-                            w.injected += 1;
+                            w.report.injected += 1;
                             still.push((ev.clears_at_ms(), ev.channel, rf));
                         }
                     }
@@ -755,7 +741,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         ex.spawn("crash", first, move |now| {
             let mut w = world.borrow_mut();
             disk.crash();
-            w.crashes += 1;
+            w.report.crashes += 1;
             idx += 1;
             match build_core(
                 reference_array(sites),
@@ -767,7 +753,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                 rebase,
             ) {
                 Ok((core, rec)) => {
-                    w.snapshots_skipped += rec.snapshots_skipped as u64;
+                    w.report.snapshots_skipped += rec.snapshots_skipped as u64;
                     {
                         let state = core.state.lock().expect("state poisoned");
                         if state.cache.is_some() {
@@ -778,7 +764,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                             );
                         }
                     }
-                    w.recovered_seqs.push(rec.recovered_seq);
+                    w.report.recovered_seqs.push(rec.recovered_seq);
                     w.prev_breakers = breaker_snapshot(&core);
                     w.incarnation += 1;
                     // Faults live in the silicon, not the process.
@@ -876,26 +862,13 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         None
     });
 
-    let w = world.borrow();
+    let report = std::mem::take(&mut world.borrow_mut().report);
     SimReport {
-        seed: cfg.seed,
-        mutation: cfg.mutation,
         violation,
         trace: ex.trace().to_vec(),
         steps: ex.steps(),
-        requests: w.requests,
-        served_fresh: w.served_fresh,
-        served_degraded: w.served_degraded,
-        typed_errors: w.typed_errors,
-        deadline_misses: w.deadline_misses,
-        injected: w.injected,
-        cleared: w.cleared,
-        crashes: w.crashes,
-        checkpoints: w.checkpoints,
-        aborted_in_flight: w.aborted_in_flight,
-        recovered_seqs: w.recovered_seqs.clone(),
-        snapshots_skipped: w.snapshots_skipped,
         disk: disk.stats(),
+        ..report
     }
 }
 

@@ -24,9 +24,9 @@
 //! check the deterministic simulation runs on every reply.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dst::{Clock, SystemClock};
 use faultsim::FaultSchedule;
@@ -36,6 +36,7 @@ use crate::breaker::BreakerState;
 use crate::error::{Result, RuntimeError};
 use crate::service::{Field, MonitorRuntime, Provenance, RuntimeConfig, RuntimeHandle};
 use crate::sim::{check_reply, json_object, Invariant};
+use crate::soak_wire::LatencyHistogram;
 
 /// Tuning for one soak run.
 #[derive(Debug, Clone)]
@@ -131,12 +132,9 @@ pub struct SoakReport {
     pub breakers_all_closed: bool,
     /// Channels still quarantined at the end.
     pub quarantined_at_end: usize,
-    /// Median reply latency, milliseconds.
-    pub p50_latency_ms: u64,
-    /// 99th-percentile reply latency, milliseconds.
-    pub p99_latency_ms: u64,
-    /// Worst reply latency, milliseconds.
-    pub max_latency_ms: u64,
+    /// Latency of every answered request (a reading or a typed
+    /// error), timed around `read`, µs.
+    pub latency: LatencyHistogram,
     /// Successful replies per second over the whole run.
     pub throughput_per_s: f64,
     /// Wall-clock duration of the run, seconds.
@@ -186,12 +184,12 @@ impl SoakReport {
         ));
         s.push_str(&format!(
             "  end state: breakers all closed = {}, {} quarantined; \
-             latency p50/p99/max = {}/{}/{} ms\n",
+             latency p50/p99/max = {}/{}/{} us\n",
             self.breakers_all_closed,
             self.quarantined_at_end,
-            self.p50_latency_ms,
-            self.p99_latency_ms,
-            self.max_latency_ms
+            self.latency.quantile(0.50),
+            self.latency.quantile(0.99),
+            self.latency.max()
         ));
         s
     }
@@ -225,9 +223,7 @@ impl SoakReport {
             ("checkpoints", self.checkpoints.to_string()),
             ("breakers_all_closed", self.breakers_all_closed.to_string()),
             ("quarantined_at_end", self.quarantined_at_end.to_string()),
-            ("p50_latency_ms", self.p50_latency_ms.to_string()),
-            ("p99_latency_ms", self.p99_latency_ms.to_string()),
-            ("max_latency_ms", self.max_latency_ms.to_string()),
+            ("latency", self.latency.render_json()),
             ("throughput_per_s", format!("{:.1}", self.throughput_per_s)),
             ("elapsed_s", format!("{:.2}", self.elapsed_s)),
             (
@@ -240,7 +236,6 @@ impl SoakReport {
 
 #[derive(Default)]
 struct Collector {
-    latencies_ms: Mutex<Vec<u64>>,
     requests: AtomicU64,
     fresh: AtomicU64,
     degraded: AtomicU64,
@@ -332,6 +327,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport> {
             thread::Builder::new()
                 .name(format!("soak-client-{k}"))
                 .spawn(move || {
+                    let mut latency = LatencyHistogram::new();
                     let mut ch = k % sites.max(1);
                     while !stop.load(Ordering::SeqCst) {
                         {
@@ -342,12 +338,11 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport> {
                                 }
                                 Some(h) => {
                                     col.requests.fetch_add(1, Ordering::Relaxed);
-                                    match h.read(ch) {
+                                    let sent = Instant::now();
+                                    let reply = h.read(ch);
+                                    latency.record(sent.elapsed().as_micros() as u64);
+                                    match reply {
                                         Ok(r) => {
-                                            col.latencies_ms
-                                                .lock()
-                                                .expect("latency lock")
-                                                .push(r.latency_ms);
                                             for (invariant, _) in
                                                 check_reply(&r, deadline, staleness_bound)
                                             {
@@ -389,6 +384,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport> {
                             thread::sleep(Duration::from_millis(interval));
                         }
                     }
+                    latency
                 })
                 .expect("spawn soak client"),
         );
@@ -492,7 +488,9 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport> {
 
     stop.store(true, Ordering::SeqCst);
     for c in clients {
-        let _ = c.join();
+        report
+            .latency
+            .merge(&c.join().expect("soak client thread panicked"));
     }
 
     // Final state and teardown.
@@ -522,18 +520,6 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport> {
     report.out_of_tolerance_fresh = collector.out_of_tolerance.load(Ordering::Relaxed);
     report.downtime_skips = collector.downtime_skips.load(Ordering::Relaxed);
 
-    let mut lat = collector.latencies_ms.lock().expect("latency lock").clone();
-    lat.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if lat.is_empty() {
-            0
-        } else {
-            lat[((lat.len() - 1) as f64 * p) as usize]
-        }
-    };
-    report.p50_latency_ms = pct(0.50);
-    report.p99_latency_ms = pct(0.99);
-    report.max_latency_ms = lat.last().copied().unwrap_or(0);
     report.elapsed_s = started.now_ms() as f64 / 1e3;
     let served = report.served_fresh + report.served_degraded + report.served_shed;
     report.throughput_per_s = if report.elapsed_s > 0.0 {

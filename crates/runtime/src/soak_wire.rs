@@ -6,7 +6,9 @@
 //! requests are *scheduled* by a seeded exponential process and their
 //! latency is measured from the scheduled arrival, not from send — so
 //! a stalling server honestly accrues queueing delay instead of
-//! silently slowing the load (open-loop, not closed-loop).
+//! silently slowing the load (open-loop, not closed-loop). Latencies go
+//! into a [`LatencyHistogram`], the log-linear microsecond histogram
+//! the in-process soak records into as well.
 //!
 //! Mid-run the harness can crash-and-recover one shard group's
 //! primary, decommission another, and permanently **kill** a third
@@ -93,23 +95,36 @@ impl Default for WireSoakConfig {
     }
 }
 
-/// Power-of-two latency histogram: bucket 0 holds 0 ms, bucket *i*
-/// holds `[2^(i-1), 2^i)` ms.
-#[derive(Debug, Clone)]
+/// Sub-buckets per power of two: each bucket is at most 1/16 as wide
+/// as its lower edge.
+const SUB_BUCKETS: u64 = 16;
+/// Buckets covering all of `u64`: 32 exact ones below 32 µs, then
+/// [`SUB_BUCKETS`] for each power of two from 2^5 to 2^63.
+const BUCKETS: usize = 976;
+
+/// Log-linear latency histogram in microseconds, HdrHistogram's layout
+/// with 4 sub-bucket bits: every value below 32 µs has its own bucket,
+/// and each power of two above splits into 16 equal sub-buckets, so a
+/// bucket's upper bound is within 6.25 % of every value it holds.
+///
+/// One fixed bucket array: recording allocates nothing, and per-thread
+/// copies [`merge`](Self::merge) without a lock. Count, sum and max
+/// are exact.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
-    buckets: [u64; 64],
+    buckets: [u64; BUCKETS],
     count: u64,
-    sum_ms: u64,
-    max_ms: u64,
+    sum_us: u64,
+    max_us: u64,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            buckets: [0; 64],
+            buckets: [0; BUCKETS],
             count: 0,
-            sum_ms: 0,
-            max_ms: 0,
+            sum_us: 0,
+            max_us: 0,
         }
     }
 }
@@ -120,20 +135,26 @@ impl LatencyHistogram {
         Self::default()
     }
 
-    fn index(ms: u64) -> usize {
-        if ms == 0 {
-            0
-        } else {
-            ((64 - ms.leading_zeros()) as usize).min(63)
-        }
+    /// The bucket holding `us`: below 32 the value itself, above it 16
+    /// per power of two.
+    fn index(us: u64) -> usize {
+        let shift = (u64::BITS - us.leading_zeros()).saturating_sub(5);
+        (u64::from(shift) * SUB_BUCKETS + (us >> shift)) as usize
     }
 
-    /// Records one latency sample.
-    pub fn record(&mut self, ms: u64) {
-        self.buckets[Self::index(ms)] += 1;
+    /// The inclusive `[lo, hi]` microsecond range of bucket `i`.
+    fn bounds(i: usize) -> (u64, u64) {
+        let shift = (i as u64 / SUB_BUCKETS).saturating_sub(1);
+        let lo = (i as u64 - shift * SUB_BUCKETS) << shift;
+        (lo, lo + ((1 << shift) - 1))
+    }
+
+    /// Records one latency sample, microseconds.
+    pub fn record(&mut self, us: u64) {
+        self.buckets[Self::index(us)] += 1;
         self.count += 1;
-        self.sum_ms += ms;
-        self.max_ms = self.max_ms.max(ms);
+        self.sum_us = self.sum_us.saturating_add(us);
+        self.max_us = self.max_us.max(us);
     }
 
     /// Folds another histogram into this one.
@@ -142,8 +163,8 @@ impl LatencyHistogram {
             *a += b;
         }
         self.count += other.count;
-        self.sum_ms += other.sum_ms;
-        self.max_ms = self.max_ms.max(other.max_ms);
+        self.sum_us = self.sum_us.saturating_add(other.sum_us);
+        self.max_us = self.max_us.max(other.max_us);
     }
 
     /// Samples recorded.
@@ -151,63 +172,62 @@ impl LatencyHistogram {
         self.count
     }
 
-    /// Largest sample, milliseconds.
-    pub fn max_ms(&self) -> u64 {
-        self.max_ms
+    /// Largest sample, microseconds.
+    pub fn max(&self) -> u64 {
+        self.max_us
     }
 
-    /// Mean latency, milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ms as f64 / self.count as f64
-        }
+    /// Mean latency, microseconds; 0 when empty.
+    pub fn mean(&self) -> f64 {
+        self.sum_us as f64 / self.count.max(1) as f64
     }
 
-    /// Upper bound (exclusive, in ms) of the bucket containing the
-    /// `q`-quantile sample, `q` in `[0, 1]` — e.g. `quantile_ms(0.99)`
-    /// is a p99 bound. 0 when empty.
-    pub fn quantile_ms(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
+    /// The `q`-quantile, `q` in `[0, 1]`, microseconds: the upper bound
+    /// of the bucket holding the ⌈q·n⌉-th smallest sample, capped at
+    /// the max. Never below a sample its bucket holds, so a true
+    /// quantile above a bound always reads above it. 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
         let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0;
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b;
             if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << i };
+                return Self::bounds(i).1.min(self.max_us);
             }
         }
-        self.max_ms
+        0
     }
 
-    /// A plain-text rendering, one non-empty bucket per line — the CI
-    /// artifact format.
+    /// A plain-text rendering: a summary line, then one line per
+    /// non-empty bucket — the `--hist-out` artifact.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "samples {}  mean {:.2} ms  p50 <{} ms  p99 <{} ms  p999 <{} ms  max {} ms\n",
+        let mut out = format!(
+            "samples {}  mean {:.1} us  p50 {} us  p99 {} us  p999 {} us  max {} us\n",
             self.count,
-            self.mean_ms(),
-            self.quantile_ms(0.50),
-            self.quantile_ms(0.99),
-            self.quantile_ms(0.999),
-            self.max_ms,
-        ));
-        for (i, b) in self.buckets.iter().enumerate() {
-            if *b == 0 {
-                continue;
-            }
-            let (lo, hi) = if i == 0 {
-                (0, 0)
-            } else {
-                (1u64 << (i - 1), (1u64 << i) - 1)
-            };
-            out.push_str(&format!("[{lo:>6}..{hi:>6}] ms  {b}\n"));
+            self.mean(),
+            self.quantile(0.50),
+            self.quantile(0.99),
+            self.quantile(0.999),
+            self.max_us,
+        );
+        for (i, b) in self.buckets.iter().enumerate().filter(|(_, b)| **b > 0) {
+            let (lo, hi) = Self::bounds(i);
+            out.push_str(&format!("[{lo:>8}..{hi:>8}] us  {b}\n"));
         }
         out
+    }
+
+    /// The summary as one JSON object, nested as `"latency"` by both
+    /// soak reports.
+    pub fn render_json(&self) -> String {
+        json_object(&[
+            ("samples", self.count.to_string()),
+            ("mean_us", format!("{:.1}", self.mean())),
+            ("p50_us", self.quantile(0.50).to_string()),
+            ("p99_us", self.quantile(0.99).to_string()),
+            ("p999_us", self.quantile(0.999).to_string()),
+            ("max_us", self.max_us.to_string()),
+        ])
     }
 }
 
@@ -222,8 +242,8 @@ pub struct WireSoakReport {
     pub failed: u64,
     /// Requests the client gave up on after its full ladder.
     pub exhausted: u64,
-    /// End-to-end latency from scheduled arrival to answer.
-    pub histogram: LatencyHistogram,
+    /// End-to-end latency from scheduled arrival to answer, µs.
+    pub latency: LatencyHistogram,
     /// Completed requests per second of load window.
     pub throughput_rps: f64,
     /// Invariant violations; empty on a healthy run.
@@ -267,7 +287,7 @@ impl WireSoakReport {
         if let Some(s) = &self.chaos_summary {
             out.push_str(&format!("chaos: {s}\n"));
         }
-        out.push_str(&self.histogram.render());
+        out.push_str(&self.latency.render());
         if self.violations.is_empty() {
             out.push_str("invariants: ok\n");
         } else {
@@ -280,13 +300,14 @@ impl WireSoakReport {
 
     /// The report as one JSON object — the one rendering `runtime
     /// wire-soak --json` prints and the `wire` and `replicated` benches
-    /// nest per run. `violations` is an array of escaped strings.
+    /// nest per run. `latency` and `server` are the histogram's and the
+    /// server counters' own objects; `violations` is an array of
+    /// escaped strings.
     pub fn render_json(&self) -> String {
-        let (h, s) = (&self.histogram, &self.server);
         let violations: Vec<String> = self
             .violations
             .iter()
-            .map(|v| format!("\"{}\"", faultsim::report::json_escape(v)))
+            .map(|v| format!("\"{}\"", sensor::sta::report::json_escape(v)))
             .collect();
         json_object(&[
             ("requests", self.requests.to_string()),
@@ -294,22 +315,8 @@ impl WireSoakReport {
             ("failed", self.failed.to_string()),
             ("exhausted", self.exhausted.to_string()),
             ("throughput_rps", format!("{:.1}", self.throughput_rps)),
-            ("mean_latency_ms", format!("{:.2}", h.mean_ms())),
-            ("p50_ms", h.quantile_ms(0.50).to_string()),
-            ("p99_ms", h.quantile_ms(0.99).to_string()),
-            ("p999_ms", h.quantile_ms(0.999).to_string()),
-            ("max_latency_ms", h.max_ms().to_string()),
-            ("shed", s.shed.to_string()),
-            ("deduped", s.deduped.to_string()),
-            ("duplicate_effects", s.duplicate_effects.to_string()),
-            ("failovers", s.failovers.to_string()),
-            ("bad_frames", s.bad_frames.to_string()),
-            ("crashes", s.crashes.to_string()),
-            ("resurrected", s.resurrected.to_string()),
-            ("replicated", s.replicated.to_string()),
-            ("promotions", s.promotions.to_string()),
-            ("fenced_writes", s.fenced_writes.to_string()),
-            ("rejoin_repairs", s.rejoin_repairs.to_string()),
+            ("latency", self.latency.render_json()),
+            ("server", self.server.render_json()),
             (
                 "chaos_faults",
                 self.chaos_faults.map_or("null".into(), |f| f.to_string()),
@@ -323,7 +330,7 @@ impl WireSoakReport {
 /// One answered request as the grader sees it.
 struct Sample {
     client: usize,
-    latency_ms: u64,
+    latency_us: u64,
     result: std::result::Result<crate::client::ClientOutcome, ClientError>,
 }
 
@@ -407,10 +414,9 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
                         }
                         let scheduled = start + due;
                         let result = client.request(req_id, key);
-                        let latency_ms = scheduled.elapsed().as_millis() as u64;
                         let sample = Sample {
                             client: w,
-                            latency_ms,
+                            latency_us: scheduled.elapsed().as_micros() as u64,
                             result,
                         };
                         if sample_tx.send(sample).is_err() {
@@ -479,13 +485,13 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
 
     // Grade.
     let staleness_bound = cfg.server.runtime.staleness_bound_ms;
-    let mut histogram = LatencyHistogram::new();
+    let mut latency = LatencyHistogram::new();
     let mut completed = 0u64;
     let mut failed = 0u64;
     let mut exhausted = 0u64;
     let mut violations = crash_errors;
     while let Ok(sample) = sample_rx.try_recv() {
-        histogram.record(sample.latency_ms);
+        latency.record(sample.latency_us);
         match sample.result {
             Ok(out) => match &out.outcome {
                 WireOutcome::Reading { fresh, age_ms, .. } => {
@@ -542,7 +548,7 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
         completed,
         failed,
         exhausted,
-        histogram,
+        latency,
         throughput_rps: completed as f64 / wall_s.max(1e-9),
         violations,
         server: server_stats,
@@ -555,22 +561,108 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
 mod tests {
     use super::*;
 
+    /// Every bucket's inclusive range, in bucket order.
+    fn every_bucket() -> impl Iterator<Item = (u64, u64)> {
+        (0..BUCKETS).map(LatencyHistogram::bounds)
+    }
+
     #[test]
-    fn histogram_quantiles_and_merge_are_sane() {
-        let mut h = LatencyHistogram::new();
-        for ms in [0, 1, 1, 2, 3, 5, 9, 17, 900] {
-            h.record(ms);
+    fn values_below_32_us_land_in_exact_buckets() {
+        for us in 0..32 {
+            assert_eq!(
+                LatencyHistogram::bounds(LatencyHistogram::index(us)),
+                (us, us)
+            );
         }
-        assert_eq!(h.count(), 9);
-        assert_eq!(h.max_ms(), 900);
-        assert!(h.quantile_ms(0.5) <= 4, "p50 {}", h.quantile_ms(0.5));
-        assert!(h.quantile_ms(1.0) >= 512, "p100 {}", h.quantile_ms(1.0));
-        let mut other = LatencyHistogram::new();
-        other.record(42);
-        other.merge(&h);
-        assert_eq!(other.count(), 10);
-        let r = other.render();
-        assert!(r.contains("samples 10"), "{r}");
+        assert_eq!(LatencyHistogram::bounds(32), (32, 33));
+    }
+
+    #[test]
+    fn buckets_tile_u64_with_edges_on_powers_of_two() {
+        let mut next = 0u64;
+        for (i, (lo, hi)) in every_bucket().enumerate() {
+            assert_eq!(lo, next, "bucket {i} leaves a gap or overlaps");
+            assert_eq!(LatencyHistogram::index(lo), i);
+            assert_eq!(LatencyHistogram::index(hi), i);
+            next = hi.wrapping_add(1);
+        }
+        assert_eq!(next, 0, "the last bucket ends at u64::MAX");
+        for e in 5..64 {
+            let i = LatencyHistogram::index(1 << e);
+            assert_eq!(
+                LatencyHistogram::bounds(i).0,
+                1 << e,
+                "2^{e} opens a bucket"
+            );
+            assert_eq!(LatencyHistogram::bounds(i - 1).1, (1 << e) - 1);
+        }
+    }
+
+    #[test]
+    fn an_upper_bound_is_within_a_sixteenth_of_every_value_it_holds() {
+        // A bucket's lowest value lies furthest below its upper bound.
+        for (lo, hi) in every_bucket() {
+            assert!((hi - lo) * SUB_BUCKETS < lo.max(1), "[{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn merge_equals_recording_both_sample_sets() {
+        let a = [0, 3, 31, 32, 33, 700, 17_000, 5_000_000];
+        let b = [1, 31, 64, 65, 900, 1 << 40, u64::MAX];
+        let (mut ha, mut hb, mut both) = (
+            LatencyHistogram::new(),
+            LatencyHistogram::new(),
+            LatencyHistogram::new(),
+        );
+        for us in a {
+            ha.record(us);
+            both.record(us);
+        }
+        for us in b {
+            hb.record(us);
+            both.record(us);
+        }
+        ha.merge(&hb);
+        assert_eq!(ha, both);
+        assert_eq!(ha.count(), 15);
+        assert_eq!(ha.max(), u64::MAX);
+    }
+
+    #[test]
+    fn quantile_is_zero_when_empty_and_the_max_at_one() {
+        let mut h = LatencyHistogram::new();
+        assert_eq!(
+            (h.quantile(0.0), h.quantile(0.5), h.quantile(1.0)),
+            (0, 0, 0)
+        );
+        for us in [5, 17, 40, 1_000, 1_033] {
+            h.record(us);
+        }
+        assert_eq!(h.quantile(0.0), 5, "q = 0 reads the smallest sample");
+        assert_eq!(h.quantile(0.5), 41, "40 sits in [40, 41]");
+        assert_eq!(h.quantile(1.0), 1_033, "capped at the max, not 1087");
+        assert_eq!(h.quantile(0.99), 1_033);
+    }
+
+    #[test]
+    fn render_prints_one_line_per_non_empty_bucket() {
+        let mut h = LatencyHistogram::new();
+        for us in [7, 7, 40, 41, 1_000] {
+            h.record(us);
+        }
+        let r = h.render();
+        let lines: Vec<&str> = r.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "samples 5  mean 219.0 us  p50 41 us  p99 1000 us  p999 1000 us  max 1000 us",
+                "[       7..       7] us  2",
+                "[      40..      41] us  2",
+                "[     992..    1023] us  1",
+            ],
+            "{r}"
+        );
     }
 
     #[test]
@@ -580,7 +672,7 @@ mod tests {
             completed: 1,
             failed: 0,
             exhausted: 0,
-            histogram: LatencyHistogram::new(),
+            latency: LatencyHistogram::new(),
             throughput_rps: 0.0,
             violations: vec!["a \"quoted\" \\ path\nnext line".into()],
             server: WireServerStats::default(),
@@ -593,5 +685,13 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"invariants_ok\": false"), "{json}");
+        assert!(
+            json.contains("\"latency\": {\n    \"samples\": 0,"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"server\": {\n    \"connections\": 0,"),
+            "{json}"
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! The `runtime` binary's command line: sweep JSON from both
 //! simulators, the node-filtered fleet replay and its node check,
-//! `--seed-range` precedence, usage errors (exit 2), and a `--help`
-//! that names every flag of every subcommand.
+//! `--seed-range` precedence, the wire soak's `--p99` gate, usage
+//! errors (exit 2), and a `--help` that names every flag of every
+//! subcommand.
 
 use std::process::{Command, Output};
 
@@ -127,6 +128,33 @@ fn seed_range_overrides_seeds_and_seed_base_in_any_order() {
         assert!(text.contains("\"seed_base\": 5,"), "{args:?}: {text}");
         assert!(text.contains("\"seeds\": 3,"), "{args:?}: {text}");
     }
+}
+
+#[test]
+fn wire_soak_p99_gate_fails_a_zero_bound_and_passes_a_minute() {
+    let root = std::env::temp_dir().join(format!("tsense-cli-p99-{}", std::process::id()));
+    for (bound_ms, code) in [("0", 1), ("60000", 0)] {
+        let dir = root.join(bound_ms);
+        let dir = dir.to_str().expect("utf-8 temp dir");
+        let out = runtime(&[
+            "wire-soak",
+            "--seconds",
+            "1",
+            "--check",
+            "--p99",
+            bound_ms,
+            "--snapshot-dir",
+            dir,
+        ]);
+        assert_eq!(out.status.code(), Some(code), "--p99 {bound_ms}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err.contains("check FAILED"),
+            code == 1,
+            "--p99 {bound_ms}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]

@@ -59,3 +59,8 @@ pub use muxscan::{ChannelReading, GateLevelMuxScan};
 pub use noise::JitterModel;
 pub use stapath::{StaConfigPoint, StaFastPath};
 pub use unit::{CodeCalibration, Measurement, RingFault, SensorConfig, SmartSensorUnit};
+
+/// The static timing engine behind [`stapath`], whose types appear in
+/// its public API. Crates without a direct `sta` dependency (`faultsim`,
+/// `runtime`) reach `sta::report::json_escape` through this re-export.
+pub use sta;

@@ -12,6 +12,7 @@ use tsense_core::units::{Celsius, Seconds};
 use tsense_core::variation::standard_normal;
 
 use crate::error::Result;
+use crate::health::median;
 use crate::unit::{Measurement, SmartSensorUnit};
 
 /// Gaussian relative jitter on the *measured* (window-averaged) period.
@@ -122,22 +123,14 @@ pub fn measure_median<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<Celsius> {
     assert!(n > 0, "need at least one conversion");
-    let mut readings: Vec<f64> = Vec::with_capacity(n);
-    for _ in 0..n {
-        readings.push(
-            measure_noisy(unit, junction, jitter, rng)?
+    let readings = (0..n)
+        .map(|_| {
+            Ok(measure_noisy(unit, junction, jitter, rng)?
                 .temperature
-                .get(),
-        );
-    }
-    readings.sort_by(|a, b| a.partial_cmp(b).expect("finite readings"));
-    let mid = n / 2;
-    let median = if n % 2 == 1 {
-        readings[mid]
-    } else {
-        0.5 * (readings[mid - 1] + readings[mid])
-    };
-    Ok(Celsius::new(median))
+                .get())
+        })
+        .collect::<Result<Vec<f64>>>()?;
+    Ok(Celsius::new(median(&readings)))
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@ use crate::graph::{Analysis, TimingPath};
 use crate::loops::LoopKind;
 use crate::rings::CrossValidation;
 
-/// Escapes a string for inclusion in a JSON literal.
+/// Escapes a string for inclusion in a JSON literal. `netcheck`,
+/// `faultsim` and `runtime` escape with it too.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
@@ -18,6 +19,7 @@ pub fn json_escape(s: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
@@ -222,6 +224,9 @@ mod tests {
     fn json_escape_handles_specials() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(json_escape("a\tb\r\n"), "a\\tb\\r\\n");
+        assert_eq!(json_escape("a\u{1}b"), "a\\u0001b");
+        assert_eq!(json_escape(r#"a\b"#), r#"a\\b"#);
     }
 
     #[test]

@@ -136,6 +136,8 @@ pub struct WireClient {
     /// The live connection, with its carry-over decoder (bytes of a
     /// late response may precede the one we want).
     conn: Option<(TcpStream, Decoder)>,
+    /// Socket read buffer, reused by every attempt.
+    buf: Vec<u8>,
 }
 
 impl WireClient {
@@ -145,6 +147,7 @@ impl WireClient {
             cfg,
             cursor: 0,
             conn: None,
+            buf: vec![0; 4096],
         }
     }
 
@@ -230,7 +233,7 @@ impl WireClient {
         let mut backoff = self.cfg.retry.backoff(self.cfg.seed ^ req_id);
         let start = Instant::now();
         let mut attempts = 0;
-        let mut last = String::from("no attempt made");
+        let mut last = None;
         while attempts < self.cfg.retry.max_attempts {
             if attempts > 0 {
                 let delay = backoff.next().unwrap_or(0);
@@ -244,7 +247,7 @@ impl WireClient {
                         ..
                     } = &resp
                     {
-                        last = format!("shed (retry after {retry_after_ms} ms)");
+                        last = Some(format!("shed (retry after {retry_after_ms} ms)"));
                         thread::sleep(Duration::from_millis(*retry_after_ms));
                         self.failover();
                         continue;
@@ -261,7 +264,7 @@ impl WireClient {
                     } = &resp
                     {
                         if kind == "stale-epoch" {
-                            last = "stale epoch (primary fenced mid-promotion)".into();
+                            last = Some("stale epoch (primary fenced mid-promotion)".into());
                             self.failover();
                             continue;
                         }
@@ -272,17 +275,18 @@ impl WireClient {
                             return Ok((v, attempts, latency_ms));
                         }
                         None => {
-                            last = "unexpected response shape".into();
+                            last = Some("unexpected response shape".into());
                             self.failover();
                         }
                     }
                 }
                 Err(e) => {
-                    last = e;
+                    last = Some(e);
                     self.failover();
                 }
             }
         }
+        let last = last.unwrap_or_else(|| "no attempt made".into());
         Err(ClientError::Exhausted { attempts, last })
     }
 
@@ -318,7 +322,6 @@ impl WireClient {
         let (stream, dec) = self.conn.as_mut().expect("connected above");
         stream.write_all(bytes).map_err(|e| format!("send: {e}"))?;
         let deadline = Instant::now() + Duration::from_millis(self.cfg.request_timeout_ms.max(1));
-        let mut buf = [0u8; 4096];
         loop {
             // Drain already-buffered frames first: a late response to
             // a previous timed-out attempt may precede ours.
@@ -333,9 +336,9 @@ impl WireClient {
             if Instant::now() >= deadline {
                 return Err("request timed out".into());
             }
-            match stream.read(&mut buf) {
+            match stream.read(&mut self.buf) {
                 Ok(0) => return Err("server closed the connection".into()),
-                Ok(n) => dec.feed(&buf[..n]),
+                Ok(n) => dec.feed(&self.buf[..n]),
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
                         || e.kind() == std::io::ErrorKind::TimedOut => {}

@@ -8,16 +8,18 @@
 //! conversions ([`Replica::on_converted`]), drive ticks
 //! ([`Replica::drive`]) and crash recovery ([`Replica::recover`]), and
 //! answers with [`Output`]s: frames to send, conversions to start, and
-//! the facts its caller grades. It owns no clock, socket, lock or
-//! fabric — the caller does that I/O, which is how both tiers run it:
-//! the deterministic fleet simulation over `dst::SimNet`, the TCP tier
-//! in process, under each group's lock.
+//! the facts its caller grades. Each input pushes its outputs onto a
+//! buffer the caller owns and drains, so a write allocates nothing here
+//! beyond the amortised growth of the log and the dedup window. It owns
+//! no clock, socket, lock or fabric — the caller does that I/O, which
+//! is how both tiers run it: the deterministic fleet simulation over
+//! `dst::SimNet`, the TCP tier in process, under each group's lock.
 //!
 //! [`elect`] is the one election rule: both the simulator's router and
 //! the TCP tier's promotion and rejoin pick their replica through it.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use wire::{FleetMsg, WireOutcome};
 
@@ -94,13 +96,43 @@ fn failed(kind: &str) -> WireOutcome {
     WireOutcome::Failed { kind: kind.into() }
 }
 
+/// Acks held inline before [`Acks`] spills to the heap: enough for a
+/// group of five replicas.
+const INLINE_ACKS: usize = 4;
+
+/// The siblings that acked one write, by node id: a set that allocates
+/// only past [`INLINE_ACKS`] members, and takes any node id.
+#[derive(Default)]
+struct Acks {
+    inline: [usize; INLINE_ACKS],
+    len: usize,
+    spill: Vec<usize>,
+}
+
+impl Acks {
+    fn contains(&self, node: usize) -> bool {
+        self.inline[..self.len].contains(&node) || self.spill.contains(&node)
+    }
+
+    fn insert(&mut self, node: usize) {
+        if self.contains(node) {
+            return;
+        }
+        if self.len < INLINE_ACKS {
+            self.inline[self.len] = node;
+            self.len += 1;
+        } else {
+            self.spill.push(node);
+        }
+    }
+}
+
 /// A primary's in-flight replication of one effect: the outcome is
 /// held back until every live sibling has durably acked.
 struct Replicating {
     outcome: WireOutcome,
     rec: EffectRecord,
-    /// Siblings that acked, by node id.
-    acks: BTreeSet<usize>,
+    acks: Acks,
     next_retx: u64,
 }
 
@@ -122,7 +154,9 @@ pub(crate) struct Replica {
     /// Dedup window for this incarnation: `req_id` → `None` while in
     /// flight, `Some(outcome)` once answered (replays re-send it).
     seen: BTreeMap<u64, Option<WireOutcome>>,
-    in_flight: BTreeMap<u64, Replicating>,
+    /// Writes being replicated, sorted by `req_id`: the order `drive`
+    /// retransmits and completes them in.
+    in_flight: Vec<(u64, Replicating)>,
 }
 
 impl Replica {
@@ -138,7 +172,7 @@ impl Replica {
             is_primary: index == 0,
             incarnation: 0,
             seen: BTreeMap::new(),
-            in_flight: BTreeMap::new(),
+            in_flight: Vec::new(),
         }
     }
 
@@ -170,15 +204,21 @@ impl Replica {
 
     /// The fabric time of the earliest pending retransmission.
     pub(crate) fn next_retransmit(&self) -> Option<u64> {
-        self.in_flight.values().map(|e| e.next_retx).min()
+        self.in_flight.iter().map(|(_, e)| e.next_retx).min()
     }
 
-    /// Feeds one frame from node `src`. Frames other than `ShardReq`,
-    /// `Replicate`, `ReplAck` and `Promote` are ignored.
-    pub(crate) fn on_frame(&mut self, src: usize, msg: FleetMsg) -> Vec<Output> {
-        let mut out = Vec::new();
+    /// Where `req_id`'s write sits in `in_flight`, or where it would go.
+    fn slot(&self, req_id: u64) -> Result<usize, usize> {
+        self.in_flight
+            .binary_search_by_key(&req_id, |(rid, _)| *rid)
+    }
+
+    /// Feeds one frame from node `src`, pushing what it does onto `out`.
+    /// Frames other than `ShardReq`, `Replicate`, `ReplAck` and
+    /// `Promote` are ignored.
+    pub(crate) fn on_frame(&mut self, src: usize, msg: FleetMsg, out: &mut Vec<Output>) {
         match msg {
-            FleetMsg::ShardReq { req_id, key } => self.request(req_id, key, &mut out),
+            FleetMsg::ShardReq { req_id, key } => self.request(req_id, key, out),
             FleetMsg::Replicate {
                 req_id,
                 group,
@@ -194,7 +234,7 @@ impl Replica {
                 if epoch > self.held_epoch {
                     // A newer primary exists: adopt its epoch and stand
                     // down whatever this replica was doing as leader.
-                    self.stand_down(epoch, false, &mut out);
+                    self.stand_down(epoch, false, out);
                 }
                 let rec = EffectRecord {
                     epoch,
@@ -226,12 +266,10 @@ impl Replica {
             }
             FleetMsg::ReplAck {
                 req_id, epoch, ok, ..
-            } => match self.in_flight.get_mut(&req_id) {
-                Some(entry) if ok => {
-                    entry.acks.insert(src);
-                }
+            } => match self.slot(req_id) {
+                Ok(i) if ok => self.in_flight[i].1.acks.insert(src),
                 // Fenced: a backup taught us a newer epoch.
-                Some(_) if epoch > self.held_epoch => self.stand_down(epoch, true, &mut out),
+                Ok(_) if epoch > self.held_epoch => self.stand_down(epoch, true, out),
                 _ => {} // completed or abandoned
             },
             FleetMsg::Promote { epoch, primary, .. } if epoch >= self.held_epoch => {
@@ -242,7 +280,7 @@ impl Replica {
                 // router re-dispatches under the new epoch and the log
                 // dedup keeps the effect at-most-once.
                 let seen = &mut self.seen;
-                self.in_flight.retain(|rid, e| {
+                self.in_flight.retain(|(rid, e)| {
                     let keep = e.rec.epoch >= epoch;
                     if !keep {
                         seen.remove(rid);
@@ -252,7 +290,6 @@ impl Replica {
             }
             _ => {}
         }
-        out
     }
 
     /// A `ShardReq`: refuse unless leading, absorb duplicates, or start
@@ -311,7 +348,7 @@ impl Replica {
         if !self.in_flight.is_empty() {
             out.push(Output::Fenced(self.in_flight.len() as u64));
         }
-        for rid in std::mem::take(&mut self.in_flight).into_keys() {
+        for (rid, _) in self.in_flight.drain(..) {
             self.seen.remove(&rid);
             if answer {
                 out.push(Output::Reply(rid, failed("stale-epoch")));
@@ -325,76 +362,87 @@ impl Replica {
         out.push(Output::Reply(req_id, outcome));
     }
 
-    /// Feeds a finished conversion. A reading with a new effect is
-    /// appended durably and replicated before it is answered; errors,
-    /// sheds and read-only re-serves are answered at once.
+    /// Feeds a finished conversion, pushing what it does onto `out`. A
+    /// reading with a new effect is appended durably and replicated
+    /// before it is answered; errors, sheds and read-only re-serves are
+    /// answered at once.
     pub(crate) fn on_converted(
         &mut self,
         req_id: u64,
         key: u64,
         read_only: bool,
         outcome: WireOutcome,
-    ) -> Vec<Output> {
-        let mut out = Vec::new();
+        out: &mut Vec<Output>,
+    ) {
         if !self.is_primary {
             // Demoted mid-conversion: the result must not be
             // acknowledged under a dead claim to leadership.
             self.seen.remove(&req_id);
         } else if read_only || !matches!(outcome, WireOutcome::Reading { .. }) {
-            self.answer(req_id, outcome, &mut out);
+            self.answer(req_id, outcome, out);
         } else {
             match self.log.append(self.held_epoch, req_id, key) {
                 Ok(rec) => {
                     let entry = Replicating {
                         outcome,
                         rec,
-                        acks: BTreeSet::new(),
+                        acks: Acks::default(),
                         next_retx: 0, // transmit on the next drive
                     };
-                    self.in_flight.insert(req_id, entry);
+                    match self.slot(req_id) {
+                        Ok(i) => self.in_flight[i].1 = entry,
+                        Err(i) => self.in_flight.insert(i, (req_id, entry)),
+                    }
                 }
-                Err(_) => self.answer(req_id, failed("log-append"), &mut out),
+                Err(_) => self.answer(req_id, failed("log-append"), out),
             }
         }
-        out
     }
 
-    /// The drive tick: completes every write each of `live_siblings`
-    /// (node ids) has acked — a sibling killed mid-flight leaves the
-    /// quorum — and (re)transmits the rest to whoever has not acked.
-    pub(crate) fn drive(&mut self, now: u64, live_siblings: &[usize]) -> Vec<Output> {
-        let mut out = Vec::new();
-        let mut done = Vec::new();
-        for (&req_id, entry) in &mut self.in_flight {
-            if live_siblings.iter().all(|n| entry.acks.contains(n)) {
-                done.push(req_id);
-            } else if entry.next_retx <= now {
-                let EffectRecord {
-                    epoch, pos, key, ..
-                } = entry.rec;
-                let group = self.group as u32;
-                for &n in live_siblings.iter().filter(|n| !entry.acks.contains(n)) {
-                    let msg = FleetMsg::Replicate {
-                        req_id,
-                        group,
-                        epoch,
-                        pos,
-                        key,
-                    };
-                    out.push(Output::Send(n, msg));
-                }
-                entry.next_retx = now + RETRANSMIT_MS;
+    /// The drive tick, pushing what it does onto `out`: (re)transmits
+    /// each write to the `live_siblings` (node ids) that have not acked
+    /// it, then completes, in `req_id` order, every write all of them
+    /// have acked — a sibling killed mid-flight leaves the quorum.
+    pub(crate) fn drive(
+        &mut self,
+        now: u64,
+        live_siblings: impl Iterator<Item = usize> + Clone,
+        out: &mut Vec<Output>,
+    ) {
+        let group = self.group as u32;
+        let acked = |acks: &Acks| live_siblings.clone().all(|n| acks.contains(n));
+        for (req_id, entry) in &mut self.in_flight {
+            if acked(&entry.acks) || entry.next_retx > now {
+                continue;
             }
+            let EffectRecord {
+                epoch, pos, key, ..
+            } = entry.rec;
+            for n in live_siblings.clone().filter(|&n| !entry.acks.contains(n)) {
+                let msg = FleetMsg::Replicate {
+                    req_id: *req_id,
+                    group,
+                    epoch,
+                    pos,
+                    key,
+                };
+                out.push(Output::Send(n, msg));
+            }
+            entry.next_retx = now + RETRANSMIT_MS;
         }
-        for req_id in done {
-            let entry = self.in_flight.remove(&req_id).expect("collected above");
+        let seen = &mut self.seen;
+        self.in_flight.retain_mut(|(req_id, entry)| {
+            if !acked(&entry.acks) {
+                return true;
+            }
             out.push(Output::Completed {
-                req_id,
+                req_id: *req_id,
                 pos: entry.rec.pos,
             });
-            self.answer(req_id, entry.outcome, &mut out);
-        }
-        out
+            seen.insert(*req_id, Some(entry.outcome.clone()));
+            out.push(Output::Reply(*req_id, entry.outcome.clone()));
+            false
+        });
     }
 
     /// Crash recovery: the process comes back as a backup of a new
@@ -470,6 +518,31 @@ mod tests {
         }
     }
 
+    /// Sibling's durable ack of `req_id`, the group's first record.
+    fn acked(req_id: u64) -> FleetMsg {
+        FleetMsg::ReplAck {
+            req_id,
+            group: 0,
+            epoch: 0,
+            pos: 0,
+            ok: true,
+        }
+    }
+
+    /// What one frame from `src` makes `r` do.
+    fn frame(r: &mut Replica, src: usize, msg: FleetMsg) -> Vec<Output> {
+        let mut out = Vec::new();
+        r.on_frame(src, msg, &mut out);
+        out
+    }
+
+    /// What one drive tick at `now` makes `r` do.
+    fn drive(r: &mut Replica, now: u64, live_siblings: &[usize]) -> Vec<Output> {
+        let mut out = Vec::new();
+        r.drive(now, live_siblings.iter().copied(), &mut out);
+        out
+    }
+
     /// Takes `req_id` on primary `p` from request to in-flight write.
     fn write(p: &mut Replica, req_id: u64) {
         let convert = Output::Convert {
@@ -481,15 +554,17 @@ mod tests {
             req_id,
             key: req_id,
         };
-        assert_eq!(p.on_frame(ROUTER, req), vec![convert]);
-        assert!(p.on_converted(req_id, req_id, false, reading()).is_empty());
+        assert_eq!(frame(p, ROUTER, req), vec![convert]);
+        let mut out = Vec::new();
+        p.on_converted(req_id, req_id, false, reading(), &mut out);
+        assert!(out.is_empty());
     }
 
     /// The writes `p` has in flight, completed by a drive with no live
     /// sibling left to wait for.
     fn in_flight(p: &mut Replica) -> Vec<u64> {
-        let out = p.drive(1_000, &[]);
-        out.iter()
+        drive(p, 1_000, &[])
+            .iter()
             .filter_map(|o| match o {
                 Output::Completed { req_id, .. } => Some(*req_id),
                 _ => None,
@@ -500,8 +575,8 @@ mod tests {
     #[test]
     fn backup_refuses_a_replicate_below_its_held_epoch() {
         let mut b = replica(1, true);
-        assert!(b.on_frame(ROUTER, promote(2, 0)).is_empty());
-        let out = b.on_frame(PRIMARY, replicate(5, 1, 0));
+        assert!(frame(&mut b, ROUTER, promote(2, 0)).is_empty());
+        let out = frame(&mut b, PRIMARY, replicate(5, 1, 0));
         assert_eq!(
             out,
             vec![ack(5, 2, 0, false)],
@@ -511,8 +586,8 @@ mod tests {
 
         // The NoEpochFence mutant acks the deposed epoch — and says so.
         let mut m = replica(1, false);
-        m.on_frame(ROUTER, promote(2, 0));
-        let out = m.on_frame(PRIMARY, replicate(5, 1, 0));
+        frame(&mut m, ROUTER, promote(2, 0));
+        let out = frame(&mut m, PRIMARY, replicate(5, 1, 0));
         let deposed = Output::AckedDeposed {
             req_id: 5,
             epoch: 1,
@@ -526,22 +601,22 @@ mod tests {
     fn a_held_position_acks_only_an_identical_record_and_a_gap_appends_nothing() {
         let mut b = replica(1, true);
         assert_eq!(
-            b.on_frame(PRIMARY, replicate(5, 1, 0)),
+            frame(&mut b, PRIMARY, replicate(5, 1, 0)),
             vec![ack(5, 1, 0, true)]
         );
         // A retransmission of the same record re-acks.
         assert_eq!(
-            b.on_frame(PRIMARY, replicate(5, 1, 0)),
+            frame(&mut b, PRIMARY, replicate(5, 1, 0)),
             vec![ack(5, 1, 0, true)]
         );
         // A conflicting record at a held position refuses.
         assert_eq!(
-            b.on_frame(PRIMARY, replicate(6, 1, 0)),
+            frame(&mut b, PRIMARY, replicate(6, 1, 0)),
             vec![ack(6, 1, 0, false)]
         );
         // A gap refuses and appends nothing.
         assert_eq!(
-            b.on_frame(PRIMARY, replicate(7, 1, 3)),
+            frame(&mut b, PRIMARY, replicate(7, 1, 3)),
             vec![ack(7, 1, 3, false)]
         );
         assert_eq!(b.log().len(), 1);
@@ -562,7 +637,7 @@ mod tests {
         };
         let stale = || failed("stale-epoch");
         assert_eq!(
-            p.on_frame(1, refusal),
+            frame(&mut p, 1, refusal),
             vec![
                 Output::Fenced(2),
                 Output::Reply(11, stale()),
@@ -574,7 +649,7 @@ mod tests {
         assert!(in_flight(&mut p).is_empty(), "every write abandoned");
         let req = FleetMsg::ShardReq { req_id: 13, key: 1 };
         assert_eq!(
-            p.on_frame(ROUTER, req),
+            frame(&mut p, ROUTER, req),
             vec![Output::Reply(13, failed("not-primary"))]
         );
     }
@@ -583,10 +658,10 @@ mod tests {
     fn a_promote_abandons_only_writes_minted_under_an_older_epoch() {
         let mut p = replica(0, true);
         write(&mut p, 21); // minted under epoch 0
-        p.on_frame(ROUTER, promote(1, 0));
+        frame(&mut p, ROUTER, promote(1, 0));
         assert!(p.is_primary());
         write(&mut p, 22); // minted under epoch 1
-        p.on_frame(ROUTER, promote(1, 0));
+        frame(&mut p, ROUTER, promote(1, 0));
         assert_eq!(in_flight(&mut p), vec![22]);
         assert_eq!(p.log().records()[1].epoch, 1);
     }
@@ -596,35 +671,63 @@ mod tests {
         let mut p = replica(0, true);
         write(&mut p, 31);
         let ship = |to| Output::Send(to, replicate(31, 0, 0));
-        assert_eq!(p.drive(0, &[1, 2]), vec![ship(1), ship(2)]);
+        assert_eq!(drive(&mut p, 0, &[1, 2]), vec![ship(1), ship(2)]);
         assert_eq!(p.next_retransmit(), Some(RETRANSMIT_MS));
-        assert!(p
-            .on_frame(
-                1,
-                FleetMsg::ReplAck {
-                    req_id: 31,
-                    group: 0,
-                    epoch: 0,
-                    pos: 0,
-                    ok: true,
-                }
-            )
-            .is_empty());
-        assert!(p.drive(10, &[1, 2]).is_empty(), "sibling 2 has not acked");
+        assert!(frame(&mut p, 1, acked(31)).is_empty());
+        assert!(
+            drive(&mut p, 10, &[1, 2]).is_empty(),
+            "sibling 2 has not acked"
+        );
         // Past the retransmit pause, only the silent sibling hears again.
-        assert_eq!(p.drive(RETRANSMIT_MS, &[1, 2]), vec![ship(2)]);
+        assert_eq!(drive(&mut p, RETRANSMIT_MS, &[1, 2]), vec![ship(2)]);
         // Sibling 2 dies: the quorum shrinks to the acked sibling.
         let done = Output::Completed { req_id: 31, pos: 0 };
-        assert_eq!(p.drive(50, &[1]), vec![done, Output::Reply(31, reading())]);
+        assert_eq!(
+            drive(&mut p, 50, &[1]),
+            vec![done, Output::Reply(31, reading())]
+        );
         // A replay of the answered request re-sends the cached reply.
         let req = FleetMsg::ShardReq {
             req_id: 31,
             key: 31,
         };
         assert_eq!(
-            p.on_frame(ROUTER, req),
+            frame(&mut p, ROUTER, req),
             vec![Output::Absorbed, Output::Reply(31, reading())]
         );
+    }
+
+    #[test]
+    fn a_write_completes_with_siblings_at_any_node_id() {
+        // The simulator's node ids are `group × replication + r`: a wide
+        // fleet's siblings sit past any fixed-width ack mask.
+        let mut p = replica(0, true);
+        write(&mut p, 51);
+        let siblings = [130, 131];
+        let ship = |to| Output::Send(to, replicate(51, 0, 0));
+        assert_eq!(drive(&mut p, 0, &siblings), vec![ship(130), ship(131)]);
+        for n in siblings {
+            assert!(frame(&mut p, n, acked(51)).is_empty());
+        }
+        let done = Output::Completed { req_id: 51, pos: 0 };
+        assert_eq!(
+            drive(&mut p, 1, &siblings),
+            vec![done, Output::Reply(51, reading())]
+        );
+    }
+
+    #[test]
+    fn acks_hold_any_node_id_inline_and_past_the_inline_slots() {
+        let mut acks = Acks::default();
+        let nodes = [7, 130, 0, usize::MAX, 131, 2, 64];
+        for (i, &n) in nodes.iter().enumerate() {
+            assert!(!acks.contains(n));
+            acks.insert(n);
+            acks.insert(n); // a retransmission's second ack
+            assert!(nodes[..=i].iter().all(|&m| acks.contains(m)));
+        }
+        assert_eq!((acks.len, acks.spill.len()), (INLINE_ACKS, 3));
+        assert!(!acks.contains(1));
     }
 
     #[test]
@@ -641,7 +744,7 @@ mod tests {
             (1, 4, false)
         );
         assert!(in_flight(&mut p).is_empty(), "in-flight writes died");
-        p.on_frame(ROUTER, promote(5, 0));
+        frame(&mut p, ROUTER, promote(5, 0));
         let req = FleetMsg::ShardReq {
             req_id: 41,
             key: 41,
@@ -651,7 +754,7 @@ mod tests {
             key: 41,
             read_only: true,
         };
-        assert_eq!(p.on_frame(ROUTER, req), vec![Output::Absorbed, convert]);
+        assert_eq!(frame(&mut p, ROUTER, req), vec![Output::Absorbed, convert]);
     }
 
     #[test]

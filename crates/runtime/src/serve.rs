@@ -309,12 +309,48 @@ struct ShardGroup {
     /// Server time of decommission, if any.
     decommissioned_at_ms: Option<u64>,
     replicas: Vec<WireShard>,
+    /// Output buffers reused under this group's lock, by nesting level:
+    /// `dispatch` and `settle` fill level 0, and `deliver` fills level
+    /// `d + 1` with what a frame delivered from level `d` makes its
+    /// addressee do.
+    outs: Vec<Vec<Output>>,
 }
 
 impl ShardGroup {
     /// Whether the router may place a request here.
     fn serves(&self) -> bool {
         self.decommissioned_at_ms.is_none() && !self.replicas[self.primary].killed
+    }
+
+    /// Lends out nesting level `depth`'s output buffer, empty; hand it
+    /// back with [`ShardGroup::restore`].
+    fn lend(&mut self, depth: usize) -> Vec<Output> {
+        if self.outs.len() <= depth {
+            self.outs.resize_with(depth + 1, Vec::new);
+        }
+        std::mem::take(&mut self.outs[depth])
+    }
+
+    /// Takes back the buffer [`ShardGroup::lend`] lent for `depth`.
+    fn restore(&mut self, depth: usize, mut out: Vec<Output>) {
+        out.clear();
+        self.outs[depth] = out;
+    }
+
+    /// Replica `r`'s protocol core, and the indices of its live
+    /// siblings in order, walked without collecting them.
+    fn with_siblings(
+        &mut self,
+        r: usize,
+    ) -> (&mut Replica, impl Iterator<Item = usize> + Clone + '_) {
+        let (head, tail) = self.replicas.split_at_mut(r);
+        let (me, tail) = tail.split_first_mut().expect("replica in range");
+        let live = (0..)
+            .zip(&*head)
+            .chain((r + 1..).zip(&*tail))
+            .filter(|(_, sh)| !sh.killed)
+            .map(|(i, _)| i);
+        (&mut me.repl, live)
     }
 
     /// `repl::elect` over the live replicas, `barred` excepted.
@@ -346,7 +382,7 @@ impl ShardGroup {
         };
         for sh in self.replicas.iter_mut().filter(|sh| !sh.killed) {
             // A `Promote` answers nothing.
-            sh.repl.on_frame(ROUTER, promote.clone());
+            sh.repl.on_frame(ROUTER, promote.clone(), &mut Vec::new());
         }
         Ok(self.epoch)
     }
@@ -513,6 +549,7 @@ impl WireServer {
                 primary: 0,
                 decommissioned_at_ms: None,
                 replicas,
+                outs: Vec::new(),
             };
             g.rejoin(group, &stats.rejoin_repairs)?;
             groups.push(Mutex::new(g));
@@ -1155,18 +1192,25 @@ fn dispatch(
         return Err(GroupAttempt::Unavailable);
     }
     let replica = group.primary;
-    let sh = &mut group.replicas[replica];
-    let mut read_only = None;
-    for o in sh.repl.on_frame(ROUTER, FleetMsg::ShardReq { req_id, key }) {
+    let mut out = group.lend(0);
+    let req = FleetMsg::ShardReq { req_id, key };
+    group.replicas[replica].repl.on_frame(ROUTER, req, &mut out);
+    let (mut read_only, mut cached) = (None, None);
+    for o in out.drain(..) {
         match o {
             Output::Absorbed => {
                 inner.stats.deduped.fetch_add(1, Ordering::SeqCst);
             }
-            Output::Reply(_, outcome) => return Err(GroupAttempt::Served(outcome, inner.now_ms())),
+            Output::Reply(_, outcome) => cached = Some(outcome),
             Output::Convert { read_only: r, .. } => read_only = Some(r),
             _ => {}
         }
     }
+    group.restore(0, out);
+    if let Some(outcome) = cached {
+        return Err(GroupAttempt::Served(outcome, inner.now_ms()));
+    }
+    let sh = &group.replicas[replica];
     Ok(Dispatched {
         core: Arc::clone(&sh.core),
         replica,
@@ -1191,9 +1235,10 @@ fn settle(inner: &Inner, g: usize, d: &Dispatched, outcome: WireOutcome) -> Grou
     }
     if sh.killed || !sh.repl.is_primary() {
         if !sh.killed {
-            // Demoted mid-conversion: the core drops the result and
-            // frees the request's dedup slot.
-            sh.repl.on_converted(d.req_id, d.key, d.read_only, outcome);
+            // Demoted mid-conversion: the core drops the result, frees
+            // the request's dedup slot and answers nothing.
+            sh.repl
+                .on_converted(d.req_id, d.key, d.read_only, outcome, &mut Vec::new());
         }
         inner.stats.fenced_writes.fetch_add(1, Ordering::SeqCst);
         return GroupAttempt::Fenced;
@@ -1202,21 +1247,32 @@ fn settle(inner: &Inner, g: usize, d: &Dispatched, outcome: WireOutcome) -> Grou
     if effectful && sh.repl.log().contains_req(d.req_id) {
         inner.stats.duplicate_effects.fetch_add(1, Ordering::SeqCst);
     }
-    let mut out = sh.repl.on_converted(d.req_id, d.key, d.read_only, outcome);
-    let live: Vec<usize> = (0..group.replicas.len())
-        .filter(|&r| r != d.replica && !group.replicas[r].killed)
-        .collect();
+    let mut out = group.lend(0);
+    let sh = &mut group.replicas[d.replica];
+    sh.repl
+        .on_converted(d.req_id, d.key, d.read_only, outcome, &mut out);
     // Stamped under the group's lock: a decommission stamp is strictly
     // ordered against every answer forwarded from this group.
     let now = inner.now_ms();
     let mut answer = None;
     loop {
-        out.extend(group.replicas[d.replica].repl.drive(now, &live));
-        if !deliver(inner, &mut group, d.replica, out, d.req_id, &mut answer) {
+        let (primary, live) = group.with_siblings(d.replica);
+        primary.drive(now, live, &mut out);
+        let sent = out.iter().any(|o| matches!(o, Output::Send(..)));
+        deliver(
+            inner,
+            &mut group,
+            d.replica,
+            &mut out,
+            0,
+            d.req_id,
+            &mut answer,
+        );
+        if !sent {
             break;
         }
-        out = Vec::new();
     }
+    group.restore(0, out);
     match answer {
         Some(outcome) => GroupAttempt::Served(outcome, now),
         // A live sibling has not acked the write: it stays in flight,
@@ -1225,31 +1281,31 @@ fn settle(inner: &Inner, g: usize, d: &Dispatched, outcome: WireOutcome) -> Grou
     }
 }
 
-/// Delivers replica `from`'s outputs inside its group: each frame goes
-/// straight to its addressee's core, whose outputs are delivered in
-/// turn. The reply to `req_id` lands in `answer`; the graded facts land
-/// in the counters. True when a frame moved.
+/// Drains replica `from`'s outputs, lent at nesting level `depth`,
+/// inside its group: each frame goes straight to its addressee's core,
+/// whose outputs are delivered in turn one level deeper. The reply to
+/// `req_id` lands in `answer`; the graded facts land in the counters.
 fn deliver(
     inner: &Inner,
     group: &mut ShardGroup,
     from: usize,
-    out: Vec<Output>,
+    out: &mut Vec<Output>,
+    depth: usize,
     req_id: u64,
     answer: &mut Option<WireOutcome>,
-) -> bool {
+) {
     let c = &inner.stats;
-    let mut moved = false;
-    for o in out {
+    for o in out.drain(..) {
         match o {
             Output::Send(to, msg) => {
-                moved = true;
                 if matches!(msg, FleetMsg::ReplAck { ok: true, .. }) {
                     c.replicated.fetch_add(1, Ordering::SeqCst);
                 }
-                let sibling = &mut group.replicas[to];
-                if !sibling.killed {
-                    let next = sibling.repl.on_frame(from, msg);
-                    deliver(inner, group, to, next, req_id, answer);
+                if !group.replicas[to].killed {
+                    let mut next = group.lend(depth + 1);
+                    group.replicas[to].repl.on_frame(from, msg, &mut next);
+                    deliver(inner, group, to, &mut next, depth + 1, req_id, answer);
+                    group.restore(depth + 1, next);
                 }
             }
             Output::Reply(id, outcome) if id == req_id => *answer = Some(outcome),
@@ -1266,7 +1322,6 @@ fn deliver(
             Output::Reply(..) | Output::Convert { .. } | Output::AckedDeposed { .. } => {}
         }
     }
-    moved
 }
 
 /// Assembles the whole-fleet thermal map — the protocol's largest
@@ -1528,6 +1583,30 @@ mod tests {
         assert_eq!(stats.deduped, 1);
         assert_eq!(stats.duplicate_effects, 0);
         server.drain().expect("drain");
+    }
+
+    #[test]
+    fn a_twelve_replica_group_writes_every_log_and_fails_over() {
+        // No config bounds the group width: the write waits for all
+        // eleven siblings, and the promoted backup's for the ten left.
+        let server = one_group(12);
+        let fresh = try_group(&server.inner, 0, 1, 1);
+        assert!(matches!(
+            fresh,
+            GroupAttempt::Served(WireOutcome::Reading { .. }, _)
+        ));
+        assert_eq!(server.group_view(0).expect("view"), (1, 0, vec![1; 12]));
+        assert_eq!(server.kill_primary(0).expect("promotion"), 2);
+        let again = try_group(&server.inner, 0, 2, 1);
+        assert!(matches!(
+            again,
+            GroupAttempt::Served(WireOutcome::Reading { .. }, _)
+        ));
+        let mut lens = vec![2; 12];
+        lens[0] = 1;
+        assert_eq!(server.group_view(0).expect("view"), (2, 1, lens));
+        let stats = server.drain().expect("drain").stats;
+        assert_eq!((stats.replicated, stats.promotions), (11 + 10, 1));
     }
 
     #[test]

@@ -1058,12 +1058,18 @@ struct Conversion {
     read_only: bool,
 }
 
-/// Carries out what replica `me`'s protocol core returned, in order:
-/// frames go on the wire, conversions start, and the reported facts
-/// are graded against the ledgers.
-fn apply(w: &mut FleetWorld, me: usize, now: u64, out: Vec<Output>, jobs: &mut Vec<Conversion>) {
+/// Drains what replica `me`'s protocol core pushed onto `out`, in
+/// order: frames go on the wire, conversions start, and the reported
+/// facts are graded against the ledgers.
+fn apply(
+    w: &mut FleetWorld,
+    me: usize,
+    now: u64,
+    out: &mut Vec<Output>,
+    jobs: &mut Vec<Conversion>,
+) {
     let (g, r) = (w.group_of(me), me % w.replication);
-    for o in out {
+    for o in out.drain(..) {
         match o {
             Output::Send(to, msg) => {
                 w.net.send(now, me, to, msg);
@@ -1360,6 +1366,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             let me = g * replication + r;
             let world_s = Rc::clone(&world);
             let mut jobs: Vec<Conversion> = Vec::new();
+            let mut out: Vec<Output> = Vec::new();
             ex.spawn(format!("shard-{g}-{r}"), 2 + me as u64, move |now| {
                 let mut w = world_s.borrow_mut();
                 let w = &mut *w;
@@ -1371,8 +1378,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                 let incarnation = w.replicas[me].repl.incarnation();
                 jobs.retain(|c| c.incarnation == incarnation);
                 while let Some(env) = w.net.poll(me, now) {
-                    let out = w.replicas[me].repl.on_frame(env.src, env.payload);
-                    apply(w, me, now, out, &mut jobs);
+                    w.replicas[me].repl.on_frame(env.src, env.payload, &mut out);
+                    apply(w, me, now, &mut out, &mut jobs);
                 }
                 // Step every runnable conversion.
                 let mut next_backoff = u64::MAX;
@@ -1387,13 +1394,14 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         JobStep::Done(result) => {
                             let c = jobs.swap_remove(i);
                             let outcome = wire_outcome(&core, c.deadline_abs, result);
-                            let out = w.replicas[me].repl.on_converted(
+                            w.replicas[me].repl.on_converted(
                                 c.req_id,
                                 c.key,
                                 c.read_only,
                                 outcome,
+                                &mut out,
                             );
-                            apply(w, me, now, out, &mut jobs);
+                            apply(w, me, now, &mut out, &mut jobs);
                         }
                     }
                 }
@@ -1401,8 +1409,10 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                     .map(|sib| g * replication + sib)
                     .filter(|&n| n != me && !w.replicas[n].killed)
                     .collect();
-                let out = w.replicas[me].repl.drive(now, &live);
-                apply(w, me, now, out, &mut jobs);
+                w.replicas[me]
+                    .repl
+                    .drive(now, live.iter().copied(), &mut out);
+                apply(w, me, now, &mut out, &mut jobs);
                 if now >= end {
                     return TaskState::Done;
                 }

@@ -7,7 +7,7 @@
 
 use runtime::{
     render_trace, resolve_fleet_events, run_fleet, shrink_failure, sweep_jobs, task_node,
-    FleetConfig, FleetInvariant, FleetMutation,
+    FleetConfig, FleetInvariant, FleetMutation, RunReport,
 };
 
 fn base() -> FleetConfig {
@@ -177,4 +177,36 @@ fn a_rotted_effect_log_header_recovers_like_a_torn_tail() {
             report.violation
         );
     }
+}
+
+/// FNV-1a over every fleet seed 0–99's JSON report and rendered trace
+/// under `cfg`, folded in seed order.
+fn digest(cfg: &FleetConfig) -> u64 {
+    let mut bytes = Vec::new();
+    for seed in 0..100 {
+        let report = run_fleet(&FleetConfig {
+            seed,
+            ..cfg.clone()
+        });
+        bytes.extend_from_slice(report.render_json().as_bytes());
+        bytes.extend_from_slice(render_trace(&report, None).as_bytes());
+    }
+    dst::fnv1a64(&bytes)
+}
+
+#[test]
+fn fleet_outputs_are_pinned_by_their_digest() {
+    // A refactor of the replication core, of the simulator or of the
+    // TCP tier must leave every simulated run byte-identical. A change that alters a trace
+    // on purpose updates these constants and says why.
+    let epoch_fence_off = FleetConfig {
+        mutation: FleetMutation::NoEpochFence,
+        ..base()
+    };
+    let digests = [digest(&base()), digest(&epoch_fence_off)];
+    assert_eq!(
+        digests,
+        [0x6041_2bbd_d93e_a397, 0x59a8_b1e2_fbc8_d795],
+        "{digests:#018x?}"
+    );
 }

@@ -238,13 +238,13 @@ fn shard_from_wire(shard: u32) -> usize {
     }
 }
 
-fn encode_payload(msg: &FleetMsg) -> Vec<u8> {
-    let mut p = Vec::with_capacity(32);
+/// Appends `msg`'s tagged payload to `p`.
+fn encode_payload(msg: &FleetMsg, p: &mut Vec<u8>) {
     match msg {
         FleetMsg::ClientReq { req_id, key } => {
             p.push(TAG_CLIENT_REQ);
-            put_u64(&mut p, *req_id);
-            put_u64(&mut p, *key);
+            put_u64(p, *req_id);
+            put_u64(p, *key);
         }
         FleetMsg::ClientResp {
             req_id,
@@ -254,25 +254,25 @@ fn encode_payload(msg: &FleetMsg) -> Vec<u8> {
             total_age_ms,
         } => {
             p.push(TAG_CLIENT_RESP);
-            put_u64(&mut p, *req_id);
-            put_outcome(&mut p, outcome);
-            put_u32(&mut p, shard_to_wire(*origin_shard));
-            put_u64(&mut p, *forwarded_at_ms);
-            put_u64(&mut p, *total_age_ms);
+            put_u64(p, *req_id);
+            put_outcome(p, outcome);
+            put_u32(p, shard_to_wire(*origin_shard));
+            put_u64(p, *forwarded_at_ms);
+            put_u64(p, *total_age_ms);
         }
         FleetMsg::ShardReq { req_id, key } => {
             p.push(TAG_SHARD_REQ);
-            put_u64(&mut p, *req_id);
-            put_u64(&mut p, *key);
+            put_u64(p, *req_id);
+            put_u64(p, *key);
         }
         FleetMsg::ShardResp { req_id, outcome } => {
             p.push(TAG_SHARD_RESP);
-            put_u64(&mut p, *req_id);
-            put_outcome(&mut p, outcome);
+            put_u64(p, *req_id);
+            put_outcome(p, outcome);
         }
         FleetMsg::MapReq { req_id } => {
             p.push(TAG_MAP_REQ);
-            put_u64(&mut p, *req_id);
+            put_u64(p, *req_id);
         }
         FleetMsg::MapResp {
             req_id,
@@ -280,14 +280,14 @@ fn encode_payload(msg: &FleetMsg) -> Vec<u8> {
             entries,
         } => {
             p.push(TAG_MAP_RESP);
-            put_u64(&mut p, *req_id);
-            put_u64(&mut p, *forwarded_at_ms);
-            put_u32(&mut p, entries.len() as u32);
+            put_u64(p, *req_id);
+            put_u64(p, *forwarded_at_ms);
+            put_u32(p, entries.len() as u32);
             for e in entries {
-                put_u32(&mut p, e.shard);
-                put_u32(&mut p, e.site);
-                put_u64(&mut p, e.value_c.to_bits());
-                put_u64(&mut p, e.age_ms);
+                put_u32(p, e.shard);
+                put_u32(p, e.site);
+                put_u64(p, e.value_c.to_bits());
+                put_u64(p, e.age_ms);
                 p.push(u8::from(e.quarantined));
             }
         }
@@ -299,11 +299,11 @@ fn encode_payload(msg: &FleetMsg) -> Vec<u8> {
             key,
         } => {
             p.push(TAG_REPLICATE);
-            put_u64(&mut p, *req_id);
-            put_u32(&mut p, *group);
-            put_u64(&mut p, *epoch);
-            put_u64(&mut p, *pos);
-            put_u64(&mut p, *key);
+            put_u64(p, *req_id);
+            put_u32(p, *group);
+            put_u64(p, *epoch);
+            put_u64(p, *pos);
+            put_u64(p, *key);
         }
         FleetMsg::ReplAck {
             req_id,
@@ -313,10 +313,10 @@ fn encode_payload(msg: &FleetMsg) -> Vec<u8> {
             ok,
         } => {
             p.push(TAG_REPL_ACK);
-            put_u64(&mut p, *req_id);
-            put_u32(&mut p, *group);
-            put_u64(&mut p, *epoch);
-            put_u64(&mut p, *pos);
+            put_u64(p, *req_id);
+            put_u32(p, *group);
+            put_u64(p, *epoch);
+            put_u64(p, *pos);
             p.push(u8::from(*ok));
         }
         FleetMsg::Promote {
@@ -326,29 +326,40 @@ fn encode_payload(msg: &FleetMsg) -> Vec<u8> {
             primary,
         } => {
             p.push(TAG_PROMOTE);
-            put_u64(&mut p, *req_id);
-            put_u32(&mut p, *group);
-            put_u64(&mut p, *epoch);
-            put_u32(&mut p, *primary);
+            put_u64(p, *req_id);
+            put_u32(p, *group);
+            put_u64(p, *epoch);
+            put_u32(p, *primary);
         }
     }
-    p
 }
 
 /// Encodes one message as a complete frame (header + payload),
 /// refusing frames that exceed `budget` whole-frame bytes.
+///
+/// The frame is built in one buffer: the header's 13 bytes are
+/// reserved, the payload is encoded straight after them, and the
+/// length and CRC are written in place. Every message fits the budget
+/// math's bound for its own row count ([`max_response_frame_len`]), so
+/// that bound is the one allocation.
 pub fn encode_frame(msg: &FleetMsg, budget: usize) -> Result<Vec<u8>, WireError> {
-    let payload = encode_payload(msg);
-    let len = FRAME_HEADER_LEN + payload.len();
+    let rows = match msg {
+        FleetMsg::MapResp { entries, .. } => entries.len(),
+        _ => 0,
+    };
+    let mut frame = Vec::with_capacity(max_response_frame_len(rows));
+    frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    encode_payload(msg, &mut frame);
+    let len = frame.len();
     if len > budget {
         return Err(WireError::FrameTooLarge { len, budget });
     }
-    let mut frame = Vec::with_capacity(len);
-    frame.extend_from_slice(&MAGIC);
-    frame.push(PROTOCOL_VERSION);
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
+    let payload_len = (len - FRAME_HEADER_LEN) as u32;
+    let crc = crc32(&frame[FRAME_HEADER_LEN..]);
+    frame[..4].copy_from_slice(&MAGIC);
+    frame[4] = PROTOCOL_VERSION;
+    frame[5..9].copy_from_slice(&payload_len.to_le_bytes());
+    frame[9..13].copy_from_slice(&crc.to_le_bytes());
     Ok(frame)
 }
 
@@ -898,6 +909,20 @@ mod tests {
                 ..
             } => assert_eq!(kind.len(), MAX_ERROR_KIND_LEN),
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_frame_fills_the_one_buffer_it_reserves() {
+        for msg in sample_msgs() {
+            let rows = match &msg {
+                FleetMsg::MapResp { entries, .. } => entries.len(),
+                _ => 0,
+            };
+            let frame = encode_frame(&msg, DEFAULT_FRAME_BUDGET).expect("encodes");
+            // `with_capacity` reserves exactly the bound; a regrowth
+            // would have changed it.
+            assert_eq!(frame.capacity(), max_response_frame_len(rows), "{msg:?}");
         }
     }
 

@@ -115,6 +115,51 @@ fn arb_msg() -> impl Strategy<Value = FleetMsg> {
         })
 }
 
+/// Peers built from other commits read these frames: an encoder change
+/// must not move a byte.
+#[test]
+fn client_frames_encode_to_their_golden_bytes() {
+    let req = FleetMsg::ClientReq { req_id: 7, key: 99 };
+    #[rustfmt::skip]
+    let golden: &[u8] = &[
+        b'T', b'S', b'W', b'P', 1,      // magic, version
+        17, 0, 0, 0,                    // payload length
+        0xd3, 0x65, 0xd4, 0xed,         // payload CRC-32
+        1,                              // tag: ClientReq
+        7, 0, 0, 0, 0, 0, 0, 0,         // req_id
+        99, 0, 0, 0, 0, 0, 0, 0,        // key
+    ];
+    assert_eq!(encode_frame(&req, BUDGET).expect("within budget"), golden);
+
+    let resp = FleetMsg::ClientResp {
+        req_id: 7,
+        outcome: WireOutcome::Reading {
+            value_c: 85.25,
+            fresh: true,
+            age_ms: 3,
+        },
+        origin_shard: 2,
+        forwarded_at_ms: 1234,
+        total_age_ms: 17,
+    };
+    #[rustfmt::skip]
+    let golden: &[u8] = &[
+        b'T', b'S', b'W', b'P', 1,      // magic, version
+        47, 0, 0, 0,                    // payload length
+        0x0c, 0xa5, 0x33, 0x38,         // payload CRC-32
+        2,                              // tag: ClientResp
+        7, 0, 0, 0, 0, 0, 0, 0,         // req_id
+        1,                              // outcome tag: Reading
+        0, 0, 0, 0, 0, 0x50, 0x55, 0x40, // value_c, f64 bits of 85.25
+        1,                              // fresh
+        3, 0, 0, 0, 0, 0, 0, 0,         // age_ms
+        2, 0, 0, 0,                     // origin_shard
+        0xd2, 0x04, 0, 0, 0, 0, 0, 0,   // forwarded_at_ms
+        17, 0, 0, 0, 0, 0, 0, 0,        // total_age_ms
+    ];
+    assert_eq!(encode_frame(&resp, BUDGET).expect("within budget"), golden);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

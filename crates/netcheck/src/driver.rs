@@ -20,8 +20,7 @@
 //! produced cold, warm, serially, or on N threads.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dst::fs::{RealFs, SimFs};
 
@@ -109,32 +108,15 @@ pub struct DriverOutcome {
     pub stats: CacheStats,
 }
 
-/// Runs every target, fanned out over `opts.jobs` scoped worker
-/// threads that self-schedule off a shared atomic index (idle workers
-/// steal the next undone target, so one slow target never serializes
-/// the batch). The merged report is canonically sorted: output is
-/// byte-identical for any job count and any hit/miss mix.
+/// Runs every target, fanned out over `opts.jobs` worker threads by
+/// [`dst::run_indexed`] (idle workers take the next undone target, so
+/// one slow target never serializes the batch). The merged report is
+/// canonically sorted: output is byte-identical for any job count and
+/// any hit/miss mix.
 pub fn run_targets(targets: &[&dyn AnalysisTarget], opts: &DriverOptions) -> DriverOutcome {
-    let results: Mutex<Vec<Option<(Report, bool)>>> =
-        Mutex::new((0..targets.len()).map(|_| None).collect());
-    let next = AtomicUsize::new(0);
-    let workers = opts.jobs.max(1).min(targets.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= targets.len() {
-                    break;
-                }
-                let one = run_one(targets[i], opts);
-                results.lock().expect("driver results poisoned")[i] = Some(one);
-            });
-        }
-    });
     let mut report = Report::new();
     let mut stats = CacheStats::default();
-    for slot in results.into_inner().expect("driver results poisoned") {
-        let (r, hit) = slot.expect("every index was scheduled");
+    for (r, hit) in dst::run_indexed(targets.len(), opts.jobs, |i| run_one(targets[i], opts)) {
         if hit {
             stats.hits += 1;
         } else {
@@ -397,6 +379,7 @@ pub fn exit_for(report: &Report, deny_warnings: bool) -> i32 {
 mod tests {
     use super::*;
     use dst::fs::{SimDisk, SimDiskProfile};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct FakeTarget {
         path: String,

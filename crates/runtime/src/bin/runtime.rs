@@ -19,6 +19,7 @@ use runtime::{
     Mutation, RunReport, RuntimeConfig, SimConfig, Simulation, SoakConfig, SweepOutcome,
     WireClient, WireClientConfig, WireOutcome, WireServer, WireServerConfig, WireSoakConfig,
 };
+use sensor::sta::report::json_escape;
 
 /// How a flag's value is read and checked.
 #[derive(Clone, Copy)]
@@ -632,8 +633,12 @@ fn client_cmd(args: &Args) -> Result<ExitCode, String> {
         addrs,
         ..WireClientConfig::default()
     });
+    // A server answers an id it has seen with its first answer, so each
+    // run draws fresh ids; the low 64 bits of the nonce hold its count
+    // and wall nanoseconds, which differ between runs.
+    let first_id = dst::unique_nonce() as u64;
     if args.on("--map") {
-        return Ok(match client.request_map(1) {
+        return Ok(match client.request_map(first_id) {
             Ok(map) => {
                 if json {
                     let rows: Vec<String> = map
@@ -671,14 +676,14 @@ fn client_cmd(args: &Args) -> Result<ExitCode, String> {
     let mut failed = false;
     for i in 0..count {
         let key = key.wrapping_add(i);
-        match client.request(i + 1, key) {
+        match client.request(first_id.wrapping_add(i), key) {
             Ok(out) => {
                 if json {
                     println!(
                         "{{\"key\": {}, \"outcome\": \"{}\", \"origin_shard\": {}, \
                          \"total_age_ms\": {}, \"attempts\": {}, \"latency_ms\": {}}}",
                         key,
-                        out.outcome,
+                        json_escape(&out.outcome.to_string()),
                         out.origin_shard,
                         out.total_age_ms,
                         out.attempts,

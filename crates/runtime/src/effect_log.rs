@@ -208,14 +208,7 @@ impl EffectLog {
             req_id,
             key,
         };
-        self.fs
-            .append(&self.path, &rec.encode())
-            .map_err(|e| io_err(&self.path, e))?;
-        self.fs
-            .sync(&self.path)
-            .map_err(|e| io_err(&self.path, e))?;
-        self.req_ids.insert(req_id);
-        self.records.push(rec);
+        self.append_replicated(rec)?;
         Ok(rec)
     }
 

@@ -89,8 +89,8 @@ use crate::repl::{self, Output, Replica};
 use crate::retry::RetryPolicy;
 use crate::route::RouterPolicy;
 use crate::service::{
-    build_core, checkpoint_locked, maintenance_loop, wire_error_kind, wire_outcome, Core, Field,
-    JobStep, ReadJob, RecoveryReport, RuntimeConfig,
+    build_core, checkpoint_locked, maintenance_loop, supervised_read, wire_error_kind,
+    wire_outcome, Core, Field, RecoveryReport, RuntimeConfig,
 };
 use crate::sim::json_object;
 use crate::snapshot::SnapshotError;
@@ -383,6 +383,7 @@ impl ShardGroup {
         for sh in self.replicas.iter_mut().filter(|sh| !sh.killed) {
             // A `Promote` answers nothing.
             sh.repl.on_frame(ROUTER, promote.clone(), &mut Vec::new());
+            sh.core.adopt_group_epoch(self.epoch);
         }
         Ok(self.epoch)
     }
@@ -415,7 +416,8 @@ struct Inner {
     epoch_ms: u64,
     groups: Vec<Mutex<ShardGroup>>,
     in_flight: AtomicUsize,
-    accepting: AtomicBool,
+    /// Set by [`WireServer::drain`]: the accept loop stops, and each
+    /// connection closes once its buffered frames are answered.
     draining: AtomicBool,
     stats: Counters,
 }
@@ -565,7 +567,6 @@ impl WireServer {
             epoch_ms,
             groups,
             in_flight: AtomicUsize::new(0),
-            accepting: AtomicBool::new(true),
             draining: AtomicBool::new(false),
             stats,
         });
@@ -750,7 +751,6 @@ impl WireServer {
     /// poisoned replica.
     pub fn drain(mut self) -> Result<DrainReport> {
         let in_flight_at_drain = self.inner.in_flight.load(Ordering::SeqCst);
-        self.inner.accepting.store(false, Ordering::SeqCst);
         self.inner.draining.store(true, Ordering::SeqCst);
         let conn_threads = match self.accept_thread.take() {
             Some(h) => h.join().unwrap_or_default(),
@@ -852,7 +852,7 @@ fn start_replica(
 fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) -> Vec<JoinHandle<()>> {
     let mut conns = Vec::new();
     let mut conn_idx: u64 = 0;
-    while inner.accepting.load(Ordering::SeqCst) {
+    while !inner.draining.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 inner.stats.connections.fetch_add(1, Ordering::SeqCst);
@@ -1156,13 +1156,7 @@ impl Dispatched {
         let channel = (self.key % sites.max(1) as u64) as usize;
         let submitted = core.now_ms();
         let deadline = submitted + core.config.default_deadline_ms;
-        let mut job = ReadJob::new(core, channel, submitted, deadline);
-        let result = loop {
-            match job.step(core) {
-                JobStep::Done(result) => break result,
-                JobStep::Backoff { delay_ms } => thread::sleep(Duration::from_millis(delay_ms)),
-            }
-        };
+        let result = supervised_read(core, channel, submitted, deadline);
         wire_outcome(core, deadline, result)
     }
 }
@@ -1366,6 +1360,7 @@ fn serve_map_req(inner: &Inner, req_id: u64) -> FleetMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::SnapshotStore;
 
     #[test]
     fn frame_budget_preflight_is_typed() {
@@ -1583,6 +1578,23 @@ mod tests {
         assert_eq!(stats.deduped, 1);
         assert_eq!(stats.duplicate_effects, 0);
         server.drain().expect("drain");
+    }
+
+    #[test]
+    fn checkpoints_stamp_the_epoch_a_promotion_adopts() {
+        let root = std::env::temp_dir().join(format!("serve-epoch-{}", dst::unique_nonce()));
+        let cfg = WireServerConfig {
+            snapshot_root: Some(root.clone()),
+            ..one_group_cfg(2)
+        };
+        let server = WireServer::start(cfg, None).expect("server starts");
+        assert_eq!(server.kill_primary(0).expect("promotion"), 2);
+        // Drain checkpoints every live replica.
+        server.drain().expect("drain");
+        let store = SnapshotStore::open(root.join("shard-0-1"), 4).expect("store opens");
+        let (snapshot, _) = store.load_latest().expect("drain checkpointed");
+        assert_eq!(snapshot.epoch, 2);
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::thread;
 use std::time::Duration;
 
 use dst::{Clock, RealFs, SimFs, SystemClock};
-use sensor::{HealthPolicy, RingFault, SensorArray, SensorError};
+use sensor::{HealthPolicy, RingFault, SensorArray, SensorError, SmartSensorUnit};
 use tsense_core::units::Celsius;
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -635,15 +635,7 @@ impl RuntimeHandle {
     ///
     /// [`RuntimeError::BadChannel`] for an out-of-range channel.
     pub fn inject_fault(&self, channel: usize, fault: RingFault) -> Result<()> {
-        let mut state = self.core.state.lock().expect("state poisoned");
-        let available = state.array.channel_count();
-        let site = state
-            .array
-            .sites_mut()
-            .get_mut(channel)
-            .ok_or(RuntimeError::BadChannel { channel, available })?;
-        site.unit.inject_fault(fault);
-        Ok(())
+        self.with_unit(channel, |unit| unit.inject_fault(fault))
     }
 
     /// Clears any injected fault on a channel.
@@ -652,6 +644,11 @@ impl RuntimeHandle {
     ///
     /// [`RuntimeError::BadChannel`] for an out-of-range channel.
     pub fn clear_fault(&self, channel: usize) -> Result<()> {
+        self.with_unit(channel, SmartSensorUnit::clear_fault)
+    }
+
+    /// Runs `f` on `channel`'s sensor unit under the state lock.
+    fn with_unit(&self, channel: usize, f: impl FnOnce(&mut SmartSensorUnit)) -> Result<()> {
         let mut state = self.core.state.lock().expect("state poisoned");
         let available = state.array.channel_count();
         let site = state
@@ -659,7 +656,7 @@ impl RuntimeHandle {
             .sites_mut()
             .get_mut(channel)
             .ok_or(RuntimeError::BadChannel { channel, available })?;
-        site.unit.clear_fault();
+        f(&mut site.unit);
         Ok(())
     }
 
@@ -947,7 +944,9 @@ impl ReadJob {
     }
 }
 
-fn supervised_read(
+/// One supervised read, stepped to completion on this thread: the
+/// worker pool's and the TCP tier's conversion.
+pub(crate) fn supervised_read(
     core: &Core,
     channel: usize,
     submitted_ms: u64,

@@ -73,26 +73,22 @@ use std::sync::Arc;
 use std::{cell::RefCell, fmt};
 
 use dst::{
-    shrink_events, Clock, Executor, LinkProfile, NetStats, NonceNamespace, SimDisk, SimDiskProfile,
+    shrink_events, Executor, LinkProfile, NetStats, NonceNamespace, SimDisk, SimDiskProfile,
     SimNet, SkewedClock, StepRecord, TaskState, VirtualClock,
 };
 use faultsim::{Fault, FaultEvent, FaultSchedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sensor::RingFault;
 
 use crate::effect_log::{EffectLog, EffectRecord};
 use crate::repl::{self, Output, Replica};
 use crate::retry::RetryPolicy;
 use crate::route::RouterPolicy;
-use crate::service::{
-    build_core, checkpoint_locked, refresh_cache_locked, wire_outcome, Core, Field, JobStep,
-    ReadJob, RuntimeConfig,
-};
-use crate::soak::reference_array;
+use crate::service::{wire_outcome, Field, JobStep, ReadJob, RuntimeConfig};
 use wire::{FleetMsg, HashRing, WireOutcome};
 
-use super::{json_object, violation_json, RunReport, SimConfig, Simulation, Violation};
+use super::node::Node;
+use super::{json_object, violation_json, Latch, RunReport, SimConfig, Simulation, Violation};
 
 /// A deliberate, known-bad change to the fleet, applied under
 /// simulation to prove the fleet invariant sweep catches real
@@ -636,17 +632,13 @@ pub fn resolve_fleet_events(cfg: &FleetConfig) -> Vec<FleetEvent> {
 // ---------------------------------------------------------------------
 
 struct ReplicaNode {
-    core: Arc<Core>,
-    disk: Arc<SimDisk>,
-    clock: Arc<SkewedClock>,
-    namespace: Arc<NonceNamespace>,
+    /// The service node: core, disk, clock, and the sensor faults
+    /// that survive its crashes.
+    node: Node,
     /// The replication protocol: adopted epoch, leadership, dedup
     /// window, in-flight writes, and the durable effect log (its own
     /// disk, its own file).
     repl: Replica,
-    /// Active sensor faults `(clears_at_ms, site, fault)` — they live
-    /// in the silicon and survive crashes.
-    active_faults: Vec<(u64, usize, RingFault)>,
     /// Currently isolated from the router and its siblings.
     partitioned: bool,
     /// Permanently dead: never recovers, never polls again.
@@ -685,26 +677,13 @@ struct FleetWorld {
     /// Which replica completed `(group, req_id)` — a second completion
     /// by a different replica is split brain.
     completed: BTreeMap<(usize, u64), usize>,
-    /// The first violation, until the per-step check pins its step.
-    violation: Option<Violation<FleetInvariant>>,
+    violation: Latch<FleetInvariant>,
     /// The report the tasks count into; the end-of-run facts are set
     /// after the run.
     report: FleetReport,
 }
 
 impl FleetWorld {
-    fn flag(&mut self, invariant: FleetInvariant, at_ms: u64, detail: String) {
-        if self.violation.is_none() {
-            self.violation = Some(Violation {
-                invariant,
-                at_ms,
-                step: 0,             // pinned by the per-step check
-                task: String::new(), // pinned by the per-step check
-                detail,
-            });
-        }
-    }
-
     fn node(&self, group: usize, replica: usize) -> usize {
         group * self.replication + replica
     }
@@ -803,7 +782,7 @@ impl FleetWorld {
         });
         if let Some(&(_, rid)) = lost {
             let detail = format!("group {group}: acked req {rid} {what}");
-            self.flag(FleetInvariant::EffectLost, now, detail);
+            self.violation.flag(FleetInvariant::EffectLost, now, detail);
         }
     }
 
@@ -848,137 +827,69 @@ fn build_replica(
     } else {
         0
     };
-    let node = group * cfg.replication.max(1) + replica;
-    let clock = Arc::new(SkewedClock::new(Arc::clone(base), offset, drift));
-    let disk = Arc::new(SimDisk::new(
-        cfg.seed ^ (0xD15C_0000 + node as u64),
-        SimDiskProfile::default(),
-    ));
-    let namespace = Arc::new(NonceNamespace::new(node as u64));
-    let (core, _report) = build_core(
-        reference_array(cfg.sites_per_shard),
+    let id = group * cfg.replication.max(1) + replica;
+    let node = Node::start(
+        cfg.sites_per_shard,
         Arc::clone(field),
         shard_runtime_config(cfg, group, replica),
-        false,
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&disk) as Arc<dyn dst::SimFs>,
-        true,
-    )
-    .expect("simulated replica must start");
-    {
-        let mut state = core.state.lock().expect("state poisoned");
-        if let Some(store) = state.store.as_mut() {
-            store.set_namespace(Arc::clone(&namespace));
-        }
-    }
+        Arc::new(SkewedClock::new(Arc::clone(base), offset, drift)),
+        Arc::new(SimDisk::new(
+            cfg.seed ^ (0xD15C_0000 + id as u64),
+            SimDiskProfile::default(),
+        )),
+        Some(Arc::new(NonceNamespace::new(id as u64))),
+    );
     let (log, _recovery) = EffectLog::open(
-        Arc::clone(&disk) as Arc<dyn dst::SimFs>,
+        Arc::clone(node.disk()) as Arc<dyn dst::SimFs>,
         &effect_log_path(group, replica),
     )
     .expect("fresh effect log must open");
     let fence = cfg.mutation != FleetMutation::NoEpochFence;
     ReplicaNode {
-        core,
-        disk,
-        clock,
-        namespace,
+        node,
         repl: Replica::new(group, replica, log, fence),
-        active_faults: Vec::new(),
         partitioned: false,
         killed: false,
     }
 }
 
-/// Crash-and-recover one replica in place: disk tears, inbox dies,
-/// the core is rebuilt from the newest valid checkpoint, and the
-/// effect log reopens through torn-tail truncation before
-/// [`Replica::recover`] restarts the protocol as a *backup* — the
-/// router re-promotes it if it still leads. Flags
-/// [`FleetInvariant::ResurrectedCache`] / `RecoveryFailed` exactly as
-/// the single-node simulation does.
-fn crash_replica(
-    w: &mut FleetWorld,
-    cfg: &FleetConfig,
-    group: usize,
-    replica: usize,
-    field: &Field,
-    now: u64,
-) {
-    let node_idx = w.node(group, replica);
-    if w.replicas[node_idx].killed {
+/// Crash-and-recover one replica in place: its inbox dies, the node
+/// tears its disk and rebuilds its core, and the effect log reopens
+/// through torn-tail truncation before [`Replica::recover`] restarts
+/// the protocol as a *backup* — the router re-promotes it if it still
+/// leads. Flags [`FleetInvariant::ResurrectedCache`] /
+/// `RecoveryFailed` exactly as the single-node simulation does.
+fn crash_replica(w: &mut FleetWorld, group: usize, replica: usize, now: u64) {
+    let i = w.node(group, replica);
+    if w.replicas[i].killed {
         return;
     }
-    w.net.drop_pending_for(node_idx);
+    w.net.drop_pending_for(i);
     w.report.crashes += 1;
-    w.replicas[node_idx].disk.crash();
-    let disk = Arc::clone(&w.replicas[node_idx].disk);
-    let clock = Arc::clone(&w.replicas[node_idx].clock);
-    let namespace = Arc::clone(&w.replicas[node_idx].namespace);
-    let active_faults = w.replicas[node_idx].active_faults.clone();
-    let rebuilt = build_core(
-        reference_array(cfg.sites_per_shard),
-        Arc::clone(field),
-        shard_runtime_config(cfg, group, replica),
-        true,
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&disk) as Arc<dyn dst::SimFs>,
-        true,
-    );
-    let log = match EffectLog::open(
-        Arc::clone(&disk) as Arc<dyn dst::SimFs>,
-        &effect_log_path(group, replica),
-    ) {
-        Ok((log, _recovery)) => log,
-        Err(e) => {
-            w.flag(
-                FleetInvariant::RecoveryFailed,
-                now,
-                format!("group {group} replica {replica} effect log: {e}"),
-            );
-            return;
-        }
-    };
-    match rebuilt {
-        Ok((core, rec)) => {
-            let resurrected = {
-                let mut state = core.state.lock().expect("state poisoned");
-                if state.cache.is_some() {
-                    true
-                } else {
-                    // Faults live in the silicon, not the process.
-                    for (_, site, rf) in &active_faults {
-                        if let Some(s) = state.array.sites_mut().get_mut(*site) {
-                            s.unit.inject_fault(*rf);
-                        }
-                    }
-                    if let Some(store) = state.store.as_mut() {
-                        store.set_namespace(namespace);
-                    }
-                    false
-                }
-            };
-            if resurrected {
-                w.flag(
-                    FleetInvariant::ResurrectedCache,
-                    now,
-                    format!("group {group} replica {replica} recovered with a cached median"),
-                );
-            }
-            let node = &mut w.replicas[node_idx];
-            node.core = core;
-            node.repl.recover(log, rec.recovered_epoch);
+    let replica_node = &mut w.replicas[i];
+    let rebuilt = replica_node.node.crash(true);
+    let disk = Arc::clone(replica_node.node.disk());
+    let log = EffectLog::open(disk, &effect_log_path(group, replica));
+    let who = format!("group {group} replica {replica}");
+    let (invariant, detail) = match (log, rebuilt) {
+        (Err(e), _) => (
+            FleetInvariant::RecoveryFailed,
+            format!("{who} effect log: {e}"),
+        ),
+        (Ok(_), Err(e)) => (FleetInvariant::RecoveryFailed, format!("{who}: {e}")),
+        (Ok((log, _recovery)), Ok((rec, resurrected))) => {
+            replica_node.repl.recover(log, rec.recovered_epoch);
             if rec.recovered_seq.is_some() {
                 w.report.recovered_with_snapshot += 1;
             }
+            if !resurrected {
+                return;
+            }
+            let detail = format!("{who} recovered with a cached median");
+            (FleetInvariant::ResurrectedCache, detail)
         }
-        Err(e) => {
-            w.flag(
-                FleetInvariant::RecoveryFailed,
-                now,
-                format!("group {group} replica {replica}: {e}"),
-            );
-        }
-    }
+    };
+    w.violation.flag(invariant, now, detail);
 }
 
 struct Pending {
@@ -1088,14 +999,14 @@ fn apply(
                     *effects += 1;
                     if *effects > 1 {
                         let count = *effects;
-                        w.flag(
+                        w.violation.flag(
                             FleetInvariant::DuplicateEffect,
                             now,
                             format!("group {g} replica {r} converted req {req_id} {count} times in incarnation {incarnation}"),
                         );
                     }
                 }
-                let core = Arc::clone(&w.replicas[me].core);
+                let core = Arc::clone(w.replicas[me].node.core());
                 let submitted = core.now_ms();
                 let deadline_abs = submitted + core.config.default_deadline_ms;
                 let job = ReadJob::new(&core, (key as usize) % w.sites, submitted, deadline_abs);
@@ -1117,7 +1028,7 @@ fn apply(
                 // log, so promotion preserves it.
                 if let Some(&prev) = w.completed.get(&(g, req_id)) {
                     if prev != me {
-                        w.flag(
+                        w.violation.flag(
                             FleetInvariant::SplitBrain,
                             now,
                             format!("group {g}: nodes {prev} and {me} both completed req {req_id}"),
@@ -1132,7 +1043,7 @@ fn apply(
                 req_id,
                 epoch,
                 held,
-            } => w.flag(
+            } => w.violation.flag(
                 FleetInvariant::SplitBrain,
                 now,
                 format!(
@@ -1185,7 +1096,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         effects: BTreeMap::new(),
         acked: BTreeMap::new(),
         completed: BTreeMap::new(),
-        violation: None,
+        violation: Latch(None),
         report: FleetReport {
             seed: cfg.seed,
             mutation: cfg.mutation,
@@ -1385,7 +1296,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                 let mut next_backoff = u64::MAX;
                 let mut i = 0;
                 while i < jobs.len() {
-                    let core = Arc::clone(&w.replicas[me].core);
+                    let core = Arc::clone(w.replicas[me].node.core());
                     match jobs[i].job.step(&core) {
                         JobStep::Backoff { delay_ms } => {
                             next_backoff = next_backoff.min(now + delay_ms);
@@ -1439,11 +1350,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                     if w.replicas[me].killed {
                         return TaskState::Done;
                     }
-                    let core = Arc::clone(&w.replicas[me].core);
-                    drop(w);
-                    let mut state = core.state.lock().expect("state poisoned");
-                    let t = core.now_ms();
-                    let _ = refresh_cache_locked(&core, &mut state, t);
+                    w.replicas[me].node.scan();
                     TaskState::SleepUntil(now + interval)
                 });
             }
@@ -1455,17 +1362,13 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         return TaskState::Done;
                     }
                     let w = world.borrow();
-                    if w.replicas[me].killed {
+                    let replica = &w.replicas[me];
+                    if replica.killed {
                         return TaskState::Done;
                     }
-                    let core = Arc::clone(&w.replicas[me].core);
                     // Checkpoints stamp the adopted group epoch so a
                     // recovered ex-primary knows where it was fenced.
-                    core.adopt_group_epoch(w.replicas[me].repl.held_epoch());
-                    drop(w);
-                    let mut state = core.state.lock().expect("state poisoned");
-                    let t = core.now_ms();
-                    let _ = checkpoint_locked(&core, &mut state, t);
+                    replica.node.checkpoint(replica.repl.held_epoch());
                     TaskState::SleepUntil(now + interval)
                 });
             }
@@ -1516,7 +1419,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         for (invariant, detail) in
                             check_reading(&reading, decommissioned_at, bound, slack)
                         {
-                            w.flag(invariant, now, detail);
+                            w.violation.flag(invariant, now, detail);
                         }
                         if fresh {
                             w.report.served_fresh += 1;
@@ -1566,8 +1469,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     let events = resolve_fleet_events(cfg);
     {
         let world = Rc::clone(&world);
-        let cfg = cfg.clone();
-        let field = Arc::clone(&field);
         let first = events.first().map_or(u64::MAX, FleetEvent::at_ms).min(1);
         let mut idx = 0usize;
         // Active link faults: (clears_at_ms, struck node, fault).
@@ -1587,24 +1488,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                     true
                 }
             });
-            for i in 0..w.replicas.len() {
-                let expired: Vec<(u64, usize, RingFault)> = {
-                    let node = &mut w.replicas[i];
-                    let (done, live): (Vec<_>, Vec<_>) = std::mem::take(&mut node.active_faults)
-                        .into_iter()
-                        .partition(|(c, _, _)| *c <= now);
-                    node.active_faults = live;
-                    done
-                };
-                if !expired.is_empty() {
-                    let core = Arc::clone(&w.replicas[i].core);
-                    let mut state = core.state.lock().expect("state poisoned");
-                    for (_, site, _) in expired {
-                        if let Some(sm) = state.array.sites_mut().get_mut(site) {
-                            sm.unit.clear_fault();
-                        }
-                    }
-                }
+            for replica in &mut w.replicas {
+                replica.node.clear_due(now);
             }
             // Fire due events.
             while idx < events.len() && events[idx].at_ms() <= now {
@@ -1641,22 +1526,13 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         }
                         let node = w.primary_node(shard);
                         if let Some(rf) = event.fault.as_ring_fault() {
-                            let core = Arc::clone(&w.replicas[node].core);
-                            let mut state = core.state.lock().expect("state poisoned");
-                            if let Some(sm) = state.array.sites_mut().get_mut(event.channel) {
-                                sm.unit.inject_fault(rf);
-                                drop(state);
-                                w.replicas[node].active_faults.push((
-                                    event.clears_at_ms(),
-                                    event.channel,
-                                    rf,
-                                ));
-                            }
+                            let clears_at = event.clears_at_ms();
+                            w.replicas[node].node.strike(event.channel, rf, clears_at);
                         }
                     }
                     FleetEvent::Crash { shard, replica, .. } => {
                         if shard < w.groups.len() && replica < replication {
-                            crash_replica(&mut w, &cfg, shard, replica, &field, now);
+                            crash_replica(&mut w, shard, replica, now);
                         }
                     }
                     FleetEvent::Decommission { shard, .. } => {
@@ -1692,7 +1568,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             let next_fault_clear = w
                 .replicas
                 .iter()
-                .flat_map(|n| n.active_faults.iter().map(|(c, _, _)| *c))
+                .filter_map(|n| n.node.next_clear())
                 .min()
                 .unwrap_or(u64::MAX);
             let wake = next_event.min(next_link_clear).min(next_fault_clear);
@@ -1732,7 +1608,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         if w.replicas[n].repl.log().records() != canonical.as_slice() {
                             let len_a = canonical.len();
                             let len_b = w.replicas[n].repl.log().len();
-                            w.flag(
+                            w.violation.flag(
                                 FleetInvariant::Diverged,
                                 now,
                                 format!(
@@ -1782,13 +1658,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     // Run, surfacing task-flagged violations after every step.
     let check_world = Rc::clone(&world);
     let violation = ex.run(end + 2_000, 1_000_000, move |record: &StepRecord| {
-        let mut w = check_world.borrow_mut();
-        if let Some(mut v) = w.violation.take() {
-            v.step = record.step;
-            v.task = record.task.clone();
-            return Some(v);
-        }
-        None
+        check_world.borrow_mut().violation.pin(record)
     });
 
     let mut w = world.borrow_mut();

@@ -41,6 +41,7 @@
 //! [`RunReport`] traits.
 
 pub mod fleet;
+mod node;
 
 use std::path::PathBuf;
 use std::rc::Rc;
@@ -48,19 +49,17 @@ use std::sync::Arc;
 use std::{cell::RefCell, fmt};
 
 use dst::{
-    shrink_events, Clock, Executor, SimDisk, SimDiskProfile, SimDiskStats, StepRecord, TaskState,
+    shrink_events, Executor, SimDisk, SimDiskProfile, SimDiskStats, StepRecord, TaskState,
     VirtualClock,
 };
 use faultsim::{FaultEvent, FaultSchedule};
-use sensor::RingFault;
 
 use crate::breaker::BreakerState;
 use crate::error::RuntimeError;
 use crate::service::{
-    build_core, checkpoint_locked, enforce_deadline, refresh_cache_locked, Core, Field, JobStep,
-    Provenance, ReadJob, RuntimeConfig, ServedReading,
+    enforce_deadline, Core, Field, JobStep, Provenance, ReadJob, RuntimeConfig, ServedReading,
 };
-use crate::soak::reference_array;
+use node::Node;
 
 /// A deliberate, known-bad change to the service, applied under
 /// simulation to prove the invariant sweep actually catches real bugs
@@ -476,35 +475,44 @@ pub fn render_trace<R: RunReport>(report: &R, node: Option<&str>) -> String {
     s
 }
 
-/// Everything the simulation tasks share.
-struct SimWorld {
-    core: Arc<Core>,
-    /// Bumped on every crash; in-flight jobs from older incarnations
-    /// are aborted (their process died).
-    incarnation: u64,
-    /// Active faults: `(clears_at_ms_virtual, channel, fault)` — they
-    /// live in the silicon and survive crashes.
-    active: Vec<(u64, usize, RingFault)>,
-    prev_breakers: Vec<BreakerState>,
-    /// The first violation, until the per-step check pins its step.
-    violation: Option<Violation<Invariant>>,
-    /// The report the tasks count into; the end-of-run facts are set
-    /// after the run.
-    report: SimReport,
-}
+/// The first violation a run's tasks flag, held until the per-step
+/// check pins it to the step that flagged it. Later flags are dropped:
+/// a run reports only its first violation.
+struct Latch<I>(Option<Violation<I>>);
 
-impl SimWorld {
-    fn flag(&mut self, invariant: Invariant, at_ms: u64, detail: String) {
-        if self.violation.is_none() {
-            self.violation = Some(Violation {
+impl<I> Latch<I> {
+    fn flag(&mut self, invariant: I, at_ms: u64, detail: String) {
+        if self.0.is_none() {
+            self.0 = Some(Violation {
                 invariant,
                 at_ms,
-                step: 0,             // pinned by the per-step check
-                task: String::new(), // pinned by the per-step check
+                step: 0,
+                task: String::new(),
                 detail,
             });
         }
     }
+
+    /// The flagged violation, pinned to `record`'s step and task.
+    fn pin(&mut self, record: &StepRecord) -> Option<Violation<I>> {
+        let mut v = self.0.take()?;
+        v.step = record.step;
+        v.task = record.task.clone();
+        Some(v)
+    }
+}
+
+/// Everything the simulation tasks share.
+struct SimWorld {
+    node: Node,
+    /// Bumped on every crash; in-flight jobs from older incarnations
+    /// are aborted (their process died).
+    incarnation: u64,
+    prev_breakers: Vec<BreakerState>,
+    violation: Latch<Invariant>,
+    /// The report the tasks count into; the end-of-run facts are set
+    /// after the run.
+    report: SimReport,
 }
 
 fn breaker_snapshot(core: &Core) -> Vec<BreakerState> {
@@ -536,27 +544,22 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
     let mut runtime_cfg = cfg.runtime.clone();
     runtime_cfg.seed = cfg.seed;
     let clock = Arc::new(VirtualClock::new());
-    let disk = Arc::new(SimDisk::new(cfg.seed, SimDiskProfile::default()));
     let ambient = cfg.ambient_c;
     let field: Field = Arc::new(move |_, _| ambient);
-
-    let (core, _report) = build_core(
-        reference_array(cfg.sites),
-        Arc::clone(&field),
+    let node = Node::start(
+        cfg.sites,
+        field,
         runtime_cfg.clone(),
-        false,
-        Arc::clone(&clock) as Arc<dyn Clock>,
-        Arc::clone(&disk) as Arc<dyn dst::SimFs>,
-        true,
-    )
-    .expect("simulated runtime must start");
+        Arc::clone(&clock) as _,
+        Arc::new(SimDisk::new(cfg.seed, SimDiskProfile::default())),
+        None,
+    );
 
     let world = Rc::new(RefCell::new(SimWorld {
-        prev_breakers: breaker_snapshot(&core),
-        core,
+        prev_breakers: breaker_snapshot(node.core()),
+        node,
         incarnation: 0,
-        active: Vec::new(),
-        violation: None,
+        violation: Latch(None),
         report: SimReport {
             seed: cfg.seed,
             mutation: cfg.mutation,
@@ -594,7 +597,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                     }
                     remaining -= 1;
                     w.report.requests += 1;
-                    let core = Arc::clone(&w.core);
+                    let core = Arc::clone(w.node.core());
                     let submitted = core.now_ms();
                     let deadline_abs = submitted + core.config.default_deadline_ms;
                     job = Some((
@@ -606,7 +609,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                     TaskState::Runnable
                 }
                 Some((j, deadline_abs, _)) => {
-                    let core = Arc::clone(&w.core);
+                    let core = Arc::clone(w.node.core());
                     let deadline = *deadline_abs;
                     match j.step(&core) {
                         JobStep::Backoff { delay_ms } => TaskState::SleepUntil(now + delay_ms),
@@ -616,7 +619,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                                 Ok(r) => {
                                     for (invariant, detail) in check_reply(&r, budget_ms, bound_ms)
                                     {
-                                        w.flag(invariant, now, detail);
+                                        w.violation.flag(invariant, now, detail);
                                     }
                                     if matches!(r.provenance, Provenance::Fresh { .. }) {
                                         w.report.served_fresh += 1;
@@ -649,12 +652,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
             if now >= horizon {
                 return TaskState::Done;
             }
-            let w = world.borrow();
-            let core = Arc::clone(&w.core);
-            drop(w);
-            let mut state = core.state.lock().expect("state poisoned");
-            let t = core.now_ms();
-            let _ = refresh_cache_locked(&core, &mut state, t);
+            world.borrow().node.scan();
             TaskState::SleepUntil(now + interval)
         });
     }
@@ -666,11 +664,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                 return TaskState::Done;
             }
             let mut w = world.borrow_mut();
-            let core = Arc::clone(&w.core);
-            let mut state = core.state.lock().expect("state poisoned");
-            let t = core.now_ms();
-            if checkpoint_locked(&core, &mut state, t).is_ok() {
-                drop(state);
+            if w.node.checkpoint(0) {
                 w.report.checkpoints += 1;
             }
             TaskState::SleepUntil(now + interval)
@@ -678,8 +672,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
     }
 
     // The fault storm: inject and clear on schedule. Faults live in
-    // the silicon, so `active` survives crashes (the crash task
-    // re-applies them to the rebuilt array).
+    // the silicon, so the node re-applies them after a crash.
     let events = resolve_events(cfg);
     if !events.is_empty() {
         let world = Rc::clone(&world);
@@ -687,38 +680,18 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         let mut idx = 0usize;
         ex.spawn("storm", first, move |now| {
             let mut w = world.borrow_mut();
-            let core = Arc::clone(&w.core);
-            let still: Vec<(u64, usize, RingFault)> = {
-                let mut state = core.state.lock().expect("state poisoned");
-                let active = std::mem::take(&mut w.active);
-                let mut still = Vec::new();
-                for (clears_at, ch, rf) in active {
-                    if clears_at <= now {
-                        if let Some(site) = state.array.sites_mut().get_mut(ch) {
-                            site.unit.clear_fault();
-                        }
-                        w.report.cleared += 1;
-                    } else {
-                        still.push((clears_at, ch, rf));
+            w.report.cleared += w.node.clear_due(now);
+            while idx < events.len() && events[idx].at_ms <= now {
+                let ev = &events[idx];
+                idx += 1;
+                if let Some(rf) = ev.fault.as_ring_fault() {
+                    if w.node.strike(ev.channel, rf, ev.clears_at_ms()) {
+                        w.report.injected += 1;
                     }
                 }
-                while idx < events.len() && events[idx].at_ms <= now {
-                    let ev = &events[idx];
-                    idx += 1;
-                    if let Some(rf) = ev.fault.as_ring_fault() {
-                        if let Some(site) = state.array.sites_mut().get_mut(ev.channel) {
-                            site.unit.inject_fault(rf);
-                            w.report.injected += 1;
-                            still.push((ev.clears_at_ms(), ev.channel, rf));
-                        }
-                    }
-                }
-                still
-            };
-            w.active = still;
+            }
             let next_inject = events.get(idx).map(|e| e.at_ms);
-            let next_clear = w.active.iter().map(|(c, _, _)| *c).min();
-            match (next_inject, next_clear) {
+            match (next_inject, w.node.next_clear()) {
                 (None, None) => TaskState::Done,
                 (a, b) => TaskState::SleepUntil(a.unwrap_or(u64::MAX).min(b.unwrap_or(u64::MAX))),
             }
@@ -733,55 +706,28 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         crash_times.sort_unstable();
         let first = crash_times[0];
         let mut idx = 0usize;
-        let disk = Arc::clone(&disk);
-        let clock = Arc::clone(&clock);
-        let field = Arc::clone(&field);
-        let sites = cfg.sites;
         let rebase = cfg.mutation != Mutation::NoCooldownRebase;
         ex.spawn("crash", first, move |now| {
             let mut w = world.borrow_mut();
-            disk.crash();
             w.report.crashes += 1;
             idx += 1;
-            match build_core(
-                reference_array(sites),
-                Arc::clone(&field),
-                runtime_cfg.clone(),
-                true,
-                Arc::clone(&clock) as Arc<dyn Clock>,
-                Arc::clone(&disk) as Arc<dyn dst::SimFs>,
-                rebase,
-            ) {
-                Ok((core, rec)) => {
+            match w.node.crash(rebase) {
+                Ok((rec, resurrected)) => {
                     w.report.snapshots_skipped += rec.snapshots_skipped as u64;
-                    {
-                        let state = core.state.lock().expect("state poisoned");
-                        if state.cache.is_some() {
-                            w.flag(
-                                Invariant::RecoveryRestoredCache,
-                                now,
-                                "recovered core came up with a cached median".into(),
-                            );
-                        }
+                    if resurrected {
+                        w.violation.flag(
+                            Invariant::RecoveryRestoredCache,
+                            now,
+                            "recovered core came up with a cached median".into(),
+                        );
                     }
                     w.report.recovered_seqs.push(rec.recovered_seq);
-                    w.prev_breakers = breaker_snapshot(&core);
+                    w.prev_breakers = breaker_snapshot(w.node.core());
                     w.incarnation += 1;
-                    // Faults live in the silicon, not the process.
-                    let active = w.active.clone();
-                    {
-                        let mut state = core.state.lock().expect("state poisoned");
-                        for (_, ch, rf) in &active {
-                            if let Some(site) = state.array.sites_mut().get_mut(*ch) {
-                                site.unit.inject_fault(*rf);
-                            }
-                        }
-                    }
-                    w.core = core;
                 }
-                Err(e) => {
-                    w.flag(Invariant::RecoveryFailed, now, e.to_string());
-                }
+                Err(e) => w
+                    .violation
+                    .flag(Invariant::RecoveryFailed, now, e.to_string()),
             }
             match crash_times.get(idx) {
                 Some(at) => TaskState::SleepUntil((*at).max(now + 1)),
@@ -794,12 +740,10 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
     let check_world = Rc::clone(&world);
     let violation = ex.run(horizon + 10_000, 500_000, move |record: &StepRecord| {
         let mut w = check_world.borrow_mut();
-        if let Some(mut v) = w.violation.take() {
-            v.step = record.step;
-            v.task = record.task.clone();
+        if let Some(v) = w.violation.pin(record) {
             return Some(v);
         }
-        let core = Arc::clone(&w.core);
+        let core = Arc::clone(w.node.core());
         let now = core.now_ms();
         let cfg = &core.config.breaker;
         let cur = breaker_snapshot(&core);
@@ -862,13 +806,13 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         None
     });
 
-    let report = std::mem::take(&mut world.borrow_mut().report);
+    let mut w = world.borrow_mut();
     SimReport {
         violation,
         trace: ex.trace().to_vec(),
         steps: ex.steps(),
-        disk: disk.stats(),
-        ..report
+        disk: w.node.disk().stats(),
+        ..std::mem::take(&mut w.report)
     }
 }
 

@@ -1,10 +1,11 @@
 //! The `runtime` binary's command line: sweep JSON from both
 //! simulators, the node-filtered fleet replay and its node check,
-//! `--seed-range` precedence, the wire soak's `--p99` gate, usage
-//! errors (exit 2), and a `--help` that names every flag of every
-//! subcommand.
+//! `--seed-range` precedence, the wire soak's `--p99` gate, fresh
+//! request ids on each `client` run, usage errors (exit 2), and a
+//! `--help` that names every flag of every subcommand.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn runtime(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_runtime"))
@@ -155,6 +156,35 @@ fn wire_soak_p99_gate_fails_a_zero_bound_and_passes_a_minute() {
         );
     }
     std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn client_runs_draw_fresh_request_ids() {
+    let mut server = Command::new(env!("CARGO_BIN_EXE_runtime"))
+        .args(["serve", "--port", "0", "--seconds", "3"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("runtime serve starts");
+    let mut lines = BufReader::new(server.stdout.take().expect("piped stdout")).lines();
+    // "serving 3 shard(s) x 6 site(s) on 127.0.0.1:PORT for 3 s"
+    let banner = lines.next().expect("a banner").expect("utf-8 banner");
+    let addr = banner
+        .split_whitespace()
+        .skip_while(|word| *word != "on")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    for _ in 0..2 {
+        let out = runtime(&["client", "--addr", addr, "--key", "42"]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+    }
+    let drained = lines
+        .map(|line| line.expect("utf-8 stdout"))
+        .find(|line| line.starts_with("drained:"))
+        .expect("a drain line");
+    assert!(server.wait().expect("server exits").success());
+    // A second run that reused the first run's id would be replayed
+    // the first run's answer: `1 deduped`.
+    assert!(drained.contains(" 0 deduped,"), "{drained}");
 }
 
 #[test]

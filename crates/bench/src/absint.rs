@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use netcheck::absint::{certify, CertifyBundle, NodeKind};
 
-use crate::{render_table, write_artifact};
+use crate::{artifact_head, render_table, write_artifact};
 
 /// The certified configurations: name, `[ring]` mix expression.
 pub const CONFIGS: [(&str, &str); 7] = [
@@ -112,7 +112,7 @@ pub fn run(out_dir: &Path) -> String {
     write_artifact(out_dir, "absint_certify.csv", &csv);
 
     let total_ms: f64 = rows.iter().map(|r| r.elapsed_ms).sum();
-    let mut json = String::from("{\n  \"configs\": [\n");
+    let mut json = artifact_head() + "  \"configs\": [\n";
     let entries: Vec<String> = rows
         .iter()
         .map(|r| {

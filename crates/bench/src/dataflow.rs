@@ -29,7 +29,7 @@ use netcheck::{
 };
 use tsense_core::units::{Celsius, Seconds};
 
-use crate::{render_table, write_artifact};
+use crate::{artifact_head, cores, render_table, write_artifact};
 
 /// Number of timing repetitions; the minimum is reported.
 const REPS: usize = 3;
@@ -225,7 +225,7 @@ pub fn run(out_dir: &Path) -> String {
     let (probe_4, _) = timed(&probe, &opts(4, None));
     let probe_speedup = ms(probe_1) / ms(probe_4).max(1e-6);
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = cores();
     let _ = std::fs::remove_dir_all(&scratch);
 
     // ---- pass/fail ----------------------------------------------------
@@ -241,7 +241,7 @@ pub fn run(out_dir: &Path) -> String {
         clean && identical && warm_hits == targets.len() && warm_speedup >= 5.0 && scaling_ok;
 
     // ---- artifacts ----------------------------------------------------
-    let mut json = String::from("{\n");
+    let mut json = artifact_head();
     let _ = writeln!(json, "  \"targets\": {},", targets.len());
     let _ = writeln!(
         json,
@@ -261,7 +261,6 @@ pub fn run(out_dir: &Path) -> String {
     let _ = writeln!(json, "  \"warm_cache_hits\": {warm_hits},");
     let _ = writeln!(json, "  \"warm_speedup\": {warm_speedup:.2},");
     let _ = writeln!(json, "  \"jobs_speedup\": {jobs_speedup:.2},");
-    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(
         json,
         "  \"latency_probe\": {{\"targets\": {PROBE_TARGETS}, \"stall_ms\": {}, \

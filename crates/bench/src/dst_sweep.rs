@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use runtime::{hunt, resolve_sim_events, sweep, Invariant, Mutation, SimConfig, Simulation};
 
-use crate::{render_table, write_artifact};
+use crate::{artifact_head, render_table, write_artifact};
 
 /// First seed of the sweep (CI replays the same window).
 pub const SEED_BASE: u64 = 0;
@@ -59,7 +59,7 @@ fn run_with(seeds: u64, out_dir: &Path) -> String {
     });
 
     // ---- artifacts -----------------------------------------------------
-    let mut json = String::from("{\n");
+    let mut json = artifact_head();
     let _ = writeln!(json, "  \"seed_base\": {SEED_BASE},");
     let _ = writeln!(json, "  \"seeds\": {},", clean.seeds);
     let _ = writeln!(json, "  \"steps\": {},", clean.steps);

@@ -14,7 +14,7 @@ use std::path::Path;
 
 use faultsim::{reference_universe, run_campaign, CampaignConfig};
 
-use crate::{render_table, write_artifact};
+use crate::{artifact_head, render_table, write_artifact};
 
 /// The CI smoke sample size (matches the workflow's `--faults`).
 pub const SMOKE_FAULTS: usize = 100;
@@ -41,7 +41,7 @@ pub fn run(out_dir: &Path) -> String {
     });
 
     // ---- artifacts ----------------------------------------------------
-    let mut json = String::from("{\n");
+    let mut json = artifact_head();
     let _ = writeln!(json, "  \"universe\": {},", reference_universe(false).len());
     let _ = writeln!(json, "  \"seed\": {},", full.config.seed);
     for (tag, r) in [("full", &full), ("smoke", &smoke)] {

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use runtime::{hunt, run_fleet, sweep_jobs, FleetConfig, FleetInvariant, FleetMutation};
 
-use crate::{render_table, write_artifact};
+use crate::{artifact_head, cores, render_table, write_artifact};
 
 /// Seeds in the headline clean sweep.
 const SWEEP_SEEDS: u64 = 1_000;
@@ -98,7 +98,7 @@ pub fn run(out_dir: &Path) -> String {
     let probe_4 = probe(4);
     let probe_speedup = ms(probe_1) / ms(probe_4).max(1e-6);
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cores = cores();
     let scaling_ok = if cores >= 4 {
         sweep_speedup >= 3.0
     } else {
@@ -151,7 +151,7 @@ pub fn run(out_dir: &Path) -> String {
         && exercised_ok;
 
     // ---- artifacts ----------------------------------------------------
-    let mut json = String::from("{\n");
+    let mut json = artifact_head();
     let _ = writeln!(json, "  \"sweep_seeds\": {},", clean.seeds);
     let _ = writeln!(json, "  \"sweep_steps\": {},", clean.steps);
     let _ = writeln!(json, "  \"sweep_requests\": {},", clean.requests);
@@ -163,7 +163,6 @@ pub fn run(out_dir: &Path) -> String {
     let _ = writeln!(json, "  \"jobs4_ms\": {:.1},", ms(jobs4_t));
     let _ = writeln!(json, "  \"sweep_speedup\": {sweep_speedup:.2},");
     let _ = writeln!(json, "  \"byte_identical\": {identical},");
-    let _ = writeln!(json, "  \"cores\": {cores},");
     let _ = writeln!(
         json,
         "  \"latency_probe\": {{\"tasks\": {PROBE_TASKS}, \"stall_ms\": {}, \

@@ -37,6 +37,7 @@
 
 use std::fs;
 use std::path::Path;
+use std::process::Command;
 
 pub mod abl1;
 pub mod abl2;
@@ -74,10 +75,41 @@ pub fn write_artifact(out_dir: &Path, name: &str, contents: &str) {
     fs::write(out_dir.join(name), contents).expect("write artifact");
 }
 
-/// Renders a paired-run artifact, `{"seed": …, "<run>": {…}, …}`: each
-/// run's own JSON object nested under its tag.
+/// Hardware threads this process may run on.
+pub fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Opens a `BENCH_*.json` artifact with the machine and build that
+/// measured it: `{`, then `cores`, `git_rev` (`git rev-parse --short
+/// HEAD` in this crate's checkout, or `unavailable`) and `profile`
+/// (`release` or `debug`), one line each, every line ending in a comma
+/// for the artifact's own keys.
+pub fn artifact_head() -> String {
+    let git_rev = Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unavailable".into(), |rev| rev.trim().to_string());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    format!(
+        "{{\n  \"cores\": {},\n  \"git_rev\": \"{git_rev}\",\n  \"profile\": \"{profile}\",\n",
+        cores()
+    )
+}
+
+/// Renders a paired-run artifact, `{"seed": …, "<run>": {…}, …}` after
+/// the [`artifact_head`] keys: each run's own JSON object nested under
+/// its tag.
 pub fn runs_json(seed: u64, runs: &[(&str, String)]) -> String {
-    let mut json = format!("{{\n  \"seed\": {seed}");
+    let mut json = format!("{}  \"seed\": {seed}", artifact_head());
     for (tag, run) in runs {
         json.push_str(&format!(",\n  \"{tag}\": {}", run.replace('\n', "\n  ")));
     }

@@ -26,7 +26,7 @@ use sta::AnalyticalModel;
 use stdcell::library::CellLibrary;
 use tsense_core::gate::GateKind;
 
-use crate::{render_table, write_artifact};
+use crate::{artifact_head, render_table, write_artifact};
 
 /// The sweep temperatures, °C (Fig. 2 pitch at 5 points).
 pub const SWEEP_TEMPS_C: [f64; 5] = [-50.0, 0.0, 50.0, 100.0, 150.0];
@@ -66,7 +66,7 @@ pub fn run(out_dir: &Path) -> String {
         .fold(0.0_f64, f64::max);
 
     // ---- artifacts ----------------------------------------------------
-    let mut json = String::from("{\n");
+    let mut json = artifact_head();
     let _ = writeln!(json, "  \"ring\": \"5xINV\",");
     let _ = writeln!(json, "  \"ratio\": {RATIO},");
     let _ = writeln!(

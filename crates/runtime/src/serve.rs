@@ -72,7 +72,7 @@
 //! statically, refused with a typed [`RuntimeError::BadReplication`].
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -96,8 +96,10 @@ use crate::sim::json_object;
 use crate::snapshot::SnapshotError;
 use crate::soak::reference_array;
 
-/// Poll tick for non-blocking accept, socket reads, and the polled
-/// write deadline, milliseconds.
+/// Per-syscall timeout of a connection's socket reads and writes,
+/// milliseconds: the tick its idle, stall, drain and write-deadline
+/// checks run on. The accept thread does not poll: it blocks in
+/// `accept`, and [`WireServer::drain`] wakes it.
 const POLL_MS: u64 = 25;
 
 /// Ring virtual nodes per shard group — matches the simulated fleet.
@@ -575,7 +577,6 @@ impl WireServer {
             TcpListener::bind(bind.unwrap_or_else(|| "127.0.0.1:0".parse().expect("literal addr")))
                 .map_err(io_snapshot_err)?;
         let addr = listener.local_addr().map_err(io_snapshot_err)?;
-        listener.set_nonblocking(true).map_err(io_snapshot_err)?;
 
         let accept_inner = Arc::clone(&inner);
         let accept_thread = thread::Builder::new()
@@ -665,10 +666,11 @@ impl WireServer {
         if sh.killed {
             return Ok(());
         }
+        // The stop wakes the old thread at once, and it must finish
+        // before the replacement starts: it may still be writing a
+        // checkpoint into the snapshot directory the replacement
+        // recovers from.
         sh.core.request_stop();
-        // The old thread must finish before the replacement starts: it
-        // may still be writing a checkpoint into the snapshot directory
-        // the replacement recovers from.
         if let Some(h) = sh.maintenance.take() {
             drop(h.join());
         }
@@ -698,11 +700,11 @@ impl WireServer {
         let mut g = self.group(group)?;
         let pidx = g.primary;
         g.replicas[pidx].killed = true;
-        // The stopped maintenance thread exits on its next tick. Its
-        // handle stays on the replica for `drain` to join: joining here
-        // would hold the group's lock, and with it every request routed
-        // to the group, for up to a tick plus any checkpoint in
-        // progress.
+        // The stop wakes the maintenance thread, which exits once any
+        // scan or checkpoint in progress is done. Its handle stays on
+        // the replica for `drain` to join: joining here would hold the
+        // group's lock, and with it every request routed to the group,
+        // through that scan or checkpoint.
         g.replicas[pidx].core.request_stop();
         let epoch = g.promote(group, None)?;
         self.inner.stats.promotions.fetch_add(1, Ordering::SeqCst);
@@ -753,7 +755,15 @@ impl WireServer {
         let in_flight_at_drain = self.inner.in_flight.load(Ordering::SeqCst);
         self.inner.draining.store(true, Ordering::SeqCst);
         let conn_threads = match self.accept_thread.take() {
-            Some(h) => h.join().unwrap_or_default(),
+            Some(h) => {
+                // The accept thread blocks in `accept` and reads the flag
+                // after every connection it takes: one connection wakes it.
+                let wake = loopback_of(self.addr);
+                while !h.is_finished() && TcpStream::connect(wake).is_err() {
+                    thread::sleep(Duration::from_millis(2));
+                }
+                h.join().unwrap_or_default()
+            }
             None => Vec::new(),
         };
         for h in conn_threads {
@@ -847,14 +857,37 @@ fn start_replica(
     Ok((core, maintenance, log, report))
 }
 
+/// Where [`WireServer::drain`] connects to wake the accept thread: the
+/// bound address, an unspecified IP mapped to its family's loopback.
+fn loopback_of(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 /// Accepts until drain, spawning one thread per connection; returns
-/// the connection handles so [`WireServer::drain`] can join them.
+/// the live connections' handles so [`WireServer::drain`] can join
+/// them. Blocks in `accept` and reads the drain flag after each return,
+/// so a connection taken once the flag is set is dropped unserved.
 fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) -> Vec<JoinHandle<()>> {
-    let mut conns = Vec::new();
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
     let mut conn_idx: u64 = 0;
-    while !inner.draining.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.draining.load(Ordering::SeqCst) {
+            return conns;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
+                // Join finished connections, so an exited thread's stack
+                // is unmapped now rather than at drain.
+                for done in conns.extract_if(.., |h| h.is_finished()) {
+                    drop(done.join());
+                }
                 inner.stats.connections.fetch_add(1, Ordering::SeqCst);
                 let conn_inner = Arc::clone(inner);
                 let idx = conn_idx;
@@ -867,13 +900,10 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) -> Vec<JoinHandle<()>
                     conns.push(h);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
+            // Out of descriptors, say: back off before the next accept.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
-    conns
 }
 
 /// Writes `bytes` completely within `budget`, polling between partial
@@ -1658,5 +1688,47 @@ mod tests {
         assert_eq!(stats.duplicate_effects, 0);
         assert_eq!((stats.shed, stats.deduped), (1, 2));
         server.drain().expect("drain");
+    }
+
+    #[test]
+    fn a_server_on_an_unspecified_address_drains_with_no_connection_made() {
+        for bind in ["0.0.0.0:0", "[::]:0"] {
+            let bind: SocketAddr = bind.parse().expect("literal addr");
+            // Skip `[::]` only where the host cannot bind it.
+            if bind.is_ipv6() && TcpListener::bind(bind).is_err() {
+                continue;
+            }
+            let server = WireServer::start(one_group_cfg(1), Some(bind)).expect("server starts");
+            assert!(server.addr().ip().is_unspecified(), "{}", server.addr());
+            let stats = server.drain().expect("drain").stats;
+            assert_eq!(stats.connections, 0, "the wake-up is never served");
+        }
+    }
+
+    #[test]
+    fn a_stop_wakes_a_maintenance_thread_a_minute_from_its_next_scan() {
+        // With scans a minute apart and no periodic checkpoint, only the
+        // stop's notify ends a maintenance thread's wait in time.
+        let mut cfg = one_group_cfg(2);
+        cfg.runtime.scan_interval_ms = 60_000;
+        cfg.runtime.checkpoint_interval_ms = 0;
+        let server = WireServer::start(cfg, None).expect("server starts");
+        let mut client = crate::client::WireClient::new(crate::client::WireClientConfig {
+            addrs: vec![server.addr()],
+            ..crate::client::WireClientConfig::default()
+        });
+        let answer = client.request(1, 1).expect("request answered");
+        assert!(
+            matches!(answer.outcome, WireOutcome::Reading { .. }),
+            "{answer:?}"
+        );
+        drop(client);
+        let bound = Duration::from_secs(5);
+        let t = Instant::now();
+        server.crash_shard(0).expect("crash and recover");
+        assert!(t.elapsed() < bound, "crash_shard took {:?}", t.elapsed());
+        let t = Instant::now();
+        server.drain().expect("drain");
+        assert!(t.elapsed() < bound, "drain took {:?}", t.elapsed());
     }
 }

@@ -291,6 +291,13 @@ pub(crate) struct Core {
     pub(crate) state: Mutex<ArrayState>,
     queue: BoundedQueue,
     stop: AtomicBool,
+    /// Held while [`Core::request_stop`] sets `stop` and notifies
+    /// `wake`, so a stop that lands between the maintenance loop's
+    /// check and its wait is never lost.
+    wake_lock: Mutex<()>,
+    /// Wakes the maintenance loop out of its wait when a stop is
+    /// requested.
+    wake: Condvar,
     clock: Arc<dyn Clock>,
     /// `clock.now_ms()` at this incarnation's start; `now_ms` is
     /// relative to it, so a recovered process starts at t = 0 like a
@@ -321,11 +328,31 @@ impl Core {
         self.group_epoch.fetch_max(epoch, Ordering::SeqCst);
     }
 
-    /// Asks this core's worker/maintenance loops to exit at their next
-    /// tick — how the wire tier retires a crashed incarnation's
-    /// background threads without a full [`RuntimeHandle`].
+    /// Asks this core's background loops to exit: the maintenance loop
+    /// wakes at once, a worker at its next queue poll. This is how the
+    /// wire tier retires a crashed incarnation's maintenance thread
+    /// without a full [`RuntimeHandle`].
     pub(crate) fn request_stop(&self) {
+        let _held = self.wake_lock.lock().expect("wake poisoned");
         self.stop.store(true, Ordering::SeqCst);
+        self.wake.notify_all();
+    }
+
+    /// Waits until `now_ms` reaches `due_ms`. Returns `false`, at once,
+    /// when a stop is requested before then.
+    fn wait_until(&self, due_ms: u64) -> bool {
+        let mut held = self.wake_lock.lock().expect("wake poisoned");
+        loop {
+            if self.stop.load(Ordering::SeqCst) {
+                return false;
+            }
+            let now = self.now_ms();
+            if now >= due_ms {
+                return true;
+            }
+            let wait = Duration::from_millis(due_ms - now);
+            held = self.wake.wait_timeout(held, wait).expect("wake poisoned").0;
+        }
     }
 }
 
@@ -508,6 +535,8 @@ pub(crate) fn build_core(
         }),
         queue: BoundedQueue::new(config.queue_capacity),
         stop: AtomicBool::new(false),
+        wake_lock: Mutex::new(()),
+        wake: Condvar::new(),
         clock,
         epoch_ms,
         stats: Counters::default(),
@@ -551,9 +580,10 @@ pub(crate) fn validate_deadline_budget(array: &SensorArray, config: &RuntimeConf
 }
 
 /// Handle to a running monitor. Dropping it without
-/// [`RuntimeHandle::shutdown`] detaches the threads (they stop at the
-/// next tick after `stop` is set by shutdown only) — call `shutdown`
-/// for an orderly exit with a final checkpoint.
+/// [`RuntimeHandle::shutdown`] detaches the threads, which then run
+/// until the process exits. `shutdown` stops them (the maintenance
+/// thread at once, each worker at its next queue poll) and takes a
+/// final checkpoint.
 pub struct RuntimeHandle {
     core: Arc<Core>,
     threads: Vec<thread::JoinHandle<()>>,
@@ -680,7 +710,7 @@ impl RuntimeHandle {
     /// [`RuntimeError::Snapshot`] when the final checkpoint fails (the
     /// threads are still joined first).
     pub fn shutdown(self) -> Result<RuntimeStats> {
-        self.core.stop.store(true, Ordering::SeqCst);
+        self.core.request_stop();
         self.core.queue.not_empty.notify_all();
         for t in self.threads {
             let _ = t.join();
@@ -1088,11 +1118,25 @@ pub(crate) fn checkpoint_locked(core: &Core, state: &mut ArrayState, now: u64) -
     Ok(state.seq)
 }
 
+/// A live core's background thread: a degraded scan every
+/// `scan_interval_ms` and, when enabled, a checkpoint every
+/// `checkpoint_interval_ms`. It waits until the earlier of the two is
+/// due, on real time like the [`SystemClock`] every caller runs it
+/// with, and exits at once on [`Core::request_stop`].
 pub(crate) fn maintenance_loop(core: &Core) {
+    let scan_every = core.config.scan_interval_ms.max(1);
+    let ckpt_every = core.config.checkpoint_interval_ms;
     let mut last_scan = 0u64;
     let mut last_ckpt = core.now_ms();
-    while !core.stop.load(Ordering::SeqCst) {
-        core.clock.sleep_ms(5);
+    loop {
+        let scan_due = last_scan + scan_every;
+        let due = match ckpt_every {
+            0 => scan_due,
+            every => scan_due.min(last_ckpt + every),
+        };
+        if !core.wait_until(due) {
+            return;
+        }
         let now = core.now_ms();
         if now.saturating_sub(last_scan) >= core.config.scan_interval_ms {
             let mut state = core.state.lock().expect("state poisoned");
@@ -1102,9 +1146,7 @@ pub(crate) fn maintenance_loop(core: &Core) {
             let _ = refresh_cache_locked(core, &mut state, now);
             last_scan = now;
         }
-        if core.config.checkpoint_interval_ms > 0
-            && now.saturating_sub(last_ckpt) >= core.config.checkpoint_interval_ms
-        {
+        if ckpt_every > 0 && now.saturating_sub(last_ckpt) >= ckpt_every {
             let mut state = core.state.lock().expect("state poisoned");
             if state.store.is_some() {
                 let _ = checkpoint_locked(core, &mut state, now);

@@ -25,7 +25,6 @@
 //! | `ext4` | extension: node portability (0.35 → 0.13 µm presets) |
 //! | `sta`  | STA vs transient temperature sweep: same curve, wall-clock speedup |
 //! | `fault` | fault-injection campaign: coverage per class, zero silent/hang |
-//! | `soak` | supervised runtime soak: throughput/p99 with and without chaos |
 //! | `dst`  | deterministic simulation: seeded schedule sweep + mutation detection |
 //! | `absint` | interval certification of every shipped configuration: envelopes + proof cost |
 //! | `dataflow` | parallel incremental netlist-lint driver: cache + `--jobs` wall-clock |
@@ -56,7 +55,6 @@ pub mod fig1;
 pub mod fig2;
 pub mod fig3;
 pub mod fleet_dst;
-pub mod runtime_soak;
 pub mod sta_sweep;
 pub mod ta;
 pub mod tb;
@@ -157,7 +155,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// All experiment ids, in DESIGN.md order.
-pub const ALL_EXPERIMENTS: [&str; 25] = [
+pub const ALL_EXPERIMENTS: [&str; 24] = [
     "fig1",
     "fig2",
     "fig3",
@@ -176,7 +174,6 @@ pub const ALL_EXPERIMENTS: [&str; 25] = [
     "ext4",
     "sta",
     "fault",
-    "soak",
     "dst",
     "absint",
     "dataflow",
@@ -212,7 +209,6 @@ pub fn run_experiment(id: &str, out_dir: &Path) -> String {
         "ext4" => ext4::run(out_dir),
         "sta" => sta_sweep::run(out_dir),
         "fault" => fault_campaign::run(out_dir),
-        "soak" => runtime_soak::run(out_dir),
         "dst" => dst_sweep::run(out_dir),
         "absint" => absint::run(out_dir),
         "dataflow" => dataflow::run(out_dir),

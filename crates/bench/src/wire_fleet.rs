@@ -4,13 +4,12 @@
 //! fleet invariants. The two experiments differ only in their
 //! [`Scenario`].
 //!
-//! `wire` is the network-boundary analogue of the in-process `soak`
-//! experiment: the same supervised cores now sit behind the
-//! length-prefixed frame codec, a threaded server with deadlines and
-//! backpressure, and a retrying client — so the question becomes
-//! *"does the deadline/staleness contract survive a hostile network
-//! (latency spikes, truncation, resets, garbage injection) plus a
-//! mid-soak crash-recover and a decommission?"*.
+//! `wire` puts the supervised cores behind the length-prefixed frame
+//! codec, a threaded server with deadlines and backpressure, and a
+//! retrying client, and asks *"does the deadline/staleness contract
+//! survive a hostile network (latency spikes, truncation, resets,
+//! garbage injection) plus a mid-soak crash-recover and a
+//! decommission?"*.
 //!
 //! `replicated` asks the replication question on top: *"when the
 //! primary of a shard group is hard-killed under load, does a backup

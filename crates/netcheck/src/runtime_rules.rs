@@ -22,9 +22,9 @@
 //! * `NC0801` — the staleness bound is shorter than the checkpoint
 //!   interval: a crash-recovered process restores readings that are,
 //!   in the worst case, a full checkpoint interval old, so it could
-//!   come up with *nothing* fresh enough to serve and every degraded
-//!   fallback is a typed `StaleCache` error until the first scan
-//!   lands (the `runtime` crate rejects the same pairing dynamically
+//!   come up with *nothing* fresh enough to serve, and every degraded
+//!   fallback must rescan before it can answer (the `runtime` crate
+//!   rejects the same pairing dynamically
 //!   at startup, and its deterministic simulation exercises the
 //!   recovery path this rule protects).
 

@@ -1,5 +1,6 @@
-//! `runtime` — soak the supervised monitoring service under chaos,
-//! serve it over TCP, or sweep it under deterministic simulation.
+//! `runtime` — serve the supervised monitoring service over TCP, soak
+//! a live server under chaos, or sweep it under deterministic
+//! simulation.
 //!
 //! Every subcommand's flags live in one table below (name, value kind
 //! and check, default, help line); one loop parses them and
@@ -15,9 +16,9 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use runtime::{
-    render_trace, run_soak, run_wire_soak, shrink_failure, sweep_jobs, FleetConfig, FleetMutation,
-    Mutation, RunReport, RuntimeConfig, SimConfig, Simulation, SoakConfig, SweepOutcome,
-    WireClient, WireClientConfig, WireOutcome, WireServer, WireServerConfig, WireSoakConfig,
+    render_trace, run_wire_soak, shrink_failure, sweep_jobs, FleetConfig, FleetMutation, Mutation,
+    RunReport, SimConfig, Simulation, SweepOutcome, WireClient, WireClientConfig, WireOutcome,
+    WireServer, WireServerConfig, WireSoakConfig,
 };
 use sensor::sta::report::json_escape;
 
@@ -111,22 +112,6 @@ const fn switch(name: &'static str, help: &'static str) -> Flag {
 const JSON: Flag = switch("--json", "machine-readable output");
 
 #[rustfmt::skip]
-const SOAK: &[Flag] = &[
-    flag("--seconds", "N", Positive, "10", "total soak length; 80 % storm, 20 % drain"),
-    flag("--seed", "N", Uint, "42", "chaos + jitter seed"),
-    flag("--sites", "N", Positive, "9", "sensor sites in the array"),
-    flag("--faults", "N", Uint, "", "scheduled fault events (default: 2 per second)"),
-    flag("--clients", "N", Uint, "3", "client threads issuing reads"),
-    switch("--no-chaos", "disable fault injection"),
-    switch("--restart", "kill and recover the runtime mid-storm"),
-    flag("--snapshot-dir", "P", Text, "", "checkpoint directory (default: a temp dir)"),
-    switch("--check", "fail (exit 1) unless the liveness invariants hold: zero late replies, \
-                       zero silent-stale reads, breakers re-closed, recovery restored a \
-                       checkpoint when --restart was given"),
-    JSON,
-];
-
-#[rustfmt::skip]
 const SERVE: &[Flag] = &[
     flag("--shards", "N", Positive, "3", "service shards behind the ring router"),
     flag("--sites", "N", Positive, "6", "sensor sites per shard"),
@@ -163,11 +148,16 @@ const WIRE_SOAK: &[Flag] = &[
                                                (default: disabled; 0 disables)"),
     flag("--snapshot-dir", "P", Text, "", "per-shard checkpoint and effect-log root \
                                           (default: a temp dir)"),
+    flag("--faults", "N", Uint, "0", "silicon faults struck on group primaries over the \
+                                      first 80 % of the load; the last 20 % heals"),
     flag("--p99", "MS", Uint, "", "with --check, also fail if p99 exceeds MS"),
     flag("--hist-out", "P", Text, "", "write the latency histogram artifact to P"),
     switch("--check", "fail (exit 1) unless the graded fleet invariants hold (honest \
                        staleness, no decommissioned shard served, no resurrected cache, \
-                       at-most-once, and with --kill-primary-at: failover completes)"),
+                       at-most-once, a request completed, with --kill-primary-at: \
+                       failover completes, with --faults: breakers closed and nothing \
+                       quarantined at the end, with a crash: recovery skipped the planted \
+                       torn snapshot and, two checkpoint intervals in, restored one)"),
     JSON,
 ];
 
@@ -203,12 +193,6 @@ struct Command {
 }
 
 const COMMANDS: &[Command] = &[
-    Command {
-        name: "soak",
-        about: "soak the supervised service under a seeded chaos storm",
-        flags: SOAK,
-        run: soak_cmd,
-    },
     Command {
         name: "serve",
         about: "serve the sharded fleet over TCP, then drain",
@@ -325,70 +309,6 @@ impl Args {
         let parse = |v: &String| v.parse().expect("value was checked against the flag table");
         values.iter().map(parse).collect()
     }
-}
-
-fn soak_cmd(args: &Args) -> Result<ExitCode, String> {
-    let (seconds, restart, json): (u64, _, _) = (
-        args.get("--seconds"),
-        args.on("--restart"),
-        args.on("--json"),
-    );
-    let total_ms = seconds * 1000;
-    let mut cfg = SoakConfig {
-        seed: args.get("--seed"),
-        sites: args.get("--sites"),
-        clients: args.get("--clients"),
-        ..SoakConfig::default()
-    };
-    cfg.duration_ms = (total_ms * 4) / 5;
-    cfg.drain_ms = total_ms - cfg.duration_ms;
-    cfg.faults = if args.on("--no-chaos") {
-        0
-    } else {
-        args.opt("--faults")
-            .unwrap_or((2 * seconds).max(1) as usize)
-    };
-    cfg.restart_at_ms = restart.then_some(cfg.duration_ms / 2);
-    let dir = args.opt("--snapshot-dir").unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("tsense-soak-{}-{}", std::process::id(), cfg.seed))
-    });
-    cfg.runtime = RuntimeConfig {
-        snapshot_dir: Some(dir),
-        ..RuntimeConfig::default()
-    };
-
-    let report = match run_soak(&cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("runtime: soak failed to run: {e}");
-            return Ok(ExitCode::from(1));
-        }
-    };
-    if json {
-        println!("{}", report.render_json(restart));
-    } else {
-        print!("{}", report.render_text());
-    }
-    if args.on("--check") {
-        if !report.liveness_ok(restart) {
-            if !json {
-                eprintln!(
-                    "runtime: check FAILED (late {} stale {} breakers_closed {} restarts {} \
-                     recovered {:?})",
-                    report.late_replies,
-                    report.silent_stale,
-                    report.breakers_all_closed,
-                    report.restarts,
-                    report.recovered_seq,
-                );
-            }
-            return Ok(ExitCode::from(1));
-        }
-        if !json {
-            println!("check PASSED");
-        }
-    }
-    Ok(ExitCode::SUCCESS)
 }
 
 fn render_sweep_json<R: RunReport>(out: &SweepOutcome<R>, seed_base: u64) -> String {
@@ -742,6 +662,7 @@ fn wire_soak_cmd(args: &Args) -> Result<ExitCode, String> {
         crash,
         decommission,
         kill_primary,
+        faults: args.get("--faults"),
         ..WireSoakConfig::default()
     };
     cfg.server.snapshot_root = Some(snapshot_root);
@@ -788,7 +709,7 @@ fn wire_soak_cmd(args: &Args) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let names = "`soak`, `serve`, `client`, `wire-soak`, or `dst`";
+    let names = "`serve`, `client`, `wire-soak`, or `dst`";
     let result = match args.first().map(String::as_str) {
         Some("--help" | "-h") => {
             println!("{}", help());

@@ -3,10 +3,9 @@
 //! The runtime's contract is *no silent failure*: every request is
 //! answered either with data carrying honest provenance
 //! ([`crate::service::Provenance`]) or with one of these errors. In
-//! particular stale cached data past the staleness bound is a
-//! [`RuntimeError::StaleCache`], never a quietly old reading, and a
-//! blown deadline is a [`RuntimeError::DeadlineExceeded`], never
-//! quietly late data.
+//! particular a blown deadline is a [`RuntimeError::DeadlineExceeded`],
+//! never quietly late data, and an array with nothing left to scan is a
+//! [`RuntimeError::NoHealthy`], never a quietly old reading.
 
 use std::error::Error;
 use std::fmt;
@@ -25,14 +24,6 @@ pub enum RuntimeError {
         deadline_ms: u64,
         /// When the miss was detected, runtime-relative milliseconds.
         now_ms: u64,
-    },
-    /// The cached degraded reading is older than the staleness bound
-    /// and no fresh data could be produced in time.
-    StaleCache {
-        /// Age of the cached reading, milliseconds.
-        age_ms: u64,
-        /// The configured staleness bound, milliseconds.
-        bound_ms: u64,
     },
     /// Quarantine and breakers left no source of data at all.
     NoHealthy {
@@ -108,9 +99,6 @@ pub enum RuntimeError {
         /// Human-readable statement of the inconsistency.
         detail: String,
     },
-    /// The runtime is shutting down (or has shut down) and no longer
-    /// accepts requests.
-    Shutdown,
     /// A sensing failure that survived retries and had no degraded
     /// fallback.
     Sensor(SensorError),
@@ -127,10 +115,6 @@ impl fmt::Display for RuntimeError {
             } => write!(
                 f,
                 "deadline exceeded: due at t={deadline_ms} ms, detected at t={now_ms} ms"
-            ),
-            RuntimeError::StaleCache { age_ms, bound_ms } => write!(
-                f,
-                "cached reading is {age_ms} ms old, past the {bound_ms} ms staleness bound"
             ),
             RuntimeError::NoHealthy { total, quarantined } => write!(
                 f,
@@ -183,7 +167,6 @@ impl fmt::Display for RuntimeError {
             RuntimeError::BadReplication { detail } => {
                 write!(f, "bad replication config: {detail}")
             }
-            RuntimeError::Shutdown => write!(f, "runtime is shut down"),
             RuntimeError::Sensor(e) => write!(f, "sensor failure: {e}"),
             RuntimeError::Snapshot(e) => write!(f, "snapshot failure: {e}"),
         }
@@ -221,9 +204,9 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = RuntimeError::StaleCache {
-            age_ms: 900,
-            bound_ms: 400,
+        let e = RuntimeError::UnrecoverableFreshness {
+            staleness_bound_ms: 400,
+            checkpoint_interval_ms: 900,
         };
         let s = e.to_string();
         assert!(s.contains("900"), "{s}");

@@ -2,26 +2,28 @@
 //!
 //! The paper's smart sensor exists to be *relied on*: a thermal-test
 //! flow queries it continuously while stress patterns run. This crate
-//! is the reliability layer that makes such reliance honest — a
-//! multi-threaded service that owns a [`sensor::SensorArray`] and
-//! serves temperature readings through a bounded request queue under
-//! deadline scheduling, degrading in *typed*, observable ways when the
-//! silicon underneath misbehaves:
+//! is the reliability layer that makes such reliance honest — a service
+//! that owns [`sensor::SensorArray`]s and serves temperature readings
+//! under deadlines over TCP, from replicated shard groups, degrading in
+//! *typed*, observable ways when the silicon underneath misbehaves:
 //!
 //! * [`retry`] — bounded retry ladders with exponential backoff and
 //!   seeded jitter for transient capture failures;
 //! * [`breaker`] — per-unit circuit breakers
 //!   (Closed → Open → HalfOpen) so a persistently failing ring stops
 //!   consuming deadline budget;
-//! * [`service`] — the runtime itself: bounded queue, worker threads,
-//!   deadline enforcement, load-shedding to cached medians, and the
-//!   background health scan that quarantines and paroles rings;
+//! * [`service`] — one replica's core and its one read path: the
+//!   supervised read, deadline enforcement, and the background health
+//!   scan that quarantines and paroles rings;
 //! * [`snapshot`] — CRC-checked, atomically written checkpoints
 //!   (calibration, quarantine, breaker states, recent readings) and
 //!   the paranoid recovery path that skips torn or corrupt files;
-//! * [`soak`] — sustained-operation mode: a seeded
-//!   [`faultsim::FaultSchedule`] chaos storm, an optional forced
-//!   kill-and-recover, and liveness invariants checked on exit;
+//! * [`serve`] and [`client`] — the TCP tier that fronts the cores, and
+//!   its retrying client;
+//! * [`soak_wire`] — sustained operation against a live server: an
+//!   open-loop load, a seeded [`faultsim::FaultSchedule`] silicon storm,
+//!   crash recovery past a planted torn snapshot, and the invariants
+//!   graded on exit;
 //! * [`sim`] — deterministic simulation testing: the same read,
 //!   scan, checkpoint, and recovery machinery run single-threaded on a
 //!   virtual clock and a torn-write simulated disk, under seeded
@@ -34,8 +36,8 @@
 //!
 //! The service's contract, end to end: every request is answered
 //! within its deadline or with a typed error; every reading carries
-//! its provenance and age; cached data past the staleness bound is an
-//! error, never a quietly old number.
+//! its provenance and age; cached data past the staleness bound is
+//! rescanned before it is served, never served as a quietly old number.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +53,6 @@ pub mod serve;
 pub mod service;
 pub mod sim;
 pub mod snapshot;
-pub mod soak;
 pub mod soak_wire;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -62,8 +63,7 @@ pub use retry::{Backoff, RetryPolicy};
 pub use route::{Route, RoutePlan, RouterPolicy};
 pub use serve::{DrainReport, WireServer, WireServerConfig, WireServerStats};
 pub use service::{
-    Field, MonitorRuntime, Provenance, RecoveryReport, RuntimeConfig, RuntimeHandle, RuntimeStats,
-    ServedReading,
+    reference_array, Field, Provenance, RecoveryReport, RuntimeConfig, ServedReading,
 };
 pub use sim::fleet::{
     resolve_fleet_events, run_fleet, task_node, FleetConfig, FleetEvent, FleetInvariant,
@@ -75,7 +75,6 @@ pub use sim::{
     SweepOutcome, Violation,
 };
 pub use snapshot::{crc32, RuntimeSnapshot, SiteSnapshot, SnapshotError, SnapshotStore};
-pub use soak::{reference_array, run_soak, SoakConfig, SoakReport};
 pub use soak_wire::{run_wire_soak, LatencyHistogram, WireSoakConfig, WireSoakReport};
 // Compatibility re-exports: these types lived in `runtime::sim::fleet`
 // until PR 9 moved them into the `wire` crate.

@@ -81,20 +81,21 @@ use std::time::{Duration, Instant};
 
 use dst::{Clock, NoDisk, RealFs, SimFs, SystemClock, WriteBehind};
 use netcheck::ReplicationTuning;
+use sensor::{RingFault, SensorArray};
 use wire::{Decoder, FleetMsg, HashRing, MapEntry, WireOutcome};
 
+use crate::breaker::CircuitBreaker;
 use crate::effect_log::EffectLog;
 use crate::error::{Result, RuntimeError};
 use crate::repl::{self, Output, Replica};
 use crate::retry::RetryPolicy;
 use crate::route::RouterPolicy;
 use crate::service::{
-    build_core, checkpoint_locked, maintenance_loop, supervised_read, wire_error_kind,
-    wire_outcome, Core, Field, RecoveryReport, RuntimeConfig,
+    build_core, checkpoint_locked, maintenance_loop, reference_array, supervised_read,
+    wire_error_kind, wire_outcome, Core, Field, RecoveryReport, RuntimeConfig,
 };
 use crate::sim::json_object;
 use crate::snapshot::SnapshotError;
-use crate::soak::reference_array;
 
 /// Per-syscall timeout of a connection's socket reads and writes,
 /// milliseconds: the tick its idle, stall, drain and write-deadline
@@ -493,8 +494,9 @@ impl WireServer {
     /// `netcheck` rule `NC1501` flags the same condition);
     /// [`RuntimeError::BadReplication`] when the replication tuning
     /// violates `NC1601`/`NC1602`;
-    /// [`RuntimeError::UnservableConfig`] / snapshot errors from the
-    /// per-replica preflight, as [`crate::MonitorRuntime::start`].
+    /// [`RuntimeError::UnservableConfig`],
+    /// [`RuntimeError::UnrecoverableFreshness`] and snapshot errors from
+    /// each replica's preflight and store.
     pub fn start(cfg: WireServerConfig, bind: Option<SocketAddr>) -> Result<WireServer> {
         // Same pairing the `netcheck` lint flags statically (NC1501),
         // rejected here with a typed error.
@@ -533,8 +535,9 @@ impl WireServer {
         for group in 0..cfg.shards {
             let mut replicas = Vec::with_capacity(cfg.replication);
             for replica in 0..cfg.replication {
+                let array = reference_array(cfg.sites_per_shard);
                 let (core, maintenance, log, _) =
-                    start_replica(&cfg, group, replica, &field, &stats, false)?;
+                    start_replica(&cfg, group, replica, array, &field, &stats, false)?;
                 replicas.push(WireShard {
                     core,
                     maintenance: Some(maintenance),
@@ -647,24 +650,29 @@ impl WireServer {
     /// core, reload the newest valid snapshot from disk, and restart
     /// its replication protocol as a backup of a fresh incarnation over
     /// its reopened effect log — everything up to its last checkpoint
-    /// under a snapshot root, nothing without one. Every live replica
-    /// whose log differs from the one `repl::elect` picks is repaired
-    /// to it (counted in [`WireServerStats::rejoin_repairs`]), and the
-    /// group re-elects its primary under a fresh epoch (a restart, not
-    /// counted in [`WireServerStats::promotions`]). A recovery that
-    /// comes back holding a cached median is counted in
-    /// [`WireServerStats::resurrected`]. A killed primary stays dead.
+    /// under a snapshot root, nothing without one. Faults live in the
+    /// silicon, not the process: every site keeps the fault
+    /// [`WireServer::set_fault`] left on it. Every live replica whose
+    /// log differs from the one `repl::elect` picks is repaired to it
+    /// (counted in [`WireServerStats::rejoin_repairs`]), and the group
+    /// re-elects its primary under a fresh epoch (a restart, not counted
+    /// in [`WireServerStats::promotions`]). A recovery that comes back
+    /// holding a cached median is counted in
+    /// [`WireServerStats::resurrected`]. Returns what recovery restored
+    /// and skipped; a killed primary stays dead, and its report is
+    /// empty.
     ///
     /// # Errors
     ///
     /// [`RuntimeError::BadChannel`] when `group` is out of range;
-    /// otherwise as [`crate::MonitorRuntime::recover`].
-    pub fn crash_shard(&self, group: usize) -> Result<()> {
+    /// otherwise the replica's preflight and snapshot errors, as
+    /// [`WireServer::start`].
+    pub fn crash_shard(&self, group: usize) -> Result<RecoveryReport> {
         let mut g = self.group(group)?;
         let pidx = g.primary;
         let sh = &mut g.replicas[pidx];
         if sh.killed {
-            return Ok(());
+            return Ok(RecoveryReport::default());
         }
         // The stop wakes the old thread at once, and it must finish
         // before the replacement starts: it may still be writing a
@@ -675,14 +683,86 @@ impl WireServer {
             drop(h.join());
         }
         let inner = &self.inner;
-        let (core, maintenance, log, rec) =
-            start_replica(&inner.cfg, group, pidx, &inner.field, &inner.stats, true)?;
+        let mut array = reference_array(inner.cfg.sites_per_shard);
+        {
+            let old = sh.core.state.lock().expect("state poisoned");
+            for (site, struck) in array.sites_mut().iter_mut().zip(old.array.sites()) {
+                if let Some(fault) = struck.unit.active_fault() {
+                    site.unit.inject_fault(fault);
+                }
+            }
+        }
+        let (core, maintenance, log, rec) = start_replica(
+            &inner.cfg,
+            group,
+            pidx,
+            array,
+            &inner.field,
+            &inner.stats,
+            true,
+        )?;
         sh.core = core;
         sh.maintenance = Some(maintenance);
         sh.repl.recover(log, rec.recovered_epoch);
         g.rejoin(group, &inner.stats.rejoin_repairs)?;
         inner.stats.crashes.fetch_add(1, Ordering::SeqCst);
+        Ok(rec)
+    }
+
+    /// Strikes `site` of replica `replica` in `group` with `fault`
+    /// (replacing any fault already there), or clears it with `None`:
+    /// the chaos hook a silicon fault storm drives. It names the
+    /// replica, not the role, so a clear after a promotion still reaches
+    /// the array that was struck.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::BadChannel`] when `group`, `replica` or `site` is
+    /// out of range.
+    pub fn set_fault(
+        &self,
+        group: usize,
+        replica: usize,
+        site: usize,
+        fault: Option<RingFault>,
+    ) -> Result<()> {
+        let g = self.group(group)?;
+        let sh = g.replicas.get(replica).ok_or(RuntimeError::BadChannel {
+            channel: replica,
+            available: g.replicas.len(),
+        })?;
+        let mut state = sh.core.state.lock().expect("state poisoned");
+        let available = state.array.channel_count();
+        let unit = &mut state
+            .array
+            .sites_mut()
+            .get_mut(site)
+            .ok_or(RuntimeError::BadChannel {
+                channel: site,
+                available,
+            })?
+            .unit;
+        match fault {
+            Some(f) => unit.inject_fault(f),
+            None => unit.clear_fault(),
+        }
         Ok(())
+    }
+
+    /// `group`'s primary's circuit breakers, in channel order, and how
+    /// many of its sites are quarantined: what a storm must leave
+    /// healed.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::BadChannel`] when `group` is out of range.
+    pub fn primary_breakers(&self, group: usize) -> Result<(Vec<CircuitBreaker>, usize)> {
+        let core = {
+            let g = self.group(group)?;
+            Arc::clone(&g.replicas[g.primary].core)
+        };
+        let state = core.state.lock().expect("state poisoned");
+        Ok((state.breakers.clone(), state.array.quarantined().len()))
     }
 
     /// Permanently kills `group`'s current primary and promotes the
@@ -808,10 +888,10 @@ fn io_snapshot_err(e: std::io::Error) -> RuntimeError {
     })
 }
 
-/// Builds one replica's core (recovering from its snapshot directory
-/// when `recover` is set), spawns its maintenance thread, and opens its
-/// effect log at `shard-G-R/effects.log`. Core and log share one disk,
-/// as in the fleet simulation: under a snapshot root a fresh
+/// Builds one replica's core over `array` (recovering from its snapshot
+/// directory when `recover` is set), spawns its maintenance thread, and
+/// opens its effect log at `shard-G-R/effects.log`. Core and log share
+/// one disk, as in the fleet simulation: under a snapshot root a fresh
 /// [`WriteBehind`] over [`RealFs`], so the log's appends reach the disk
 /// with the core's checkpoints and an unflushed tail dies with the
 /// process; without one [`NoDisk`], which keeps the log in memory only.
@@ -819,6 +899,7 @@ fn start_replica(
     cfg: &WireServerConfig,
     group: usize,
     replica: usize,
+    array: SensorArray,
     field: &Field,
     stats: &Counters,
     recover: bool,
@@ -835,7 +916,7 @@ fn start_replica(
     };
     let clock = Arc::new(SystemClock::new());
     let (core, report) = build_core(
-        reference_array(cfg.sites_per_shard),
+        array,
         Arc::clone(field),
         rc,
         recover,
@@ -1467,8 +1548,62 @@ mod tests {
             server.kill_primary(9),
             Err(RuntimeError::BadChannel { .. })
         ));
+        assert!(matches!(
+            server.primary_breakers(9),
+            Err(RuntimeError::BadChannel { .. })
+        ));
+        // Group, replica and site are each checked: 2 groups of 2
+        // replicas of 3 sites.
+        for (group, replica, site, bad, available) in
+            [(9, 0, 0, 9, 2), (0, 5, 0, 5, 2), (0, 1, 7, 7, 3)]
+        {
+            let struck = server.set_fault(group, replica, site, Some(RingFault::Dead));
+            assert!(
+                matches!(struck, Err(RuntimeError::BadChannel { channel, available: a })
+                    if (channel, a) == (bad, available)),
+                "({group}, {replica}, {site}): {struck:?}"
+            );
+        }
+        server.set_fault(1, 1, 2, None).expect("in range");
         let report = server.drain().expect("drain");
         assert_eq!(report.in_flight_at_drain, 0);
+    }
+
+    /// The fault each site of `group`'s replica `replica` carries.
+    fn faults_of(server: &WireServer, group: usize, replica: usize) -> Vec<Option<RingFault>> {
+        let g = server.inner.group(group);
+        let state = g.replicas[replica]
+            .core
+            .state
+            .lock()
+            .expect("state poisoned");
+        state
+            .array
+            .sites()
+            .iter()
+            .map(|s| s.unit.active_fault())
+            .collect()
+    }
+
+    #[test]
+    fn a_crash_keeps_the_faults_struck_on_the_silicon() {
+        let server = one_group(2);
+        let (_, primary, _) = server.group_view(0).expect("view");
+        let slow = RingFault::DelayScale { factor: 1.5 };
+        server.set_fault(0, primary, 1, Some(slow)).expect("strike");
+        server
+            .set_fault(0, primary, 2, Some(RingFault::Dead))
+            .expect("strike");
+        server.set_fault(0, primary, 2, None).expect("clear");
+        server.crash_shard(0).expect("crash and recover");
+        assert_eq!(server.stats().crashes, 1);
+        assert_eq!(faults_of(&server, 0, primary), [None, Some(slow), None]);
+        assert_eq!(faults_of(&server, 0, 1 - primary), [None; 3]);
+        // A clear names the replica, so it reaches the struck array
+        // whatever role the crash's re-election left it in.
+        server.set_fault(0, primary, 1, None).expect("clear");
+        assert_eq!(faults_of(&server, 0, primary), [None; 3]);
+        server.drain().expect("drain");
     }
 
     fn one_group_cfg(replication: usize) -> WireServerConfig {

@@ -1,15 +1,17 @@
-//! The supervised monitoring service: a multi-threaded runtime that
-//! owns a [`SensorArray`] and serves temperature readings through a
-//! bounded request queue under deadline scheduling.
+//! The supervised monitoring service: the core one replica runs over
+//! a [`SensorArray`], and the one read path that serves a temperature
+//! from it. The TCP tier ([`crate::serve`]) converts each request on
+//! its group primary's core, and both simulators drive the same core
+//! on a virtual clock.
 //!
 //! Architecture (one supervision tree, all state behind one lock):
 //!
 //! ```text
-//!   clients ──▶ bounded queue ──▶ worker threads ──▶ per-unit supervisor
-//!      │ (full? shed to cached        │                 retry ladder +
-//!      ▼  median, typed)              ▼                 circuit breaker
-//!   typed reply ◀── deadline check ── ArrayState (array, breakers,
-//!                                     cache, snapshot seq)
+//!   request ──▶ supervised_read ──▶ per-unit supervisor ──▶ ArrayState
+//!                (ReadJob steps)     quarantine check,       (array,
+//!                                    circuit breaker,        breakers,
+//!   typed reply ◀── deadline check   retry ladder            cache,
+//!                   (wire_outcome)                           snapshot seq)
 //!                      maintenance thread: degraded scans (health
 //!                      monitor + parole) and periodic checkpoints
 //! ```
@@ -20,25 +22,24 @@
 //!   absolute deadline, or with [`RuntimeError::DeadlineExceeded`];
 //!   never with quietly late data.
 //! * **Provenance, not silence** — every reading says where it came
-//!   from ([`Provenance::Fresh`] conversion, quarantine/breaker
-//!   fallback to the survivors' [`Provenance::DegradedMedian`], or a
-//!   load-shedding [`Provenance::Shed`] cache hit) and how old it is.
-//! * **Bounded staleness** — cached data older than the staleness
-//!   bound is a [`RuntimeError::StaleCache`], never served.
+//!   from ([`Provenance::Fresh`] conversion, or quarantine/breaker
+//!   fallback to the survivors' [`Provenance::DegradedMedian`]) and
+//!   how old it is.
+//! * **Bounded staleness** — a degraded median is served from a scan
+//!   no older than the staleness bound; an older cache is rescanned
+//!   before it is served, never served as it stands.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
 use std::time::Duration;
 
-use dst::{Clock, RealFs, SimFs, SystemClock};
-use sensor::{HealthPolicy, RingFault, SensorArray, SensorError, SmartSensorUnit};
+use dst::{Clock, SimFs};
+use sensor::{HealthPolicy, SensorArray, SensorError};
 use tsense_core::units::Celsius;
 
-use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
+use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::error::{Result, RuntimeError};
 use crate::retry::{Backoff, RetryPolicy};
 use crate::snapshot::{RuntimeSnapshot, SiteSnapshot, SnapshotError, SnapshotStore};
@@ -49,19 +50,9 @@ pub type Field = Arc<dyn Fn(f64, f64) -> f64 + Send + Sync>;
 /// How many served medians the checkpointed ring buffer retains.
 const READING_RING_CAPACITY: usize = 64;
 
-/// Extra time a client waits past its deadline for the worker's own
-/// typed deadline-miss reply before synthesizing one locally.
-const REPLY_GRACE_MS: u64 = 25;
-
-/// Tuning for one monitoring runtime.
+/// Tuning for one service core.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
-    /// Worker threads serving the request queue. `0` is allowed (no
-    /// fresh reads are ever served — useful to test shedding).
-    pub workers: usize,
-    /// Bounded queue depth; a full queue sheds to the cached median.
-    /// `0` sheds every request.
-    pub queue_capacity: usize,
     /// Default per-request deadline, milliseconds.
     pub default_deadline_ms: u64,
     /// Background degraded-scan period (health monitor + cache
@@ -91,8 +82,6 @@ pub struct RuntimeConfig {
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
-            workers: 2,
-            queue_capacity: 64,
             default_deadline_ms: 250,
             scan_interval_ms: 50,
             checkpoint_interval_ms: 500,
@@ -126,12 +115,6 @@ pub enum Provenance {
         /// Quarantined sites at the time of the backing scan.
         quarantined: usize,
     },
-    /// Load shedding: the queue was full, so the cached median was
-    /// served without touching the array.
-    Shed {
-        /// Surviving fraction behind the cached median.
-        confidence: f64,
-    },
 }
 
 /// One reading, with honest provenance.
@@ -146,38 +129,6 @@ pub struct ServedReading {
     pub age_ms: u64,
     /// Submit-to-reply latency, milliseconds.
     pub latency_ms: u64,
-}
-
-/// Counters the runtime exposes (monotonic since start).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RuntimeStats {
-    /// Readings served from fresh conversions.
-    pub served_fresh: u64,
-    /// Readings served as degraded medians (quarantine/breaker
-    /// fallback).
-    pub served_degraded: u64,
-    /// Readings served from cache under load shedding.
-    pub served_shed: u64,
-    /// Requests shed because the queue was full.
-    pub queue_sheds: u64,
-    /// Typed deadline misses.
-    pub deadline_misses: u64,
-    /// Requests rejected by an open breaker (served via fallback).
-    pub breaker_rejections: u64,
-    /// Requests that hit a quarantined channel (served via fallback).
-    pub quarantine_fallbacks: u64,
-    /// Retry attempts beyond the first, across all requests.
-    pub retries: u64,
-    /// Typed stale-cache rejections.
-    pub stale_rejections: u64,
-    /// Background degraded scans completed.
-    pub scans: u64,
-    /// Checkpoints persisted.
-    pub checkpoints: u64,
-    /// Total breaker trips across all channels.
-    pub breaker_trips: u64,
-    /// Channels currently quarantined.
-    pub quarantined_now: usize,
 }
 
 /// What recovery restored (and what it had to skip).
@@ -205,69 +156,6 @@ pub struct RecoveryReport {
     pub snapshots_skipped: usize,
 }
 
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    served_fresh: AtomicU64,
-    served_degraded: AtomicU64,
-    served_shed: AtomicU64,
-    queue_sheds: AtomicU64,
-    pub(crate) deadline_misses: AtomicU64,
-    breaker_rejections: AtomicU64,
-    quarantine_fallbacks: AtomicU64,
-    retries: AtomicU64,
-    stale_rejections: AtomicU64,
-    scans: AtomicU64,
-    checkpoints: AtomicU64,
-}
-
-struct Request {
-    channel: usize,
-    submitted_ms: u64,
-    deadline_ms: u64,
-    reply: mpsc::Sender<Result<ServedReading>>,
-}
-
-/// Bounded MPMC queue: mutexed deque + condvar, non-blocking submit.
-struct BoundedQueue {
-    inner: Mutex<VecDeque<Request>>,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl BoundedQueue {
-    fn new(capacity: usize) -> Self {
-        BoundedQueue {
-            inner: Mutex::new(VecDeque::new()),
-            not_empty: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// `false` when the queue is full (caller sheds).
-    fn try_push(&self, req: Request) -> bool {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        if q.len() >= self.capacity {
-            return false;
-        }
-        q.push_back(req);
-        drop(q);
-        self.not_empty.notify_one();
-        true
-    }
-
-    fn pop_timeout(&self, timeout: Duration) -> Option<Request> {
-        let mut q = self.inner.lock().expect("queue poisoned");
-        if let Some(r) = q.pop_front() {
-            return Some(r);
-        }
-        let (mut q, _) = self
-            .not_empty
-            .wait_timeout(q, timeout)
-            .expect("queue poisoned");
-        q.pop_front()
-    }
-}
-
 pub(crate) struct CachedMedian {
     pub(crate) value_c: f64,
     pub(crate) confidence: f64,
@@ -289,12 +177,10 @@ pub(crate) struct ArrayState {
 
 pub(crate) struct Core {
     pub(crate) state: Mutex<ArrayState>,
-    queue: BoundedQueue,
-    stop: AtomicBool,
-    /// Held while [`Core::request_stop`] sets `stop` and notifies
-    /// `wake`, so a stop that lands between the maintenance loop's
-    /// check and its wait is never lost.
-    wake_lock: Mutex<()>,
+    /// Set by [`Core::request_stop`]. The maintenance loop checks it
+    /// and waits on `wake` under this lock, so a stop that lands
+    /// between its check and its wait is never lost.
+    stopped: Mutex<bool>,
     /// Wakes the maintenance loop out of its wait when a stop is
     /// requested.
     wake: Condvar,
@@ -303,7 +189,6 @@ pub(crate) struct Core {
     /// relative to it, so a recovered process starts at t = 0 like a
     /// real restart does.
     epoch_ms: u64,
-    pub(crate) stats: Counters,
     request_nonce: AtomicU64,
     /// The replica-group epoch this node currently holds or has
     /// adopted. 0 means unreplicated. Stamped into every checkpoint so
@@ -328,22 +213,20 @@ impl Core {
         self.group_epoch.fetch_max(epoch, Ordering::SeqCst);
     }
 
-    /// Asks this core's background loops to exit: the maintenance loop
-    /// wakes at once, a worker at its next queue poll. This is how the
-    /// wire tier retires a crashed incarnation's maintenance thread
-    /// without a full [`RuntimeHandle`].
+    /// Asks this core's maintenance loop to exit; it wakes at once.
+    /// This is how the wire tier retires a crashed or killed
+    /// incarnation's maintenance thread.
     pub(crate) fn request_stop(&self) {
-        let _held = self.wake_lock.lock().expect("wake poisoned");
-        self.stop.store(true, Ordering::SeqCst);
+        *self.stopped.lock().expect("wake poisoned") = true;
         self.wake.notify_all();
     }
 
     /// Waits until `now_ms` reaches `due_ms`. Returns `false`, at once,
     /// when a stop is requested before then.
     fn wait_until(&self, due_ms: u64) -> bool {
-        let mut held = self.wake_lock.lock().expect("wake poisoned");
+        let mut stop = self.stopped.lock().expect("wake poisoned");
         loop {
-            if self.stop.load(Ordering::SeqCst) {
+            if *stop {
                 return false;
             }
             let now = self.now_ms();
@@ -351,93 +234,48 @@ impl Core {
                 return true;
             }
             let wait = Duration::from_millis(due_ms - now);
-            held = self.wake.wait_timeout(held, wait).expect("wake poisoned").0;
+            stop = self.wake.wait_timeout(stop, wait).expect("wake poisoned").0;
         }
     }
 }
 
-/// Namespace for starting and recovering monitoring runtimes.
-pub struct MonitorRuntime;
+/// Builds the reference array a service core monitors: `sites`
+/// calibrated 5-stage inverter rings (the same reference unit the
+/// faultsim campaigns use), three to a row 1 mm apart.
+pub fn reference_array(sites: usize) -> SensorArray {
+    use sensor::unit::{SensorConfig, SmartSensorUnit};
+    use tsense_core::gate::{Gate, GateKind};
+    use tsense_core::ring::RingOscillator;
+    use tsense_core::tech::Technology;
 
-impl MonitorRuntime {
-    /// Starts a runtime over `array`, measured against `field`.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::UnservableConfig`] when any site's worst-case
-    /// conversion time cannot fit the deadline budget (the static
-    /// `netcheck` rule `NC0701` flags the same condition);
-    /// [`RuntimeError::Snapshot`] when the snapshot directory cannot
-    /// be opened.
-    pub fn start(array: SensorArray, field: Field, config: RuntimeConfig) -> Result<RuntimeHandle> {
-        Self::start_inner(array, field, config, false).map(|(h, _)| h)
+    let mut array = SensorArray::new();
+    for i in 0..sites {
+        let tech = Technology::um350();
+        let ring = RingOscillator::uniform(
+            Gate::with_ratio(GateKind::Inv, 1e-6, 2.0).expect("reference gate"),
+            5,
+        )
+        .expect("reference ring");
+        let mut unit = SmartSensorUnit::new(SensorConfig::new(ring, tech)).expect("reference unit");
+        unit.calibrate_two_point(Celsius::new(-50.0), Celsius::new(150.0))
+            .expect("reference calibration");
+        array = array.with_site(
+            format!("s{i:02}"),
+            1e-3 * (i % 3) as f64,
+            1e-3 * (i / 3) as f64,
+            unit,
+        );
     }
-
-    /// Starts a runtime, first restoring calibration, quarantine,
-    /// breaker states, and the reading ring buffer from the newest
-    /// CRC-valid snapshot in `config.snapshot_dir`. Torn or corrupt
-    /// snapshots are skipped (and reported); if nothing on disk
-    /// validates, the runtime starts fresh and says so.
-    ///
-    /// The cached median is deliberately *not* restored: a restarted
-    /// process must rescan before serving cached data, so recovery can
-    /// never introduce silent staleness.
-    ///
-    /// # Errors
-    ///
-    /// As [`MonitorRuntime::start`].
-    pub fn recover(
-        array: SensorArray,
-        field: Field,
-        config: RuntimeConfig,
-    ) -> Result<(RuntimeHandle, RecoveryReport)> {
-        Self::start_inner(array, field, config, true)
-    }
-
-    fn start_inner(
-        array: SensorArray,
-        field: Field,
-        config: RuntimeConfig,
-        recover: bool,
-    ) -> Result<(RuntimeHandle, RecoveryReport)> {
-        let (core, report) = build_core(
-            array,
-            field,
-            config,
-            recover,
-            Arc::new(SystemClock::new()),
-            Arc::new(RealFs),
-            true,
-        )?;
-        let mut threads = Vec::new();
-        for i in 0..core.config.workers {
-            let c = Arc::clone(&core);
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("tsense-worker-{i}"))
-                    .spawn(move || worker_loop(&c))
-                    .expect("spawn worker"),
-            );
-        }
-        {
-            let c = Arc::clone(&core);
-            threads.push(
-                thread::Builder::new()
-                    .name("tsense-maint".into())
-                    .spawn(move || maintenance_loop(&c))
-                    .expect("spawn maintenance"),
-            );
-        }
-        Ok((RuntimeHandle { core, threads }, report))
-    }
+    array
 }
 
 /// Builds the service core — state, breakers, recovery — without
 /// spawning any threads, against explicit clock and filesystem
-/// capabilities. The real runtime calls this with [`SystemClock`] and
-/// [`RealFs`] and spawns its worker and maintenance threads on top; the
-/// deterministic simulation calls it with a [`dst::VirtualClock`] and a
-/// [`dst::SimDisk`] and drives the identical logic single-threaded.
+/// capabilities. The TCP tier calls this with a [`dst::SystemClock`]
+/// and the real filesystem and runs [`maintenance_loop`] on a thread of
+/// its own; the deterministic simulation calls it with a
+/// [`dst::VirtualClock`] and a [`dst::SimDisk`] and drives the
+/// identical logic single-threaded.
 ///
 /// With `recover`, the core restores calibration, quarantine, breaker
 /// states and the reading ring from the newest valid checkpoint in
@@ -533,13 +371,10 @@ pub(crate) fn build_core(
             store,
             seq,
         }),
-        queue: BoundedQueue::new(config.queue_capacity),
-        stop: AtomicBool::new(false),
-        wake_lock: Mutex::new(()),
+        stopped: Mutex::new(false),
         wake: Condvar::new(),
         clock,
         epoch_ms,
-        stats: Counters::default(),
         request_nonce: AtomicU64::new(0),
         group_epoch: AtomicU64::new(group_epoch),
         config,
@@ -579,193 +414,8 @@ pub(crate) fn validate_deadline_budget(array: &SensorArray, config: &RuntimeConf
     Ok(())
 }
 
-/// Handle to a running monitor. Dropping it without
-/// [`RuntimeHandle::shutdown`] detaches the threads, which then run
-/// until the process exits. `shutdown` stops them (the maintenance
-/// thread at once, each worker at its next queue poll) and takes a
-/// final checkpoint.
-pub struct RuntimeHandle {
-    core: Arc<Core>,
-    threads: Vec<thread::JoinHandle<()>>,
-}
-
-impl RuntimeHandle {
-    /// Milliseconds since the runtime started (its monotonic clock).
-    pub fn now_ms(&self) -> u64 {
-        self.core.now_ms()
-    }
-
-    /// Requests a reading from `channel` under the default deadline.
-    ///
-    /// # Errors
-    ///
-    /// Every failure is typed: see [`RuntimeError`].
-    pub fn read(&self, channel: usize) -> Result<ServedReading> {
-        self.read_with_deadline(channel, self.core.config.default_deadline_ms)
-    }
-
-    /// Requests a reading from `channel`, to be served within
-    /// `deadline_ms` from now.
-    ///
-    /// # Errors
-    ///
-    /// Every failure is typed: see [`RuntimeError`].
-    pub fn read_with_deadline(&self, channel: usize, deadline_ms: u64) -> Result<ServedReading> {
-        let core = &self.core;
-        if core.stop.load(Ordering::SeqCst) {
-            return Err(RuntimeError::Shutdown);
-        }
-        let submitted_ms = core.now_ms();
-        let deadline_abs = submitted_ms + deadline_ms;
-        let (tx, rx) = mpsc::channel();
-        let accepted = core.queue.try_push(Request {
-            channel,
-            submitted_ms,
-            deadline_ms: deadline_abs,
-            reply: tx,
-        });
-        if !accepted {
-            core.stats.queue_sheds.fetch_add(1, Ordering::Relaxed);
-            return serve_shed(core, submitted_ms);
-        }
-        match rx.recv_timeout(Duration::from_millis(deadline_ms + REPLY_GRACE_MS)) {
-            Ok(result) => result,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                core.stats.deadline_misses.fetch_add(1, Ordering::Relaxed);
-                Err(RuntimeError::DeadlineExceeded {
-                    deadline_ms: deadline_abs,
-                    now_ms: core.now_ms(),
-                })
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RuntimeError::Shutdown),
-        }
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> RuntimeStats {
-        collect_stats(&self.core)
-    }
-
-    /// Per-channel breaker states, `(site name, state)` in channel
-    /// order.
-    pub fn breaker_states(&self) -> Vec<(String, BreakerState)> {
-        let state = self.core.state.lock().expect("state poisoned");
-        state
-            .array
-            .sites()
-            .iter()
-            .zip(&state.breakers)
-            .map(|(s, b)| (s.name.clone(), b.state().clone()))
-            .collect()
-    }
-
-    /// Injects a behavioral fault into a live channel (chaos hook).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::BadChannel`] for an out-of-range channel.
-    pub fn inject_fault(&self, channel: usize, fault: RingFault) -> Result<()> {
-        self.with_unit(channel, |unit| unit.inject_fault(fault))
-    }
-
-    /// Clears any injected fault on a channel.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::BadChannel`] for an out-of-range channel.
-    pub fn clear_fault(&self, channel: usize) -> Result<()> {
-        self.with_unit(channel, SmartSensorUnit::clear_fault)
-    }
-
-    /// Runs `f` on `channel`'s sensor unit under the state lock.
-    fn with_unit(&self, channel: usize, f: impl FnOnce(&mut SmartSensorUnit)) -> Result<()> {
-        let mut state = self.core.state.lock().expect("state poisoned");
-        let available = state.array.channel_count();
-        let site = state
-            .array
-            .sites_mut()
-            .get_mut(channel)
-            .ok_or(RuntimeError::BadChannel { channel, available })?;
-        f(&mut site.unit);
-        Ok(())
-    }
-
-    /// Forces a checkpoint now; returns its sequence number.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Snapshot`] when checkpointing is disabled or
-    /// the write fails.
-    pub fn checkpoint_now(&self) -> Result<u64> {
-        let mut state = self.core.state.lock().expect("state poisoned");
-        let now = self.core.now_ms();
-        checkpoint_locked(&self.core, &mut state, now)
-    }
-
-    /// Orderly shutdown: stop accepting work, take a final checkpoint,
-    /// join every thread, return the final counters.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Snapshot`] when the final checkpoint fails (the
-    /// threads are still joined first).
-    pub fn shutdown(self) -> Result<RuntimeStats> {
-        self.core.request_stop();
-        self.core.queue.not_empty.notify_all();
-        for t in self.threads {
-            let _ = t.join();
-        }
-        let stats = collect_stats(&self.core);
-        let mut state = self.core.state.lock().expect("state poisoned");
-        if state.store.is_some() {
-            let now = self.core.now_ms();
-            checkpoint_locked(&self.core, &mut state, now)?;
-        }
-        Ok(stats)
-    }
-}
-
-pub(crate) fn collect_stats(core: &Core) -> RuntimeStats {
-    let c = &core.stats;
-    let state = core.state.lock().expect("state poisoned");
-    RuntimeStats {
-        served_fresh: c.served_fresh.load(Ordering::Relaxed),
-        served_degraded: c.served_degraded.load(Ordering::Relaxed),
-        served_shed: c.served_shed.load(Ordering::Relaxed),
-        queue_sheds: c.queue_sheds.load(Ordering::Relaxed),
-        deadline_misses: c.deadline_misses.load(Ordering::Relaxed),
-        breaker_rejections: c.breaker_rejections.load(Ordering::Relaxed),
-        quarantine_fallbacks: c.quarantine_fallbacks.load(Ordering::Relaxed),
-        retries: c.retries.load(Ordering::Relaxed),
-        stale_rejections: c.stale_rejections.load(Ordering::Relaxed),
-        scans: c.scans.load(Ordering::Relaxed),
-        checkpoints: c.checkpoints.load(Ordering::Relaxed),
-        breaker_trips: state.breakers.iter().map(CircuitBreaker::trips).sum(),
-        quarantined_now: state.array.quarantined().len(),
-    }
-}
-
-fn worker_loop(core: &Core) {
-    while !core.stop.load(Ordering::SeqCst) {
-        let Some(req) = core.queue.pop_timeout(Duration::from_millis(20)) else {
-            continue;
-        };
-        let now = core.now_ms();
-        if now >= req.deadline_ms {
-            core.stats.deadline_misses.fetch_add(1, Ordering::Relaxed);
-            let _ = req.reply.send(Err(RuntimeError::DeadlineExceeded {
-                deadline_ms: req.deadline_ms,
-                now_ms: now,
-            }));
-            continue;
-        }
-        let result = supervised_read(core, req.channel, req.submitted_ms, req.deadline_ms);
-        let result = enforce_deadline(core, req.deadline_ms, result);
-        let _ = req.reply.send(result);
-    }
-}
-
-/// The late-reply rule, in one place for worker and simulation alike:
+/// The late-reply rule, in one place for the TCP tier and the
+/// simulation alike:
 /// an `Ok` finished past its deadline becomes a typed miss — never
 /// quietly late data.
 pub(crate) fn enforce_deadline(
@@ -775,7 +425,6 @@ pub(crate) fn enforce_deadline(
 ) -> Result<ServedReading> {
     let done = core.now_ms();
     if done > deadline_ms && result.is_ok() {
-        core.stats.deadline_misses.fetch_add(1, Ordering::Relaxed);
         Err(RuntimeError::DeadlineExceeded {
             deadline_ms,
             now_ms: done,
@@ -811,7 +460,6 @@ pub(crate) fn wire_outcome(
 pub(crate) fn wire_error_kind(e: &RuntimeError) -> String {
     match e {
         RuntimeError::DeadlineExceeded { .. } => "deadline".into(),
-        RuntimeError::StaleCache { .. } => "stale-cache".into(),
         RuntimeError::StaleEpoch { .. } => "stale-epoch".into(),
         other => format!("{other:?}")
             .split(['{', ' '])
@@ -837,7 +485,7 @@ pub(crate) enum JobStep {
 /// back to the survivors' median when the channel is benched or keeps
 /// failing.
 ///
-/// The worker thread drives it with [`Clock::sleep_ms`] between steps;
+/// [`supervised_read`] drives it with [`Clock::sleep_ms`] between steps;
 /// the deterministic simulation drives the *same* machine as discrete
 /// executor tasks, interleaving other work where the sleeps would be.
 pub(crate) struct ReadJob {
@@ -875,9 +523,6 @@ impl ReadJob {
         if self.attempt >= core.config.retry.max_attempts {
             return JobStep::Done(self.exhausted(core));
         }
-        if self.attempt > 0 {
-            core.stats.retries.fetch_add(1, Ordering::Relaxed);
-        }
         self.attempt += 1;
         let channel = self.channel;
         {
@@ -897,9 +542,6 @@ impl ReadJob {
             // probed by the request path at all (the health monitor's
             // parole probes own that), so the breaker is untouched.
             if state.array.quarantined().iter().any(|(c, _)| *c == channel) {
-                core.stats
-                    .quarantine_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
                 return JobStep::Done(serve_degraded_locked(
                     core,
                     &mut state,
@@ -908,9 +550,6 @@ impl ReadJob {
                 ));
             }
             if !state.breakers[channel].allow(now) {
-                core.stats
-                    .breaker_rejections
-                    .fetch_add(1, Ordering::Relaxed);
                 return JobStep::Done(serve_degraded_locked(
                     core,
                     &mut state,
@@ -924,7 +563,6 @@ impl ReadJob {
             match site.unit.measure(Celsius::new(true_c)) {
                 Ok(m) if core.config.policy.period_plausible(m.ring_period.get()) => {
                     state.breakers[channel].on_success(now);
-                    core.stats.served_fresh.fetch_add(1, Ordering::Relaxed);
                     let done = core.now_ms();
                     return JobStep::Done(Ok(ServedReading {
                         value_c: m.temperature.get(),
@@ -974,8 +612,8 @@ impl ReadJob {
     }
 }
 
-/// One supervised read, stepped to completion on this thread: the
-/// worker pool's and the TCP tier's conversion.
+/// One supervised read, stepped to completion on this thread: the TCP
+/// tier's conversion.
 pub(crate) fn supervised_read(
     core: &Core,
     channel: usize,
@@ -1007,7 +645,6 @@ pub(crate) fn serve_degraded_locked(
         refresh_cache_locked(core, state, now)?;
     }
     let c = state.cache.as_ref().expect("cache refreshed above");
-    core.stats.served_degraded.fetch_add(1, Ordering::Relaxed);
     let done = core.now_ms();
     Ok(ServedReading {
         value_c: c.value_c,
@@ -1018,41 +655,6 @@ pub(crate) fn serve_degraded_locked(
         age_ms: now.saturating_sub(c.taken_at_ms),
         latency_ms: done - submitted_ms,
     })
-}
-
-/// Shed path: serve the cache *without* touching the array (that is
-/// the whole point of shedding) — stale cache is a typed error.
-pub(crate) fn serve_shed(core: &Core, submitted_ms: u64) -> Result<ServedReading> {
-    let state = core.state.lock().expect("state poisoned");
-    let now = core.now_ms();
-    match &state.cache {
-        Some(c) => {
-            let age_ms = now.saturating_sub(c.taken_at_ms);
-            if age_ms > core.config.staleness_bound_ms {
-                core.stats.stale_rejections.fetch_add(1, Ordering::Relaxed);
-                return Err(RuntimeError::StaleCache {
-                    age_ms,
-                    bound_ms: core.config.staleness_bound_ms,
-                });
-            }
-            core.stats.served_shed.fetch_add(1, Ordering::Relaxed);
-            Ok(ServedReading {
-                value_c: c.value_c,
-                provenance: Provenance::Shed {
-                    confidence: c.confidence,
-                },
-                age_ms,
-                latency_ms: core.now_ms() - submitted_ms,
-            })
-        }
-        None => {
-            core.stats.stale_rejections.fetch_add(1, Ordering::Relaxed);
-            Err(RuntimeError::StaleCache {
-                age_ms: u64::MAX,
-                bound_ms: core.config.staleness_bound_ms,
-            })
-        }
-    }
 }
 
 /// Runs one degraded scan and installs its median as the cache entry.
@@ -1067,7 +669,6 @@ pub(crate) fn refresh_cache_locked(core: &Core, state: &mut ArrayState, now: u64
             }
             other => RuntimeError::Sensor(other),
         })?;
-    core.stats.scans.fetch_add(1, Ordering::Relaxed);
     state
         .history
         .push_back((now, reading.value, reading.confidence));
@@ -1114,14 +715,13 @@ pub(crate) fn checkpoint_locked(core: &Core, state: &mut ArrayState, now: u64) -
         readings: state.history.iter().copied().collect(),
     };
     store.save(&snap)?;
-    core.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
     Ok(state.seq)
 }
 
 /// A live core's background thread: a degraded scan every
 /// `scan_interval_ms` and, when enabled, a checkpoint every
 /// `checkpoint_interval_ms`. It waits until the earlier of the two is
-/// due, on real time like the [`SystemClock`] every caller runs it
+/// due, on real time like the [`dst::SystemClock`] every caller runs it
 /// with, and exits at once on [`Core::request_stop`].
 pub(crate) fn maintenance_loop(core: &Core) {
     let scan_every = core.config.scan_interval_ms.max(1);
@@ -1159,36 +759,100 @@ pub(crate) fn maintenance_loop(core: &Core) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sensor::unit::{SensorConfig, SmartSensorUnit};
-    use tsense_core::gate::{Gate, GateKind};
-    use tsense_core::ring::RingOscillator;
-    use tsense_core::tech::Technology;
+    use dst::{SimDisk, SimDiskProfile, VirtualClock};
+    use sensor::RingFault;
 
-    fn unit() -> SmartSensorUnit {
-        let tech = Technology::um350();
-        let ring = RingOscillator::uniform(Gate::with_ratio(GateKind::Inv, 1e-6, 2.0).unwrap(), 5)
-            .unwrap();
-        let mut u = SmartSensorUnit::new(SensorConfig::new(ring, tech)).unwrap();
-        u.calibrate_two_point(Celsius::new(-50.0), Celsius::new(150.0))
-            .unwrap();
-        u
+    use crate::breaker::BreakerState;
+
+    /// A core on a virtual clock over an in-memory disk, as the
+    /// simulators build one: nothing here sleeps or touches the host's
+    /// filesystem.
+    struct Rig {
+        core: Arc<Core>,
+        clock: Arc<VirtualClock>,
+        disk: Arc<SimDisk>,
+        cfg: RuntimeConfig,
+        sites: usize,
+        ambient_c: f64,
     }
 
-    fn array(sites: usize) -> SensorArray {
-        let mut a = SensorArray::new();
-        for i in 0..sites {
-            a = a.with_site(format!("s{i:02}"), 1e-3 * i as f64, 0.0, unit());
+    impl Rig {
+        fn start(sites: usize, ambient_c: f64, cfg: RuntimeConfig) -> Rig {
+            let disk = Arc::new(SimDisk::new(0, SimDiskProfile::pristine()));
+            let (rig, _) = Rig::boot(sites, ambient_c, cfg, disk, false).expect("core builds");
+            rig
         }
-        a
-    }
 
-    fn uniform_field(t: f64) -> Field {
-        Arc::new(move |_, _| t)
+        /// A fresh core (and clock) over `disk`, recovering from it when
+        /// `recover` is set: a process restart.
+        fn boot(
+            sites: usize,
+            ambient_c: f64,
+            cfg: RuntimeConfig,
+            disk: Arc<SimDisk>,
+            recover: bool,
+        ) -> Result<(Rig, RecoveryReport)> {
+            let clock = Arc::new(VirtualClock::new());
+            let field: Field = Arc::new(move |_, _| ambient_c);
+            let (core, report) = build_core(
+                reference_array(sites),
+                field,
+                cfg.clone(),
+                recover,
+                Arc::clone(&clock) as Arc<dyn Clock>,
+                Arc::clone(&disk) as Arc<dyn SimFs>,
+                true,
+            )?;
+            let rig = Rig {
+                core,
+                clock,
+                disk,
+                cfg,
+                sites,
+                ambient_c,
+            };
+            Ok((rig, report))
+        }
+
+        fn restart(&self) -> (Rig, RecoveryReport) {
+            let disk = Arc::clone(&self.disk);
+            Rig::boot(self.sites, self.ambient_c, self.cfg.clone(), disk, true)
+                .expect("core recovers")
+        }
+
+        /// One supervised read of `channel`, due `deadline_ms` from now.
+        fn read(&self, channel: usize, deadline_ms: u64) -> Result<ServedReading> {
+            let now = self.core.now_ms();
+            supervised_read(&self.core, channel, now, now + deadline_ms)
+        }
+
+        fn set_fault(&self, channel: usize, fault: Option<RingFault>) {
+            let mut state = self.core.state.lock().expect("state poisoned");
+            let unit = &mut state.array.sites_mut()[channel].unit;
+            match fault {
+                Some(f) => unit.inject_fault(f),
+                None => unit.clear_fault(),
+            }
+        }
+
+        /// One background scan, as the maintenance loop runs it.
+        fn scan(&self) {
+            let mut state = self.core.state.lock().expect("state poisoned");
+            let _ = refresh_cache_locked(&self.core, &mut state, self.core.now_ms());
+        }
+
+        fn breaker(&self, channel: usize) -> CircuitBreaker {
+            self.core.state.lock().expect("state poisoned").breakers[channel].clone()
+        }
+
+        fn quarantined(&self, channel: usize) -> bool {
+            let state = self.core.state.lock().expect("state poisoned");
+            state.array.quarantined().iter().any(|(c, _)| *c == channel)
+        }
     }
 
     fn quick_config() -> RuntimeConfig {
         RuntimeConfig {
-            workers: 2,
             scan_interval_ms: 20,
             checkpoint_interval_ms: 0, // periodic checkpoints off
             staleness_bound_ms: 300,
@@ -1196,20 +860,23 @@ mod tests {
         }
     }
 
+    fn rooted(cfg: RuntimeConfig) -> RuntimeConfig {
+        RuntimeConfig {
+            snapshot_dir: Some(PathBuf::from("/rig/snaps")),
+            ..cfg
+        }
+    }
+
     #[test]
     fn fresh_reads_are_served_within_deadline() {
-        let h = MonitorRuntime::start(array(3), uniform_field(85.0), quick_config()).unwrap();
+        let rig = Rig::start(3, 85.0, quick_config());
         for ch in 0..3 {
-            let r = h.read(ch).unwrap();
+            let r = rig.read(ch, 250).unwrap();
             assert!(matches!(r.provenance, Provenance::Fresh { channel } if channel == ch));
             assert_eq!(r.age_ms, 0);
             assert!((r.value_c - 85.0).abs() < 3.0, "value {}", r.value_c);
             assert!(r.latency_ms <= 250);
         }
-        let stats = h.shutdown();
-        // Checkpointing disabled: shutdown's final checkpoint is a
-        // no-op, stats still come back.
-        assert_eq!(stats.unwrap().served_fresh, 3);
     }
 
     #[test]
@@ -1217,38 +884,33 @@ mod tests {
         let mut cfg = quick_config();
         cfg.breaker.failure_threshold = 3;
         cfg.breaker.cooldown_ms = 10_000; // stays open for the test
-        let h = MonitorRuntime::start(array(5), uniform_field(90.0), cfg).unwrap();
-        h.inject_fault(1, RingFault::Dead).unwrap();
-        // First supervised read burns the retry ladder (3 attempts =
-        // 3 consecutive failures = trip) and falls back to the median.
-        let r = h.read_with_deadline(1, 2_000).unwrap();
+        let rig = Rig::start(5, 90.0, cfg);
+        rig.set_fault(1, Some(RingFault::Dead));
+        // The first supervised read burns the retry ladder (3 attempts
+        // = 3 consecutive failures = trip), backing off between them,
+        // and falls back to the median.
+        let r = rig.read(1, 2_000).unwrap();
         assert!(
             matches!(r.provenance, Provenance::DegradedMedian { .. }),
             "dead ring must be served from survivors, got {:?}",
             r.provenance
         );
         assert!((r.value_c - 90.0).abs() < 3.0);
-        let states = h.breaker_states();
+        assert!(rig.clock.now_ms() > 0, "the retries backed off");
+        let breaker = rig.breaker(1);
         assert!(
-            matches!(states[1].1, BreakerState::Open { .. }),
+            matches!(breaker.state(), BreakerState::Open { .. }),
             "breaker should have tripped, got {:?}",
-            states[1].1
+            breaker.state()
         );
-        // Subsequent reads are breaker-rejected straight to fallback.
-        let r2 = h.read_with_deadline(1, 2_000).unwrap();
+        // The fallback scan quarantined the dead ring, and quarantine
+        // outranks the breaker: the second read never touches the sick
+        // unit, so the breaker neither trips again nor probes.
+        assert!(rig.quarantined(1));
+        let r2 = rig.read(1, 2_000).unwrap();
         assert!(matches!(r2.provenance, Provenance::DegradedMedian { .. }));
-        let stats = h.stats();
-        // The fallback scan quarantines the dead ring, so the second
-        // read short-circuits on quarantine (which outranks the
-        // breaker); either counter proves the request path never
-        // touched the sick unit again.
-        assert!(
-            stats.breaker_rejections + stats.quarantine_fallbacks >= 1,
-            "{stats:?}"
-        );
-        assert!(stats.retries >= 2, "{stats:?}");
-        assert_eq!(stats.breaker_trips, 1, "{stats:?}");
-        h.shutdown().unwrap();
+        assert_eq!(rig.breaker(1), breaker);
+        assert_eq!(breaker.trips(), 1);
     }
 
     #[test]
@@ -1257,64 +919,38 @@ mod tests {
         cfg.breaker.cooldown_ms = 30;
         cfg.breaker.halfopen_successes = 2;
         cfg.policy = HealthPolicy::default().with_parole_after(1);
-        let h = MonitorRuntime::start(array(5), uniform_field(85.0), cfg).unwrap();
-        h.inject_fault(2, RingFault::Dead).unwrap();
-        let _ = h.read_with_deadline(2, 2_000).unwrap();
-        assert!(!matches!(
-            h.breaker_states()[2].1,
-            BreakerState::Closed { failures: 0 }
-        ));
-        h.clear_fault(2).unwrap();
-        // Give the health monitor time to parole the site if it was
-        // benched, then let probes close the breaker.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let mut closed = false;
-        while std::time::Instant::now() < deadline {
-            let _ = h.read_with_deadline(2, 2_000);
-            if matches!(h.breaker_states()[2].1, BreakerState::Closed { .. }) {
-                closed = true;
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
+        let rig = Rig::start(5, 85.0, cfg);
+        rig.set_fault(2, Some(RingFault::Dead));
+        let _ = rig.read(2, 2_000).unwrap();
+        assert!(!rig.breaker(2).is_closed());
+        rig.set_fault(2, None);
+        // Each round: 10 ms pass, the health monitor scans (paroling the
+        // site once it probes healthy), and one read probes the breaker.
+        let mut rounds = 0;
+        while !rig.breaker(2).is_closed() {
+            rounds += 1;
+            assert!(
+                rounds <= 20,
+                "breaker never re-closed: {:?}",
+                rig.breaker(2)
+            );
+            rig.clock.advance_by(10);
+            rig.scan();
+            let _ = rig.read(2, 2_000);
         }
-        assert!(closed, "breaker never re-closed: {:?}", h.breaker_states());
-        let r = h.read_with_deadline(2, 2_000).unwrap();
+        assert!(!rig.quarantined(2));
+        let r = rig.read(2, 2_000).unwrap();
         assert!(
             matches!(r.provenance, Provenance::Fresh { channel: 2 }),
             "recovered channel serves fresh again, got {:?}",
             r.provenance
         );
-        h.shutdown().unwrap();
     }
 
     #[test]
-    fn zero_capacity_queue_sheds_with_provenance_and_staleness_is_typed() {
-        let mut cfg = quick_config();
-        cfg.queue_capacity = 0;
-        cfg.workers = 0;
-        cfg.scan_interval_ms = 10;
-        cfg.staleness_bound_ms = 200;
-        let h = MonitorRuntime::start(array(3), uniform_field(70.0), cfg).unwrap();
-        // Before any background scan the cache is empty: typed error.
-        let first = h.read(0);
-        if let Err(e) = first {
-            assert!(matches!(e, RuntimeError::StaleCache { .. }), "{e}");
-        }
-        // After a scan lands, sheds serve the cached median.
-        thread::sleep(Duration::from_millis(60));
-        let r = h.read(0).unwrap();
-        assert!(matches!(r.provenance, Provenance::Shed { .. }));
-        assert!(r.age_ms <= 200, "shed reading within staleness bound");
-        assert!((r.value_c - 70.0).abs() < 3.0);
-        let stats = h.stats();
-        assert!(stats.queue_sheds >= 2, "{stats:?}");
-        h.shutdown().unwrap();
-    }
-
-    #[test]
-    fn bad_channel_and_shutdown_are_typed() {
-        let h = MonitorRuntime::start(array(2), uniform_field(25.0), quick_config()).unwrap();
-        let e = h.read_with_deadline(7, 1_000).unwrap_err();
+    fn bad_channel_is_typed() {
+        let rig = Rig::start(2, 25.0, quick_config());
+        let e = rig.read(7, 1_000).unwrap_err();
         assert!(
             matches!(
                 e,
@@ -1325,15 +961,46 @@ mod tests {
             ),
             "{e}"
         );
-        assert!(h.inject_fault(9, RingFault::Dead).is_err());
-        h.shutdown().unwrap();
+    }
+
+    #[test]
+    fn wire_outcome_turns_a_late_ok_into_a_typed_deadline_miss() {
+        let rig = Rig::start(1, 60.0, quick_config());
+        let reading = || {
+            Ok(ServedReading {
+                value_c: 60.0,
+                provenance: Provenance::Fresh { channel: 0 },
+                age_ms: 0,
+                latency_ms: 0,
+            })
+        };
+        let due = rig.core.now_ms() + 100;
+        assert!(matches!(
+            wire_outcome(&rig.core, due, reading()),
+            wire::WireOutcome::Reading { fresh: true, .. }
+        ));
+        // Finished exactly at its deadline is on time; a millisecond
+        // later the same reading is never forwarded as data.
+        rig.clock.advance_by(100);
+        assert!(matches!(
+            wire_outcome(&rig.core, due, reading()),
+            wire::WireOutcome::Reading { .. }
+        ));
+        rig.clock.advance_by(1);
+        assert_eq!(
+            wire_outcome(&rig.core, due, reading()),
+            wire::WireOutcome::Failed {
+                kind: "deadline".into()
+            }
+        );
     }
 
     #[test]
     fn unservable_deadline_budget_is_rejected_at_start() {
         let mut cfg = quick_config();
         cfg.default_deadline_ms = 0;
-        match MonitorRuntime::start(array(1), uniform_field(25.0), cfg) {
+        let disk = Arc::new(SimDisk::new(0, SimDiskProfile::pristine()));
+        match Rig::boot(1, 25.0, cfg, disk, false) {
             Err(err) => {
                 assert!(
                     matches!(err, RuntimeError::UnservableConfig { .. }),
@@ -1346,60 +1013,49 @@ mod tests {
 
     #[test]
     fn checkpoint_and_recover_round_trip() {
-        let dir = std::env::temp_dir().join(format!("tsense-rt-{}", dst::unique_nonce()));
-        let mut cfg = quick_config();
-        cfg.snapshot_dir = Some(dir.clone());
+        let mut cfg = rooted(quick_config());
         cfg.breaker.cooldown_ms = 60_000;
-
-        let h = MonitorRuntime::start(array(4), uniform_field(95.0), cfg.clone()).unwrap();
-        h.inject_fault(3, RingFault::Dead).unwrap();
-        let _ = h.read_with_deadline(3, 2_000).unwrap(); // trips breaker 3
-        thread::sleep(Duration::from_millis(50)); // let a scan quarantine it
-        let seq = h.checkpoint_now().unwrap();
+        let rig = Rig::start(4, 95.0, cfg);
+        rig.set_fault(3, Some(RingFault::Dead));
+        let _ = rig.read(3, 2_000).unwrap(); // trips breaker 3
+        rig.clock.advance_by(20);
+        rig.scan(); // quarantines it
+        let seq = {
+            let mut state = rig.core.state.lock().expect("state poisoned");
+            checkpoint_locked(&rig.core, &mut state, rig.core.now_ms()).unwrap()
+        };
         assert!(seq >= 1);
-        h.shutdown().unwrap();
 
         // Recover into a *fresh* array: calibration, quarantine, and
         // breaker state must come back from the snapshot.
-        let (h2, report) = MonitorRuntime::recover(array(4), uniform_field(95.0), cfg).unwrap();
-        assert!(report.recovered_seq.is_some());
+        let (rig2, report) = rig.restart();
+        assert_eq!(report.recovered_seq, Some(seq));
         assert!(report.restored_calibrations >= 4, "{report:?}");
         assert!(
             report.restored_quarantine >= 1 || report.restored_open_breakers >= 1,
             "the sick channel must come back sick: {report:?}"
         );
-        let r = h2.read_with_deadline(0, 2_000).unwrap();
+        let r = rig2.read(0, 2_000).unwrap();
         assert!(matches!(r.provenance, Provenance::Fresh { .. }));
-        h2.shutdown().unwrap();
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn recovery_with_empty_dir_starts_fresh() {
-        let dir = std::env::temp_dir().join(format!("tsense-rt-empty-{}", dst::unique_nonce()));
-        let mut cfg = quick_config();
-        cfg.snapshot_dir = Some(dir.clone());
-        let (h, report) = MonitorRuntime::recover(array(2), uniform_field(25.0), cfg).unwrap();
+        let rig = Rig::start(2, 25.0, rooted(quick_config()));
+        let (rig2, report) = rig.restart();
         assert_eq!(report.recovered_seq, None);
         assert!(report.skipped.is_empty());
-        let r = h.read(0).unwrap();
+        let r = rig2.read(0, 250).unwrap();
         assert!(matches!(r.provenance, Provenance::Fresh { .. }));
-        h.shutdown().unwrap();
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn recovery_reports_the_orphaned_checkpoint_it_collects() {
-        let dir = std::env::temp_dir().join(format!("tsense-rt-orphan-{}", dst::unique_nonce()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let orphan = dir.join("snap-0000000099.tmp");
-        std::fs::write(&orphan, "TSNAP\tv1\nseq\t99").unwrap();
-        let mut cfg = quick_config();
-        cfg.snapshot_dir = Some(dir.clone());
-        let (h, report) = MonitorRuntime::recover(array(2), uniform_field(25.0), cfg).unwrap();
+        let rig = Rig::start(2, 25.0, rooted(quick_config()));
+        let orphan = PathBuf::from("/rig/snaps/snap-0000000099.tmp");
+        rig.disk.plant(&orphan, "TSNAP\tv1\nseq\t99");
+        let (_, report) = rig.restart();
         assert_eq!(report.gc_orphaned_tmp, 1, "{report:?}");
-        assert!(!orphan.exists());
-        h.shutdown().unwrap();
-        std::fs::remove_dir_all(dir).ok();
+        assert!(rig.disk.read(&orphan).is_err());
     }
 }

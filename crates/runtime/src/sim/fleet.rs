@@ -399,8 +399,8 @@ pub struct FleetConfig {
     pub ambient_c: f64,
     /// The known-bad change under test, if any.
     pub mutation: FleetMutation,
-    /// Per-replica runtime tuning (threads and queue unused: the
-    /// simulation drives the read path directly).
+    /// Per-replica runtime tuning (the simulation drives the read
+    /// path, scans and checkpoints itself, with no maintenance thread).
     pub runtime: RuntimeConfig,
     /// Router failover pacing — the *same* [`RetryPolicy`] machinery
     /// the per-unit supervisors and the TCP client tier use, so

@@ -5,8 +5,8 @@
 //!
 //! What makes this a simulation of the *service* rather than a model
 //! of it: the tasks drive the exact crate-internal machinery the
-//! threaded runtime uses — [`ReadJob`](crate::service) is the worker
-//! path's retry/breaker/fallback state machine, scans go through
+//! threaded TCP tier uses — [`ReadJob`](crate::service) is its
+//! conversion's retry/breaker/fallback state machine, scans go through
 //! `refresh_cache_locked`, checkpoints through `checkpoint_locked`
 //! against a [`SimDisk`] with torn-write crash semantics, and recovery
 //! through `build_core` — so an invariant violation found here is a bug
@@ -133,8 +133,7 @@ impl fmt::Display for Invariant {
 }
 
 /// Grades one `Ok` reply against the service's promises — the check
-/// both single-node tiers share: [`run_sim`]'s clients and the
-/// in-process soak ([`crate::soak::run_soak`]) call it on every reply.
+/// [`run_sim`]'s clients run on every reply.
 /// Returns each broken promise with its detail, in this order:
 ///
 /// - [`Invariant::LateReply`]: the reply's `latency_ms` is past the
@@ -213,8 +212,8 @@ pub struct SimConfig {
     pub ambient_c: f64,
     /// The known-bad change under test, if any.
     pub mutation: Mutation,
-    /// Runtime tuning (threads and queue are unused: the simulation
-    /// drives the read path directly).
+    /// Runtime tuning (the simulation drives the read path, scans and
+    /// checkpoints itself, with no maintenance thread).
     pub runtime: RuntimeConfig,
 }
 
@@ -570,7 +569,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
     let mut ex = Executor::new(cfg.seed, Arc::clone(&clock));
     let horizon = cfg.horizon_ms;
 
-    // Client tasks: each drives ReadJob — the worker thread's exact
+    // Client tasks: each drives ReadJob — the TCP tier's exact
     // retry/breaker/fallback machine — as discrete steps.
     for k in 0..cfg.clients {
         let world = Rc::clone(&world);

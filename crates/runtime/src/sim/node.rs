@@ -11,9 +11,9 @@ use sensor::RingFault;
 
 use crate::error::Result;
 use crate::service::{
-    build_core, checkpoint_locked, refresh_cache_locked, Core, Field, RecoveryReport, RuntimeConfig,
+    build_core, checkpoint_locked, reference_array, refresh_cache_locked, Core, Field,
+    RecoveryReport, RuntimeConfig,
 };
-use crate::soak::reference_array;
 
 /// One simulated service node and what a crash rebuilds it from.
 pub(crate) struct Node {

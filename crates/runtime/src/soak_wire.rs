@@ -1,5 +1,5 @@
-//! Open-loop load soak against the real wire stack, with the PR 8
-//! fleet invariants re-asserted on actual TCP bytes.
+//! Open-loop load soak against the real wire stack, with the fleet
+//! invariants re-asserted on actual TCP bytes.
 //!
 //! The harness starts a [`WireServer`], optionally fronts it with the
 //! seeded [`wire::chaos`] proxy, and drives it with Poisson arrivals:
@@ -7,15 +7,17 @@
 //! latency is measured from the scheduled arrival, not from send — so
 //! a stalling server honestly accrues queueing delay instead of
 //! silently slowing the load (open-loop, not closed-loop). Latencies go
-//! into a [`LatencyHistogram`], the log-linear microsecond histogram
-//! the in-process soak records into as well.
+//! into a [`LatencyHistogram`], a log-linear microsecond histogram.
 //!
 //! Mid-run the harness can crash-and-recover one shard group's
-//! primary, decommission another, and permanently **kill** a third
-//! group's primary (forcing an epoch-bumping backup promotion), then
-//! grades the run against the same client-observed invariants the
-//! deterministic fleet simulation checks, each violation named after
-//! its [`FleetInvariant`]:
+//! primary (past a torn snapshot it plants first), decommission
+//! another, permanently **kill** a third group's primary (forcing an
+//! epoch-bumping backup promotion), and storm the group primaries'
+//! silicon with a seeded [`faultsim::FaultSchedule`] over the first
+//! 80 % of the load, leaving the last 20 % to heal. It then grades the
+//! run against the same client-observed invariants the deterministic
+//! fleet simulation checks, each violation named after its
+//! [`FleetInvariant`]:
 //!
 //! 1. **Honest staleness** (`fleet-stale-served`) and **no
 //!    decommissioned shard served** (`routed-decommissioned`) — every
@@ -29,16 +31,33 @@
 //!    the replica whose log holds the effect re-serves it read-only.
 //! 4. **Failover completes** — a configured primary kill must produce
 //!    a promotion, and no split-brain double execution with it.
+//!
+//! and against three checks of its own, each a named violation:
+//!
+//! 5. **Heal** (`heal`, with faults on) — every group that still serves
+//!    ends the load with every breaker on its primary closed and no
+//!    site quarantined;
+//! 6. **Torn snapshot** (`torn-snapshot`, with a crash under a snapshot
+//!    root) — recovery skips the planted torn file and, when the crash
+//!    lands two checkpoint intervals into the run, restores a
+//!    checkpoint;
+//! 7. **Load ran** (`harness`) — at least one request completed.
 
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use faultsim::FaultSchedule;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sensor::sta::report::json_escape;
+use sensor::RingFault;
 use wire::{ChaosProfile, ChaosProxy, WireOutcome};
 
+use crate::breaker::CircuitBreaker;
 use crate::client::{ClientError, WireClient, WireClientConfig};
 use crate::error::Result;
 use crate::retry::RetryPolicy;
@@ -70,6 +89,10 @@ pub struct WireSoakConfig {
     /// Permanently kill `(shard, at_ms)`'s primary mid-run, forcing
     /// an epoch-bumping promotion of its best backup.
     pub kill_primary: Option<(usize, u64)>,
+    /// Silicon faults struck on group primaries over the first 80 % of
+    /// the load; the last 20 % is the heal window. `0` disables the
+    /// storm.
+    pub faults: usize,
 }
 
 impl Default for WireSoakConfig {
@@ -91,6 +114,7 @@ impl Default for WireSoakConfig {
             crash: Some((1, 1_000)),
             decommission: Some((2, 2_000)),
             kill_primary: None,
+            faults: 0,
         }
     }
 }
@@ -107,9 +131,8 @@ const BUCKETS: usize = 976;
 /// and each power of two above splits into 16 equal sub-buckets, so a
 /// bucket's upper bound is within 6.25 % of every value it holds.
 ///
-/// One fixed bucket array: recording allocates nothing, and per-thread
-/// copies [`merge`](Self::merge) without a lock. Count, sum and max
-/// are exact.
+/// One fixed bucket array: recording allocates nothing. Count, sum and
+/// max are exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     buckets: [u64; BUCKETS],
@@ -155,16 +178,6 @@ impl LatencyHistogram {
         self.count += 1;
         self.sum_us = self.sum_us.saturating_add(us);
         self.max_us = self.max_us.max(us);
-    }
-
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
-        self.max_us = self.max_us.max(other.max_us);
     }
 
     /// Samples recorded.
@@ -240,6 +253,9 @@ pub struct WireSoakReport {
     pub completed: u64,
     /// Requests answered with a typed shard-side failure.
     pub failed: u64,
+    /// `failed`, by the failure's wire `kind` (`shed` for a shed the
+    /// client gave up on).
+    pub failed_by_kind: BTreeMap<String, u64>,
     /// Requests the client gave up on after its full ladder.
     pub exhausted: u64,
     /// End-to-end latency from scheduled arrival to answer, µs.
@@ -254,10 +270,25 @@ pub struct WireSoakReport {
     pub chaos_faults: Option<u64>,
     /// Chaos proxy counter rendering, when chaos was on.
     pub chaos_summary: Option<String>,
+    /// Silicon faults the storm struck.
+    pub injected: usize,
+    /// Storm faults cleared, on expiry or when the storm ended.
+    pub cleared: usize,
+    /// Trips counted by the serving groups' primaries' breakers at the
+    /// end of the load (a crash-rebuilt core counts from 0).
+    pub breaker_trips: u64,
+    /// Sites still quarantined on the serving groups' primaries at the
+    /// end of the load.
+    pub quarantined_at_end: usize,
+    /// Checkpoint sequence the crash's recovery restored, if any.
+    pub recovered_seq: Option<u64>,
+    /// Torn or corrupt snapshots the crash's recovery skipped.
+    pub snapshots_skipped: usize,
 }
 
 impl WireSoakReport {
-    /// `true` when every graded fleet invariant held.
+    /// `true` when every graded check held: the fleet invariants and
+    /// the soak's own (heal, torn snapshot, load ran).
     pub fn invariants_ok(&self) -> bool {
         self.violations.is_empty()
     }
@@ -269,6 +300,14 @@ impl WireSoakReport {
             "requests {}  completed {}  failed {}  exhausted {}  throughput {:.1} req/s\n",
             self.requests, self.completed, self.failed, self.exhausted, self.throughput_rps
         ));
+        if !self.failed_by_kind.is_empty() {
+            let kinds: Vec<String> = self
+                .failed_by_kind
+                .iter()
+                .map(|(kind, n)| format!("{kind} {n}"))
+                .collect();
+            out.push_str(&format!("failed by kind: {}\n", kinds.join("  ")));
+        }
         out.push_str(&format!(
             "server: shed {}  deduped {}  failovers {}  bad_frames {}  crashes {}\n",
             self.server.shed,
@@ -283,6 +322,15 @@ impl WireSoakReport {
             self.server.promotions,
             self.server.fenced_writes,
             self.server.rejoin_repairs
+        ));
+        out.push_str(&format!(
+            "storm: injected {}  cleared {}  breaker_trips {}  quarantined_at_end {}\n",
+            self.injected, self.cleared, self.breaker_trips, self.quarantined_at_end
+        ));
+        out.push_str(&format!(
+            "recovery: recovered_seq {}  snapshots_skipped {}\n",
+            self.recovered_seq.map_or("none".into(), |s| s.to_string()),
+            self.snapshots_skipped
         ));
         if let Some(s) = &self.chaos_summary {
             out.push_str(&format!("chaos: {s}\n"));
@@ -307,12 +355,18 @@ impl WireSoakReport {
         let violations: Vec<String> = self
             .violations
             .iter()
-            .map(|v| format!("\"{}\"", sensor::sta::report::json_escape(v)))
+            .map(|v| format!("\"{}\"", json_escape(v)))
+            .collect();
+        let kinds: Vec<String> = self
+            .failed_by_kind
+            .iter()
+            .map(|(kind, n)| format!("\"{}\": {n}", json_escape(kind)))
             .collect();
         json_object(&[
             ("requests", self.requests.to_string()),
             ("completed", self.completed.to_string()),
             ("failed", self.failed.to_string()),
+            ("failed_by_kind", format!("{{{}}}", kinds.join(", "))),
             ("exhausted", self.exhausted.to_string()),
             ("throughput_rps", format!("{:.1}", self.throughput_rps)),
             ("latency", self.latency.render_json()),
@@ -321,6 +375,15 @@ impl WireSoakReport {
                 "chaos_faults",
                 self.chaos_faults.map_or("null".into(), |f| f.to_string()),
             ),
+            ("injected", self.injected.to_string()),
+            ("cleared", self.cleared.to_string()),
+            ("breaker_trips", self.breaker_trips.to_string()),
+            ("quarantined_at_end", self.quarantined_at_end.to_string()),
+            (
+                "recovered_seq",
+                self.recovered_seq.map_or("null".into(), |s| s.to_string()),
+            ),
+            ("snapshots_skipped", self.snapshots_skipped.to_string()),
             ("invariants_ok", self.invariants_ok().to_string()),
             ("violations", format!("[{}]", violations.join(", "))),
         ])
@@ -429,45 +492,120 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
     }
     drop(sample_tx);
 
-    // Mid-run fault injection, on the same wall timeline as arrivals.
+    // Admin events and the silicon storm, in one time-sorted list on
+    // the same wall timeline as arrivals.
     #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-    enum Fault {
-        Crash,
-        Decommission,
-        KillPrimary,
+    enum Admin {
+        Crash(usize),
+        Decommission(usize),
+        KillPrimary(usize),
+        /// Storm event `i` strikes.
+        Strike(usize),
+        /// Storm event `i` expires, or the storm ends first.
+        Clear(usize),
     }
-    let mut events: Vec<(u64, Fault, usize)> = Vec::new(); // (at_ms, fault, shard)
-    if let Some((shard, at)) = cfg.crash {
-        events.push((at, Fault::Crash, shard));
-    }
-    if let Some((shard, at)) = cfg.decommission {
-        events.push((at, Fault::Decommission, shard));
-    }
-    if let Some((shard, at)) = cfg.kill_primary {
-        events.push((at, Fault::KillPrimary, shard));
+    let sites = cfg.server.sites_per_shard;
+    let storm_ms = cfg.duration_ms * 4 / 5;
+    let channels = cfg.server.shards * sites;
+    let storm = if cfg.faults > 0 && channels > 0 {
+        FaultSchedule::seeded_unit_faults(cfg.seed ^ 0x5345_4E53, cfg.faults, storm_ms, channels)
+    } else {
+        FaultSchedule::default()
+    };
+    let mut events: Vec<(u64, Admin)> = Vec::new();
+    events.extend(cfg.crash.map(|(g, at)| (at, Admin::Crash(g))));
+    events.extend(cfg.decommission.map(|(g, at)| (at, Admin::Decommission(g))));
+    events.extend(cfg.kill_primary.map(|(g, at)| (at, Admin::KillPrimary(g))));
+    for (i, e) in storm.events().iter().enumerate() {
+        events.push((e.at_ms, Admin::Strike(i)));
+        events.push((e.clears_at_ms().min(storm_ms), Admin::Clear(i)));
     }
     events.sort_unstable();
+
+    /// A storm fault on the silicon: which event struck which array.
+    struct Struck {
+        event: usize,
+        group: usize,
+        replica: usize,
+        site: usize,
+        fault: RingFault,
+    }
+    let mut active: Vec<Struck> = Vec::new(); // in strike order
+    let (mut injected, mut cleared) = (0, 0);
+    let mut recovery = None;
     let mut decommissioned_at = vec![None; cfg.server.shards]; // server stamp per shard
-    let mut crash_errors = Vec::new();
-    for (at_ms, fault, shard) in events {
+    let mut violations = Vec::new();
+    for (at_ms, event) in events {
         let due = Duration::from_millis(at_ms);
         let elapsed = start.elapsed();
         if elapsed < due {
             thread::sleep(due - elapsed);
         }
-        match fault {
-            Fault::Crash => {
-                if let Err(e) = server.crash_shard(shard) {
-                    crash_errors.push(format!("crash of shard {shard} failed: {e}"));
+        match event {
+            Admin::Crash(shard) => {
+                // The crash the checkpoint format defends against: a
+                // torn snapshot newer than every valid one, in the
+                // directory of the primary about to crash.
+                if let (Some(root), Ok((_, primary, _))) =
+                    (&cfg.server.snapshot_root, server.group_view(shard))
+                {
+                    plant_torn_snapshot(&root.join(format!("shard-{shard}-{primary}")));
+                }
+                match server.crash_shard(shard) {
+                    Ok(rec) => recovery = Some((at_ms, rec)),
+                    Err(e) => violations.push(format!("crash of shard {shard} failed: {e}")),
                 }
             }
-            Fault::Decommission => match server.decommission(shard) {
+            Admin::Decommission(shard) => match server.decommission(shard) {
                 Ok(stamp) => decommissioned_at[shard] = Some(stamp),
-                Err(e) => crash_errors.push(format!("decommission of shard {shard} failed: {e}")),
+                Err(e) => violations.push(format!("decommission of shard {shard} failed: {e}")),
             },
-            Fault::KillPrimary => {
+            Admin::KillPrimary(shard) => {
                 if let Err(e) = server.kill_primary(shard) {
-                    crash_errors.push(format!("primary kill of shard {shard} failed: {e}"));
+                    violations.push(format!("primary kill of shard {shard} failed: {e}"));
+                }
+            }
+            Admin::Strike(i) => {
+                let e = &storm.events()[i];
+                let (group, site) = (e.channel / sites, e.channel % sites);
+                let Some(fault) = e.fault.as_ring_fault() else {
+                    continue;
+                };
+                // The group's current primary, which is never a killed
+                // replica: a kill promotes a live one.
+                let struck = server.group_view(group).and_then(|(_, replica, _)| {
+                    server.set_fault(group, replica, site, Some(fault))?;
+                    Ok(replica)
+                });
+                match struck {
+                    Ok(replica) => {
+                        injected += 1;
+                        active.push(Struck {
+                            event: i,
+                            group,
+                            replica,
+                            site,
+                            fault,
+                        });
+                    }
+                    Err(e) => violations.push(format!("strike of group {group} failed: {e}")),
+                }
+            }
+            Admin::Clear(i) => {
+                let Some(pos) = active.iter().position(|a| a.event == i) else {
+                    continue;
+                };
+                let gone = active.remove(pos);
+                let (group, replica, site) = (gone.group, gone.replica, gone.site);
+                // A later fault still active on the same site stays.
+                let latest = active
+                    .iter()
+                    .rev()
+                    .find(|a| (a.group, a.replica, a.site) == (group, replica, site))
+                    .map(|a| a.fault);
+                match server.set_fault(group, replica, site, latest) {
+                    Ok(()) => cleared += 1,
+                    Err(e) => violations.push(format!("clear of group {group} failed: {e}")),
                 }
             }
         }
@@ -487,9 +625,8 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
     let staleness_bound = cfg.server.runtime.staleness_bound_ms;
     let mut latency = LatencyHistogram::new();
     let mut completed = 0u64;
-    let mut failed = 0u64;
+    let mut failed_by_kind: BTreeMap<String, u64> = BTreeMap::new();
     let mut exhausted = 0u64;
-    let mut violations = crash_errors;
     while let Ok(sample) = sample_rx.try_recv() {
         latency.record(sample.latency_us);
         match sample.result {
@@ -509,13 +646,57 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
                         violations.push(format!("{invariant}: {detail}"));
                     }
                 }
-                WireOutcome::Failed { .. } => failed += 1,
-                WireOutcome::Shed { .. } => failed += 1, // client returns sheds only when exhausted mid-ladder
+                WireOutcome::Failed { kind } => {
+                    *failed_by_kind.entry(kind.clone()).or_default() += 1
+                }
+                // The client returns a shed only once its ladder is spent.
+                WireOutcome::Shed { .. } => *failed_by_kind.entry("shed".into()).or_default() += 1,
             },
             Err(ClientError::Exhausted { .. }) => exhausted += 1,
             Err(_) => exhausted += 1,
         }
     }
+    let failed = failed_by_kind.values().sum();
+    if completed == 0 {
+        violations.push("harness: no request completed".into());
+    }
+
+    // The storm's end state, on every group that still serves.
+    let (mut breaker_trips, mut quarantined_at_end) = (0, 0);
+    for group in (0..cfg.server.shards).filter(|&g| decommissioned_at[g].is_none()) {
+        let Ok((breakers, quarantined)) = server.primary_breakers(group) else {
+            continue;
+        };
+        breaker_trips += breakers.iter().map(CircuitBreaker::trips).sum::<u64>();
+        quarantined_at_end += quarantined;
+        let open: Vec<usize> = (0..breakers.len())
+            .filter(|&c| !breakers[c].is_closed())
+            .collect();
+        if cfg.faults > 0 && (!open.is_empty() || quarantined > 0) {
+            violations.push(format!(
+                "heal: group {group}'s primary ends the load with {quarantined} site(s) \
+                 quarantined and {} breaker(s) not closed {open:?}",
+                open.len()
+            ));
+        }
+    }
+
+    let (recovered_seq, snapshots_skipped) = recovery
+        .as_ref()
+        .map_or((None, 0), |(_, r)| (r.recovered_seq, r.snapshots_skipped));
+    if let (Some(_), Some((at_ms, _))) = (&cfg.server.snapshot_root, &recovery) {
+        if snapshots_skipped == 0 {
+            violations.push("torn-snapshot: recovery skipped no snapshot".into());
+        }
+        let interval = cfg.server.runtime.checkpoint_interval_ms;
+        if interval > 0 && *at_ms >= 2 * interval && recovered_seq.is_none() {
+            violations.push(format!(
+                "torn-snapshot: the crash at {at_ms} ms, two {interval} ms checkpoint \
+                 intervals in, recovered no checkpoint"
+            ));
+        }
+    }
+
     let server_stats = {
         let report = server.drain()?;
         report.stats
@@ -547,6 +728,7 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
         requests,
         completed,
         failed,
+        failed_by_kind,
         exhausted,
         latency,
         throughput_rps: completed as f64 / wall_s.max(1e-9),
@@ -554,7 +736,37 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
         server: server_stats,
         chaos_faults,
         chaos_summary,
+        injected,
+        cleared,
+        breaker_trips,
+        quarantined_at_end,
+        recovered_seq,
+        snapshots_skipped,
     })
+}
+
+/// Plants a truncated (torn) snapshot two sequence numbers above the
+/// newest in `dir` — the artifact of a crash mid-write, which recovery
+/// must detect and skip. A checkpoint racing the plant lands below it
+/// and cannot overwrite it.
+fn plant_torn_snapshot(dir: &Path) {
+    let newest = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .filter_map(|e| {
+            e.path()
+                .file_stem()?
+                .to_str()?
+                .strip_prefix("snap-")?
+                .parse::<u64>()
+                .ok()
+        })
+        .max()
+        .unwrap_or(0);
+    let seq = newest + 2;
+    let torn = format!("TSNAP\tv1\nseq\t{seq}\ntime\t0\nsite\ts00\ncal\t3ff0");
+    let _ = std::fs::write(dir.join(format!("snap-{seq:010}.ckpt")), torn);
 }
 
 #[cfg(test)]
@@ -607,29 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_recording_both_sample_sets() {
-        let a = [0, 3, 31, 32, 33, 700, 17_000, 5_000_000];
-        let b = [1, 31, 64, 65, 900, 1 << 40, u64::MAX];
-        let (mut ha, mut hb, mut both) = (
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-            LatencyHistogram::new(),
-        );
-        for us in a {
-            ha.record(us);
-            both.record(us);
-        }
-        for us in b {
-            hb.record(us);
-            both.record(us);
-        }
-        ha.merge(&hb);
-        assert_eq!(ha, both);
-        assert_eq!(ha.count(), 15);
-        assert_eq!(ha.max(), u64::MAX);
-    }
-
-    #[test]
     fn quantile_is_zero_when_empty_and_the_max_at_one() {
         let mut h = LatencyHistogram::new();
         assert_eq!(
@@ -668,9 +857,10 @@ mod tests {
     #[test]
     fn json_escapes_violation_strings() {
         let report = WireSoakReport {
-            requests: 1,
+            requests: 3,
             completed: 1,
-            failed: 0,
+            failed: 2,
+            failed_by_kind: BTreeMap::from([("a\"b".into(), 1), ("nohealthy".into(), 1)]),
             exhausted: 0,
             latency: LatencyHistogram::new(),
             throughput_rps: 0.0,
@@ -678,6 +868,12 @@ mod tests {
             server: WireServerStats::default(),
             chaos_faults: None,
             chaos_summary: None,
+            injected: 0,
+            cleared: 0,
+            breaker_trips: 0,
+            quarantined_at_end: 0,
+            recovered_seq: None,
+            snapshots_skipped: 0,
         };
         let json = report.render_json();
         assert!(
@@ -685,6 +881,11 @@ mod tests {
             "{json}"
         );
         assert!(json.contains("\"invariants_ok\": false"), "{json}");
+        assert!(
+            json.contains(r#""failed_by_kind": {"a\"b": 1, "nohealthy": 1},"#),
+            "{json}"
+        );
+        assert!(json.contains("\"recovered_seq\": null,"), "{json}");
         assert!(
             json.contains("\"latency\": {\n    \"samples\": 0,"),
             "{json}"

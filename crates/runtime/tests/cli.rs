@@ -197,6 +197,7 @@ fn usage_errors_exit_two() {
         &["client"][..],
         &["dst", "--mutation", "no-such-mutation"][..],
         &["dst", "--fleet", "--mutation", "no-cooldown-rebase"][..],
+        &["soak"][..],
     ] {
         let out = runtime(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
@@ -213,11 +214,6 @@ fn help_names_every_flag_of_every_subcommand() {
     let text = stdout(&out);
     let commands = [
         (
-            "soak",
-            "--seconds --seed --sites --faults --clients --no-chaos --restart --snapshot-dir \
-             --check --json",
-        ),
-        (
             "serve",
             "--shards --sites --port --seconds --seed --snapshot-dir --json",
         ),
@@ -225,7 +221,7 @@ fn help_names_every_flag_of_every_subcommand() {
         (
             "wire-soak",
             "--seconds --rate --clients --seed --chaos --crash-at --decommission-at \
-             --kill-primary-at --snapshot-dir --p99 --hist-out --check --json",
+             --kill-primary-at --snapshot-dir --faults --p99 --hist-out --check --json",
         ),
         (
             "dst",

@@ -592,3 +592,64 @@ fn seeded_chaos_soak_holds_the_four_fleet_invariants() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn silicon_storm_and_torn_snapshot_crash_heal_and_recover() {
+    let dir = scratch_dir("storm");
+    // 12 channels at 240 req/s: the 800 ms heal window gives each one
+    // about 11 reads after the 250 ms breaker cooldown, where a tripped
+    // breaker needs 2 probes to close.
+    let mut cfg = WireSoakConfig {
+        seed: 42,
+        duration_ms: 4_000,
+        rate_hz: 240.0,
+        clients: 4,
+        server: quick_server_cfg(),
+        crash: Some((1, 1_500)),
+        decommission: Some((2, 2_800)),
+        faults: 8,
+        ..WireSoakConfig::default()
+    };
+    cfg.server.snapshot_root = Some(dir.clone());
+    let report = run_wire_soak(&cfg).expect("soak runs");
+    assert!(
+        report.invariants_ok(),
+        "invariants violated:\n{}",
+        report.render()
+    );
+    assert_eq!(report.injected, 8, "the storm must strike");
+    assert_eq!(report.cleared, report.injected, "{}", report.render());
+    assert!(
+        report.snapshots_skipped >= 1,
+        "the planted torn snapshot must be skipped: {}",
+        report.render()
+    );
+    assert!(
+        report.recovered_seq.is_some(),
+        "a crash 3 checkpoints in recovers one: {}",
+        report.render()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn quiet_soak_completes_every_request() {
+    let cfg = WireSoakConfig {
+        seed: 7,
+        duration_ms: 1_000,
+        rate_hz: 120.0,
+        clients: 2,
+        server: quick_server_cfg(),
+        crash: None,
+        decommission: None,
+        ..WireSoakConfig::default()
+    };
+    let report = run_wire_soak(&cfg).expect("soak runs");
+    assert!(report.invariants_ok(), "{}", report.render());
+    assert!(report.requests > 0);
+    assert_eq!(report.completed, report.requests, "{}", report.render());
+    assert!(report.failed_by_kind.is_empty(), "{}", report.render());
+    assert_eq!((report.injected, report.cleared), (0, 0));
+    assert_eq!((report.breaker_trips, report.quarantined_at_end), (0, 0));
+    assert_eq!((report.recovered_seq, report.snapshots_skipped), (None, 0));
+}

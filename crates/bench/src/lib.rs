@@ -27,7 +27,6 @@
 //! | `fault` | fault-injection campaign: coverage per class, zero silent/hang |
 //! | `dst`  | deterministic simulation: seeded schedule sweep + mutation detection |
 //! | `absint` | interval certification of every shipped configuration: envelopes + proof cost |
-//! | `dataflow` | parallel incremental netlist-lint driver: cache + `--jobs` wall-clock |
 //! | `fleet` | distributed-fleet DST: 1000-seed sweep, parallel scaling, mutation catch |
 //! | `wire` | wire fleet tier over live TCP: clean vs chaos-proxy soak |
 //! | `replicated` | replicated shard groups: mid-soak primary kill, failover cost clean vs chaos |
@@ -44,7 +43,6 @@ pub mod abl3;
 pub mod abl4;
 pub mod abl5;
 pub mod absint;
-pub mod dataflow;
 pub mod dst_sweep;
 pub mod ext1;
 pub mod ext2;
@@ -78,20 +76,37 @@ pub fn cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Opens a `BENCH_*.json` artifact with the machine and build that
-/// measured it: `{`, then `cores`, `git_rev` (`git rev-parse --short
-/// HEAD` in this crate's checkout, or `unavailable`) and `profile`
-/// (`release` or `debug`), one line each, every line ending in a comma
-/// for the artifact's own keys.
-pub fn artifact_head() -> String {
-    let git_rev = Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
+/// `git rev-parse --short HEAD` in `dir`, with `-dirty` appended when
+/// tracked files differ from `HEAD`; `unavailable` when git is missing
+/// or `dir` is not a checkout.
+fn git_rev(dir: &Path) -> String {
+    let git = |args: &[&str]| {
+        Command::new("git")
+            .args(args)
+            .current_dir(dir)
+            .output()
+            .ok()
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"])
         .filter(|out| out.status.success())
         .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map_or_else(|| "unavailable".into(), |rev| rev.trim().to_string());
+    else {
+        return "unavailable".into();
+    };
+    // `git diff --quiet` exits 1 when a tracked file differs from HEAD.
+    let dirty =
+        git(&["diff", "--quiet", "HEAD", "--"]).is_some_and(|out| out.status.code() == Some(1));
+    format!("{}{}", rev.trim(), if dirty { "-dirty" } else { "" })
+}
+
+/// Opens a `BENCH_*.json` artifact with the machine and build that
+/// measured it: `{`, then `cores`, `git_rev` (`git rev-parse --short
+/// HEAD` in this crate's checkout, with `-dirty` appended when tracked
+/// files differ from `HEAD`, or `unavailable`) and `profile` (`release`
+/// or `debug`), one line each, every line ending in a comma for the
+/// artifact's own keys.
+pub fn artifact_head() -> String {
+    let git_rev = git_rev(Path::new(env!("CARGO_MANIFEST_DIR")));
     let profile = if cfg!(debug_assertions) {
         "debug"
     } else {
@@ -155,7 +170,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// All experiment ids, in DESIGN.md order.
-pub const ALL_EXPERIMENTS: [&str; 24] = [
+pub const ALL_EXPERIMENTS: [&str; 23] = [
     "fig1",
     "fig2",
     "fig3",
@@ -176,7 +191,6 @@ pub const ALL_EXPERIMENTS: [&str; 24] = [
     "fault",
     "dst",
     "absint",
-    "dataflow",
     "fleet",
     "wire",
     "replicated",
@@ -211,7 +225,6 @@ pub fn run_experiment(id: &str, out_dir: &Path) -> String {
         "fault" => fault_campaign::run(out_dir),
         "dst" => dst_sweep::run(out_dir),
         "absint" => absint::run(out_dir),
-        "dataflow" => dataflow::run(out_dir),
         "fleet" => fleet_dst::run(out_dir),
         "wire" => wire_fleet::run(&wire_fleet::WIRE, out_dir),
         "replicated" => wire_fleet::run(&wire_fleet::REPLICATED, out_dir),
@@ -233,6 +246,41 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("bbbb"));
         assert!(lines[2].ends_with('2') || lines[2].contains('2'));
+    }
+
+    #[test]
+    fn git_rev_marks_a_tree_with_edited_tracked_files_dirty() {
+        let dir = std::env::temp_dir().join(format!("tsense_bench_git_rev_{}", std::process::id()));
+        fs::remove_dir_all(&dir).ok();
+        fs::create_dir_all(&dir).unwrap();
+        let git = |args: &[&str]| {
+            let status = Command::new("git").args(args).current_dir(&dir).status();
+            assert!(status.is_ok_and(|s| s.success()), "git {args:?}");
+        };
+        git(&["init", "-q"]);
+        fs::write(dir.join("tracked.txt"), "a").unwrap();
+        git(&["add", "tracked.txt"]);
+        git(&[
+            "-c",
+            "user.name=t",
+            "-c",
+            "user.email=t@example.com",
+            "-c",
+            "commit.gpgsign=false",
+            "commit",
+            "-qm",
+            "init",
+        ]);
+        let clean = git_rev(&dir);
+        assert!(
+            clean.len() >= 7 && clean.chars().all(|c| c.is_ascii_hexdigit()),
+            "{clean}"
+        );
+        fs::write(dir.join("untracked.txt"), "b").unwrap();
+        assert_eq!(git_rev(&dir), clean, "untracked files leave the tree clean");
+        fs::write(dir.join("tracked.txt"), "edited").unwrap();
+        assert_eq!(git_rev(&dir), format!("{clean}-dirty"));
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

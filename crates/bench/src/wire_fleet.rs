@@ -20,7 +20,7 @@
 //! retries, zero duplicate effects).
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use runtime::{run_wire_soak, RetryPolicy, WireSoakConfig, WireSoakReport};
 use wire::chaos::ChaosProfile;
@@ -67,15 +67,22 @@ pub const REPLICATED: Scenario = Scenario {
     kill_primary: Some((0, 1_250)),
 };
 
-fn soak_config(scenario: &Scenario, tag: &str, chaos: bool) -> WireSoakConfig {
-    // Snapshots are scratch state for the crash-recover leg, not an
-    // artifact: keep them out of the results directory.
-    let snap_dir = std::env::temp_dir().join(format!(
+/// Where `tag`'s run keeps its snapshots. They are scratch state for the
+/// crash-recover leg, not an artifact: the directory lives outside the
+/// results directory and is removed once the soak returns.
+fn snap_dir(scenario: &Scenario, tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
         "tsense_bench_{}_snap_{tag}_{}",
         scenario.stem,
         std::process::id()
-    ));
-    std::fs::remove_dir_all(&snap_dir).ok();
+    ))
+}
+
+/// Runs one soak of `scenario` under a fresh snapshot root, then
+/// removes that root, pass or fail.
+fn soak(scenario: &Scenario, tag: &str, chaos: bool) -> WireSoakReport {
+    let dir = snap_dir(scenario, tag);
+    std::fs::remove_dir_all(&dir).ok();
     let mut cfg = WireSoakConfig {
         seed: WIRE_SEED,
         duration_ms: 2_500,
@@ -93,8 +100,10 @@ fn soak_config(scenario: &Scenario, tag: &str, chaos: bool) -> WireSoakConfig {
         kill_primary: scenario.kill_primary,
         ..WireSoakConfig::default()
     };
-    cfg.server.snapshot_root = Some(snap_dir);
-    cfg
+    cfg.server.snapshot_root = Some(dir.clone());
+    let report = run_wire_soak(&cfg);
+    std::fs::remove_dir_all(&dir).ok();
+    report.unwrap_or_else(|e| panic!("{tag} wire soak: {e}"))
 }
 
 fn row(tag: &str, r: &WireSoakReport) -> Vec<String> {
@@ -121,8 +130,8 @@ fn row(tag: &str, r: &WireSoakReport) -> Vec<String> {
 ///
 /// Panics if a soak cannot start — the harness is a diagnostic tool.
 pub fn run(scenario: &Scenario, out_dir: &Path) -> String {
-    let clean = run_wire_soak(&soak_config(scenario, "clean", false)).expect("clean wire soak");
-    let chaos = run_wire_soak(&soak_config(scenario, "chaos", true)).expect("chaos wire soak");
+    let clean = soak(scenario, "clean", false);
+    let chaos = soak(scenario, "chaos", true);
     let runs = [("clean", &clean), ("chaos", &chaos)];
     let kill = scenario.kill_primary.is_some();
 
@@ -218,6 +227,7 @@ mod tests {
         let json = std::fs::read_to_string(dir.join("BENCH_wire_fleet.json")).unwrap();
         assert!(json.contains("\"invariants_ok\": true"));
         assert!(json.contains("\"duplicate_effects\": 0"));
+        assert_scratch_removed(&WIRE);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -230,6 +240,14 @@ mod tests {
         let json = std::fs::read_to_string(dir.join("BENCH_replicated_fleet.json")).unwrap();
         assert!(json.contains("\"invariants_ok\": true"));
         assert!(json.contains("\"duplicate_effects\": 0"));
+        assert_scratch_removed(&REPLICATED);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn assert_scratch_removed(scenario: &Scenario) {
+        for tag in ["clean", "chaos"] {
+            let dir = snap_dir(scenario, tag);
+            assert!(!dir.exists(), "{} left behind", dir.display());
+        }
     }
 }

@@ -129,24 +129,6 @@ impl Simulator {
         sim
     }
 
-    /// Creates a simulator after an opt-in preflight check.
-    ///
-    /// `preflight` inspects the netlist before any simulator state is
-    /// built; returning `Err` aborts construction and hands the error
-    /// back verbatim. Lint frontends (e.g. the `netcheck` crate) supply
-    /// the callback so `dsim` stays free of analysis dependencies.
-    ///
-    /// # Errors
-    ///
-    /// Propagates whatever error `preflight` reports.
-    pub fn new_checked<E>(
-        netlist: Netlist,
-        preflight: impl FnOnce(&Netlist) -> Result<(), E>,
-    ) -> Result<Self, E> {
-        preflight(&netlist)?;
-        Ok(Simulator::new(netlist))
-    }
-
     /// Creates a simulator after structural validation
     /// ([`Netlist::validate`]): floating component inputs and
     /// multiply-driven nets are rejected up front with a typed error

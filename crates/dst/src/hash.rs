@@ -1,8 +1,8 @@
 //! Shared content hashes: FNV-1a (64-bit) and CRC-32 (IEEE 802.3).
 //!
 //! One implementation each, used workspace-wide: the fleet router's
-//! consistent-hash ring, the netcheck driver's on-disk cache keys, the
-//! abstract-interpretation certificate fingerprint, snapshot CRC
+//! consistent-hash ring, the abstract-interpretation certificate
+//! fingerprint, snapshot CRC
 //! trailers, and the wire protocol's frame checksum all call through
 //! here. Both functions are tiny, branch-free-auditable, and
 //! deliberately *not* optimised — inputs are small (keys, configs,

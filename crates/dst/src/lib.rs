@@ -37,8 +37,8 @@
 //!   to serial ones.
 //! * [`hash`] — the workspace's shared [`fnv1a64`] content
 //!   fingerprint and [`crc32`] checksum, used by the consistent-hash
-//!   ring, driver cache keys, certificate fingerprints, snapshot
-//!   trailers, and the wire protocol's frame check.
+//!   ring, certificate fingerprints, snapshot trailers, and the wire
+//!   protocol's frame check.
 //!
 //! Nothing here knows about sensors: the crate is generic machinery.
 //! The `runtime` crate's `sim` module wires the actual service logic,

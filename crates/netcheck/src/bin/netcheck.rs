@@ -1,8 +1,8 @@
 //! The `netcheck` command-line frontend.
 //!
 //! ```text
-//! netcheck [--json] [--sarif FILE] [--rules] [--jobs N] [--cache DIR]
-//!          [--no-cache] [--baseline FILE] [--deny-warnings] FILE...
+//! netcheck [--json] [--sarif FILE] [--rules] [--baseline FILE]
+//!          [--deny-warnings] FILE...
 //! netcheck certify [--json] [--sarif FILE] [--baseline FILE]
 //!          [--deny-warnings] BUNDLE...
 //! ```
@@ -13,10 +13,9 @@
 //! certification bundles (the sensor-configuration rules plus the
 //! NC11xx–NC14xx dataflow lints over the bundle's gate-level unit
 //! netlist), anything else parses as a SPICE deck (`NC02xx`). Files
-//! that fail to parse fire `NC0001`. Targets fan out over `--jobs`
-//! worker threads, and `--cache DIR` memoizes each target's report
-//! keyed by content fingerprint, so re-linting an unchanged tree is
-//! nearly free.
+//! that fail to parse fire `NC0001`. The files are linted one after
+//! another and their findings sorted once into one report, so the
+//! output does not depend on the order the files are given in.
 //!
 //! **Certify mode**: each input is a certification bundle (INI subset,
 //! see `netcheck::absint::bundle`); the abstract interpreter derives
@@ -28,28 +27,25 @@
 //! warning severity under `--deny-warnings` — and `2` for usage, I/O,
 //! or bundle/model evaluation problems.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use netcheck::absint::{certify, CertifyBundle};
 use netcheck::{
-    check_deck, check_library, check_netlist_dataflow, check_sensor_config, exit_for, run_targets,
-    AnalysisTarget, Baseline, Diagnostic, DriverOptions, Location, Report, RULES,
+    check_deck, check_library, check_netlist_dataflow, check_sensor_config, exit_for, Baseline,
+    Diagnostic, Location, Report, RULES,
 };
 use tsense_core::units::Celsius;
 
 fn usage() {
-    eprintln!("usage: netcheck [--json] [--sarif FILE] [--rules] [--jobs N] [--cache DIR]");
-    eprintln!("                [--no-cache] [--baseline FILE] [--deny-warnings] FILE...");
+    eprintln!("usage: netcheck [--json] [--sarif FILE] [--rules] [--baseline FILE]");
+    eprintln!("                [--deny-warnings] FILE...");
     eprintln!("       netcheck certify [--json] [--sarif FILE] [--baseline FILE]");
     eprintln!("                [--deny-warnings] BUNDLE...");
     eprintln!();
     eprintln!("  --json            emit diagnostics (or the certificate) as JSON");
     eprintln!("  --sarif FILE      additionally write diagnostics as SARIF 2.1.0");
     eprintln!("  --rules           list every rule and exit");
-    eprintln!("  --jobs N          lint N files in parallel (lint mode)");
-    eprintln!("  --cache DIR       reuse reports for unchanged files (lint mode)");
-    eprintln!("  --no-cache        ignore and do not touch the cache");
     eprintln!("  --baseline FILE   suppress accepted findings (RULE pattern per line)");
     eprintln!("  --deny-warnings   exit nonzero on warnings, not just errors");
     eprintln!();
@@ -67,57 +63,19 @@ fn list_rules() {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum TargetKind {
-    Liberty,
-    Bundle,
-    Spice,
-}
-
-fn kind_of(path: &str) -> TargetKind {
+/// Lints one input file by its extension. The caller stamps `path`
+/// onto the findings.
+fn lint_file(path: &str, text: &str) -> Report {
     match Path::new(path).extension().and_then(|e| e.to_str()) {
-        Some("lib") | Some("liberty") => TargetKind::Liberty,
-        Some("toml") => TargetKind::Bundle,
-        _ => TargetKind::Spice,
-    }
-}
-
-/// One input file as a cacheable analysis target.
-struct FileTarget {
-    path: String,
-    text: String,
-    kind: TargetKind,
-}
-
-impl AnalysisTarget for FileTarget {
-    fn path(&self) -> &str {
-        &self.path
-    }
-
-    fn fingerprint_payload(&self) -> Vec<u8> {
-        self.text.clone().into_bytes()
-    }
-
-    fn rule_set(&self) -> &str {
-        match self.kind {
-            TargetKind::Liberty => "liberty",
-            TargetKind::Bundle => "bundle+netlist-dataflow",
-            TargetKind::Spice => "spice-deck",
-        }
-    }
-
-    fn analyze(&self) -> Report {
-        match self.kind {
-            TargetKind::Liberty => match stdcell::liberty::from_liberty(&self.text) {
-                Ok(lib) => check_library(&lib),
-                Err(e) => parse_failure(format!("not a valid Liberty library: {e}")),
-            },
-            TargetKind::Spice => match spicelite::netlist::parse(&self.text) {
-                Ok(deck) => check_deck(&deck),
-                Err(e) => parse_failure(format!("not a valid SPICE deck: {e}")),
-            },
-            TargetKind::Bundle => check_bundle(&self.path, &self.text),
-        }
+        Some("lib") | Some("liberty") => match stdcell::liberty::from_liberty(text) {
+            Ok(lib) => check_library(&lib),
+            Err(e) => parse_failure(format!("not a valid Liberty library: {e}")),
+        },
+        Some("toml") => check_bundle(path, text),
+        _ => match spicelite::netlist::parse(text) {
+            Ok(deck) => check_deck(&deck),
+            Err(e) => parse_failure(format!("not a valid SPICE deck: {e}")),
+        },
     }
 }
 
@@ -184,9 +142,6 @@ fn parse_failure(message: String) -> Report {
 struct Options {
     json: bool,
     sarif: Option<String>,
-    jobs: usize,
-    cache: Option<PathBuf>,
-    no_cache: bool,
     baseline: Option<String>,
     deny_warnings: bool,
     files: Vec<String>,
@@ -197,9 +152,6 @@ fn parse_args(args: &[String]) -> Result<Options, ExitCode> {
     let mut opts = Options {
         json: false,
         sarif: None,
-        jobs: 1,
-        cache: None,
-        no_cache: false,
         baseline: None,
         deny_warnings: false,
         files: Vec::new(),
@@ -215,21 +167,6 @@ fn parse_args(args: &[String]) -> Result<Options, ExitCode> {
                     return Err(ExitCode::from(2));
                 }
             },
-            "--jobs" => match iter.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => opts.jobs = n,
-                _ => {
-                    eprintln!("netcheck: --jobs needs a positive integer");
-                    return Err(ExitCode::from(2));
-                }
-            },
-            "--cache" => match iter.next() {
-                Some(dir) => opts.cache = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("netcheck: --cache needs a directory argument");
-                    return Err(ExitCode::from(2));
-                }
-            },
-            "--no-cache" => opts.no_cache = true,
             "--baseline" => match iter.next() {
                 Some(path) => opts.baseline = Some(path.clone()),
                 None => {
@@ -305,35 +242,18 @@ fn run_lint(opts: &Options) -> ExitCode {
         Ok(b) => b,
         Err(code) => return code,
     };
-    let mut targets: Vec<FileTarget> = Vec::new();
+    let mut report = Report::new();
     for path in &opts.files {
         match std::fs::read_to_string(path) {
-            Ok(text) => targets.push(FileTarget {
-                path: path.clone(),
-                text,
-                kind: kind_of(path),
-            }),
+            Ok(text) => report.extend(lint_file(path, &text).with_path(path)),
             Err(e) => {
                 eprintln!("netcheck: {path}: {e}");
                 return ExitCode::from(2);
             }
         }
     }
-    let refs: Vec<&dyn AnalysisTarget> = targets.iter().map(|t| t as _).collect();
-    let driver_opts = DriverOptions {
-        jobs: opts.jobs,
-        cache_dir: if opts.no_cache {
-            None
-        } else {
-            opts.cache.clone()
-        },
-        ..DriverOptions::default()
-    };
-    let outcome = run_targets(&refs, &driver_opts);
-    if driver_opts.cache_dir.is_some() {
-        eprintln!("{}", outcome.stats.render());
-    }
-    finish(outcome.report, opts, &baseline)
+    report.sort();
+    finish(report, opts, &baseline)
 }
 
 fn run_certify(opts: &Options) -> ExitCode {

@@ -11,8 +11,9 @@
 //! | `NC13xx` | [`HazardPass`]     | static hazards and non-unate gates on clock/enable cones |
 //! | `NC14xx` | [`StructuralPass`] | floating inputs, dead gates, fan-out over the stdcell drive budget |
 //!
-//! All four run through the ordinary [`Pass`] machinery, so the CLI,
-//! the preflight wrappers, and the parallel driver share one engine.
+//! All four run through the ordinary [`Pass`] machinery, so the CLI
+//! and the tests reach them through one call,
+//! [`check_netlist_dataflow`].
 
 use dsim::netlist::{Component, Netlist, SignalId};
 use sta::levelize::{component_successors, levelize, Levelization};

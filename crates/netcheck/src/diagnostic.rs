@@ -1,5 +1,7 @@
-//! The diagnostic model: stable rule IDs, severities, locations, and
-//! renderable reports.
+//! The diagnostic model: stable rule IDs, severities, locations,
+//! renderable reports, and what frontends do with a finished report —
+//! suppress accepted findings ([`Baseline`]) and map it to an exit code
+//! ([`exit_for`]).
 //!
 //! Rule IDs are stable across releases and partitioned by target
 //! representation:
@@ -18,9 +20,10 @@ use std::fmt;
 pub enum Severity {
     /// Informational note; never affects exit status.
     Info,
-    /// Suspicious but simulatable; reported, does not fail preflight.
+    /// Suspicious but simulatable; fails only under `--deny-warnings`.
     Warning,
-    /// Structural defect; preflight checks and the CLI fail on these.
+    /// Structural defect; the CLI and the runtime's startup checks fail
+    /// on these.
     Error,
 }
 
@@ -356,6 +359,73 @@ impl Report {
     }
 }
 
+/// A suppression list: known findings a project accepts. One entry per
+/// line — a rule ID, whitespace, then a substring matched against the
+/// rendered diagnostic; `#` comments and blank lines are skipped. An
+/// empty pattern suppresses the whole rule.
+#[derive(Debug, Clone, Default)]
+pub struct Baseline {
+    entries: Vec<(String, String)>,
+}
+
+impl Baseline {
+    /// Parses baseline text. Malformed lines (no rule token) are
+    /// ignored rather than fatal — a baseline must never break a lint.
+    pub fn parse(text: &str) -> Baseline {
+        let mut entries = Vec::new();
+        for line in text.lines() {
+            let line = line.trim();
+            if line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let (rule, pattern) = match line.split_once(char::is_whitespace) {
+                Some((r, p)) => (r, p.trim()),
+                None => (line, ""),
+            };
+            entries.push((rule.to_string(), pattern.to_string()));
+        }
+        Baseline { entries }
+    }
+
+    /// Number of suppression entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when no entries are loaded.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Does any entry suppress this diagnostic?
+    pub fn suppresses(&self, d: &Diagnostic) -> bool {
+        let rendered = d.to_string();
+        self.entries
+            .iter()
+            .any(|(rule, pattern)| d.rule == rule && rendered.contains(pattern.as_str()))
+    }
+
+    /// Filters suppressed diagnostics out of a report.
+    pub fn apply(&self, report: &Report) -> Report {
+        let mut out = Report::new();
+        for d in report.diagnostics() {
+            if !self.suppresses(d) {
+                out.push(d.clone());
+            }
+        }
+        out
+    }
+}
+
+/// The one exit-code policy every `netcheck` subcommand shares:
+/// errors fail (1); warnings fail only under `--deny-warnings`;
+/// clean (or info-only) runs exit 0. Parse and I/O failures are the
+/// frontend's to map to 2 before a report exists.
+pub fn exit_for(report: &Report, deny_warnings: bool) -> i32 {
+    let failing = report.has_errors() || (deny_warnings && report.count(Severity::Warning) > 0);
+    i32::from(failing)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -489,5 +559,58 @@ mod tests {
             r.diagnostics()[1].location.path.as_deref(),
             Some("other.ckt")
         );
+    }
+
+    #[test]
+    fn baseline_parses_and_suppresses_by_substring() {
+        let text = "# accepted findings\nNC0101 net-of-a\n\nNC0106\n";
+        let base = Baseline::parse(text);
+        assert_eq!(base.len(), 2);
+        let hit = Diagnostic::at(
+            crate::pass::rules::NC0101,
+            Location::object("net-of-a.net"),
+            "never driven",
+        );
+        let other = Diagnostic::at(
+            crate::pass::rules::NC0101,
+            Location::object("other"),
+            "never driven",
+        );
+        let any_fanout = Diagnostic::at(
+            crate::pass::rules::NC0106,
+            Location::object("clk"),
+            "high fan-out",
+        );
+        assert!(base.suppresses(&hit));
+        assert!(!base.suppresses(&other));
+        assert!(base.suppresses(&any_fanout), "empty pattern = whole rule");
+    }
+
+    #[test]
+    fn exit_codes_are_unified() {
+        let mut clean = Report::new();
+        assert_eq!(exit_for(&clean, false), 0);
+        assert_eq!(exit_for(&clean, true), 0);
+        clean.push(Diagnostic::info(
+            crate::pass::rules::NC0402,
+            Location::object("mix"),
+            "note",
+        ));
+        assert_eq!(exit_for(&clean, true), 0, "info never fails");
+        let mut warn = Report::new();
+        warn.push(Diagnostic::warning(
+            crate::pass::rules::NC0106,
+            Location::object("clk"),
+            "fan-out",
+        ));
+        assert_eq!(exit_for(&warn, false), 0);
+        assert_eq!(exit_for(&warn, true), 1);
+        let mut err = Report::new();
+        err.push(Diagnostic::error(
+            crate::pass::rules::NC0102,
+            Location::object("q"),
+            "dup",
+        ));
+        assert_eq!(exit_for(&err, false), 1);
     }
 }

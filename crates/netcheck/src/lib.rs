@@ -23,10 +23,11 @@
 //! | `NC16xx` | replication tuning         | staleness vs failover window, ack quorum vs group size |
 //!
 //! Every rule has a stable ID and fires as a [`Diagnostic`] at a fixed
-//! [`Severity`]; a [`Report`] aggregates them and renders as text or
-//! JSON. Rules run through the [`Pass`] trait so frontends (the
-//! `netcheck` CLI, the [`preflight`] wrappers, tests) share one
-//! engine.
+//! [`Severity`]; a [`Report`] aggregates them and renders as text,
+//! JSON or SARIF. Rules run through the [`Pass`] trait, and the
+//! `check_*` functions are the one way in: the `netcheck` CLI lints
+//! its files through them one after another, the runtime calls them at
+//! startup, and the tests call them directly.
 //!
 //! ```
 //! use netcheck::check_netlist;
@@ -46,11 +47,9 @@ pub mod config_rules;
 pub mod dataflow;
 pub mod deck_rules;
 pub mod diagnostic;
-pub mod driver;
 pub mod library_rules;
 pub mod netlist_rules;
 pub mod pass;
-pub mod preflight;
 pub mod replication_rules;
 pub mod resilience_rules;
 pub mod runtime_rules;
@@ -61,16 +60,12 @@ pub use absint::{certify, Certificate, CertifyBundle};
 pub use config_rules::{check_calibration_anchors, check_sensor_config, PAPER_STAGE_COUNTS};
 pub use dataflow::{check_netlist_dataflow, CdcPass, HazardPass, StructuralPass, XPropPass};
 pub use deck_rules::{check_circuit, check_deck};
-pub use diagnostic::{Diagnostic, Location, Report, Severity};
-pub use driver::{
-    exit_for, run_targets, AnalysisTarget, Baseline, CacheStats, DriverOptions, DriverOutcome,
-};
+pub use diagnostic::{exit_for, Baseline, Diagnostic, Location, Report, Severity};
 pub use library_rules::{
     check_cell_library, check_library, check_ratio, check_table, FIG2_RATIO_RANGE,
 };
 pub use netlist_rules::{check_netlist, check_netlist_with, NetlistCheckOptions};
 pub use pass::{rule_info, run_passes, Pass, RuleInfo, RULES};
-pub use preflight::PreflightError;
 pub use replication_rules::{
     check_replication, AckQuorumPass, FailoverFreshnessPass, ReplicationTuning,
 };

@@ -147,7 +147,7 @@ const WIRE_SOAK: &[Flag] = &[
                                                forcing an epoch-bumping backup promotion \
                                                (default: disabled; 0 disables)"),
     flag("--snapshot-dir", "P", Text, "", "per-shard checkpoint and effect-log root \
-                                          (default: a temp dir)"),
+                                          (default: a temp dir removed after the run)"),
     flag("--faults", "N", Uint, "0", "silicon faults struck on group primaries over the \
                                       first 80 % of the load; the last 20 % heals"),
     flag("--p99", "MS", Uint, "", "with --check, also fail if p99 exceeds MS"),
@@ -650,7 +650,10 @@ fn wire_soak_cmd(args: &Args) -> Result<ExitCode, String> {
         Some(0) | None => None,
         Some(at) => Some((0usize, at)),
     };
-    let snapshot_root = args.opt("--snapshot-dir").unwrap_or_else(|| {
+    // Without `--snapshot-dir` the replicas live in a scratch root this
+    // run creates and removes once the soak returns, pass or fail.
+    let given: Option<PathBuf> = args.opt("--snapshot-dir");
+    let scratch = given.is_none().then(|| {
         std::env::temp_dir().join(format!("tsense-wire-soak-{}-{seed}", std::process::id()))
     });
     let mut cfg = WireSoakConfig {
@@ -665,8 +668,12 @@ fn wire_soak_cmd(args: &Args) -> Result<ExitCode, String> {
         faults: args.get("--faults"),
         ..WireSoakConfig::default()
     };
-    cfg.server.snapshot_root = Some(snapshot_root);
-    let report = match run_wire_soak(&cfg) {
+    cfg.server.snapshot_root = given.or_else(|| scratch.clone());
+    let outcome = run_wire_soak(&cfg);
+    if let Some(dir) = &scratch {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    let report = match outcome {
         Ok(r) => r,
         Err(e) => {
             eprintln!("runtime: wire soak failed to run: {e}");

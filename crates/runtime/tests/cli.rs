@@ -1,8 +1,9 @@
 //! The `runtime` binary's command line: sweep JSON from both
 //! simulators, the node-filtered fleet replay and its node check,
-//! `--seed-range` precedence, the wire soak's `--p99` gate, fresh
-//! request ids on each `client` run, usage errors (exit 2), and a
-//! `--help` that names every flag of every subcommand.
+//! `--seed-range` precedence, the wire soak's `--p99` gate and its
+//! scratch snapshot root, fresh request ids on each `client` run, usage
+//! errors (exit 2), and a `--help` that names every flag of every
+//! subcommand.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
@@ -155,6 +156,33 @@ fn wire_soak_p99_gate_fails_a_zero_bound_and_passes_a_minute() {
             "--p99 {bound_ms}: {err}"
         );
     }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn wire_soak_removes_only_the_snapshot_root_it_created() {
+    let root = std::env::temp_dir().join(format!("tsense-cli-tmpdir-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let tmpdir = root.join("tmp");
+    let given = root.join("given");
+    std::fs::create_dir_all(&tmpdir).expect("fresh TMPDIR");
+    let given_arg = given.to_str().expect("utf-8 temp dir");
+    for extra in [&[][..], &["--snapshot-dir", given_arg][..]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_runtime"))
+            .args(["wire-soak", "--seconds", "1"])
+            .args(extra)
+            .env("TMPDIR", &tmpdir)
+            .output()
+            .expect("runtime binary runs");
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {out:?}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&tmpdir)
+        .expect("TMPDIR still exists")
+        .map(|e| e.expect("readable entry").path())
+        .collect();
+    assert!(left.is_empty(), "wire-soak left {left:?} in TMPDIR");
+    let kept = std::fs::read_dir(&given).map_or(0, Iterator::count);
+    assert!(kept > 0, "the given --snapshot-dir must survive the run");
     std::fs::remove_dir_all(&root).ok();
 }
 

@@ -269,26 +269,6 @@ impl SmartSensorUnit {
         })
     }
 
-    /// Builds a unit after an opt-in preflight check.
-    ///
-    /// `preflight` inspects the configuration before construction;
-    /// returning `Err` aborts it. The error type only has to absorb
-    /// [`SensorError`] (via `From`), so lint frontends (e.g. the
-    /// `netcheck` crate) can thread structured rejections through
-    /// unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `preflight` reports, or any [`SmartSensorUnit::new`]
-    /// failure converted into `E`.
-    pub fn new_checked<E: From<SensorError>>(
-        config: SensorConfig,
-        preflight: impl FnOnce(&SensorConfig) -> std::result::Result<(), E>,
-    ) -> std::result::Result<Self, E> {
-        preflight(&config)?;
-        SmartSensorUnit::new(config).map_err(E::from)
-    }
-
     /// The configuration.
     #[inline]
     pub fn config(&self) -> &SensorConfig {

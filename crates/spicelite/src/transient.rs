@@ -140,34 +140,6 @@ fn capacitor_terminals(circuit: &Circuit) -> Vec<(NodeId, NodeId, f64)> {
 /// Panics if `t_stop`, `dt` or the step bounds are not positive and
 /// ordered (`0 < dt_min ≤ dt ≤ dt_max`).
 pub fn run_transient(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform> {
-    run_transient_inner(circuit, opts)
-}
-
-/// Runs a transient analysis after an opt-in preflight check.
-///
-/// `preflight` inspects the circuit before any stepping begins;
-/// returning `Err` aborts the run. The error type only has to absorb
-/// [`SimError`] (via `From`), so lint frontends can thread their own
-/// structured rejection through unchanged.
-///
-/// # Errors
-///
-/// Whatever `preflight` reports, or any [`run_transient`] failure
-/// converted into `E`.
-///
-/// # Panics
-///
-/// Same step-bound preconditions as [`run_transient`].
-pub fn run_transient_checked<E: From<SimError>>(
-    circuit: &Circuit,
-    opts: &TranOptions,
-    preflight: impl FnOnce(&Circuit) -> std::result::Result<(), E>,
-) -> std::result::Result<Waveform, E> {
-    preflight(circuit)?;
-    run_transient_inner(circuit, opts).map_err(E::from)
-}
-
-fn run_transient_inner(circuit: &Circuit, opts: &TranOptions) -> Result<Waveform> {
     assert!(opts.t_stop > 0.0, "t_stop must be positive");
     assert!(
         opts.dt_min > 0.0 && opts.dt_min <= opts.dt && opts.dt <= opts.dt_max,

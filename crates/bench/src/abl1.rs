@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn abl1_report_passes() {
-        let dir = std::env::temp_dir().join("tsense_abl1_test");
+        let dir = crate::TestDir::new("abl1");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
     }

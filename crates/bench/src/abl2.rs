@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn abl2_report_passes() {
-        let dir = std::env::temp_dir().join("tsense_abl2_test");
+        let dir = crate::TestDir::new("abl2");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
     }

@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn abl3_report_passes() {
-        let dir = std::env::temp_dir().join("tsense_abl3_test");
+        let dir = crate::TestDir::new("abl3");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
     }

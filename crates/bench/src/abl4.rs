@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn abl4_report_passes() {
-        let dir = std::env::temp_dir().join("tsense_abl4_test");
+        let dir = crate::TestDir::new("abl4");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
     }

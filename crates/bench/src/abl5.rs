@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn abl5_report_passes() {
-        let dir = std::env::temp_dir().join("tsense_abl5_test");
+        let dir = crate::TestDir::new("abl5");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
         assert!(dir.join("abl5_yield.csv").exists());

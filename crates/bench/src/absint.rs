@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn every_shipped_config_certifies_clean() {
-        let dir = std::env::temp_dir().join("tsense_bench_absint_test");
+        let dir = crate::TestDir::new("bench_absint");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
         let json = std::fs::read_to_string(dir.join("BENCH_absint_certify.json")).unwrap();

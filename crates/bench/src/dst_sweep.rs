@@ -162,8 +162,7 @@ mod tests {
 
     #[test]
     fn dst_sweep_passes_its_own_checks() {
-        let dir = std::env::temp_dir().join("tsense_bench_dst_test");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = crate::TestDir::new("bench_dst");
         // A reduced sweep keeps the test cheap; the mutation hunt and
         // shrink run at full fidelity either way.
         let report = run_with(40, &dir);
@@ -175,6 +174,5 @@ mod tests {
             json.contains("\"invariant\": \"cooldown-overhang\""),
             "{json}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

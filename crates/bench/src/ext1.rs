@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn ext1_report_writes_artifact() {
-        let dir = std::env::temp_dir().join("tsense_ext1_test");
+        let dir = crate::TestDir::new("ext1");
         let report = run(&dir);
         assert!(report.contains("Ext-1"));
         assert!(dir.join("ext1_extended_cells.csv").exists());

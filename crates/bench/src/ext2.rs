@@ -89,7 +89,7 @@ mod tests {
     fn ext2_budget_is_tight() {
         // The study's point: the droop budget is millivolts, far tighter
         // than typical digital-supply tolerances.
-        let dir = std::env::temp_dir().join("tsense_ext2_test");
+        let dir = crate::TestDir::new("ext2");
         let report = run(&dir);
         assert!(report.contains("Ext-2"));
         assert!(dir.join("ext2_supply.csv").exists());

@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn ext3_report_passes() {
-        let dir = std::env::temp_dir().join("tsense_ext3_test");
+        let dir = crate::TestDir::new("ext3");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
         assert!(dir.join("ext3_dualring.csv").exists());

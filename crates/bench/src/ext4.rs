@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn ext4_report_passes_on_all_nodes() {
-        let dir = std::env::temp_dir().join("tsense_ext4_test");
+        let dir = crate::TestDir::new("ext4");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
         assert!(dir.join("ext4_nodes.csv").exists());

@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn fault_campaign_report_passes_its_own_checks() {
-        let dir = std::env::temp_dir().join("tsense_bench_fault_test");
+        let dir = crate::TestDir::new("bench_fault");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
         let json = std::fs::read_to_string(dir.join("BENCH_fault_campaign.json")).unwrap();

@@ -116,7 +116,7 @@ mod tests {
 
     #[test]
     fn fig1_report_passes_its_own_check() {
-        let dir = std::env::temp_dir().join("tsense_fig1_test");
+        let dir = crate::TestDir::new("fig1");
         let report = run(&dir);
         assert!(report.contains("PASS"), "{report}");
         assert!(dir.join("fig1_waveform.csv").exists());

@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn fig2_report_passes_both_checks() {
-        let dir = std::env::temp_dir().join("tsense_fig2_test");
+        let dir = crate::TestDir::new("fig2");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
         assert!(dir.join("fig2_nonlinearity.csv").exists());

@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn fig3_report_passes_its_check() {
-        let dir = std::env::temp_dir().join("tsense_fig3_test");
+        let dir = crate::TestDir::new("fig3");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
         assert!(dir.join("fig3_nonlinearity.csv").exists());

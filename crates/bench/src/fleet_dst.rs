@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn fleet_bench_passes_end_to_end() {
-        let dir = std::env::temp_dir().join("tsense_bench_fleet_test");
+        let dir = crate::TestDir::new("bench_fleet");
         let report = run(&dir);
         assert!(report.contains("overall: PASS"), "{report}");
         let json = std::fs::read_to_string(dir.join("BENCH_fleet_dst.json")).unwrap();

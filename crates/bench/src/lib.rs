@@ -232,6 +232,48 @@ pub fn run_experiment(id: &str, out_dir: &Path) -> String {
     }
 }
 
+/// A scratch directory for one test's artifacts,
+/// `<temp>/tsense_<stem>_test_<pid>_<nonce>`: no two tests or test
+/// runs share one, and it is removed, with everything in it, when the
+/// test ends, passing or failing.
+#[cfg(test)]
+pub(crate) struct TestDir(std::path::PathBuf);
+
+#[cfg(test)]
+impl TestDir {
+    pub(crate) fn new(stem: &str) -> TestDir {
+        let name = format!(
+            "tsense_{stem}_test_{}_{}",
+            std::process::id(),
+            dst::unique_nonce()
+        );
+        TestDir(std::env::temp_dir().join(name))
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for TestDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl AsRef<Path> for TestDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        fs::remove_dir_all(&self.0).ok();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,8 +292,7 @@ mod tests {
 
     #[test]
     fn git_rev_marks_a_tree_with_edited_tracked_files_dirty() {
-        let dir = std::env::temp_dir().join(format!("tsense_bench_git_rev_{}", std::process::id()));
-        fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("bench_git_rev");
         fs::create_dir_all(&dir).unwrap();
         let git = |args: &[&str]| {
             let status = Command::new("git").args(args).current_dir(&dir).status();
@@ -280,7 +321,6 @@ mod tests {
         assert_eq!(git_rev(&dir), clean, "untracked files leave the tree clean");
         fs::write(dir.join("tracked.txt"), "edited").unwrap();
         assert_eq!(git_rev(&dir), format!("{clean}-dirty"));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

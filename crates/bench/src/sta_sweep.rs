@@ -153,7 +153,7 @@ mod tests {
 
     #[test]
     fn sta_sweep_report_passes_its_checks() {
-        let dir = std::env::temp_dir().join("tsense_sta_sweep_test");
+        let dir = crate::TestDir::new("sta_sweep");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
         assert!(dir.join("BENCH_sta_sweep.json").exists());

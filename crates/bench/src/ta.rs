@@ -70,7 +70,7 @@ mod tests {
 
     #[test]
     fn ta_report_passes() {
-        let dir = std::env::temp_dir().join("tsense_ta_test");
+        let dir = crate::TestDir::new("ta");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
     }

@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn tb_report_passes() {
-        let dir = std::env::temp_dir().join("tsense_tb_test");
+        let dir = crate::TestDir::new("tb");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
     }

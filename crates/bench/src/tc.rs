@@ -260,7 +260,7 @@ mod tests {
 
     #[test]
     fn tc_report_passes_all_four_checks() {
-        let dir = std::env::temp_dir().join("tsense_tc_test");
+        let dir = crate::TestDir::new("tc");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
         assert_eq!(report.matches("PASS").count(), 5, "{report}");

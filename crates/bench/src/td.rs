@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn td_report_passes() {
-        let dir = std::env::temp_dir().join("tsense_td_test");
+        let dir = crate::TestDir::new("td");
         let report = run(&dir);
         assert!(!report.contains("FAIL"), "{report}");
     }

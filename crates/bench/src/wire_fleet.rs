@@ -220,28 +220,24 @@ mod tests {
 
     #[test]
     fn wire_report_passes_its_own_checks() {
-        let dir = std::env::temp_dir().join("tsense_bench_wire_test");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = crate::TestDir::new("bench_wire");
         let report = run(&WIRE, &dir);
         assert!(!report.contains("FAIL"), "{report}");
         let json = std::fs::read_to_string(dir.join("BENCH_wire_fleet.json")).unwrap();
         assert!(json.contains("\"invariants_ok\": true"));
         assert!(json.contains("\"duplicate_effects\": 0"));
         assert_scratch_removed(&WIRE);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn replicated_report_passes_its_own_checks() {
-        let dir = std::env::temp_dir().join("tsense_bench_replicated_test");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = crate::TestDir::new("bench_replicated");
         let report = run(&REPLICATED, &dir);
         assert!(!report.contains("FAIL"), "{report}");
         let json = std::fs::read_to_string(dir.join("BENCH_replicated_fleet.json")).unwrap();
         assert!(json.contains("\"invariants_ok\": true"));
         assert!(json.contains("\"duplicate_effects\": 0"));
         assert_scratch_removed(&REPLICATED);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn assert_scratch_removed(scenario: &Scenario) {

@@ -15,6 +15,12 @@ pub const GATE_DELAY_FS: u64 = 100_000;
 /// Default flip-flop clock-to-Q delay, femtoseconds.
 pub const DFF_DELAY_FS: u64 = 150_000;
 
+/// The shortest clock period a divider or counter stage built from
+/// the default delays can follow, femtoseconds: its toggle loop (a
+/// flip-flop's clock-to-Q, then the feedback gate) must settle within
+/// each half period, so `2·(t_DFF + t_gate)`.
+pub const MIN_TOGGLE_PERIOD_FS: u64 = 2 * (DFF_DELAY_FS + GATE_DELAY_FS);
+
 /// A structural error detected while building a block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]

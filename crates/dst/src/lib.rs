@@ -37,8 +37,9 @@
 //!   to serial ones.
 //! * [`hash`] — the workspace's shared [`fnv1a64`] content
 //!   fingerprint and [`crc32`] checksum, used by the consistent-hash
-//!   ring, certificate fingerprints, snapshot trailers, and the wire
-//!   protocol's frame check.
+//!   ring, certificate fingerprints, snapshot trailers, effect-log
+//!   records and the wire protocol's frame check, plus
+//!   [`IdHashState`], the keyed hasher of `u64` id sets.
 //!
 //! Nothing here knows about sensors: the crate is generic machinery.
 //! The `runtime` crate's `sim` module wires the actual service logic,
@@ -58,7 +59,7 @@ pub mod shrink;
 pub use clock::{unique_nonce, Clock, NonceNamespace, SkewedClock, SystemClock, VirtualClock};
 pub use executor::{Executor, StepRecord, TaskState};
 pub use fs::{FsError, NoDisk, RealFs, SimDisk, SimDiskProfile, SimDiskStats, SimFs, WriteBehind};
-pub use hash::{crc32, fnv1a64};
+pub use hash::{crc32, fnv1a64, IdHashState};
 pub use net::{Envelope, LinkProfile, NetStats, NodeId, SendOutcome, SimNet};
 pub use par::run_indexed;
 pub use shrink::shrink_events;

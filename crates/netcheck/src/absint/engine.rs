@@ -17,7 +17,7 @@
 //! soundness property test re-checks the derived intervals against
 //! concrete evaluations at random interior corners.
 
-use dsim::builders::{DFF_DELAY_FS, GATE_DELAY_FS};
+use dsim::builders::MIN_TOGGLE_PERIOD_FS;
 use sensor::unit::CodeCalibration;
 use tsense_core::units::{Celsius, Seconds, Volts};
 
@@ -215,7 +215,7 @@ pub fn certify(bundle: &CertifyBundle) -> Result<Certificate, CertifyError> {
     // NC0905 (opt-in): the gate-level counter's toggle loop needs the
     // ring period to clear 2·(t_DFF + t_gate) at the fastest corner.
     if bundle.gate_level {
-        let min_period_s = 2.0 * (DFF_DELAY_FS + GATE_DELAY_FS) as f64 * 1e-15;
+        let min_period_s = MIN_TOGGLE_PERIOD_FS as f64 * 1e-15;
         if p_env.lo() < min_period_s {
             report.push(Diagnostic::at(
                 rules::NC0905,
@@ -612,7 +612,7 @@ mod tests {
             .unwrap();
         let _ = p_lo;
         let fired = gl.report.diagnostics().iter().any(|d| d.rule == "NC0905");
-        let min_period_s = 2.0 * (DFF_DELAY_FS + GATE_DELAY_FS) as f64 * 1e-15;
+        let min_period_s = MIN_TOGGLE_PERIOD_FS as f64 * 1e-15;
         let env = gl
             .graph
             .nodes()

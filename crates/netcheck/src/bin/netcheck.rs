@@ -109,8 +109,7 @@ fn check_bundle(path: &str, text: &str) -> Report {
     // period clamped to the divider's toggle-loop floor so fast rings
     // still get their netlist checked — whether the *real* period
     // satisfies that floor is NC0905's job under `certify`.
-    let floor_ps =
-        2.0 * (dsim::builders::DFF_DELAY_FS + dsim::builders::GATE_DELAY_FS) as f64 * 1e-3;
+    let floor_ps = dsim::builders::MIN_TOGGLE_PERIOD_FS as f64 * 1e-3;
     let lint_period = tsense_core::units::Seconds::from_picos(period.as_picos().max(floor_ps));
     match sensor::gateunit::GateLevelUnit::new(
         lint_period,

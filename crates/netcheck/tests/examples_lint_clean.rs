@@ -6,7 +6,7 @@
 
 use std::path::{Path, PathBuf};
 
-use dsim::builders::{ring_oscillator, DFF_DELAY_FS, GATE_DELAY_FS};
+use dsim::builders::{ring_oscillator, MIN_TOGGLE_PERIOD_FS};
 use dsim::netlist::{GateOp, Netlist};
 use netcheck::{
     check_deck, check_library, check_netlist, check_netlist_dataflow, check_sensor_config,
@@ -73,7 +73,7 @@ fn lint_period(bundle: &CertifyBundle) -> Seconds {
         .ring
         .period(&cfg.tech, Celsius::new(25.0))
         .expect("shipped ring evaluates at 25 C");
-    let floor_ps = 2.0 * (DFF_DELAY_FS + GATE_DELAY_FS) as f64 * 1e-3;
+    let floor_ps = MIN_TOGGLE_PERIOD_FS as f64 * 1e-3;
     Seconds::from_picos(period.as_picos().max(floor_ps))
 }
 

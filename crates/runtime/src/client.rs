@@ -138,6 +138,9 @@ pub struct WireClient {
     conn: Option<(TcpStream, Decoder)>,
     /// Socket read buffer, reused by every attempt.
     buf: Vec<u8>,
+    /// The frame of the request in progress, sent by each of its
+    /// attempts; one buffer, reused by every request.
+    frame: Vec<u8>,
 }
 
 impl WireClient {
@@ -148,6 +151,7 @@ impl WireClient {
             cursor: 0,
             conn: None,
             buf: vec![0; 4096],
+            frame: Vec::new(),
         }
     }
 
@@ -229,7 +233,8 @@ impl WireClient {
         if self.cfg.addrs.is_empty() {
             return Err(ClientError::NoAddrs);
         }
-        let bytes = wire::encode_frame(msg, self.cfg.frame_budget).map_err(ClientError::Encode)?;
+        wire::encode_frame_into(msg, self.cfg.frame_budget, &mut self.frame)
+            .map_err(ClientError::Encode)?;
         let mut backoff = self.cfg.retry.backoff(self.cfg.seed ^ req_id);
         let start = Instant::now();
         let mut attempts = 0;
@@ -240,7 +245,7 @@ impl WireClient {
                 thread::sleep(Duration::from_millis(delay));
             }
             attempts += 1;
-            match self.attempt(&bytes, req_id) {
+            match self.attempt(req_id) {
                 Ok(resp) => {
                     if let FleetMsg::ClientResp {
                         outcome: WireOutcome::Shed { retry_after_ms },
@@ -296,9 +301,9 @@ impl WireClient {
         self.cursor = (self.cursor + 1) % self.cfg.addrs.len().max(1);
     }
 
-    /// One attempt: connect if needed, send, await the matching
-    /// response within the request timeout.
-    fn attempt(&mut self, bytes: &[u8], req_id: u64) -> Result<FleetMsg, String> {
+    /// One attempt: connect if needed, send the encoded request, await
+    /// the matching response within the request timeout.
+    fn attempt(&mut self, req_id: u64) -> Result<FleetMsg, String> {
         if self.conn.is_none() {
             let addr = self.cfg.addrs[self.cursor % self.cfg.addrs.len()];
             let stream = TcpStream::connect_timeout(
@@ -320,7 +325,9 @@ impl WireClient {
             self.conn = Some((stream, Decoder::new(self.cfg.frame_budget)));
         }
         let (stream, dec) = self.conn.as_mut().expect("connected above");
-        stream.write_all(bytes).map_err(|e| format!("send: {e}"))?;
+        stream
+            .write_all(&self.frame)
+            .map_err(|e| format!("send: {e}"))?;
         let deadline = Instant::now() + Duration::from_millis(self.cfg.request_timeout_ms.max(1));
         loop {
             // Drain already-buffered frames first: a late response to

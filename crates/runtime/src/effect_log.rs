@@ -25,10 +25,11 @@
 //! first short or CRC-failing record, exactly the recovery a real
 //! append-only log performs.
 
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dst::{crc32, SimFs};
+use dst::{crc32, IdHashState, SimFs};
 
 use crate::snapshot::SnapshotError;
 
@@ -106,7 +107,9 @@ pub struct EffectLog {
     fs: Arc<dyn SimFs>,
     path: PathBuf,
     records: Vec<EffectRecord>,
-    req_ids: std::collections::HashSet<u64>,
+    /// Every record's `req_id`, for [`EffectLog::contains_req`]. Keyed
+    /// per log, so clients cannot pick colliding ids; never iterated.
+    req_ids: HashSet<u64, IdHashState>,
 }
 
 impl EffectLog {
@@ -144,7 +147,7 @@ impl EffectLog {
                         fs,
                         path: path.to_path_buf(),
                         records: Vec::new(),
-                        req_ids: std::collections::HashSet::new(),
+                        req_ids: HashSet::default(),
                     },
                     LogRecovery {
                         recovered: 0,
@@ -154,7 +157,7 @@ impl EffectLog {
             }
         };
         let mut records = Vec::new();
-        let mut req_ids = std::collections::HashSet::new();
+        let mut req_ids = HashSet::default();
         let mut off = HEADER_LEN;
         while let Some(rec) = EffectRecord::decode(&bytes[off..]) {
             // Positions must be dense: a CRC-valid record at the wrong

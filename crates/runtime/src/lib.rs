@@ -32,6 +32,8 @@
 //! * `repl` (crate-private) — the replica side of the fleet's
 //!   replication protocol as one sans-IO state machine, and the one
 //!   election rule both fleet tiers promote and rejoin through;
+//! * `small_set` (crate-private) — the inline id set a write's acks
+//!   and a route's tried groups are kept in;
 //! * [`error`] — the typed failure vocabulary ([`RuntimeError`]).
 //!
 //! The service's contract, end to end: every request is answered
@@ -52,6 +54,7 @@ pub mod route;
 pub mod serve;
 pub mod service;
 pub mod sim;
+mod small_set;
 pub mod snapshot;
 pub mod soak_wire;
 

@@ -19,11 +19,13 @@
 //! the TCP tier's promotion and rejoin pick their replica through it.
 
 use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use wire::{FleetMsg, WireOutcome};
 
 use crate::effect_log::{EffectLog, EffectRecord};
+use crate::small_set::SmallSet;
 
 /// Pause before a primary re-sends a `Replicate` a sibling has not
 /// acked, milliseconds.
@@ -96,43 +98,13 @@ fn failed(kind: &str) -> WireOutcome {
     WireOutcome::Failed { kind: kind.into() }
 }
 
-/// Acks held inline before [`Acks`] spills to the heap: enough for a
-/// group of five replicas.
-const INLINE_ACKS: usize = 4;
-
-/// The siblings that acked one write, by node id: a set that allocates
-/// only past [`INLINE_ACKS`] members, and takes any node id.
-#[derive(Default)]
-struct Acks {
-    inline: [usize; INLINE_ACKS],
-    len: usize,
-    spill: Vec<usize>,
-}
-
-impl Acks {
-    fn contains(&self, node: usize) -> bool {
-        self.inline[..self.len].contains(&node) || self.spill.contains(&node)
-    }
-
-    fn insert(&mut self, node: usize) {
-        if self.contains(node) {
-            return;
-        }
-        if self.len < INLINE_ACKS {
-            self.inline[self.len] = node;
-            self.len += 1;
-        } else {
-            self.spill.push(node);
-        }
-    }
-}
-
 /// A primary's in-flight replication of one effect: the outcome is
 /// held back until every live sibling has durably acked.
 struct Replicating {
     outcome: WireOutcome,
     rec: EffectRecord,
-    acks: Acks,
+    /// The siblings that acked it, by node id.
+    acks: SmallSet,
     next_retx: u64,
 }
 
@@ -300,16 +272,20 @@ impl Replica {
             out.push(Output::Reply(req_id, failed("not-primary")));
             return;
         }
-        match self.seen.get(&req_id) {
-            // A replayed datagram for an answered request: re-send the
-            // cached reply — no second effect.
-            Some(Some(cached)) => {
-                let cached = cached.clone();
-                out.extend([Output::Absorbed, Output::Reply(req_id, cached)]);
-            }
-            // Already converting or replicating: drop the duplicate.
-            Some(None) => out.push(Output::Absorbed),
-            None => {
+        // One walk of the window: the entry either answers the
+        // duplicate or is the slot the new request claims.
+        match self.seen.entry(req_id) {
+            Entry::Occupied(seen) => match seen.get() {
+                // A replayed datagram for an answered request: re-send
+                // the cached reply — no second effect.
+                Some(cached) => {
+                    let cached = cached.clone();
+                    out.extend([Output::Absorbed, Output::Reply(req_id, cached)]);
+                }
+                // Already converting or replicating: drop the duplicate.
+                None => out.push(Output::Absorbed),
+            },
+            Entry::Vacant(slot) => {
                 // The durable log dedups across restarts and
                 // promotions: an effect it already holds must not
                 // happen twice, so the re-serve is read-only.
@@ -317,7 +293,7 @@ impl Replica {
                 if read_only {
                     out.push(Output::Absorbed);
                 }
-                self.seen.insert(req_id, None);
+                slot.insert(None);
                 out.push(Output::Convert {
                     req_id,
                     key,
@@ -386,7 +362,7 @@ impl Replica {
                     let entry = Replicating {
                         outcome,
                         rec,
-                        acks: Acks::default(),
+                        acks: SmallSet::default(),
                         next_retx: 0, // transmit on the next drive
                     };
                     match self.slot(req_id) {
@@ -410,7 +386,7 @@ impl Replica {
         out: &mut Vec<Output>,
     ) {
         let group = self.group as u32;
-        let acked = |acks: &Acks| live_siblings.clone().all(|n| acks.contains(n));
+        let acked = |acks: &SmallSet| live_siblings.clone().all(|n| acks.contains(n));
         for (req_id, entry) in &mut self.in_flight {
             if acked(&entry.acks) || entry.next_retx > now {
                 continue;
@@ -717,17 +693,52 @@ mod tests {
     }
 
     #[test]
-    fn acks_hold_any_node_id_inline_and_past_the_inline_slots() {
-        let mut acks = Acks::default();
-        let nodes = [7, 130, 0, usize::MAX, 131, 2, 64];
-        for (i, &n) in nodes.iter().enumerate() {
-            assert!(!acks.contains(n));
-            acks.insert(n);
-            acks.insert(n); // a retransmission's second ack
-            assert!(nodes[..=i].iter().all(|&m| acks.contains(m)));
+    fn a_duplicate_while_the_first_converts_is_absorbed_without_a_second_convert() {
+        let mut p = replica(0, true);
+        let req = || FleetMsg::ShardReq {
+            req_id: 61,
+            key: 61,
+        };
+        let convert = Output::Convert {
+            req_id: 61,
+            key: 61,
+            read_only: false,
+        };
+        assert_eq!(frame(&mut p, ROUTER, req()), vec![convert]);
+        for _ in 0..2 {
+            assert_eq!(frame(&mut p, ROUTER, req()), vec![Output::Absorbed]);
         }
-        assert_eq!((acks.len, acks.spill.len()), (INLINE_ACKS, 3));
-        assert!(!acks.contains(1));
+        // The first attempt's conversion still lands as the one write.
+        let mut out = Vec::new();
+        p.on_converted(61, 61, false, reading(), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(in_flight(&mut p), vec![61]);
+        assert_eq!(p.log().len(), 1);
+    }
+
+    #[test]
+    fn a_demoted_conversion_frees_its_id_so_a_retry_converts_again() {
+        let mut p = replica(0, true);
+        let req = || FleetMsg::ShardReq {
+            req_id: 71,
+            key: 71,
+        };
+        let convert = || Output::Convert {
+            req_id: 71,
+            key: 71,
+            read_only: false,
+        };
+        assert_eq!(frame(&mut p, ROUTER, req()), vec![convert()]);
+        // Demoted mid-conversion: the result is dropped unanswered.
+        frame(&mut p, ROUTER, promote(1, 1));
+        let mut out = Vec::new();
+        p.on_converted(71, 71, false, reading(), &mut out);
+        assert!(out.is_empty());
+        assert!(p.log().is_empty(), "nothing recorded");
+        // Re-promoted: the id left the window, so the retry converts.
+        frame(&mut p, ROUTER, promote(2, 0));
+        assert_eq!(frame(&mut p, ROUTER, req()), vec![convert()]);
+        assert_eq!(frame(&mut p, ROUTER, req()), vec![Output::Absorbed]);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! attempts exhausted or no eligible replica remains.
 
 use crate::retry::{Backoff, RetryPolicy};
+use crate::small_set::SmallSet;
 use wire::HashRing;
 
 /// Placement + pacing for a fleet router (simulated or TCP).
@@ -41,7 +42,7 @@ impl RouterPolicy {
     pub fn plan(&self, key: u64, seed: u64) -> RoutePlan {
         RoutePlan {
             key,
-            tried: Vec::new(),
+            tried: SmallSet::default(),
             backoff: self.retry.backoff(seed),
             attempt: 0,
         }
@@ -59,8 +60,8 @@ impl RouterPolicy {
         };
         let shard = self
             .ring
-            .route(plan.key, |s| !plan.tried.contains(&s) && eligible(s))?;
-        plan.tried.push(shard);
+            .route(plan.key, |s| !plan.tried.contains(s) && eligible(s))?;
+        plan.tried.insert(shard);
         plan.attempt += 1;
         Some(Route {
             shard,
@@ -75,17 +76,14 @@ impl RouterPolicy {
 #[derive(Debug, Clone)]
 pub struct RoutePlan {
     key: u64,
-    tried: Vec<usize>,
+    /// The groups already tried: inline up to four, so a plan
+    /// allocates nothing.
+    tried: SmallSet,
     backoff: Backoff,
     attempt: u32,
 }
 
 impl RoutePlan {
-    /// Replicas already tried, in order.
-    pub fn tried(&self) -> &[usize] {
-        &self.tried
-    }
-
     /// Attempts made so far.
     pub fn attempts(&self) -> u32 {
         self.attempt

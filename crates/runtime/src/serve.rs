@@ -32,7 +32,8 @@
 //!   every response write is driven through a *polled* deadline: a
 //!   peer that stops reading (half-open socket, see
 //!   [`wire::ChaosProfile::half_open_prob`]) costs at most
-//!   `write_timeout_ms`, never a blocked connection thread.
+//!   `write_timeout_ms` past the first write that leaves bytes unsent,
+//!   never a blocked connection thread.
 //! * **Typed backpressure** — past `max_in_flight` concurrent
 //!   requests, the server answers [`WireOutcome::Shed`] with a retry
 //!   hint instead of queueing unboundedly.
@@ -142,8 +143,8 @@ pub struct WireServerConfig {
     /// is closed (slowloris defense), milliseconds.
     pub read_timeout_ms: u64,
     /// Whole-response write budget, milliseconds: a peer that stops
-    /// reading is cut off after this long, however many partial
-    /// writes dribbled through.
+    /// reading is cut off this long after the first write that leaves
+    /// bytes unsent, however many partial writes dribbled through.
     pub write_timeout_ms: u64,
     /// A connection with no traffic at all for this long is closed,
     /// milliseconds.
@@ -991,21 +992,18 @@ fn accept_loop(inner: &Arc<Inner>, listener: &TcpListener) -> Vec<JoinHandle<()>
 /// writes. A blocking `write_all` under a per-syscall timeout can be
 /// dribbled past any deadline by a peer that drains one byte at a
 /// time; this enforces a *whole-response* budget, so a half-open peer
-/// (alive socket, nobody reading) costs at most `budget`.
+/// (alive socket, nobody reading) costs at most `budget` past the
+/// first write that leaves bytes unsent, itself bounded by the
+/// socket's [`POLL_MS`] write timeout. The deadline is armed only
+/// then: a response the socket takes whole reads no clock.
 fn write_with_deadline(
     stream: &mut TcpStream,
     bytes: &[u8],
     budget: Duration,
 ) -> std::io::Result<()> {
-    let deadline = Instant::now() + budget;
+    let mut deadline = None;
     let mut off = 0;
     while off < bytes.len() {
-        if Instant::now() >= deadline {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "response write blew its deadline",
-            ));
-        }
         match stream.write(&bytes[off..]) {
             Ok(0) => {
                 return Err(std::io::Error::new(
@@ -1018,6 +1016,15 @@ fn write_with_deadline(
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
             Err(e) => return Err(e),
+        }
+        if off < bytes.len() {
+            let now = Instant::now();
+            if now >= *deadline.get_or_insert(now + budget) {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "response write blew its deadline",
+                ));
+            }
         }
     }
     Ok(())
@@ -1043,6 +1050,8 @@ fn connection_loop(inner: &Arc<Inner>, stream: TcpStream) {
     let write_budget = Duration::from_millis(inner.cfg.write_timeout_ms.max(1));
     let mut dec = Decoder::new(inner.cfg.frame_budget);
     let mut buf = [0u8; 4096];
+    // Every response of this connection is encoded into this one buffer.
+    let mut frame = Vec::new();
     let mut last_activity = inner.now_ms();
     loop {
         // Drain: answer what is already buffered, then close. Nothing
@@ -1075,22 +1084,22 @@ fn connection_loop(inner: &Arc<Inner>, stream: TcpStream) {
                 Ok(Some(msg)) => {
                     inner.stats.frames_in.fetch_add(1, Ordering::SeqCst);
                     let resp = handle_request(inner, msg);
-                    match wire::encode_frame(&resp, inner.cfg.frame_budget) {
-                        Ok(bytes) => match write_with_deadline(&mut stream, &bytes, write_budget) {
-                            Ok(()) => {
-                                inner.stats.responses.fetch_add(1, Ordering::SeqCst);
+                    if wire::encode_frame_into(&resp, inner.cfg.frame_budget, &mut frame).is_err() {
+                        return; // response over budget: preflight prevents this
+                    }
+                    match write_with_deadline(&mut stream, &frame, write_budget) {
+                        Ok(()) => {
+                            inner.stats.responses.fetch_add(1, Ordering::SeqCst);
+                        }
+                        Err(e) => {
+                            if e.kind() == std::io::ErrorKind::TimedOut {
+                                inner
+                                    .stats
+                                    .write_timeout_closed
+                                    .fetch_add(1, Ordering::SeqCst);
                             }
-                            Err(e) => {
-                                if e.kind() == std::io::ErrorKind::TimedOut {
-                                    inner
-                                        .stats
-                                        .write_timeout_closed
-                                        .fetch_add(1, Ordering::SeqCst);
-                                }
-                                return;
-                            }
-                        },
-                        Err(_) => return, // response over budget: preflight prevents this
+                            return;
+                        }
                     }
                 }
                 Ok(None) => break,

@@ -557,8 +557,11 @@ impl ReadJob {
                     now,
                 ));
             }
-            let field = Arc::clone(&state.field);
-            let site = &mut state.array.sites_mut()[channel];
+            // The field is borrowed beside the array, not cloned: every
+            // core shares the one `Arc`, and a clone per read would bounce
+            // its count between the cores' threads.
+            let ArrayState { array, field, .. } = &mut *state;
+            let site = &mut array.sites_mut()[channel];
             let true_c = field(site.x_m, site.y_m);
             match site.unit.measure(Celsius::new(true_c)) {
                 Ok(m) if core.config.policy.period_plausible(m.ring_period.get()) => {
@@ -659,10 +662,9 @@ pub(crate) fn serve_degraded_locked(
 
 /// Runs one degraded scan and installs its median as the cache entry.
 pub(crate) fn refresh_cache_locked(core: &Core, state: &mut ArrayState, now: u64) -> Result<()> {
-    let field = Arc::clone(&state.field);
-    let reading = state
-        .array
-        .scan_degraded(&*field, &core.config.policy)
+    let ArrayState { array, field, .. } = &mut *state;
+    let reading = array
+        .scan_degraded(&**field, &core.config.policy)
         .map_err(|e| match e {
             SensorError::NoHealthyRings { total, quarantined } => {
                 RuntimeError::NoHealthy { total, quarantined }

@@ -19,7 +19,9 @@
 //!   reference clock, the hardware count may differ from the behavioral
 //!   one by a couple of LSBs — exactly as on silicon.
 
-use dsim::builders::{ripple_counter, sync_counter, DFF_DELAY_FS, GATE_DELAY_FS};
+use dsim::builders::{
+    ripple_counter, sync_counter, DFF_DELAY_FS, GATE_DELAY_FS, MIN_TOGGLE_PERIOD_FS,
+};
 use dsim::logic::{bits_to_u64, Logic};
 use dsim::netlist::{GateOp, Netlist};
 use dsim::sim::Simulator;
@@ -101,12 +103,11 @@ impl GateLevelDigitizer {
             });
         }
         let ring_period_fs = (ring_period.get() * 1e15).round() as u64;
-        let min_period = 2 * (DFF_DELAY_FS + GATE_DELAY_FS);
-        if ring_period_fs < min_period {
+        if ring_period_fs < MIN_TOGGLE_PERIOD_FS {
             return Err(SensorError::InvalidConfig {
                 reason: format!(
-                    "ring period {ring_period_fs} fs violates the counter's {min_period} fs \
-                     toggle-loop constraint; divide the ring clock first"
+                    "ring period {ring_period_fs} fs violates the counter's \
+                     {MIN_TOGGLE_PERIOD_FS} fs toggle-loop constraint; divide the ring clock first"
                 ),
             });
         }

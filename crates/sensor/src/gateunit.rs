@@ -22,7 +22,9 @@
 //! [`crate::digitizer::BehavioralDigitizer`]; the tests hold the two
 //! implementations together.
 
-use dsim::builders::{edge_detector, ripple_counter, sync_counter, DFF_DELAY_FS, GATE_DELAY_FS};
+use dsim::builders::{
+    edge_detector, ripple_counter, sync_counter, DFF_DELAY_FS, GATE_DELAY_FS, MIN_TOGGLE_PERIOD_FS,
+};
 use dsim::logic::{bits_to_u64, Logic};
 use dsim::netlist::{GateOp, Netlist, SignalId};
 use dsim::sim::Simulator;
@@ -115,12 +117,11 @@ impl GateLevelUnit {
             });
         }
         let ring_period_fs = (ring_period.get() * 1e15).round() as u64;
-        let min_period = 2 * (DFF_DELAY_FS + GATE_DELAY_FS);
-        if ring_period_fs < min_period {
+        if ring_period_fs < MIN_TOGGLE_PERIOD_FS {
             return Err(SensorError::InvalidConfig {
                 reason: format!(
-                    "ring period {ring_period_fs} fs violates the divider's {min_period} fs \
-                     toggle-loop constraint"
+                    "ring period {ring_period_fs} fs violates the divider's \
+                     {MIN_TOGGLE_PERIOD_FS} fs toggle-loop constraint"
                 ),
             });
         }

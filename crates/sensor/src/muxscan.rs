@@ -8,7 +8,9 @@
 //! counting window), waits out the conversion, and latches the count —
 //! the exact sequencing the smart unit's controller would drive.
 
-use dsim::builders::{mux_tree, ripple_counter, sync_counter, DFF_DELAY_FS, GATE_DELAY_FS};
+use dsim::builders::{
+    mux_tree, ripple_counter, sync_counter, DFF_DELAY_FS, GATE_DELAY_FS, MIN_TOGGLE_PERIOD_FS,
+};
 use dsim::logic::{bits_to_u64, u64_to_bits, Logic};
 use dsim::netlist::{GateOp, Netlist, SignalId};
 use dsim::sim::Simulator;
@@ -65,15 +67,14 @@ impl GateLevelMuxScan {
                 reason: "reference clock must be positive".to_string(),
             });
         }
-        let min_period = 2 * (DFF_DELAY_FS + GATE_DELAY_FS);
         let ring_periods_fs: Vec<u64> = ring_periods
             .iter()
             .map(|p| (p.get() * 1e15).round() as u64)
             .collect();
-        if let Some(&bad) = ring_periods_fs.iter().find(|&&p| p < min_period) {
+        if let Some(&bad) = ring_periods_fs.iter().find(|&&p| p < MIN_TOGGLE_PERIOD_FS) {
             return Err(SensorError::InvalidConfig {
                 reason: format!(
-                    "ring period {bad} fs violates the counter's {min_period} fs \
+                    "ring period {bad} fs violates the counter's {MIN_TOGGLE_PERIOD_FS} fs \
                      toggle-loop constraint"
                 ),
             });

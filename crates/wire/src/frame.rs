@@ -335,23 +335,41 @@ fn encode_payload(msg: &FleetMsg, p: &mut Vec<u8>) {
 }
 
 /// Encodes one message as a complete frame (header + payload),
-/// refusing frames that exceed `budget` whole-frame bytes.
+/// refusing frames that exceed `budget` whole-frame bytes. A thin
+/// wrapper over [`encode_frame_into`] with a fresh buffer.
+pub fn encode_frame(msg: &FleetMsg, budget: usize) -> Result<Vec<u8>, WireError> {
+    let mut frame = Vec::new();
+    encode_frame_into(msg, budget, &mut frame)?;
+    Ok(frame)
+}
+
+/// Encodes one message as a complete frame into `frame`, replacing its
+/// contents, and refuses frames that exceed `budget` whole-frame bytes
+/// (leaving `frame` empty).
 ///
-/// The frame is built in one buffer: the header's 13 bytes are
+/// The frame is built in the one buffer: the header's 13 bytes are
 /// reserved, the payload is encoded straight after them, and the
 /// length and CRC are written in place. Every message fits the budget
 /// math's bound for its own row count ([`max_response_frame_len`]), so
-/// that bound is the one allocation.
-pub fn encode_frame(msg: &FleetMsg, budget: usize) -> Result<Vec<u8>, WireError> {
+/// reserving that bound is the one allocation, and a buffer reused for
+/// every frame of a connection allocates only when a frame outgrows
+/// all before it.
+pub fn encode_frame_into(
+    msg: &FleetMsg,
+    budget: usize,
+    frame: &mut Vec<u8>,
+) -> Result<(), WireError> {
     let rows = match msg {
         FleetMsg::MapResp { entries, .. } => entries.len(),
         _ => 0,
     };
-    let mut frame = Vec::with_capacity(max_response_frame_len(rows));
+    frame.clear();
+    frame.reserve(max_response_frame_len(rows));
     frame.extend_from_slice(&[0; FRAME_HEADER_LEN]);
-    encode_payload(msg, &mut frame);
+    encode_payload(msg, frame);
     let len = frame.len();
     if len > budget {
+        frame.clear();
         return Err(WireError::FrameTooLarge { len, budget });
     }
     let payload_len = (len - FRAME_HEADER_LEN) as u32;
@@ -360,7 +378,7 @@ pub fn encode_frame(msg: &FleetMsg, budget: usize) -> Result<Vec<u8>, WireError>
     frame[4] = PROTOCOL_VERSION;
     frame[5..9].copy_from_slice(&payload_len.to_le_bytes());
     frame[9..13].copy_from_slice(&crc.to_le_bytes());
-    Ok(frame)
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -924,6 +942,26 @@ mod tests {
             // would have changed it.
             assert_eq!(frame.capacity(), max_response_frame_len(rows), "{msg:?}");
         }
+    }
+
+    #[test]
+    fn one_reused_buffer_encodes_every_frame_as_encode_frame_does() {
+        let mut buf = Vec::new();
+        for msg in sample_msgs() {
+            encode_frame_into(&msg, DEFAULT_FRAME_BUDGET, &mut buf).expect("encodes");
+            assert_eq!(buf, encode_frame(&msg, DEFAULT_FRAME_BUDGET).unwrap());
+        }
+        // A frame within the capacity already held reuses it.
+        let held = buf.capacity();
+        let req = FleetMsg::ClientReq { req_id: 1, key: 2 };
+        encode_frame_into(&req, DEFAULT_FRAME_BUDGET, &mut buf).expect("encodes");
+        assert_eq!(buf.capacity(), held);
+        // An over-budget frame leaves the buffer empty, not half built.
+        assert!(matches!(
+            encode_frame_into(&req, FRAME_HEADER_LEN, &mut buf),
+            Err(WireError::FrameTooLarge { .. })
+        ));
+        assert!(buf.is_empty());
     }
 
     #[test]

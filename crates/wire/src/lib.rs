@@ -43,8 +43,8 @@ pub mod ring;
 
 pub use chaos::{ChaosProfile, ChaosProxy, ChaosStats};
 pub use frame::{
-    decode_frame, encode_frame, max_response_frame_len, Decoder, WireError, DEFAULT_FRAME_BUDGET,
-    FRAME_HEADER_LEN, MAX_ERROR_KIND_LEN, PROTOCOL_VERSION,
+    decode_frame, encode_frame, encode_frame_into, max_response_frame_len, Decoder, WireError,
+    DEFAULT_FRAME_BUDGET, FRAME_HEADER_LEN, MAX_ERROR_KIND_LEN, PROTOCOL_VERSION,
 };
 pub use msg::{FleetMsg, MapEntry, WireOutcome};
 pub use ring::HashRing;

@@ -25,11 +25,11 @@
 //! | `ext4` | extension: node portability (0.35 → 0.13 µm presets) |
 //! | `sta`  | STA vs transient temperature sweep: same curve, wall-clock speedup |
 //! | `fault` | fault-injection campaign: coverage per class, zero silent/hang |
-//! | `dst`  | deterministic simulation: seeded schedule sweep + mutation detection |
 //! | `absint` | interval certification of every shipped configuration: envelopes + proof cost |
-//! | `fleet` | distributed-fleet DST: 1000-seed sweep, parallel scaling, mutation catch |
-//! | `wire` | wire fleet tier over live TCP: clean vs chaos-proxy soak |
-//! | `replicated` | replicated shard groups: mid-soak primary kill, failover cost clean vs chaos |
+//!
+//! The serving stack's sweeps and soaks are not experiments here: the
+//! `runtime` CLI runs them (`runtime dst`, `runtime dst --fleet`,
+//! `runtime wire-soak`), and CI gates each with `--check`.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +43,6 @@ pub mod abl3;
 pub mod abl4;
 pub mod abl5;
 pub mod absint;
-pub mod dst_sweep;
 pub mod ext1;
 pub mod ext2;
 pub mod ext3;
@@ -52,13 +51,11 @@ pub mod fault_campaign;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
-pub mod fleet_dst;
 pub mod sta_sweep;
 pub mod ta;
 pub mod tb;
 pub mod tc;
 pub mod td;
-pub mod wire_fleet;
 
 /// Writes `contents` to `<out_dir>/<name>`, creating the directory.
 ///
@@ -118,26 +115,6 @@ pub fn artifact_head() -> String {
     )
 }
 
-/// Renders a paired-run artifact, `{"seed": …, "<run>": {…}, …}` after
-/// the [`artifact_head`] keys: each run's own JSON object nested under
-/// its tag.
-pub fn runs_json(seed: u64, runs: &[(&str, String)]) -> String {
-    let mut json = format!("{}  \"seed\": {seed}", artifact_head());
-    for (tag, run) in runs {
-        json.push_str(&format!(",\n  \"{tag}\": {}", run.replace('\n', "\n  ")));
-    }
-    json + "\n}\n"
-}
-
-/// `PASS` or `FAIL`, as the reports print a check's verdict.
-pub fn verdict(ok: bool) -> &'static str {
-    if ok {
-        "PASS"
-    } else {
-        "FAIL"
-    }
-}
-
 /// Renders a simple aligned two-dimensional table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
@@ -170,30 +147,9 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// All experiment ids, in DESIGN.md order.
-pub const ALL_EXPERIMENTS: [&str; 23] = [
-    "fig1",
-    "fig2",
-    "fig3",
-    "ta",
-    "tb",
-    "tc",
-    "td",
-    "abl1",
-    "abl2",
-    "abl3",
-    "abl4",
-    "abl5",
-    "ext1",
-    "ext2",
-    "ext3",
-    "ext4",
-    "sta",
-    "fault",
-    "dst",
-    "absint",
-    "fleet",
-    "wire",
-    "replicated",
+pub const ALL_EXPERIMENTS: [&str; 19] = [
+    "fig1", "fig2", "fig3", "ta", "tb", "tc", "td", "abl1", "abl2", "abl3", "abl4", "abl5", "ext1",
+    "ext2", "ext3", "ext4", "sta", "fault", "absint",
 ];
 
 /// Runs one experiment by id, writing artifacts into `out_dir` and
@@ -223,11 +179,7 @@ pub fn run_experiment(id: &str, out_dir: &Path) -> String {
         "ext4" => ext4::run(out_dir),
         "sta" => sta_sweep::run(out_dir),
         "fault" => fault_campaign::run(out_dir),
-        "dst" => dst_sweep::run(out_dir),
         "absint" => absint::run(out_dir),
-        "fleet" => fleet_dst::run(out_dir),
-        "wire" => wire_fleet::run(&wire_fleet::WIRE, out_dir),
-        "replicated" => wire_fleet::run(&wire_fleet::REPLICATED, out_dir),
         other => panic!("unknown experiment id `{other}`; known: {ALL_EXPERIMENTS:?}"),
     }
 }

@@ -10,7 +10,7 @@
 //! slot, so the returned `Vec` is always in index order no matter which
 //! worker ran what. Callers that fold the results in index order get
 //! byte-identical reports at any `jobs` count — the property the
-//! `runtime dst --jobs` CLI and the fleet bench gate on.
+//! `runtime dst --jobs` CLI gates on.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -86,5 +86,27 @@ mod tests {
     #[test]
     fn more_jobs_than_work_is_fine() {
         assert_eq!(run_indexed(2, 16, |i| i + 1), vec![1, 2]);
+    }
+
+    #[test]
+    fn four_jobs_on_four_workers_all_run_at_once() {
+        // Each job checks in, then waits for all four to have checked
+        // in. Run one after another, job `i` gives up reading `i + 1`;
+        // the count is what is checked, not a time, so a loaded host
+        // can slow the test but cannot fail it.
+        use std::time::{Duration, Instant};
+        let arrived = AtomicUsize::new(0);
+        let seen = run_indexed(4, 4, |_| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let give_up = Instant::now() + Duration::from_secs(5);
+            loop {
+                let n = arrived.load(Ordering::SeqCst);
+                if n == 4 || Instant::now() >= give_up {
+                    return n;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        assert_eq!(seen, vec![4, 4, 4, 4]);
     }
 }

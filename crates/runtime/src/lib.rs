@@ -73,9 +73,8 @@ pub use sim::fleet::{
     FleetMutation, FleetReport,
 };
 pub use sim::{
-    hunt, render_trace, resolve_events as resolve_sim_events, run_sim, shrink_failure, sweep,
-    sweep_jobs, Hunt, Invariant, Mutation, RunReport, ShrunkCase, SimConfig, SimReport, Simulation,
-    SweepOutcome, Violation,
+    render_trace, run_sim, shrink_failure, sweep, sweep_jobs, Invariant, Mutation, RunReport,
+    ShrunkCase, SimConfig, SimReport, Simulation, SweepOutcome, Violation,
 };
 pub use snapshot::{crc32, RuntimeSnapshot, SiteSnapshot, SnapshotError, SnapshotStore};
 pub use soak_wire::{run_wire_soak, LatencyHistogram, WireSoakConfig, WireSoakReport};

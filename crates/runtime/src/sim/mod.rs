@@ -35,10 +35,9 @@
 //! every run. [`shrink_failure`] then delta-debugs the fault storm and
 //! crash schedule down to a 1-minimal reproducer.
 //!
-//! The seed pipeline — [`sweep`], [`sweep_jobs`], [`hunt`],
-//! [`shrink_failure`], [`render_trace`] — is shared with the
-//! replicated [`fleet`] simulator through the [`Simulation`] and
-//! [`RunReport`] traits.
+//! The seed pipeline — [`sweep`], [`sweep_jobs`], [`shrink_failure`],
+//! [`render_trace`] — is shared with the replicated [`fleet`]
+//! simulator through the [`Simulation`] and [`RunReport`] traits.
 
 pub mod fleet;
 mod node;
@@ -287,7 +286,7 @@ pub struct SimReport {
 }
 
 /// A seeded simulator driven by the shared seed pipeline: [`sweep`],
-/// [`sweep_jobs`], [`hunt`], [`shrink_failure`] and [`render_trace`].
+/// [`sweep_jobs`], [`shrink_failure`] and [`render_trace`].
 /// Implemented by the single-node [`SimConfig`] and the replicated
 /// [`fleet::FleetConfig`]; each keeps its own invariants, mutations and
 /// shrink order.
@@ -859,7 +858,8 @@ impl<R: RunReport> SweepOutcome<R> {
 
 /// Runs `count` seeds starting at `seed_base` and collects every
 /// violating report. `stop_at_first` ends the sweep at the first
-/// violation (what a bug hunt wants; a coverage sweep wants them all).
+/// violation (what a mutation test wants; a coverage sweep wants them
+/// all).
 pub fn sweep<S: Simulation>(
     base: &S,
     seed_base: u64,
@@ -927,40 +927,6 @@ pub fn shrink_failure<S: Simulation>(cfg: &S) -> Option<ShrunkCase<S>> {
     let report = config.run();
     debug_assert!(same(&report));
     Some(ShrunkCase { config, report })
-}
-
-/// What a bug hunt found: the first violating seed within its budget,
-/// whether that seed replays exactly, and its 1-minimal reproducer.
-#[derive(Debug, Clone)]
-pub struct Hunt<S: Simulation> {
-    /// Seeds swept, up to and including the first violating one.
-    pub seeds: u64,
-    /// The first violating run, if any seed violated.
-    pub caught: Option<S::Report>,
-    /// A fresh run of the caught seed reproduced its report exactly.
-    pub replays: bool,
-    /// The caught seed cut down by [`shrink_failure`].
-    pub shrunk: Option<ShrunkCase<S>>,
-}
-
-/// Sweeps up to `budget` seeds from `seed_base` until one violates,
-/// then replays that seed and shrinks it.
-pub fn hunt<S: Simulation>(base: &S, seed_base: u64, budget: u64) -> Hunt<S> {
-    let out = sweep(base, seed_base, budget, true);
-    let caught = out.violations.into_iter().next();
-    let (replays, shrunk) = match &caught {
-        Some(report) => {
-            let failing = base.with_seed(report.seed());
-            (failing.run() == *report, shrink_failure(&failing))
-        }
-        None => (false, None),
-    };
-    Hunt {
-        seeds: out.seeds,
-        caught,
-        replays,
-        shrunk,
-    }
 }
 
 #[cfg(test)]

@@ -346,11 +346,10 @@ impl WireSoakReport {
         out
     }
 
-    /// The report as one JSON object — the one rendering `runtime
-    /// wire-soak --json` prints and the `wire` and `replicated` benches
-    /// nest per run. `latency` and `server` are the histogram's and the
-    /// server counters' own objects; `violations` is an array of
-    /// escaped strings.
+    /// The report as one JSON object — the one rendering, which
+    /// `runtime wire-soak --json` prints. `latency` and `server` are the
+    /// histogram's and the server counters' own objects; `violations`
+    /// is an array of escaped strings.
     pub fn render_json(&self) -> String {
         let violations: Vec<String> = self
             .violations

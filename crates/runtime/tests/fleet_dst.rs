@@ -1,5 +1,6 @@
 //! End-to-end contract of the fleet deterministic simulator: the
-//! shipped (replicated) fleet is clean across a seed sweep, the
+//! shipped (replicated) fleet is clean across a seed sweep whose
+//! failover, dedup and serving paths all fire, the
 //! known-bad no-decommission-check router and the known-bad
 //! no-epoch-fence backup are both caught, the failing seeds replay
 //! byte-for-byte, and the shrunk reproducers are **1-minimal** —
@@ -140,6 +141,25 @@ fn epoch_fence_mutation_shrinks_to_a_one_minimal_reproducer() {
             kept[drop]
         );
     }
+}
+
+#[test]
+fn the_sweep_exercises_failover_dedup_and_service() {
+    // A clean sweep proves little if the fault paths never fired: over
+    // seeds 0..40 the router must have failed over, replicas must have
+    // absorbed duplicated datagrams, and clients must have been served.
+    let (mut failovers, mut duplicates_absorbed, mut served) = (0, 0, 0);
+    for seed in 0..40 {
+        let r = run_fleet(&FleetConfig { seed, ..base() });
+        failovers += r.failovers;
+        duplicates_absorbed += r.duplicates_absorbed;
+        served += r.served_fresh + r.served_degraded;
+    }
+    assert!(
+        failovers > 0 && duplicates_absorbed > 0 && served > 0,
+        "{failovers} failover(s), {duplicates_absorbed} duplicate(s) absorbed, \
+         {served} reading(s) served"
+    );
 }
 
 #[test]

@@ -530,36 +530,38 @@ fn poisoned_connection_answers_buffered_work_then_closes_typed() {
 
 #[test]
 fn replicated_chaos_soak_survives_a_mid_run_primary_kill() {
-    let dir = scratch_dir("repl-soak");
-    let mut cfg = WireSoakConfig {
-        seed: 7,
-        duration_ms: 2_000,
-        rate_hz: 120.0,
-        clients: 4,
-        chaos: Some(ChaosProfile::hostile()),
-        crash: Some((1, 600)),
-        decommission: None,
-        kill_primary: Some((0, 1_000)),
-        ..WireSoakConfig::default()
-    };
-    cfg.server.snapshot_root = Some(dir.clone());
-    let report = run_wire_soak(&cfg).expect("soak runs");
-    assert!(
-        report.invariants_ok(),
-        "fleet invariants violated:\n{}",
-        report.render()
-    );
-    assert!(report.requests > 0 && report.completed > 0);
-    assert!(
-        report.server.promotions >= 1,
-        "the killed primary must have been replaced"
-    );
-    assert_eq!(report.server.duplicate_effects, 0);
-    assert!(
-        report.server.replicated > 0,
-        "acked effects were shipped to backups"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    for chaos in [None, Some(ChaosProfile::hostile())] {
+        let dir = scratch_dir("repl-soak");
+        let mut cfg = WireSoakConfig {
+            seed: 7,
+            duration_ms: 2_000,
+            rate_hz: 120.0,
+            clients: 4,
+            chaos,
+            crash: Some((1, 600)),
+            decommission: None,
+            kill_primary: Some((0, 1_000)),
+            ..WireSoakConfig::default()
+        };
+        cfg.server.snapshot_root = Some(dir.clone());
+        let report = run_wire_soak(&cfg).expect("soak runs");
+        assert!(
+            report.invariants_ok(),
+            "fleet invariants violated:\n{}",
+            report.render()
+        );
+        assert!(report.requests > 0 && report.completed > 0);
+        assert!(
+            report.server.promotions >= 1,
+            "the killed primary must have been replaced"
+        );
+        assert_eq!(report.server.duplicate_effects, 0);
+        assert!(
+            report.server.replicated > 0,
+            "acked effects were shipped to backups"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

@@ -14,8 +14,6 @@ pub enum SensorError {
     Thermal(thermal::ThermalError),
     /// A gate-level simulator operation failed.
     Sim(dsim::DsimError),
-    /// A static-timing evaluation failed.
-    Timing(sta::StaError),
     /// The unit was asked for a reading while no measurement is complete.
     NotReady,
     /// A configuration value was out of its domain.
@@ -55,7 +53,6 @@ impl fmt::Display for SensorError {
             SensorError::Model(e) => write!(f, "model error: {e}"),
             SensorError::Thermal(e) => write!(f, "thermal error: {e}"),
             SensorError::Sim(e) => write!(f, "simulator error: {e}"),
-            SensorError::Timing(e) => write!(f, "timing error: {e}"),
             SensorError::NotReady => write!(f, "no completed measurement available"),
             SensorError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             SensorError::BadChannel { channel, available } => {
@@ -86,7 +83,6 @@ impl std::error::Error for SensorError {
             SensorError::Model(e) => Some(e),
             SensorError::Thermal(e) => Some(e),
             SensorError::Sim(e) => Some(e),
-            SensorError::Timing(e) => Some(e),
             _ => None,
         }
     }
@@ -107,12 +103,6 @@ impl From<thermal::ThermalError> for SensorError {
 impl From<dsim::DsimError> for SensorError {
     fn from(e: dsim::DsimError) -> Self {
         SensorError::Sim(e)
-    }
-}
-
-impl From<sta::StaError> for SensorError {
-    fn from(e: sta::StaError) -> Self {
-        SensorError::Timing(e)
     }
 }
 

@@ -24,9 +24,7 @@
 //!   [`thermal`] ground-truth die temperature field, with a
 //!   quarantine-aware degraded scan mode;
 //! * [`health`] — per-ring health policy and verdicts backing the
-//!   degraded scan (plausible period band, neighbor agreement);
-//! * [`stapath`] — transfer-function evaluation and cell-mix search on
-//!   the static timing graph, bypassing transient simulation.
+//!   degraded scan (plausible period band, neighbor agreement).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +43,6 @@ pub mod health;
 pub mod muxscan;
 pub mod noise;
 pub mod selfheat;
-pub mod stapath;
 pub mod unit;
 
 pub use alarm::{AlarmEvent, ThermalAlarm, ThermalWatchdog};
@@ -57,10 +54,9 @@ pub use gateunit::{GateLevelUnit, GateUnitResult};
 pub use health::{HealthPolicy, HealthStatus};
 pub use muxscan::{ChannelReading, GateLevelMuxScan};
 pub use noise::JitterModel;
-pub use stapath::{StaConfigPoint, StaFastPath};
 pub use unit::{CodeCalibration, Measurement, RingFault, SensorConfig, SmartSensorUnit};
 
-/// The static timing engine behind [`stapath`], whose types appear in
-/// its public API. Crates without a direct `sta` dependency (`faultsim`,
-/// `runtime`) reach `sta::report::json_escape` through this re-export.
+/// The static timing engine. Crates without a direct `sta` dependency
+/// (`faultsim`, `runtime`) reach `sta::report::json_escape` through this
+/// re-export.
 pub use sta;

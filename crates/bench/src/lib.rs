@@ -23,35 +23,31 @@
 //! | `ext2` | extension: supply-droop cross-sensitivity budget |
 //! | `ext3` | extension: dual-ring ratiometric droop rejection |
 //! | `ext4` | extension: node portability (0.35 → 0.13 µm presets) |
-//! | `sta`  | STA vs transient temperature sweep: same curve, wall-clock speedup |
-//! | `fault` | fault-injection campaign: coverage per class, zero silent/hang |
-//! | `absint` | interval certification of every shipped configuration: envelopes + proof cost |
 //!
-//! The serving stack's sweeps and soaks are not experiments here: the
-//! `runtime` CLI runs them (`runtime dst`, `runtime dst --fleet`,
-//! `runtime wire-soak`), and CI gates each with `--check`.
+//! Every artifact is a pure function of the code: `figures all`
+//! rewrites `results/` byte for byte, so a changed file under
+//! `results/` is a changed figure. What other binaries already check
+//! is not an experiment here: the `sta`, `faultsim` and `netcheck
+//! certify` CLIs gate timing, fault coverage and certification, and
+//! the `runtime` CLI runs the serving stack's sweeps and soaks.
 
 #![forbid(unsafe_code)]
 
 use std::fs;
 use std::path::Path;
-use std::process::Command;
 
 pub mod abl1;
 pub mod abl2;
 pub mod abl3;
 pub mod abl4;
 pub mod abl5;
-pub mod absint;
 pub mod ext1;
 pub mod ext2;
 pub mod ext3;
 pub mod ext4;
-pub mod fault_campaign;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;
-pub mod sta_sweep;
 pub mod ta;
 pub mod tb;
 pub mod tc;
@@ -66,53 +62,6 @@ pub mod td;
 pub fn write_artifact(out_dir: &Path, name: &str, contents: &str) {
     fs::create_dir_all(out_dir).expect("create output directory");
     fs::write(out_dir.join(name), contents).expect("write artifact");
-}
-
-/// Hardware threads this process may run on.
-pub fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// `git rev-parse --short HEAD` in `dir`, with `-dirty` appended when
-/// tracked files differ from `HEAD`; `unavailable` when git is missing
-/// or `dir` is not a checkout.
-fn git_rev(dir: &Path) -> String {
-    let git = |args: &[&str]| {
-        Command::new("git")
-            .args(args)
-            .current_dir(dir)
-            .output()
-            .ok()
-    };
-    let Some(rev) = git(&["rev-parse", "--short", "HEAD"])
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-    else {
-        return "unavailable".into();
-    };
-    // `git diff --quiet` exits 1 when a tracked file differs from HEAD.
-    let dirty =
-        git(&["diff", "--quiet", "HEAD", "--"]).is_some_and(|out| out.status.code() == Some(1));
-    format!("{}{}", rev.trim(), if dirty { "-dirty" } else { "" })
-}
-
-/// Opens a `BENCH_*.json` artifact with the machine and build that
-/// measured it: `{`, then `cores`, `git_rev` (`git rev-parse --short
-/// HEAD` in this crate's checkout, with `-dirty` appended when tracked
-/// files differ from `HEAD`, or `unavailable`) and `profile` (`release`
-/// or `debug`), one line each, every line ending in a comma for the
-/// artifact's own keys.
-pub fn artifact_head() -> String {
-    let git_rev = git_rev(Path::new(env!("CARGO_MANIFEST_DIR")));
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    format!(
-        "{{\n  \"cores\": {},\n  \"git_rev\": \"{git_rev}\",\n  \"profile\": \"{profile}\",\n",
-        cores()
-    )
 }
 
 /// Renders a simple aligned two-dimensional table.
@@ -147,9 +96,9 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// All experiment ids, in DESIGN.md order.
-pub const ALL_EXPERIMENTS: [&str; 19] = [
+pub const ALL_EXPERIMENTS: [&str; 16] = [
     "fig1", "fig2", "fig3", "ta", "tb", "tc", "td", "abl1", "abl2", "abl3", "abl4", "abl5", "ext1",
-    "ext2", "ext3", "ext4", "sta", "fault", "absint",
+    "ext2", "ext3", "ext4",
 ];
 
 /// Runs one experiment by id, writing artifacts into `out_dir` and
@@ -177,9 +126,6 @@ pub fn run_experiment(id: &str, out_dir: &Path) -> String {
         "ext2" => ext2::run(out_dir),
         "ext3" => ext3::run(out_dir),
         "ext4" => ext4::run(out_dir),
-        "sta" => sta_sweep::run(out_dir),
-        "fault" => fault_campaign::run(out_dir),
-        "absint" => absint::run(out_dir),
         other => panic!("unknown experiment id `{other}`; known: {ALL_EXPERIMENTS:?}"),
     }
 }
@@ -240,39 +186,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("bbbb"));
         assert!(lines[2].ends_with('2') || lines[2].contains('2'));
-    }
-
-    #[test]
-    fn git_rev_marks_a_tree_with_edited_tracked_files_dirty() {
-        let dir = TestDir::new("bench_git_rev");
-        fs::create_dir_all(&dir).unwrap();
-        let git = |args: &[&str]| {
-            let status = Command::new("git").args(args).current_dir(&dir).status();
-            assert!(status.is_ok_and(|s| s.success()), "git {args:?}");
-        };
-        git(&["init", "-q"]);
-        fs::write(dir.join("tracked.txt"), "a").unwrap();
-        git(&["add", "tracked.txt"]);
-        git(&[
-            "-c",
-            "user.name=t",
-            "-c",
-            "user.email=t@example.com",
-            "-c",
-            "commit.gpgsign=false",
-            "commit",
-            "-qm",
-            "init",
-        ]);
-        let clean = git_rev(&dir);
-        assert!(
-            clean.len() >= 7 && clean.chars().all(|c| c.is_ascii_hexdigit()),
-            "{clean}"
-        );
-        fs::write(dir.join("untracked.txt"), "b").unwrap();
-        assert_eq!(git_rev(&dir), clean, "untracked files leave the tree clean");
-        fs::write(dir.join("tracked.txt"), "edited").unwrap();
-        assert_eq!(git_rev(&dir), format!("{clean}-dirty"));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! figures [--out <dir>] <experiment>...|all
 //! ```
 //!
-//! `figures --list` prints every experiment id (DESIGN.md §4 indexes the
-//! paper's).
+//! `figures --list` prints every experiment id (DESIGN.md §4 indexes
+//! them).
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -596,11 +596,7 @@ mod tests {
             "no silent corruption: {:?}",
             silent_runs(&result)
         );
-        assert!(
-            result.coverage() >= 0.9,
-            "coverage {:.3}",
-            result.coverage()
-        );
+        assert_eq!(result.coverage(), 1.0, "every fault detected or benign");
         assert_eq!(
             result.runs.len(),
             reference_universe(false).len(),

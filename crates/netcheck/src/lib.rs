@@ -9,7 +9,6 @@
 //! | `NC02xx` | `spicelite` circuits/decks | dangling nodes, no DC path to ground, extreme device values |
 //! | `NC03xx` | `stdcell` timing libraries | delay-vs-temperature monotonicity, Fig. 2 sizing range, Liberty round-trip |
 //! | `NC04xx` | `sensor` configurations    | stage-count parity, Fig. 3 cell mixes, calibration coverage |
-//! | `NC05xx` | static timing (`sta`)      | fan-out delay degradation, unconstrained endpoints, STA-vs-declared-period mismatch |
 //! | `NC06xx` | array + health policy      | too-small arrays, uncalibrated sites, period-band coverage |
 //! | `NC07xx` | config + runtime deadline  | unservable conversion windows, missing retry headroom |
 //! | `NC08xx` | runtime recovery freshness | staleness bound shorter than the checkpoint interval |
@@ -53,7 +52,6 @@ pub mod pass;
 pub mod replication_rules;
 pub mod resilience_rules;
 pub mod runtime_rules;
-pub mod timing_rules;
 pub mod wire_rules;
 
 pub use absint::{certify, Certificate, CertifyBundle};
@@ -74,5 +72,4 @@ pub use runtime_rules::{
     check_runtime_budget, check_runtime_tuning, worst_case_conversion_s, ConfigUnderDeadline,
     DeadlineBudgetPass, FreshnessPass, RuntimeTuning,
 };
-pub use timing_rules::{check_netlist_timing, check_netlist_timing_with, TimingPass};
 pub use wire_rules::{check_wire_frame_budget, FrameBudgetPass, WireTuning};

@@ -60,14 +60,15 @@ macro_rules! declare_rule {
         /// Every rule netcheck knows, grouped by ID bank:
         /// `NC01xx` = dsim netlists, `NC02xx` = spicelite decks,
         /// `NC03xx` = stdcell libraries, `NC04xx` = sensor
-        /// configurations, `NC05xx` = static timing, `NC06xx` = array
-        /// resilience, `NC07xx` = runtime deadline budgets, `NC08xx` =
-        /// runtime recovery freshness, `NC09xx` = abstract-interpretation
-        /// range/overflow proofs, `NC10xx` = abstract-interpretation
-        /// deadline/freshness proofs, `NC11xx` = clock-domain crossing,
-        /// `NC12xx` = X-propagation, `NC13xx` = static hazards,
-        /// `NC14xx` = dataflow structural checks, `NC15xx` = wire
-        /// protocol budgets, `NC16xx` = replication.
+        /// configurations, `NC06xx` = array resilience, `NC07xx` =
+        /// runtime deadline budgets, `NC08xx` = runtime recovery
+        /// freshness, `NC09xx` = abstract-interpretation range/overflow
+        /// proofs, `NC10xx` = abstract-interpretation deadline/freshness
+        /// proofs, `NC11xx` = clock-domain crossing, `NC12xx` =
+        /// X-propagation, `NC13xx` = static hazards, `NC14xx` = dataflow
+        /// structural checks, `NC15xx` = wire protocol budgets and
+        /// `NC16xx` = replication. `NC05xx` is not here: the `sta` crate
+        /// owns those timing rules and its CLI reports them.
         pub const RULES: &[RuleInfo] = &[
             $(RuleInfo {
                 id: stringify!($id),
@@ -95,9 +96,6 @@ declare_rule! {
     NC0401 => Error, "ring stage count invalid (must be odd; paper evaluates 5, 9, 21)";
     NC0402 => Info, "5-stage cell mix is not one of the paper's Fig. 3 configurations";
     NC0403 => Warning, "calibration does not cover the paper's −50…150 °C range";
-    NC0501 => Warning, "fan-out degrades the driver's delay beyond the configured factor";
-    NC0502 => Warning, "timing endpoint is reached by no startpoint (unconstrained)";
-    NC0503 => Error, "STA-predicted timing contradicts the declared clock period";
     NC0601 => Warning, "array too small for neighbor-vote health monitoring (fewer than 3 sites)";
     NC0602 => Error, "array site is uncalibrated and will fail at scan time";
     NC0603 => Warning, "health-policy period band does not bracket a ring's healthy span";

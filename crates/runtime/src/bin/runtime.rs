@@ -430,7 +430,7 @@ fn run_dst<S: Simulation>(args: &Args, base: &S) -> ExitCode {
     };
     let (jobs, mutation): (usize, String) = (args.get("--jobs"), args.get("--mutation"));
     let kind = <S::Report as RunReport>::KIND;
-    let out = sweep_jobs(base, seed_base, seeds, false, jobs);
+    let out = sweep_jobs(base, seed_base, seeds, jobs);
     if as_json {
         println!("{}", render_sweep_json(&out, seed_base));
     } else {

@@ -1805,7 +1805,7 @@ mod tests {
 
     #[test]
     fn shipped_fleet_survives_a_seed_sweep() {
-        let out = sweep_jobs(&quick(), 0, 10, false, 1);
+        let out = sweep_jobs(&quick(), 0, 10, 1);
         assert_eq!(out.seeds, 10);
         assert!(
             out.violations.is_empty(),
@@ -1821,11 +1821,10 @@ mod tests {
             mutation: FleetMutation::NoDecommissionCheck,
             ..quick()
         };
-        let out = sweep_jobs(&base, 0, 100, true, 1);
-        let caught = out
-            .violations
-            .first()
-            .unwrap_or_else(|| panic!("mutation survived {} seeds", out.seeds));
+        let caught = (0..100)
+            .map(|s| base.with_seed(s).run())
+            .find(|r| r.violation.is_some())
+            .expect("mutation survived 100 seeds");
         let v = caught.violation.as_ref().expect("violating report");
         assert_eq!(v.invariant, FleetInvariant::RoutedDecommissioned, "{v:?}");
 
@@ -1861,11 +1860,10 @@ mod tests {
             mutation: FleetMutation::NoEpochFence,
             ..quick()
         };
-        let out = sweep_jobs(&base, 0, 200, true, 1);
-        let caught = out
-            .violations
-            .first()
-            .unwrap_or_else(|| panic!("no-epoch-fence survived {} seeds", out.seeds));
+        let caught = (0..200)
+            .map(|s| base.with_seed(s).run())
+            .find(|r| r.violation.is_some())
+            .expect("no-epoch-fence survived 200 seeds");
         let v = caught.violation.as_ref().expect("violating report");
         assert_eq!(v.invariant, FleetInvariant::SplitBrain, "{v:?}");
 
@@ -1914,9 +1912,9 @@ mod tests {
     #[test]
     fn parallel_fleet_sweep_is_byte_identical_to_serial() {
         let base = quick();
-        let serial = sweep_jobs(&base, 0, 6, false, 1);
+        let serial = sweep_jobs(&base, 0, 6, 1);
         for jobs in [2, 4] {
-            assert_eq!(sweep_jobs(&base, 0, 6, false, jobs), serial, "jobs={jobs}");
+            assert_eq!(sweep_jobs(&base, 0, 6, jobs), serial, "jobs={jobs}");
         }
     }
 

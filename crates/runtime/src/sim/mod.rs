@@ -817,14 +817,13 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
 /// Aggregate of a seed sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepOutcome<R> {
-    /// Seeds run (counted in seed order; under `stop_at_first` the
-    /// count stops at the first violating seed).
+    /// Seeds run.
     pub seeds: u64,
-    /// Total scheduler steps across counted seeds.
+    /// Total scheduler steps across the seeds.
     pub steps: u64,
-    /// Total client requests across counted seeds.
+    /// Total client requests across the seeds.
     pub requests: u64,
-    /// Total crashes simulated across counted seeds.
+    /// Total crashes simulated across the seeds.
     pub crashes: u64,
     /// Full reports of the seeds that violated an invariant.
     pub violations: Vec<R>,
@@ -841,52 +840,38 @@ impl<R: RunReport> SweepOutcome<R> {
         }
     }
 
-    /// Counts one seed's run; returns whether it violated.
-    fn add(&mut self, report: R) -> bool {
+    /// Counts one seed's run.
+    fn add(&mut self, report: R) {
         let [steps, requests, crashes] = report.totals();
         self.seeds += 1;
         self.steps += steps;
         self.requests += requests;
         self.crashes += crashes;
-        let violated = report.violation().is_some();
-        if violated {
+        if report.violation().is_some() {
             self.violations.push(report);
         }
-        violated
     }
 }
 
 /// Runs `count` seeds starting at `seed_base` and collects every
-/// violating report. `stop_at_first` ends the sweep at the first
-/// violation (what a mutation test wants; a coverage sweep wants them
-/// all).
-pub fn sweep<S: Simulation>(
-    base: &S,
-    seed_base: u64,
-    count: u64,
-    stop_at_first: bool,
-) -> SweepOutcome<S::Report> {
+/// violating report.
+pub fn sweep<S: Simulation>(base: &S, seed_base: u64, count: u64) -> SweepOutcome<S::Report> {
     let mut out = SweepOutcome::new();
     for i in 0..count {
-        if out.add(base.with_seed(seed_base + i).run()) && stop_at_first {
-            break;
-        }
+        out.add(base.with_seed(seed_base + i).run());
     }
     out
 }
 
 /// Runs `count` seeds starting at `seed_base` across `jobs` worker
 /// threads, merging per-seed results in seed order so the outcome is
-/// byte-identical to the serial [`sweep`] — including under
-/// `stop_at_first`, where seeds run in waves of `jobs * 4` via
-/// [`dst::run_indexed`] and aggregation stops at the first violating
-/// seed exactly as the serial loop does (later seeds may be *computed*
-/// by the wave, but never counted).
+/// byte-identical to the serial [`sweep`]. Seeds run in waves of
+/// `jobs * 4` via [`dst::run_indexed`], which bounds how many reports,
+/// each with its full trace, are held at once.
 pub fn sweep_jobs<S: Simulation>(
     base: &S,
     seed_base: u64,
     count: u64,
-    stop_at_first: bool,
     jobs: usize,
 ) -> SweepOutcome<S::Report> {
     let jobs = jobs.max(1);
@@ -897,9 +882,7 @@ pub fn sweep_jobs<S: Simulation>(
         let len = wave.min(count - next) as usize;
         let first = seed_base + next;
         for report in dst::run_indexed(len, jobs, |i| base.with_seed(first + i as u64).run()) {
-            if out.add(report) && stop_at_first {
-                return out;
-            }
+            out.add(report);
         }
         next += len as u64;
     }
@@ -962,23 +945,9 @@ mod tests {
     #[test]
     fn parallel_sweep_is_byte_identical_to_serial() {
         let base = quick();
-        let serial = sweep(&base, 0, 6, false);
+        let serial = sweep(&base, 0, 6);
         for jobs in [1, 2, 4] {
-            assert_eq!(sweep_jobs(&base, 0, 6, false, jobs), serial, "jobs={jobs}");
-        }
-        // stop_at_first aggregates must also match the serial loop,
-        // even when later seeds were computed speculatively in a wave.
-        let mutated = SimConfig {
-            mutation: Mutation::NoCooldownRebase,
-            ..quick()
-        };
-        let serial_stop = sweep(&mutated, 0, 12, true);
-        for jobs in [2, 4] {
-            assert_eq!(
-                sweep_jobs(&mutated, 0, 12, true, jobs),
-                serial_stop,
-                "stop_at_first jobs={jobs}"
-            );
+            assert_eq!(sweep_jobs(&base, 0, 6, jobs), serial, "jobs={jobs}");
         }
     }
 
@@ -994,7 +963,7 @@ mod tests {
 
     #[test]
     fn shipped_service_survives_a_seed_sweep() {
-        let out = sweep(&quick(), 0, 15, false);
+        let out = sweep(&quick(), 0, 15);
         assert_eq!(out.seeds, 15);
         assert!(
             out.violations.is_empty(),
@@ -1011,11 +980,10 @@ mod tests {
             mutation: Mutation::NoCooldownRebase,
             ..quick()
         };
-        let out = sweep(&base, 0, 200, true);
-        let caught = out
-            .violations
-            .first()
-            .unwrap_or_else(|| panic!("mutation survived {} seeds", out.seeds));
+        let caught = (0..200)
+            .map(|s| base.with_seed(s).run())
+            .find(|r| r.violation.is_some())
+            .expect("mutation survived 200 seeds");
         let v = caught.violation.as_ref().expect("violating report");
         assert_eq!(
             v.invariant,

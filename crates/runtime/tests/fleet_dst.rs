@@ -8,7 +8,7 @@
 
 use runtime::{
     render_trace, resolve_fleet_events, run_fleet, shrink_failure, sweep_jobs, task_node,
-    FleetConfig, FleetInvariant, FleetMutation, RunReport,
+    FleetConfig, FleetInvariant, FleetMutation, RunReport, Simulation,
 };
 
 fn base() -> FleetConfig {
@@ -17,7 +17,7 @@ fn base() -> FleetConfig {
 
 #[test]
 fn shipped_fleet_is_clean_across_seeds_at_any_job_count() {
-    let serial = sweep_jobs(&base(), 0, 8, false, 1);
+    let serial = sweep_jobs(&base(), 0, 8, 1);
     assert_eq!(serial.seeds, 8);
     assert!(
         serial.violations.is_empty(),
@@ -25,7 +25,7 @@ fn shipped_fleet_is_clean_across_seeds_at_any_job_count() {
         serial.violations[0].seed,
         serial.violations[0].violation
     );
-    let parallel = sweep_jobs(&base(), 0, 8, false, 4);
+    let parallel = sweep_jobs(&base(), 0, 8, 4);
     assert_eq!(parallel, serial, "parallel sweep must be byte-identical");
 }
 
@@ -36,11 +36,10 @@ fn known_bad_router_mutation_shrinks_to_a_one_minimal_reproducer() {
         ..base()
     };
     // Find a failing seed the way CI does.
-    let out = sweep_jobs(&mutated, 0, 200, true, 1);
-    let caught = out
-        .violations
-        .first()
-        .unwrap_or_else(|| panic!("mutation survived {} seeds", out.seeds));
+    let caught = (0..200)
+        .map(|s| mutated.with_seed(s).run())
+        .find(|r| r.violation.is_some())
+        .expect("mutation survived 200 seeds");
     assert_eq!(
         caught.violation.as_ref().map(|v| v.invariant),
         Some(FleetInvariant::RoutedDecommissioned)
@@ -97,11 +96,10 @@ fn epoch_fence_mutation_shrinks_to_a_one_minimal_reproducer() {
         ..base()
     };
     // Find a failing seed the way CI does.
-    let out = sweep_jobs(&mutated, 0, 200, true, 1);
-    let caught = out
-        .violations
-        .first()
-        .unwrap_or_else(|| panic!("no-epoch-fence survived {} seeds", out.seeds));
+    let caught = (0..200)
+        .map(|s| mutated.with_seed(s).run())
+        .find(|r| r.violation.is_some())
+        .expect("no-epoch-fence survived 200 seeds");
     assert_eq!(
         caught.violation.as_ref().map(|v| v.invariant),
         Some(FleetInvariant::SplitBrain)

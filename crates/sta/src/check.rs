@@ -1,7 +1,6 @@
 //! Timing design rules evaluated on an [`Analysis`].
 //!
-//! Three checks, surfaced by `netcheck` as the `NC05xx` rule family and
-//! by the `sta` CLI's `--check` mode:
+//! Three checks, reported by the `sta` CLI's `--check` mode:
 //!
 //! * [`NC0501`] — a gate drives so many sinks that its delay degrades
 //!   beyond the configured factor (the linear loading model every
@@ -296,5 +295,52 @@ mod tests {
             v.iter().any(|v| v.rule == NC0503 && v.object == "d"),
             "{v:?}"
         );
+    }
+
+    /// Every rule under default thresholds.
+    fn check_default(nl: &Netlist) -> Vec<TimingViolation> {
+        check_timing(
+            nl,
+            &analyze(nl, &netlist_delays(nl)),
+            &TimingCheckOptions::default(),
+        )
+    }
+
+    #[test]
+    fn ring_contradicting_a_clock_component_fires_nc0503() {
+        let mut nl = Netlist::new();
+        dsim::builders::ring_oscillator(&mut nl, &[GateOp::Inv; 5], "r", 1_000).unwrap();
+        // A reference clock that contradicts the ring's 10 ps period.
+        let clk = nl.signal("clk");
+        nl.symmetric_clock(clk, 20_000, 0);
+        let v = check_default(&nl);
+        assert!(has_errors(&v), "{v:?}");
+        assert!(v.iter().any(|v| v.rule == NC0503), "{v:?}");
+    }
+
+    #[test]
+    fn ring_under_default_options_is_silent() {
+        let mut nl = Netlist::new();
+        dsim::builders::ring_oscillator(&mut nl, &[GateOp::Inv; 5], "r", 1_000).unwrap();
+        let v = check_default(&nl);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn even_parity_loop_beside_a_clock_is_not_period_checked() {
+        // STA refuses to give a latching loop a period, so a declared
+        // clock has nothing to contradict.
+        let mut nl = Netlist::new();
+        let s: Vec<_> = (0..4).map(|i| nl.signal(format!("s{i}"))).collect();
+        for i in 0..4 {
+            nl.gate(GateOp::Inv, &[s[i]], s[(i + 1) % 4], 5_000);
+        }
+        let clk = nl.signal("clk");
+        nl.symmetric_clock(clk, 12_345, 0);
+        let an = analyze(&nl, &netlist_delays(&nl));
+        assert_eq!(an.loops.len(), 1);
+        assert_eq!(an.loops[0].kind, crate::loops::LoopKind::Latching);
+        let v = check_timing(&nl, &an, &TimingCheckOptions::default());
+        assert!(v.iter().all(|v| v.rule != NC0503), "{v:?}");
     }
 }

@@ -22,7 +22,7 @@
 //!    STA prediction must match the event-driven simulator within
 //!    [`CROSS_VALIDATION_TOLERANCE`];
 //! 6. [`check`] turns the analysis into design-rule findings (the
-//!    `NC05xx` family surfaced by `netcheck`).
+//!    `NC05xx` family the `sta` CLI's `--check` mode reports).
 //!
 //! ```
 //! use sta::{build_ring, parse_mix, AnalyticalModel};

@@ -43,16 +43,19 @@ fn main() -> ExitCode {
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
+    // Every id is checked before any experiment writes an artifact.
+    if let Some(id) = ids.iter().find(|id| !ALL_EXPERIMENTS.contains(id)) {
+        eprintln!(
+            "unknown experiment `{id}`; known: {}",
+            ALL_EXPERIMENTS.join(" ")
+        );
+        return ExitCode::FAILURE;
+    }
+    // The combined report is the whole paper: only a run of every
+    // experiment once, in `--list` order (as `all` runs them), writes it.
+    let save_full = ids == ALL_EXPERIMENTS;
     let mut full = String::new();
-    let save_full = ids.len() == ALL_EXPERIMENTS.len();
     for id in &ids {
-        if !ALL_EXPERIMENTS.contains(id) {
-            eprintln!(
-                "unknown experiment `{id}`; known: {}",
-                ALL_EXPERIMENTS.join(" ")
-            );
-            return ExitCode::FAILURE;
-        }
         let report = run_experiment(id, &out_dir);
         println!("=== {id} ===");
         println!("{report}");

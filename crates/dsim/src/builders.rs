@@ -26,8 +26,8 @@ pub const MIN_TOGGLE_PERIOD_FS: u64 = 2 * (DFF_DELAY_FS + GATE_DELAY_FS);
 #[non_exhaustive]
 pub enum BuildError {
     /// The requested ring has an even number of inverting stages; such a
-    /// loop has two stable states and can never oscillate (netcheck rule
-    /// `NC0105`).
+    /// loop has two stable states and can never oscillate (`sta::loops`
+    /// classifies a hand-wired one as `Latching`).
     EvenInversionRing {
         /// Total stage count requested.
         stages: usize,
@@ -82,7 +82,7 @@ pub struct RingPorts {
 /// * [`BuildError::RingTooShort`] for fewer than three stages;
 /// * [`BuildError::EvenInversionRing`] when the inverting-stage count is
 ///   even (including zero) — such a loop cannot oscillate. This is the
-///   structural defect netcheck reports as `NC0105`.
+///   structural defect `sta` reports as `StaError::NonOscillating`.
 pub fn ring_oscillator(
     nl: &mut Netlist,
     stage_ops: &[GateOp],

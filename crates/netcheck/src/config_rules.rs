@@ -16,119 +16,97 @@ use sensor::unit::SensorConfig;
 
 use crate::diagnostic::{Diagnostic, Location, Report};
 use crate::library_rules::check_ratio;
-use crate::pass::{run_passes, Pass};
 
 /// Stage counts the paper evaluates (Section 2 / Table 1).
 pub const PAPER_STAGE_COUNTS: &[usize] = &[5, 9, 21];
 
+/// Runs every sensor-configuration rule.
+pub fn check_sensor_config(config: &SensorConfig) -> Report {
+    let mut report = Report::new();
+    ring_stages(config, &mut report);
+    transfer_function(config, &mut report);
+    report.sort();
+    report
+}
+
 /// `NC0401` + `NC0402`: stage count and cell mix.
-pub struct StagePass;
-
-impl Pass<SensorConfig> for StagePass {
-    fn name(&self) -> &'static str {
-        "ring-stages"
+fn ring_stages(config: &SensorConfig, report: &mut Report) {
+    let n = config.ring.stage_count();
+    let mix = CellConfig::of_ring(&config.ring);
+    let loc = || Location::object(format!("{mix}"));
+    if n.is_multiple_of(2) {
+        report.push(Diagnostic::error(
+            "NC0401",
+            loc(),
+            format!("{n}-stage ring has even inversion parity and cannot oscillate"),
+        ));
+        return;
     }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC0401", "NC0402"]
+    if !PAPER_STAGE_COUNTS.contains(&n) {
+        report.push(Diagnostic::warning(
+            "NC0401",
+            loc(),
+            format!(
+                "{n}-stage ring is outside the paper's evaluated set \
+                 (5, 9, 21); area/resolution trade-off is uncharacterized"
+            ),
+        ));
     }
-
-    fn run(&self, config: &SensorConfig, report: &mut Report) {
-        let n = config.ring.stage_count();
-        let mix = CellConfig::of_ring(&config.ring);
-        let loc = || Location::object(format!("{mix}"));
-        if n.is_multiple_of(2) {
-            report.push(Diagnostic::error(
-                "NC0401",
-                loc(),
-                format!("{n}-stage ring has even inversion parity and cannot oscillate"),
-            ));
-            return;
-        }
-        if !PAPER_STAGE_COUNTS.contains(&n) {
-            report.push(Diagnostic::warning(
-                "NC0401",
-                loc(),
-                format!(
-                    "{n}-stage ring is outside the paper's evaluated set \
-                     (5, 9, 21); area/resolution trade-off is uncharacterized"
-                ),
-            ));
-        }
-        if n == 5 && !CellConfig::paper_fig3_set().contains(&mix) {
-            report.push(Diagnostic::info(
-                "NC0402",
-                loc(),
-                "5-stage cell mix is not one of the paper's Fig. 3 configurations",
-            ));
-        }
+    if n == 5 && !CellConfig::paper_fig3_set().contains(&mix) {
+        report.push(Diagnostic::info(
+            "NC0402",
+            loc(),
+            "5-stage cell mix is not one of the paper's Fig. 3 configurations",
+        ));
     }
 }
 
 /// `NC0403` (+ `NC0302` on each stage's sizing): the transfer function.
-pub struct TransferPass;
-
-impl Pass<SensorConfig> for TransferPass {
-    fn name(&self) -> &'static str {
-        "transfer-function"
+fn transfer_function(config: &SensorConfig, report: &mut Report) {
+    for (i, gate) in config.ring.stages().iter().enumerate() {
+        let context = format!("stage {i} ({})", gate.kind());
+        report.extend(check_ratio(gate.ratio(), &context));
     }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC0302", "NC0403"]
+    if config.ref_clock.as_mega() <= 0.0 {
+        report.push(Diagnostic::error(
+            "NC0403",
+            Location::object("ref_clock"),
+            "reference clock frequency must be positive",
+        ));
+        return;
     }
-
-    fn run(&self, config: &SensorConfig, report: &mut Report) {
-        for (i, gate) in config.ring.stages().iter().enumerate() {
-            let context = format!("stage {i} ({})", gate.kind());
-            report.extend(check_ratio(gate.ratio(), &context));
-        }
-        if config.ref_clock.as_mega() <= 0.0 {
-            report.push(Diagnostic::error(
-                "NC0403",
-                Location::object("ref_clock"),
-                "reference clock frequency must be positive",
-            ));
-            return;
-        }
-        if config.window_cycles == 0 {
-            report.push(Diagnostic::error(
-                "NC0403",
-                Location::object("window_cycles"),
-                "measurement window of zero cycles can never accumulate a code",
-            ));
-        }
-        // The sensing premise: period(T) must exist and strictly grow
-        // across the paper's range, otherwise codes are ambiguous.
-        let range = TempRange::paper();
-        let mut periods = Vec::new();
-        for t in range.samples(9) {
-            match config.ring.period(&config.tech, t) {
-                Ok(p) => periods.push(p.get()),
-                Err(e) => {
-                    report.push(Diagnostic::error(
-                        "NC0403",
-                        Location::object(format!("{:.0} °C", t.get())),
-                        format!("ring period is not evaluable: {e}"),
-                    ));
-                    return;
-                }
+    if config.window_cycles == 0 {
+        report.push(Diagnostic::error(
+            "NC0403",
+            Location::object("window_cycles"),
+            "measurement window of zero cycles can never accumulate a code",
+        ));
+    }
+    // The sensing premise: period(T) must exist and strictly grow
+    // across the paper's range, otherwise codes are ambiguous.
+    let range = TempRange::paper();
+    let mut periods = Vec::new();
+    for t in range.samples(9) {
+        match config.ring.period(&config.tech, t) {
+            Ok(p) => periods.push(p.get()),
+            Err(e) => {
+                report.push(Diagnostic::error(
+                    "NC0403",
+                    Location::object(format!("{:.0} °C", t.get())),
+                    format!("ring period is not evaluable: {e}"),
+                ));
+                return;
             }
         }
-        if periods.windows(2).any(|w| w[1] <= w[0]) {
-            report.push(Diagnostic::warning(
-                "NC0403",
-                Location::object("transfer"),
-                "ring period is not monotonic over −50…150 °C; the code-to-\
-                 temperature mapping is ambiguous inside the paper's range",
-            ));
-        }
     }
-}
-
-/// Runs every sensor-configuration rule.
-pub fn check_sensor_config(config: &SensorConfig) -> Report {
-    let passes: [&dyn Pass<SensorConfig>; 2] = [&StagePass, &TransferPass];
-    run_passes(&passes, config)
+    if periods.windows(2).any(|w| w[1] <= w[0]) {
+        report.push(Diagnostic::warning(
+            "NC0403",
+            Location::object("transfer"),
+            "ring period is not monotonic over −50…150 °C; the code-to-\
+             temperature mapping is ambiguous inside the paper's range",
+        ));
+    }
 }
 
 /// `NC0403`: checks that two-point calibration anchors bracket the

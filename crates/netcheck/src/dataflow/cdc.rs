@@ -25,55 +25,41 @@ use std::collections::BTreeSet;
 use dsim::netlist::{Component, Netlist, SignalId};
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::pass::Pass;
 
 use super::engine::{solve, Direction};
 use super::lattice::{DomainSet, Lattice};
 use super::NetContext;
 
-/// The NC11xx pass.
-pub struct CdcPass;
-
-impl Pass<Netlist> for CdcPass {
-    fn name(&self) -> &'static str {
-        "cdc"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC1101", "NC1102", "NC1103", "NC1104"]
-    }
-
-    fn run(&self, nl: &Netlist, report: &mut Report) {
-        let ctx = NetContext::new(nl);
-        let domains = solve_domains(nl, &ctx);
-        let classify = Classifier {
-            nl,
-            ctx: &ctx,
-            domains: &domains,
-        };
-        for (ci, comp) in nl.components().iter().enumerate() {
-            match comp {
-                Component::Dff { d, clk, q, .. } => {
-                    classify.check_flop(ci, *d, *clk, *q, report);
-                }
-                Component::Latch { d, en, q, .. } => {
-                    let en_doms = domains[en.index()];
-                    let foreign = domains[d.index()].minus(en_doms);
-                    if !en_doms.is_empty() && !foreign.is_empty() {
-                        report.push(Diagnostic::at(
-                            crate::pass::rules::NC1104,
-                            Location::object(nl.signal_name(*q)),
-                            format!(
-                                "latch `{}` captures data from another clock domain while \
-                                 transparent; glitches pass straight through — capture with \
-                                 an edge-triggered 2-FF synchronizer instead",
-                                nl.signal_name(*q)
-                            ),
-                        ));
-                    }
-                }
-                _ => {}
+/// The NC11xx rules.
+pub(super) fn check(nl: &Netlist, ctx: &NetContext, report: &mut Report) {
+    let domains = solve_domains(nl, ctx);
+    let classify = Classifier {
+        nl,
+        ctx,
+        domains: &domains,
+    };
+    for (ci, comp) in nl.components().iter().enumerate() {
+        match comp {
+            Component::Dff { d, clk, q, .. } => {
+                classify.check_flop(ci, *d, *clk, *q, report);
             }
+            Component::Latch { d, en, q, .. } => {
+                let en_doms = domains[en.index()];
+                let foreign = domains[d.index()].minus(en_doms);
+                if !en_doms.is_empty() && !foreign.is_empty() {
+                    report.push(Diagnostic::at(
+                        crate::pass::rules::NC1104,
+                        Location::object(nl.signal_name(*q)),
+                        format!(
+                            "latch `{}` captures data from another clock domain while \
+                             transparent; glitches pass straight through — capture with \
+                             an edge-triggered 2-FF synchronizer instead",
+                            nl.signal_name(*q)
+                        ),
+                    ));
+                }
+            }
+            _ => {}
         }
     }
 }

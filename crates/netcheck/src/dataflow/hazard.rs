@@ -21,7 +21,6 @@
 use dsim::netlist::{Component, GateOp, Netlist, SignalId};
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::pass::Pass;
 
 use super::engine::{solve, Direction};
 use super::lattice::{DomainSet, Lattice, ParityMap};
@@ -32,85 +31,68 @@ use super::NetContext;
 const CLK_CONE: usize = 0;
 const EN_CONE: usize = 1;
 
-/// The NC13xx pass.
-pub struct HazardPass;
+/// The NC13xx rules.
+pub(super) fn check(nl: &Netlist, ctx: &NetContext, report: &mut Report) {
+    let cones = solve_cones(nl, ctx);
+    let parity = solve_parity(nl, ctx);
 
-impl Pass<Netlist> for HazardPass {
-    fn name(&self) -> &'static str {
-        "hazard"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC1301", "NC1302", "NC1303"]
-    }
-
-    fn run(&self, nl: &Netlist, report: &mut Report) {
-        let ctx = NetContext::new(nl);
-        let cones = solve_cones(nl, &ctx);
-        let parity = solve_parity(nl, &ctx);
-
-        for comp in nl.components() {
-            let (pin, q, rule, what) = match comp {
-                Component::Dff { clk, q, .. } => {
-                    (*clk, *q, crate::pass::rules::NC1301, "clock pin")
-                }
-                Component::Latch { en, q, .. } => {
-                    (*en, *q, crate::pass::rules::NC1302, "enable pin")
-                }
-                _ => continue,
-            };
-            // Pokable testbench inputs are quasi-static configuration
-            // (mux selects, mode bits): they do not switch while a
-            // capture is in flight, so their reconvergence cannot pulse
-            // a live clock. Clocked and oscillating sources can.
-            let mut sources: Vec<&str> = parity[pin.index()]
-                .reconvergent()
-                .filter(|&s| !ctx.pokable[s])
-                .map(|s| nl.signal_name(SignalId::from_index(s)))
-                .collect();
-            if sources.is_empty() {
-                continue;
-            }
-            sources.sort_unstable();
-            report.push(Diagnostic::at(
-                rule,
-                Location::object(nl.signal_name(pin)),
-                format!(
-                    "the {what} of `{}` sees `{}` through both an inverting and a \
-                     non-inverting path; a static hazard while it switches is a spurious \
-                     capture edge — retime the gating onto one register or add a \
-                     hazard-free cover",
-                    nl.signal_name(q),
-                    sources.join("`, `"),
-                ),
-            ));
+    for comp in nl.components() {
+        let (pin, q, rule, what) = match comp {
+            Component::Dff { clk, q, .. } => (*clk, *q, crate::pass::rules::NC1301, "clock pin"),
+            Component::Latch { en, q, .. } => (*en, *q, crate::pass::rules::NC1302, "enable pin"),
+            _ => continue,
+        };
+        // Pokable testbench inputs are quasi-static configuration
+        // (mux selects, mode bits): they do not switch while a
+        // capture is in flight, so their reconvergence cannot pulse
+        // a live clock. Clocked and oscillating sources can.
+        let mut sources: Vec<&str> = parity[pin.index()]
+            .reconvergent()
+            .filter(|&s| !ctx.pokable[s])
+            .map(|s| nl.signal_name(SignalId::from_index(s)))
+            .collect();
+        if sources.is_empty() {
+            continue;
         }
+        sources.sort_unstable();
+        report.push(Diagnostic::at(
+            rule,
+            Location::object(nl.signal_name(pin)),
+            format!(
+                "the {what} of `{}` sees `{}` through both an inverting and a \
+                 non-inverting path; a static hazard while it switches is a spurious \
+                 capture edge — retime the gating onto one register or add a \
+                 hazard-free cover",
+                nl.signal_name(q),
+                sources.join("`, `"),
+            ),
+        ));
+    }
 
-        for comp in nl.components() {
-            if let Component::Gate {
-                op: GateOp::Xor | GateOp::Xnor,
-                output,
-                ..
-            } = comp
-            {
-                let bits = cones[output.index()];
-                if !bits.is_empty() {
-                    let cone = if DomainSet::root(CLK_CONE).leq(&bits) {
-                        "clock"
-                    } else {
-                        "enable"
-                    };
-                    report.push(Diagnostic::at(
-                        crate::pass::rules::NC1303,
-                        Location::object(nl.signal_name(*output)),
-                        format!(
-                            "XOR/XNOR gate `{}` sits in a {cone} cone; non-unate logic \
-                             glitches on every input transition — keep capture controls \
-                             unate or register the result first",
-                            nl.signal_name(*output)
-                        ),
-                    ));
-                }
+    for comp in nl.components() {
+        if let Component::Gate {
+            op: GateOp::Xor | GateOp::Xnor,
+            output,
+            ..
+        } = comp
+        {
+            let bits = cones[output.index()];
+            if !bits.is_empty() {
+                let cone = if DomainSet::root(CLK_CONE).leq(&bits) {
+                    "clock"
+                } else {
+                    "enable"
+                };
+                report.push(Diagnostic::at(
+                    crate::pass::rules::NC1303,
+                    Location::object(nl.signal_name(*output)),
+                    format!(
+                        "XOR/XNOR gate `{}` sits in a {cone} cone; non-unate logic \
+                         glitches on every input transition — keep capture controls \
+                         unate or register the result first",
+                        nl.signal_name(*output)
+                    ),
+                ));
             }
         }
     }

@@ -4,22 +4,21 @@
 //! over the SCC condensation `sta::levelize` computes; four rule
 //! families ride on it:
 //!
-//! | family   | pass               | what it proves / flags |
-//! |----------|--------------------|------------------------|
-//! | `NC11xx` | [`CdcPass`]        | clock-domain crossings: unsynchronized, single-flop, uncoded multi-bit, latch capture |
-//! | `NC12xx` | [`XPropPass`]      | 3-valued initialization: every sequential element reaches a defined value after reset |
-//! | `NC13xx` | [`HazardPass`]     | static hazards and non-unate gates on clock/enable cones |
-//! | `NC14xx` | [`StructuralPass`] | floating inputs, dead gates, fan-out over the stdcell drive budget |
+//! | family   | module       | what it proves / flags |
+//! |----------|--------------|------------------------|
+//! | `NC11xx` | `cdc`        | clock-domain crossings: unsynchronized, single-flop, uncoded multi-bit, latch capture |
+//! | `NC12xx` | `xprop`      | 3-valued initialization: every sequential element reaches a defined value after reset |
+//! | `NC13xx` | `hazard`     | static hazards and non-unate gates on clock/enable cones |
+//! | `NC14xx` | `structural` | floating inputs, dead gates, fan-out over the stdcell drive budget |
 //!
-//! All four run through the ordinary [`Pass`] machinery, so the CLI
-//! and the tests reach them through one call,
-//! [`check_netlist_dataflow`].
+//! The CLI and the tests reach all four through one call,
+//! [`check_netlist_dataflow`], which builds their shared `NetContext`
+//! once.
 
 use dsim::netlist::{Component, Netlist, SignalId};
 use sta::levelize::{component_successors, levelize, Levelization};
 
 use crate::diagnostic::Report;
-use crate::pass::{run_passes, Pass};
 
 pub mod engine;
 pub mod lattice;
@@ -29,14 +28,11 @@ mod hazard;
 mod structural;
 mod xprop;
 
-pub use cdc::CdcPass;
 pub use engine::{solve, Direction, Fixpoint};
-pub use hazard::HazardPass;
 pub use lattice::{DomainSet, InitVal, Lattice, ParityMap, Reach};
-pub use structural::StructuralPass;
-pub use xprop::{eval as xprop_eval, XPropPass};
+pub use xprop::eval as xprop_eval;
 
-/// Precomputed structure every dataflow pass needs: the SCC
+/// Precomputed structure every dataflow family needs: the SCC
 /// condensation, driver/reader tables, which components sit in purely
 /// combinational cycles (ring oscillators), and the inferred
 /// clock-domain roots.
@@ -115,6 +111,12 @@ impl NetContext {
 
 /// Runs all four dataflow families over one netlist.
 pub fn check_netlist_dataflow(nl: &Netlist) -> Report {
-    let passes: [&dyn Pass<Netlist>; 4] = [&CdcPass, &XPropPass, &HazardPass, &StructuralPass];
-    run_passes(&passes, nl)
+    let ctx = NetContext::new(nl);
+    let mut report = Report::new();
+    cdc::check(nl, &ctx, &mut report);
+    xprop::check(nl, &ctx, &mut report);
+    hazard::check(nl, &ctx, &mut report);
+    structural::check(nl, &ctx, &mut report);
+    report.sort();
+    report
 }

@@ -1,8 +1,9 @@
 //! NC14xx — structural dataflow checks.
 //!
 //! * `NC1401` — a component input with no driver and no initial value
-//!   (the dataflow twin of the connectivity rule: fires per *net*,
-//!   with the reading components in the message);
+//!   (fires per *net*, with the reading components in the message;
+//!   `dsim::Netlist::validate` refuses the same net as `FloatingInput`
+//!   before a simulation starts);
 //! * `NC1402` — a dead gate: no stimulus (clock, pokable input, or
 //!   self-sustaining ring) ever reaches it, found by a forward
 //!   liveness fixpoint on the engine;
@@ -15,30 +16,16 @@ use dsim::netlist::{Component, GateOp, Netlist};
 use tsense_core::gate::GateKind;
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::pass::Pass;
 
 use super::engine::{solve, Direction};
 use super::lattice::Reach;
 use super::NetContext;
 
-/// The NC14xx pass.
-pub struct StructuralPass;
-
-impl Pass<Netlist> for StructuralPass {
-    fn name(&self) -> &'static str {
-        "structural"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC1401", "NC1402", "NC1403"]
-    }
-
-    fn run(&self, nl: &Netlist, report: &mut Report) {
-        let ctx = NetContext::new(nl);
-        floating_inputs(nl, &ctx, report);
-        dead_gates(nl, &ctx, report);
-        fanout_budget(nl, &ctx, report);
-    }
+/// The NC14xx rules.
+pub(super) fn check(nl: &Netlist, ctx: &NetContext, report: &mut Report) {
+    floating_inputs(nl, ctx, report);
+    dead_gates(nl, ctx, report);
+    fanout_budget(nl, ctx, report);
 }
 
 fn floating_inputs(nl: &Netlist, ctx: &NetContext, report: &mut Report) {
@@ -77,7 +64,8 @@ fn dead_gates(nl: &Netlist, ctx: &NetContext, report: &mut Report) {
         seed,
         &mut |nl, ci, values| match &nl.components()[ci] {
             // A combinational cycle is a self-sustaining oscillator (or
-            // an NC0105 latch-up, reported elsewhere) — live either way.
+            // an even-parity latch, which `sta::loops` classifies as
+            // `Latching`) — live either way.
             Component::Gate { output, .. } if ctx.comb_cycle_member[ci] => {
                 vec![(*output, Reach(true))]
             }

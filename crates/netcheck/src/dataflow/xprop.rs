@@ -20,71 +20,57 @@ use dsim::logic::Logic;
 use dsim::netlist::{Component, GateOp, Netlist};
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::pass::Pass;
 
 use super::engine::{solve, Direction};
 use super::lattice::{InitVal, Lattice};
 use super::NetContext;
 
-/// The NC12xx pass.
-pub struct XPropPass;
-
-impl Pass<Netlist> for XPropPass {
-    fn name(&self) -> &'static str {
-        "xprop"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC1201", "NC1202", "NC1203"]
-    }
-
-    fn run(&self, nl: &Netlist, report: &mut Report) {
-        let ctx = NetContext::new(nl);
-        let values = solve_init(nl, &ctx);
-        for comp in nl.components() {
-            let (q, control, kind) = match comp {
-                Component::Dff { clk, q, .. } => (*q, *clk, "flop"),
-                Component::Latch { en, q, .. } => (*q, *en, "latch"),
-                _ => continue,
-            };
-            if values[control.index()] == InitVal::X {
-                report.push(Diagnostic::at(
-                    crate::pass::rules::NC1202,
-                    Location::object(nl.signal_name(control)),
-                    format!(
-                        "{kind} `{}` is clocked/enabled by `{}`, which may be X after \
-                         reset; an X edge captures garbage silently — drive the pin from \
-                         a clock source or an initialized net",
-                        nl.signal_name(q),
-                        nl.signal_name(control)
-                    ),
-                ));
-            }
-            if values[q.index()] == InitVal::X {
-                report.push(Diagnostic::at(
-                    crate::pass::rules::NC1201,
-                    Location::object(nl.signal_name(q)),
-                    format!(
-                        "{kind} `{}` may never reach a defined value: no reset, no definite \
-                         initial value, and no provably-defined data source — add an \
-                         asynchronous reset or initialize the net",
-                        nl.signal_name(q)
-                    ),
-                ));
-            }
+/// The NC12xx rules.
+pub(super) fn check(nl: &Netlist, ctx: &NetContext, report: &mut Report) {
+    let values = solve_init(nl, ctx);
+    for comp in nl.components() {
+        let (q, control, kind) = match comp {
+            Component::Dff { clk, q, .. } => (*q, *clk, "flop"),
+            Component::Latch { en, q, .. } => (*q, *en, "latch"),
+            _ => continue,
+        };
+        if values[control.index()] == InitVal::X {
+            report.push(Diagnostic::at(
+                crate::pass::rules::NC1202,
+                Location::object(nl.signal_name(control)),
+                format!(
+                    "{kind} `{}` is clocked/enabled by `{}`, which may be X after \
+                     reset; an X edge captures garbage silently — drive the pin from \
+                     a clock source or an initialized net",
+                    nl.signal_name(q),
+                    nl.signal_name(control)
+                ),
+            ));
         }
-        for id in nl.signal_ids() {
-            let i = id.index();
-            if ctx.drivers[i].is_some() && ctx.readers[i].is_empty() && values[i] == InitVal::X {
-                report.push(Diagnostic::at(
-                    crate::pass::rules::NC1203,
-                    Location::object(nl.signal_name(id)),
-                    format!(
-                        "primary output `{}` may be X after reset",
-                        nl.signal_name(id)
-                    ),
-                ));
-            }
+        if values[q.index()] == InitVal::X {
+            report.push(Diagnostic::at(
+                crate::pass::rules::NC1201,
+                Location::object(nl.signal_name(q)),
+                format!(
+                    "{kind} `{}` may never reach a defined value: no reset, no definite \
+                     initial value, and no provably-defined data source — add an \
+                     asynchronous reset or initialize the net",
+                    nl.signal_name(q)
+                ),
+            ));
+        }
+    }
+    for id in nl.signal_ids() {
+        let i = id.index();
+        if ctx.drivers[i].is_some() && ctx.readers[i].is_empty() && values[i] == InitVal::X {
+            report.push(Diagnostic::at(
+                crate::pass::rules::NC1203,
+                Location::object(nl.signal_name(id)),
+                format!(
+                    "primary output `{}` may be X after reset",
+                    nl.signal_name(id)
+                ),
+            ));
         }
     }
 }

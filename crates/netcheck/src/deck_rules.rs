@@ -10,113 +10,89 @@ use spicelite::devices::Device;
 use spicelite::netlist::Deck;
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::pass::{run_passes, Pass};
+
+/// Runs every circuit-level rule.
+pub fn check_circuit(circuit: &Circuit) -> Report {
+    let mut report = Report::new();
+    dangling_nodes(circuit, &mut report);
+    ground_path(circuit, &mut report);
+    device_values(circuit, &mut report);
+    report.sort();
+    report
+}
+
+/// Runs every rule applicable to a parsed deck.
+pub fn check_deck(deck: &Deck) -> Report {
+    check_circuit(&deck.circuit)
+}
 
 /// `NC0201`: dangling nodes.
-pub struct DanglingNodePass;
-
-impl Pass<Circuit> for DanglingNodePass {
-    fn name(&self) -> &'static str {
-        "dangling-nodes"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC0201"]
-    }
-
-    fn run(&self, circuit: &Circuit, report: &mut Report) {
-        let mut degree = vec![0usize; circuit.node_count()];
-        for device in circuit.devices() {
-            for node in device_terminals(device) {
-                degree[node] += 1;
-            }
+fn dangling_nodes(circuit: &Circuit, report: &mut Report) {
+    let mut degree = vec![0usize; circuit.node_count()];
+    for device in circuit.devices() {
+        for node in device_terminals(device) {
+            degree[node] += 1;
         }
-        for (idx, &deg) in degree.iter().enumerate().skip(1) {
-            if deg == 1 {
-                let name = node_name_by_index(circuit, idx);
-                report.push(Diagnostic::warning(
-                    "NC0201",
-                    Location::object(name),
-                    "node touches only one device terminal (dangling)",
-                ));
-            }
+    }
+    for (idx, &deg) in degree.iter().enumerate().skip(1) {
+        if deg == 1 {
+            let name = node_name_by_index(circuit, idx);
+            report.push(Diagnostic::warning(
+                "NC0201",
+                Location::object(name),
+                "node touches only one device terminal (dangling)",
+            ));
         }
     }
 }
 
 /// `NC0202`: DC path to ground.
-pub struct GroundPathPass;
-
-impl Pass<Circuit> for GroundPathPass {
-    fn name(&self) -> &'static str {
-        "ground-path"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC0202"]
-    }
-
-    fn run(&self, circuit: &Circuit, report: &mut Report) {
-        // Union-find over DC-conductive element edges. Capacitors are
-        // open at DC; current sources impose a current, not a potential;
-        // MOSFET gates are insulated — but drain–source conducts.
-        let mut uf = UnionFind::new(circuit.node_count());
-        for device in circuit.devices() {
-            match device {
-                Device::Resistor { a, b, .. } => uf.union(a.index(), b.index()),
-                Device::Vsource { pos, neg, .. } => uf.union(pos.index(), neg.index()),
-                Device::Mosfet { d, s, .. } => uf.union(d.index(), s.index()),
-                Device::Capacitor { .. } | Device::Isource { .. } => {}
-            }
+fn ground_path(circuit: &Circuit, report: &mut Report) {
+    // Union-find over DC-conductive element edges. Capacitors are
+    // open at DC; current sources impose a current, not a potential;
+    // MOSFET gates are insulated — but drain–source conducts.
+    let mut uf = UnionFind::new(circuit.node_count());
+    for device in circuit.devices() {
+        match device {
+            Device::Resistor { a, b, .. } => uf.union(a.index(), b.index()),
+            Device::Vsource { pos, neg, .. } => uf.union(pos.index(), neg.index()),
+            Device::Mosfet { d, s, .. } => uf.union(d.index(), s.index()),
+            Device::Capacitor { .. } | Device::Isource { .. } => {}
         }
-        let ground = uf.find(0);
-        for idx in 1..circuit.node_count() {
-            if uf.find(idx) != ground {
-                let name = node_name_by_index(circuit, idx);
-                report.push(Diagnostic::error(
-                    "NC0202",
-                    Location::object(name),
-                    "no DC path to ground: the node's potential is structurally \
-                     unconstrained, predicting a singular MNA matrix",
-                ));
-            }
+    }
+    let ground = uf.find(0);
+    for idx in 1..circuit.node_count() {
+        if uf.find(idx) != ground {
+            let name = node_name_by_index(circuit, idx);
+            report.push(Diagnostic::error(
+                "NC0202",
+                Location::object(name),
+                "no DC path to ground: the node's potential is structurally \
+                 unconstrained, predicting a singular MNA matrix",
+            ));
         }
     }
 }
 
 /// `NC0203`: device value sanity.
-pub struct DeviceValuePass;
-
-impl Pass<Circuit> for DeviceValuePass {
-    fn name(&self) -> &'static str {
-        "device-values"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC0203"]
-    }
-
-    fn run(&self, circuit: &Circuit, report: &mut Report) {
-        for device in circuit.devices() {
-            let findings: Vec<String> = match device {
-                Device::Resistor { ohms, .. } => value_findings("resistance", *ohms, 1e-3, 1e12),
-                Device::Capacitor { farads, .. } => {
-                    value_findings("capacitance", *farads, 1e-21, 1.0)
-                }
-                Device::Mosfet { w, l, .. } => {
-                    let mut f = value_findings("channel width", *w, 1e-9, 1e-3);
-                    f.extend(value_findings("channel length", *l, 1e-9, 1e-3));
-                    f
-                }
-                Device::Vsource { .. } | Device::Isource { .. } => Vec::new(),
-            };
-            for message in findings {
-                report.push(Diagnostic::warning(
-                    "NC0203",
-                    Location::object(device.name()),
-                    message,
-                ));
+fn device_values(circuit: &Circuit, report: &mut Report) {
+    for device in circuit.devices() {
+        let findings: Vec<String> = match device {
+            Device::Resistor { ohms, .. } => value_findings("resistance", *ohms, 1e-3, 1e12),
+            Device::Capacitor { farads, .. } => value_findings("capacitance", *farads, 1e-21, 1.0),
+            Device::Mosfet { w, l, .. } => {
+                let mut f = value_findings("channel width", *w, 1e-9, 1e-3);
+                f.extend(value_findings("channel length", *l, 1e-9, 1e-3));
+                f
             }
+            Device::Vsource { .. } | Device::Isource { .. } => Vec::new(),
+        };
+        for message in findings {
+            report.push(Diagnostic::warning(
+                "NC0203",
+                Location::object(device.name()),
+                message,
+            ));
         }
     }
 }
@@ -199,17 +175,6 @@ impl UnionFind {
             self.parent[ra] = rb;
         }
     }
-}
-
-/// Runs every circuit-level rule.
-pub fn check_circuit(circuit: &Circuit) -> Report {
-    let passes: [&dyn Pass<Circuit>; 3] = [&DanglingNodePass, &GroundPathPass, &DeviceValuePass];
-    run_passes(&passes, circuit)
-}
-
-/// Runs every rule applicable to a parsed deck.
-pub fn check_deck(deck: &Deck) -> Report {
-    check_circuit(&deck.circuit)
 }
 
 #[cfg(test)]

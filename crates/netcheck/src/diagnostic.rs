@@ -3,15 +3,8 @@
 //! suppress accepted findings ([`Baseline`]) and map it to an exit code
 //! ([`exit_for`]).
 //!
-//! Rule IDs are stable across releases and partitioned by target
-//! representation:
-//!
-//! | bank     | target                          |
-//! |----------|---------------------------------|
-//! | `NC01xx` | dsim gate-level netlists        |
-//! | `NC02xx` | spicelite decks / MNA structure |
-//! | `NC03xx` | stdcell timing libraries        |
-//! | `NC04xx` | sensor configurations           |
+//! Rule IDs are stable across releases and partitioned into banks by
+//! target representation; [`RULES`](crate::pass::RULES) lists them.
 
 use std::fmt;
 
@@ -99,10 +92,10 @@ impl fmt::Display for Location {
     }
 }
 
-/// One finding from a rule pass.
+/// One finding from a rule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Diagnostic {
-    /// Stable rule identifier, e.g. `NC0101`.
+    /// Stable rule identifier, e.g. `NC1401`.
     pub rule: &'static str,
     /// Severity class.
     pub severity: Severity,
@@ -184,7 +177,7 @@ impl Diagnostic {
 }
 
 impl fmt::Display for Diagnostic {
-    /// Renders as `error[NC0101] `n3`: net is never driven`.
+    /// Renders as `error[NC1401] `n3`: input is floating`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -199,7 +192,7 @@ pub(crate) fn json_string(s: &str) -> String {
     format!("\"{}\"", sta::report::json_escape(s))
 }
 
-/// The accumulated output of one or more passes.
+/// The accumulated output of one or more rules.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     diagnostics: Vec<Diagnostic>,
@@ -221,7 +214,7 @@ impl Report {
         self.diagnostics.extend(other.diagnostics);
     }
 
-    /// All diagnostics in pass order.
+    /// All diagnostics, in the order they were pushed.
     pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diagnostics
     }
@@ -281,8 +274,8 @@ impl Report {
 
     /// Sorts diagnostics into the canonical deterministic order: rule
     /// ID first, then location (path, line, object), then message.
-    /// Every multi-pass frontend sorts before rendering so CI diffs
-    /// are stable under pass reordering.
+    /// Every `check_*` function sorts before it returns, so CI diffs
+    /// are stable whatever order the rules run in.
     pub fn sort(&mut self) {
         self.diagnostics.sort_by(|a, b| {
             (
@@ -432,8 +425,8 @@ mod tests {
 
     #[test]
     fn display_formats_rule_and_location() {
-        let d = Diagnostic::error("NC0101", Location::object("n3"), "net is never driven");
-        assert_eq!(d.to_string(), "error[NC0101] `n3`: net is never driven");
+        let d = Diagnostic::error("NC1401", Location::object("n3"), "input is floating");
+        assert_eq!(d.to_string(), "error[NC1401] `n3`: input is floating");
         let d2 = Diagnostic::warning(
             "NC0203",
             Location::file_line("ring.ckt", 12),
@@ -459,15 +452,15 @@ mod tests {
         let mut r = Report::new();
         assert!(r.is_clean() && !r.has_errors());
         r.push(Diagnostic::warning(
-            "NC0106",
+            "NC1403",
             Location::object("clk"),
             "high fan-out",
         ));
         assert!(!r.has_errors());
         r.push(Diagnostic::error(
-            "NC0102",
+            "NC1401",
             Location::object("q"),
-            "multiply driven",
+            "floating input",
         ));
         assert!(r.has_errors());
         assert_eq!(r.count(Severity::Error), 1);
@@ -494,7 +487,7 @@ mod tests {
             Location::file_line("b.ckt", 9),
             "late",
         ));
-        r.push(Diagnostic::error("NC0102", Location::object("q"), "driver"));
+        r.push(Diagnostic::error("NC0202", Location::object("q"), "ground"));
         r.push(Diagnostic::warning(
             "NC0203",
             Location::file_line("a.ckt", 2),
@@ -506,7 +499,7 @@ mod tests {
             .iter()
             .map(|d| (d.rule, d.location.path.clone()))
             .collect();
-        assert_eq!(order[0], ("NC0102", None));
+        assert_eq!(order[0], ("NC0202", None));
         assert_eq!(order[1], ("NC0203", Some("a.ckt".to_string())));
         assert_eq!(order[2], ("NC0203", Some("b.ckt".to_string())));
     }
@@ -563,21 +556,21 @@ mod tests {
 
     #[test]
     fn baseline_parses_and_suppresses_by_substring() {
-        let text = "# accepted findings\nNC0101 net-of-a\n\nNC0106\n";
+        let text = "# accepted findings\nNC1401 net-of-a\n\nNC1403\n";
         let base = Baseline::parse(text);
         assert_eq!(base.len(), 2);
         let hit = Diagnostic::at(
-            crate::pass::rules::NC0101,
+            crate::pass::rules::NC1401,
             Location::object("net-of-a.net"),
-            "never driven",
+            "floating",
         );
         let other = Diagnostic::at(
-            crate::pass::rules::NC0101,
+            crate::pass::rules::NC1401,
             Location::object("other"),
-            "never driven",
+            "floating",
         );
         let any_fanout = Diagnostic::at(
-            crate::pass::rules::NC0106,
+            crate::pass::rules::NC1403,
             Location::object("clk"),
             "high fan-out",
         );
@@ -599,7 +592,7 @@ mod tests {
         assert_eq!(exit_for(&clean, true), 0, "info never fails");
         let mut warn = Report::new();
         warn.push(Diagnostic::warning(
-            crate::pass::rules::NC0106,
+            crate::pass::rules::NC1403,
             Location::object("clk"),
             "fan-out",
         ));
@@ -607,7 +600,7 @@ mod tests {
         assert_eq!(exit_for(&warn, true), 1);
         let mut err = Report::new();
         err.push(Diagnostic::error(
-            crate::pass::rules::NC0102,
+            crate::pass::rules::NC1401,
             Location::object("q"),
             "dup",
         ));

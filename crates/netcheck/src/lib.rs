@@ -5,7 +5,6 @@
 //!
 //! | bank     | target                     | example rules |
 //! |----------|----------------------------|---------------|
-//! | `NC01xx` | `dsim` gate-level netlists | undriven nets, multiply-driven nets, unreachable gates, combinational-loop parity, fan-out |
 //! | `NC02xx` | `spicelite` circuits/decks | dangling nodes, no DC path to ground, extreme device values |
 //! | `NC03xx` | `stdcell` timing libraries | delay-vs-temperature monotonicity, Fig. 2 sizing range, Liberty round-trip |
 //! | `NC04xx` | `sensor` configurations    | stage-count parity, Fig. 3 cell mixes, calibration coverage |
@@ -23,20 +22,21 @@
 //!
 //! Every rule has a stable ID and fires as a [`Diagnostic`] at a fixed
 //! [`Severity`]; a [`Report`] aggregates them and renders as text,
-//! JSON or SARIF. Rules run through the [`Pass`] trait, and the
-//! `check_*` functions are the one way in: the `netcheck` CLI lints
-//! its files through them one after another, the runtime calls them at
-//! startup, and the tests call them directly.
+//! JSON or SARIF. Each rule is a plain function written once, and the
+//! `check_*` functions are the one way in: each runs its rules and
+//! sorts the findings once. The `netcheck` CLI lints its files through
+//! them one after another, the runtime calls them at startup, and the
+//! tests call them directly.
 //!
 //! ```
-//! use netcheck::check_netlist;
+//! use netcheck::check_netlist_dataflow;
 //! let mut nl = dsim::netlist::Netlist::new();
 //! let x = nl.signal("x");
 //! let y = nl.signal("y");
 //! nl.gate(dsim::netlist::GateOp::Inv, &[x], y, 1_000);
-//! let report = check_netlist(&nl);
+//! let report = check_netlist_dataflow(&nl);
 //! assert!(report.has_errors()); // `x` is consumed but undriven
-//! assert_eq!(report.diagnostics()[0].rule, "NC0101");
+//! assert!(report.diagnostics().iter().any(|d| d.rule == "NC1401"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,7 +47,6 @@ pub mod dataflow;
 pub mod deck_rules;
 pub mod diagnostic;
 pub mod library_rules;
-pub mod netlist_rules;
 pub mod pass;
 pub mod replication_rules;
 pub mod resilience_rules;
@@ -56,20 +55,14 @@ pub mod wire_rules;
 
 pub use absint::{certify, Certificate, CertifyBundle};
 pub use config_rules::{check_calibration_anchors, check_sensor_config, PAPER_STAGE_COUNTS};
-pub use dataflow::{check_netlist_dataflow, CdcPass, HazardPass, StructuralPass, XPropPass};
+pub use dataflow::check_netlist_dataflow;
 pub use deck_rules::{check_circuit, check_deck};
 pub use diagnostic::{exit_for, Baseline, Diagnostic, Location, Report, Severity};
 pub use library_rules::{
     check_cell_library, check_library, check_ratio, check_table, FIG2_RATIO_RANGE,
 };
-pub use netlist_rules::{check_netlist, check_netlist_with, NetlistCheckOptions};
-pub use pass::{rule_info, run_passes, Pass, RuleInfo, RULES};
-pub use replication_rules::{
-    check_replication, AckQuorumPass, FailoverFreshnessPass, ReplicationTuning,
-};
-pub use resilience_rules::{check_array_resilience, ArrayUnderPolicy};
-pub use runtime_rules::{
-    check_runtime_budget, check_runtime_tuning, worst_case_conversion_s, ConfigUnderDeadline,
-    DeadlineBudgetPass, FreshnessPass, RuntimeTuning,
-};
-pub use wire_rules::{check_wire_frame_budget, FrameBudgetPass, WireTuning};
+pub use pass::{rule_info, RuleInfo, RULES};
+pub use replication_rules::{check_replication, ReplicationTuning};
+pub use resilience_rules::check_array_resilience;
+pub use runtime_rules::{check_runtime_budget, check_runtime_tuning, worst_case_conversion_s};
+pub use wire_rules::check_wire_frame_budget;

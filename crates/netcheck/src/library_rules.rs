@@ -12,7 +12,6 @@ use stdcell::liberty::{from_liberty, to_liberty, TimingLibrary};
 use stdcell::library::CellLibrary;
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::pass::{run_passes, Pass};
 
 /// The `Wp/Wn` sweep range of the paper's Fig. 2.
 pub const FIG2_RATIO_RANGE: (f64, f64) = (1.5, 4.0);
@@ -75,54 +74,39 @@ pub fn check_table(table: &TimingTable) -> Report {
 
 /// `NC0301`/`NC0303` across a whole timing library, plus the Liberty
 /// round-trip consistency check.
-pub struct LibraryPass;
-
-impl Pass<TimingLibrary> for LibraryPass {
-    fn name(&self) -> &'static str {
-        "timing-library"
+pub fn check_library(lib: &TimingLibrary) -> Report {
+    let mut report = Report::new();
+    for table in lib.iter() {
+        report.extend(check_table(table));
     }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC0301", "NC0303"]
-    }
-
-    fn run(&self, lib: &TimingLibrary, report: &mut Report) {
-        for table in lib.iter() {
-            report.extend(check_table(table));
-        }
-        // Round-trip: what we serialize must parse back with the same
-        // cells. A failure means `to_liberty`/`from_liberty` disagree
-        // and the exported view of this library is unusable.
-        let text = to_liberty(lib);
-        match from_liberty(&text) {
-            Ok(parsed) => {
-                if parsed.len() != lib.len() {
-                    report.push(Diagnostic::error(
-                        "NC0303",
-                        Location::object("library"),
-                        format!(
-                            "Liberty round-trip dropped cells: {} in, {} out",
-                            lib.len(),
-                            parsed.len()
-                        ),
-                    ));
-                }
-            }
-            Err(e) => {
+    // Round-trip: what we serialize must parse back with the same
+    // cells. A failure means `to_liberty`/`from_liberty` disagree
+    // and the exported view of this library is unusable.
+    let text = to_liberty(lib);
+    match from_liberty(&text) {
+        Ok(parsed) => {
+            if parsed.len() != lib.len() {
                 report.push(Diagnostic::error(
                     "NC0303",
                     Location::object("library"),
-                    format!("Liberty round-trip failed to parse: {e}"),
+                    format!(
+                        "Liberty round-trip dropped cells: {} in, {} out",
+                        lib.len(),
+                        parsed.len()
+                    ),
                 ));
             }
         }
+        Err(e) => {
+            report.push(Diagnostic::error(
+                "NC0303",
+                Location::object("library"),
+                format!("Liberty round-trip failed to parse: {e}"),
+            ));
+        }
     }
-}
-
-/// Runs every timing-library rule.
-pub fn check_library(lib: &TimingLibrary) -> Report {
-    let passes: [&dyn Pass<TimingLibrary>; 1] = [&LibraryPass];
-    run_passes(&passes, lib)
+    report.sort();
+    report
 }
 
 /// `NC0302`: checks one `Wp/Wn` ratio against the Fig. 2 sweep range.

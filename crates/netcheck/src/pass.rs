@@ -1,40 +1,12 @@
-//! The [`Pass`] abstraction and the rule registry.
+//! The rule registry: every rule ID netcheck can fire, with its
+//! severity and summary.
 
-use crate::diagnostic::{Report, Severity};
-
-/// One static-analysis pass over a target representation `T`.
-///
-/// A pass owns a coherent group of rules (e.g. "connectivity" owns
-/// undriven and multiply-driven nets) and appends any findings to the
-/// shared [`Report`]; passes never mutate the target.
-pub trait Pass<T: ?Sized> {
-    /// Short machine-friendly pass name, e.g. `"connectivity"`.
-    fn name(&self) -> &'static str;
-
-    /// The rule IDs this pass can emit.
-    fn rules(&self) -> &'static [&'static str];
-
-    /// Runs the pass, appending findings to `report`.
-    fn run(&self, target: &T, report: &mut Report);
-}
-
-/// Runs every pass in order against one target, then sorts the
-/// combined findings into the canonical deterministic order (rule,
-/// then location, then message) so reports diff stably across runs
-/// and pass reorderings.
-pub fn run_passes<T: ?Sized>(passes: &[&dyn Pass<T>], target: &T) -> Report {
-    let mut report = Report::new();
-    for pass in passes {
-        pass.run(target, &mut report);
-    }
-    report.sort();
-    report
-}
+use crate::diagnostic::Severity;
 
 /// A registry entry describing one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
-    /// Stable rule ID, e.g. `NC0101`.
+    /// Stable rule ID, e.g. `NC1401`.
     pub id: &'static str,
     /// Severity the rule fires at.
     pub severity: Severity,
@@ -58,17 +30,16 @@ macro_rules! declare_rule {
         }
 
         /// Every rule netcheck knows, grouped by ID bank:
-        /// `NC01xx` = dsim netlists, `NC02xx` = spicelite decks,
-        /// `NC03xx` = stdcell libraries, `NC04xx` = sensor
-        /// configurations, `NC06xx` = array resilience, `NC07xx` =
-        /// runtime deadline budgets, `NC08xx` = runtime recovery
-        /// freshness, `NC09xx` = abstract-interpretation range/overflow
-        /// proofs, `NC10xx` = abstract-interpretation deadline/freshness
-        /// proofs, `NC11xx` = clock-domain crossing, `NC12xx` =
-        /// X-propagation, `NC13xx` = static hazards, `NC14xx` = dataflow
-        /// structural checks, `NC15xx` = wire protocol budgets and
-        /// `NC16xx` = replication. `NC05xx` is not here: the `sta` crate
-        /// owns those timing rules and its CLI reports them.
+        /// `NC02xx` = spicelite decks, `NC03xx` = stdcell libraries,
+        /// `NC04xx` = sensor configurations, `NC06xx` = array
+        /// resilience, `NC07xx` = runtime deadline budgets, `NC08xx` =
+        /// runtime recovery freshness, `NC09xx` = abstract-interpretation
+        /// range/overflow proofs, `NC10xx` = abstract-interpretation
+        /// deadline/freshness proofs, `NC11xx` = clock-domain crossing,
+        /// `NC12xx` = X-propagation, `NC13xx` = static hazards, `NC14xx`
+        /// = dataflow structural checks, `NC15xx` = wire protocol budgets
+        /// and `NC16xx` = replication. `NC05xx` is not here: the `sta`
+        /// crate owns those timing rules and its CLI reports them.
         pub const RULES: &[RuleInfo] = &[
             $(RuleInfo {
                 id: stringify!($id),
@@ -81,12 +52,6 @@ macro_rules! declare_rule {
 
 declare_rule! {
     NC0001 => Error, "input file does not parse";
-    NC0101 => Error, "net is consumed but has no driver and no initial value";
-    NC0102 => Error, "net has more than one driver";
-    NC0103 => Warning, "gate output can never change (unreachable from any stimulus)";
-    NC0104 => Info, "combinational loop (odd inversion parity: presumed intentional ring)";
-    NC0105 => Error, "combinational loop with even inversion parity cannot oscillate";
-    NC0106 => Warning, "signal fan-out exceeds the configured limit";
     NC0201 => Warning, "node touches only one device terminal (dangling)";
     NC0202 => Error, "node has no DC path to ground (singular MNA predicted)";
     NC0203 => Warning, "device value is zero, negative, or implausibly extreme";
@@ -146,8 +111,8 @@ mod tests {
 
     #[test]
     fn lookup_finds_known_rules() {
-        assert!(rule_info("NC0101").is_some());
-        assert!(rule_info("NC0105").is_some());
+        assert!(rule_info("NC1401").is_some());
+        assert!(rule_info("NC1403").is_some());
         assert!(rule_info("NC0901").is_some());
         assert!(rule_info("NC1003").is_some());
         assert!(rule_info("NC9999").is_none());
@@ -155,7 +120,7 @@ mod tests {
 
     #[test]
     fn constants_match_their_ids() {
-        assert_eq!(rules::NC0101, "NC0101");
+        assert_eq!(rules::NC1401, "NC1401");
         assert_eq!(rules::NC1001, "NC1001");
     }
 }

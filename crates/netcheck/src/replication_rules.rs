@@ -23,7 +23,6 @@
 //! cannot drift apart.
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::pass::{run_passes, Pass};
 
 /// The replication knobs the `NC16xx` rules lint.
 #[derive(Debug, Clone, Copy)]
@@ -39,92 +38,71 @@ pub struct ReplicationTuning {
     pub failover_timeout_ms: u64,
 }
 
+/// Runs every replication rule over one tuning.
+pub fn check_replication(tuning: ReplicationTuning) -> Report {
+    let mut report = Report::new();
+    failover_freshness(&tuning, &mut report);
+    ack_quorum(&tuning, &mut report);
+    report.sort();
+    report
+}
+
 /// `NC1601`: staleness bound vs failover detection window.
-pub struct FailoverFreshnessPass;
-
-impl Pass<ReplicationTuning> for FailoverFreshnessPass {
-    fn name(&self) -> &'static str {
-        "replication-failover-freshness"
+fn failover_freshness(subject: &ReplicationTuning, report: &mut Report) {
+    if subject.replication < 2 {
+        return; // unreplicated: there is no failover window
     }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC1601"]
-    }
-
-    fn run(&self, subject: &ReplicationTuning, report: &mut Report) {
-        if subject.replication < 2 {
-            return; // unreplicated: there is no failover window
-        }
-        if subject.staleness_bound_ms <= subject.failover_timeout_ms {
-            report.push(Diagnostic::error(
-                "NC1601",
-                Location::object(format!(
-                    "staleness {} ms, failover {} ms",
-                    subject.staleness_bound_ms, subject.failover_timeout_ms
-                )),
-                format!(
-                    "staleness bound {} ms does not outlive the {} ms failover \
-                     detection window: every read served right after a promotion is \
-                     already past the bound, so the group is unavailable by \
-                     construction exactly when failover fires",
-                    subject.staleness_bound_ms, subject.failover_timeout_ms
-                ),
-            ));
-        }
+    if subject.staleness_bound_ms <= subject.failover_timeout_ms {
+        report.push(Diagnostic::error(
+            "NC1601",
+            Location::object(format!(
+                "staleness {} ms, failover {} ms",
+                subject.staleness_bound_ms, subject.failover_timeout_ms
+            )),
+            format!(
+                "staleness bound {} ms does not outlive the {} ms failover \
+                 detection window: every read served right after a promotion is \
+                 already past the bound, so the group is unavailable by \
+                 construction exactly when failover fires",
+                subject.staleness_bound_ms, subject.failover_timeout_ms
+            ),
+        ));
     }
 }
 
 /// `NC1602`: ack quorum vs group size.
-pub struct AckQuorumPass;
-
-impl Pass<ReplicationTuning> for AckQuorumPass {
-    fn name(&self) -> &'static str {
-        "replication-ack-quorum"
+fn ack_quorum(subject: &ReplicationTuning, report: &mut Report) {
+    if subject.replication < 2 {
+        return; // no backups, no quorum to get wrong
     }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC1602"]
-    }
-
-    fn run(&self, subject: &ReplicationTuning, report: &mut Report) {
-        if subject.replication < 2 {
-            return; // no backups, no quorum to get wrong
-        }
-        let backups = subject.replication - 1;
-        let loc = Location::object(format!(
-            "replication {}, ack quorum {}",
-            subject.replication, subject.ack_quorum
+    let backups = subject.replication - 1;
+    let loc = Location::object(format!(
+        "replication {}, ack quorum {}",
+        subject.replication, subject.ack_quorum
+    ));
+    if subject.ack_quorum > backups {
+        report.push(Diagnostic::error(
+            "NC1602",
+            loc,
+            format!(
+                "ack quorum {} exceeds the {} backup(s) a replication factor of {} \
+                 provides: no write can ever be acknowledged",
+                subject.ack_quorum, backups, subject.replication
+            ),
         ));
-        if subject.ack_quorum > backups {
-            report.push(Diagnostic::error(
-                "NC1602",
-                loc,
-                format!(
-                    "ack quorum {} exceeds the {} backup(s) a replication factor of {} \
-                     provides: no write can ever be acknowledged",
-                    subject.ack_quorum, backups, subject.replication
-                ),
-            ));
-        } else if subject.ack_quorum < backups {
-            report.push(Diagnostic::error(
-                "NC1602",
-                loc,
-                format!(
-                    "ack quorum {} is below the {} backup(s): an acknowledged effect can \
-                     live on a strict subset of backups, so highest-log-position \
-                     promotion may elect a replica missing acked work (silent \
-                     acked-effect loss on failover)",
-                    subject.ack_quorum, backups
-                ),
-            ));
-        }
+    } else if subject.ack_quorum < backups {
+        report.push(Diagnostic::error(
+            "NC1602",
+            loc,
+            format!(
+                "ack quorum {} is below the {} backup(s): an acknowledged effect can \
+                 live on a strict subset of backups, so highest-log-position \
+                 promotion may elect a replica missing acked work (silent \
+                 acked-effect loss on failover)",
+                subject.ack_quorum, backups
+            ),
+        ));
     }
-}
-
-/// Runs every replication rule over one tuning.
-pub fn check_replication(tuning: ReplicationTuning) -> Report {
-    let passes: [&dyn Pass<ReplicationTuning>; 2] = [&FailoverFreshnessPass, &AckQuorumPass];
-    run_passes(&passes, &tuning)
 }
 
 #[cfg(test)]

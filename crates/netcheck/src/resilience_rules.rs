@@ -21,47 +21,35 @@ use sensor::health::HealthPolicy;
 use tsense_core::units::TempRange;
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::pass::{run_passes, Pass};
 
-/// The array + policy pair the resilience rules lint.
-pub struct ArrayUnderPolicy<'a> {
-    /// The sensor array to check.
-    pub array: &'a SensorArray,
-    /// The health policy its degraded scans will run under.
-    pub policy: &'a HealthPolicy,
+/// Runs every resilience rule over an array + policy pair.
+pub fn check_array_resilience(array: &SensorArray, policy: &HealthPolicy) -> Report {
+    let mut report = Report::new();
+    array_readiness(array, &mut report);
+    policy_band(array, policy, &mut report);
+    report.sort();
+    report
 }
 
 /// `NC0601` + `NC0602`: array shape and per-site readiness.
-pub struct ArrayPass;
-
-impl Pass<ArrayUnderPolicy<'_>> for ArrayPass {
-    fn name(&self) -> &'static str {
-        "array-readiness"
+fn array_readiness(array: &SensorArray, report: &mut Report) {
+    let n = array.channel_count();
+    if n < 3 {
+        report.push(Diagnostic::warning(
+            "NC0601",
+            Location::object(format!("{n} site(s)")),
+            "fewer than 3 sites: neighbor-vote outlier detection is \
+             degenerate and silent corruption cannot be out-voted",
+        ));
     }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC0601", "NC0602"]
-    }
-
-    fn run(&self, subject: &ArrayUnderPolicy<'_>, report: &mut Report) {
-        let n = subject.array.channel_count();
-        if n < 3 {
-            report.push(Diagnostic::warning(
-                "NC0601",
-                Location::object(format!("{n} site(s)")),
-                "fewer than 3 sites: neighbor-vote outlier detection is \
-                 degenerate and silent corruption cannot be out-voted",
+    for site in array.sites() {
+        if site.unit.calibration().is_none() {
+            report.push(Diagnostic::error(
+                "NC0602",
+                Location::object(&site.name),
+                "site has no calibration installed; a scan will fail \
+                 and a degraded scan will quarantine it as inactive",
             ));
-        }
-        for site in subject.array.sites() {
-            if site.unit.calibration().is_none() {
-                report.push(Diagnostic::error(
-                    "NC0602",
-                    Location::object(&site.name),
-                    "site has no calibration installed; a scan will fail \
-                     and a degraded scan will quarantine it as inactive",
-                ));
-            }
         }
     }
 }
@@ -69,64 +57,45 @@ impl Pass<ArrayUnderPolicy<'_>> for ArrayPass {
 /// `NC0603`: the plausible period band must bracket every ring's
 /// healthy span (monitored rings only — a site the policy cannot
 /// evaluate is flagged too).
-pub struct PolicyBandPass;
-
-impl Pass<ArrayUnderPolicy<'_>> for PolicyBandPass {
-    fn name(&self) -> &'static str {
-        "policy-band"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC0603"]
-    }
-
-    fn run(&self, subject: &ArrayUnderPolicy<'_>, report: &mut Report) {
-        let range = TempRange::paper();
-        for site in subject.array.sites() {
-            let cfg = site.unit.config();
-            for t in range.samples(5) {
-                match cfg.ring.period(&cfg.tech, t) {
-                    Ok(p) => {
-                        if !subject.policy.period_plausible(p.get()) {
-                            report.push(Diagnostic::warning(
-                                "NC0603",
-                                Location::object(&site.name),
-                                format!(
-                                    "healthy ring period {:.3e} s at {:.0} °C falls \
-                                     outside the policy band [{:.3e}, {:.3e}] s; \
-                                     this ring would be quarantined while healthy",
-                                    p.get(),
-                                    t.get(),
-                                    subject.policy.period_min_s,
-                                    subject.policy.period_max_s
-                                ),
-                            ));
-                            break;
-                        }
-                    }
-                    Err(e) => {
+fn policy_band(array: &SensorArray, policy: &HealthPolicy, report: &mut Report) {
+    let range = TempRange::paper();
+    for site in array.sites() {
+        let cfg = site.unit.config();
+        for t in range.samples(5) {
+            match cfg.ring.period(&cfg.tech, t) {
+                Ok(p) => {
+                    if !policy.period_plausible(p.get()) {
                         report.push(Diagnostic::warning(
                             "NC0603",
                             Location::object(&site.name),
                             format!(
-                                "ring period not evaluable at {:.0} °C ({e}); \
-                                 the health monitor cannot cover this ring",
-                                t.get()
+                                "healthy ring period {:.3e} s at {:.0} °C falls \
+                                 outside the policy band [{:.3e}, {:.3e}] s; \
+                                 this ring would be quarantined while healthy",
+                                p.get(),
+                                t.get(),
+                                policy.period_min_s,
+                                policy.period_max_s
                             ),
                         ));
                         break;
                     }
                 }
+                Err(e) => {
+                    report.push(Diagnostic::warning(
+                        "NC0603",
+                        Location::object(&site.name),
+                        format!(
+                            "ring period not evaluable at {:.0} °C ({e}); \
+                             the health monitor cannot cover this ring",
+                            t.get()
+                        ),
+                    ));
+                    break;
+                }
             }
         }
     }
-}
-
-/// Runs every resilience rule over an array + policy pair.
-pub fn check_array_resilience(array: &SensorArray, policy: &HealthPolicy) -> Report {
-    let subject = ArrayUnderPolicy { array, policy };
-    let passes: [&dyn Pass<ArrayUnderPolicy<'_>>; 2] = [&ArrayPass, &PolicyBandPass];
-    run_passes(&passes, &subject)
 }
 
 #[cfg(test)]

@@ -32,15 +32,6 @@ use sensor::unit::SensorConfig;
 use tsense_core::units::Celsius;
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::pass::{run_passes, Pass};
-
-/// The configuration + deadline pair the deadline-budget rules lint.
-pub struct ConfigUnderDeadline<'a> {
-    /// The sensor configuration a runtime would serve reads from.
-    pub config: &'a SensorConfig,
-    /// The runtime's per-request deadline, seconds.
-    pub deadline_s: f64,
-}
 
 /// Hot-corner temperature at which the conversion window is longest.
 const HOT_CORNER_C: f64 = 150.0;
@@ -62,119 +53,70 @@ pub fn worst_case_conversion_s(config: &SensorConfig) -> Option<f64> {
     Some(period.get() * (config.window_cycles + config.settle_cycles) as f64)
 }
 
-/// `NC0701` + `NC0702`: worst-case conversion time vs deadline budget.
-pub struct DeadlineBudgetPass;
-
-impl Pass<ConfigUnderDeadline<'_>> for DeadlineBudgetPass {
-    fn name(&self) -> &'static str {
-        "deadline-budget"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC0701", "NC0702"]
-    }
-
-    fn run(&self, subject: &ConfigUnderDeadline<'_>, report: &mut Report) {
-        let cfg = subject.config;
-        let Ok(period) = cfg.ring.period(&cfg.tech, Celsius::new(HOT_CORNER_C)) else {
-            // Not evaluable: NC0603's territory; no budget fact exists.
-            return;
-        };
-        let cycles = (cfg.window_cycles + cfg.settle_cycles) as f64;
-        let conversion_s = period.get() * cycles;
-        let location = Location::object(format!(
-            "{} stage(s), {} + {} cycles",
-            cfg.ring.stages().len(),
-            cfg.settle_cycles,
-            cfg.window_cycles
-        ));
-        if conversion_s > subject.deadline_s {
-            report.push(Diagnostic::error(
-                "NC0701",
-                location,
-                format!(
-                    "worst-case conversion {:.3e} s (period {:.3e} s at {HOT_CORNER_C:.0} °C) \
-                     exceeds the {:.3e} s deadline: every direct read is unservable by \
-                     construction",
-                    conversion_s,
-                    period.get(),
-                    subject.deadline_s
-                ),
-            ));
-        } else if conversion_s > HEADROOM_FRACTION * subject.deadline_s {
-            report.push(Diagnostic::warning(
-                "NC0702",
-                location,
-                format!(
-                    "worst-case conversion {:.3e} s consumes more than half the {:.3e} s \
-                     deadline: no headroom for a retry, any transient fault forces degraded \
-                     service",
-                    conversion_s, subject.deadline_s
-                ),
-            ));
-        }
-    }
-}
-
-/// Runs every deadline-budget rule over a configuration + deadline
-/// pair.
+/// `NC0701` + `NC0702`: the worst-case conversion time of `config`
+/// vs a runtime's per-request deadline of `deadline_s` seconds.
 pub fn check_runtime_budget(config: &SensorConfig, deadline_s: f64) -> Report {
-    let subject = ConfigUnderDeadline { config, deadline_s };
-    let passes: [&dyn Pass<ConfigUnderDeadline<'_>>; 1] = [&DeadlineBudgetPass];
-    run_passes(&passes, &subject)
-}
-
-/// The runtime timing knobs the freshness rules lint.
-#[derive(Debug, Clone, Copy)]
-pub struct RuntimeTuning {
-    /// Oldest cached reading the runtime will serve, milliseconds.
-    pub staleness_bound_ms: u64,
-    /// Interval between checkpoints, milliseconds (`0` disables
-    /// checkpointing, and with it the hazard).
-    pub checkpoint_interval_ms: u64,
-}
-
-/// `NC0801`: staleness bound vs checkpoint interval across recovery.
-pub struct FreshnessPass;
-
-impl Pass<RuntimeTuning> for FreshnessPass {
-    fn name(&self) -> &'static str {
-        "recovery-freshness"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC0801"]
-    }
-
-    fn run(&self, subject: &RuntimeTuning, report: &mut Report) {
-        if subject.checkpoint_interval_ms > 0
-            && subject.staleness_bound_ms < subject.checkpoint_interval_ms
-        {
-            report.push(Diagnostic::error(
-                "NC0801",
-                Location::object(format!(
-                    "staleness {} ms, checkpoint every {} ms",
-                    subject.staleness_bound_ms, subject.checkpoint_interval_ms
-                )),
-                format!(
-                    "staleness bound {} ms is shorter than the {} ms checkpoint interval: a \
-                     crash-recovered process restores readings up to a full interval old, so it \
-                     could hold nothing fresh enough to serve",
-                    subject.staleness_bound_ms, subject.checkpoint_interval_ms
-                ),
-            ));
-        }
-    }
-}
-
-/// Runs every recovery-freshness rule over a runtime's timing knobs.
-pub fn check_runtime_tuning(staleness_bound_ms: u64, checkpoint_interval_ms: u64) -> Report {
-    let subject = RuntimeTuning {
-        staleness_bound_ms,
-        checkpoint_interval_ms,
+    let mut report = Report::new();
+    let Ok(period) = config.ring.period(&config.tech, Celsius::new(HOT_CORNER_C)) else {
+        // Not evaluable: NC0603's territory; no budget fact exists.
+        return report;
     };
-    let passes: [&dyn Pass<RuntimeTuning>; 1] = [&FreshnessPass];
-    run_passes(&passes, &subject)
+    let cycles = (config.window_cycles + config.settle_cycles) as f64;
+    let conversion_s = period.get() * cycles;
+    let location = Location::object(format!(
+        "{} stage(s), {} + {} cycles",
+        config.ring.stages().len(),
+        config.settle_cycles,
+        config.window_cycles
+    ));
+    if conversion_s > deadline_s {
+        report.push(Diagnostic::error(
+            "NC0701",
+            location,
+            format!(
+                "worst-case conversion {:.3e} s (period {:.3e} s at {HOT_CORNER_C:.0} °C) \
+                 exceeds the {:.3e} s deadline: every direct read is unservable by \
+                 construction",
+                conversion_s,
+                period.get(),
+                deadline_s
+            ),
+        ));
+    } else if conversion_s > HEADROOM_FRACTION * deadline_s {
+        report.push(Diagnostic::warning(
+            "NC0702",
+            location,
+            format!(
+                "worst-case conversion {:.3e} s consumes more than half the {:.3e} s \
+                 deadline: no headroom for a retry, any transient fault forces degraded \
+                 service",
+                conversion_s, deadline_s
+            ),
+        ));
+    }
+    report
+}
+
+/// `NC0801`: a runtime's staleness bound vs its checkpoint interval
+/// across crash recovery (an interval of `0` disables checkpointing,
+/// and with it the hazard).
+pub fn check_runtime_tuning(staleness_bound_ms: u64, checkpoint_interval_ms: u64) -> Report {
+    let mut report = Report::new();
+    if checkpoint_interval_ms > 0 && staleness_bound_ms < checkpoint_interval_ms {
+        report.push(Diagnostic::error(
+            "NC0801",
+            Location::object(format!(
+                "staleness {staleness_bound_ms} ms, checkpoint every {checkpoint_interval_ms} ms"
+            )),
+            format!(
+                "staleness bound {staleness_bound_ms} ms is shorter than the \
+                 {checkpoint_interval_ms} ms checkpoint interval: a crash-recovered process \
+                 restores readings up to a full interval old, so it could hold nothing fresh \
+                 enough to serve"
+            ),
+        ));
+    }
+    report
 }
 
 #[cfg(test)]

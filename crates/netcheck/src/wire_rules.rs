@@ -17,57 +17,24 @@
 //!   `FrameBudget` error).
 
 use crate::diagnostic::{Diagnostic, Location, Report};
-use crate::pass::{run_passes, Pass};
 
-/// The budget/array pair the wire-protocol rules lint.
-#[derive(Debug, Clone, Copy)]
-pub struct WireTuning {
-    /// Configured whole-frame byte budget.
-    pub frame_budget: usize,
-    /// Total sensor sites across every shard of the fleet.
-    pub total_sites: usize,
-}
-
-/// `NC1501`: frame budget vs the largest encodable response.
-pub struct FrameBudgetPass;
-
-impl Pass<WireTuning> for FrameBudgetPass {
-    fn name(&self) -> &'static str {
-        "wire-frame-budget"
-    }
-
-    fn rules(&self) -> &'static [&'static str] {
-        &["NC1501"]
-    }
-
-    fn run(&self, subject: &WireTuning, report: &mut Report) {
-        let required = wire::max_response_frame_len(subject.total_sites);
-        if subject.frame_budget < required {
-            report.push(Diagnostic::error(
-                "NC1501",
-                Location::object(format!(
-                    "budget {} B, {} site(s)",
-                    subject.frame_budget, subject.total_sites
-                )),
-                format!(
-                    "frame budget {} B cannot carry the largest encodable response for \
-                     {} site(s): a full thermal-map readout needs {} B, so the map \
-                     endpoint is unservable by construction",
-                    subject.frame_budget, subject.total_sites, required
-                ),
-            ));
-        }
-    }
-}
-
-/// Runs every wire-protocol rule over a budget/array pair.
+/// `NC1501`: the frame budget vs the largest encodable response for a
+/// fleet of `total_sites` sensor sites across every shard.
 pub fn check_wire_frame_budget(frame_budget: usize, total_sites: usize) -> Report {
-    let subject = WireTuning {
-        frame_budget,
-        total_sites,
-    };
-    let passes: [&dyn Pass<WireTuning>; 1] = [&FrameBudgetPass];
-    run_passes(&passes, &subject)
+    let mut report = Report::new();
+    let required = wire::max_response_frame_len(total_sites);
+    if frame_budget < required {
+        report.push(Diagnostic::error(
+            "NC1501",
+            Location::object(format!("budget {frame_budget} B, {total_sites} site(s)")),
+            format!(
+                "frame budget {frame_budget} B cannot carry the largest encodable response for \
+                 {total_sites} site(s): a full thermal-map readout needs {required} B, so the map \
+                 endpoint is unservable by construction"
+            ),
+        ));
+    }
+    report
 }
 
 #[cfg(test)]

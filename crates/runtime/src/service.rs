@@ -383,7 +383,7 @@ pub(crate) fn build_core(
 }
 
 /// Startup preflight over the deadline and freshness budgets: the
-/// shared `netcheck` passes run here — the same `NC0701` (worst-case
+/// `netcheck` rules run here — the same `NC0701` (worst-case
 /// conversion vs deadline) and `NC0801` (staleness vs checkpoint
 /// interval) rules the lint frontend fires, so the static and dynamic
 /// verdicts can never drift apart.

@@ -2,10 +2,9 @@
 
 use std::fmt;
 
-use tsense_core::gate::GateKind;
 use tsense_core::ModelError;
 
-/// Errors produced by the STA engine, its delay models and validators.
+/// Errors produced by the STA engine, its delay model and validators.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum StaError {
@@ -15,23 +14,13 @@ pub enum StaError {
     Build(dsim::BuildError),
     /// A simulator-side operation failed during cross-validation.
     Sim(dsim::DsimError),
-    /// A table-driven model has no entry for the requested cell.
-    UncharacterizedCell {
-        /// The cell that is missing from the table set.
-        kind: GateKind,
-    },
-    /// Transistor-level characterization failed while building a table
-    /// model.
-    Characterization {
-        /// The underlying simulator message.
-        message: String,
-    },
     /// The analyzed netlist contains no combinational loop, so no
     /// oscillation period can be extracted.
     NoOscillator,
     /// The loop has even inversion parity: it latches into one of two
-    /// stable states instead of oscillating (netcheck rule `NC0105`), so
-    /// it has **no** period — reporting one would be bogus.
+    /// stable states instead of oscillating (`dsim`'s `ring_oscillator`
+    /// refuses such a ring as `EvenInversionRing`), so it has **no**
+    /// period — reporting one would be bogus.
     NonOscillating {
         /// Gates on the loop.
         stages: usize,
@@ -70,12 +59,6 @@ impl fmt::Display for StaError {
             StaError::Model(e) => write!(f, "delay model error: {e}"),
             StaError::Build(e) => write!(f, "ring construction error: {e}"),
             StaError::Sim(e) => write!(f, "simulator error: {e}"),
-            StaError::UncharacterizedCell { kind } => {
-                write!(f, "no timing table characterized for cell {kind}")
-            }
-            StaError::Characterization { message } => {
-                write!(f, "cell characterization failed: {message}")
-            }
             StaError::NoOscillator => {
                 write!(
                     f,
@@ -143,10 +126,6 @@ mod tests {
             inversions: 4,
         };
         assert!(e.to_string().contains("even parity"), "{e}");
-        let e = StaError::UncharacterizedCell {
-            kind: GateKind::Nand3,
-        };
-        assert!(e.to_string().contains("NAND3"), "{e}");
         let e: StaError = dsim::BuildError::RingTooShort { stages: 1 }.into();
         assert!(e.to_string().contains("ring construction"), "{e}");
     }

@@ -27,7 +27,7 @@ use tsense_core::gate::GateKind;
 use crate::error::{Result, StaError};
 use crate::levelize::strongly_connected;
 use crate::loops::{classify_sccs, LoopAnalysis, LoopKind};
-use crate::model::{DelayFs, DelayModel};
+use crate::model::{AnalyticalModel, DelayFs};
 
 /// Edge polarity of a timing event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -260,8 +260,8 @@ pub fn netlist_delays(nl: &Netlist) -> Vec<DelayFs> {
         .collect()
 }
 
-/// Binds netlist components to library cells so a [`DelayModel`] can
-/// price their arcs.
+/// Binds netlist components to library cells so an [`AnalyticalModel`]
+/// can price their arcs.
 #[derive(Debug, Clone, Default)]
 pub struct CellMap {
     kinds: Vec<Option<GateKind>>,
@@ -303,7 +303,7 @@ impl CellMap {
 pub fn cell_delays(
     nl: &Netlist,
     cells: &CellMap,
-    model: &dyn DelayModel,
+    model: &AnalyticalModel,
     temp_c: f64,
 ) -> Result<Vec<DelayFs>> {
     // Load on each signal: sum of the mapped consumers' input pins.

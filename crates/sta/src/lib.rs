@@ -12,9 +12,8 @@
 //!    odd-parity ring yields the analytic oscillation period
 //!    `T = Σ (t_PHL + t_PLH)` (the paper's Eq. 1), even parity is
 //!    diagnosed as latching, anything tangled is refused honestly;
-//! 3. [`model`] prices the arcs at any temperature, either closed-form
-//!    ([`AnalyticalModel`]) or from transistor-level characterization
-//!    tables ([`TableModel`]);
+//! 3. [`model`] prices the arcs at any temperature in closed form
+//!    ([`AnalyticalModel`]);
 //! 4. [`mod@transfer`] sweeps temperature to produce the STA-predicted
 //!    sensor transfer function and its nonlinearity — no transient
 //!    simulation anywhere;
@@ -56,7 +55,7 @@ pub use graph::{
 };
 pub use levelize::{component_successors, levelize, strongly_connected, Levelization};
 pub use loops::{LoopAnalysis, LoopKind};
-pub use model::{AnalyticalModel, DelayFs, DelayModel, TableModel};
+pub use model::{AnalyticalModel, DelayFs};
 pub use rings::{
     build_ring, cross_validate, kind_to_op, parse_mix, shipped_rings, BuiltRing, CrossValidation,
     RingSpec, CROSS_VALIDATION_TOLERANCE,

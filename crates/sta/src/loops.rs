@@ -10,8 +10,8 @@
 //!   rising and one falling edge through every stage.
 //! * **Latching** — a simple cycle with even inversion parity. Positive
 //!   feedback: it settles into one of two stable states and does *not*
-//!   oscillate (the same condition netcheck flags as `NC0105`), so no
-//!   period is reported.
+//!   oscillate (the same condition `dsim`'s `ring_oscillator` refuses
+//!   as `EvenInversionRing`), so no period is reported.
 //! * **Tangled** — not a simple cycle (some gate has several in-loop
 //!   inputs). Oscillation may or may not occur depending on logic
 //!   function and state; no closed-form period exists.

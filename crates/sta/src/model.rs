@@ -1,4 +1,4 @@
-//! Temperature-dependent per-cell delay models.
+//! The temperature-dependent per-cell delay model.
 //!
 //! STA needs, for every cell on a timing arc, the propagation-delay pair
 //! at the analysis temperature:
@@ -9,22 +9,14 @@
 //! The split matters because NAND/NOR stacks weight the two edges
 //! differently (series NMOS slows `t_PHL`, series PMOS slows `t_PLH`) —
 //! the very asymmetry the paper's Fig. 3 cell-mix optimization exploits.
-//! Two interchangeable sources are provided behind [`DelayModel`]:
-//!
-//! * [`AnalyticalModel`] — the alpha-power formulation of
-//!   `tsense-core`, closed form, any temperature and load;
-//! * [`TableModel`] — interpolated [`TimingTable`]s measured by the
-//!   `stdcell` Level-1 transistor characterization bench.
+//! [`AnalyticalModel`] prices them with the alpha-power formulation of
+//! `tsense-core`: closed form, at any temperature and load.
 
-use std::collections::BTreeMap;
-
-use stdcell::characterize::TimingTable;
-use stdcell::library::CellLibrary;
 use tsense_core::gate::{Gate, GateKind};
 use tsense_core::tech::Technology;
 use tsense_core::units::{Celsius, Farads};
 
-use crate::error::{Result, StaError};
+use crate::error::Result;
 
 /// A propagation-delay pair in femtoseconds — the STA-internal unit,
 /// matching `dsim`'s integer-femtosecond timebase.
@@ -58,27 +50,6 @@ impl DelayFs {
     pub fn quantized_fs(&self) -> u64 {
         (0.5 * self.pair_sum_fs()).round().max(1.0) as u64
     }
-}
-
-/// A source of per-cell delay pairs at arbitrary temperature and load.
-pub trait DelayModel {
-    /// Delay pair of one `kind` cell at `temp_c` °C driving `load_f`
-    /// farads of external load.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model evaluation failures (e.g. no gate overdrive at
-    /// the requested temperature).
-    fn gate_delays(&self, kind: GateKind, temp_c: f64, load_f: f64) -> Result<DelayFs>;
-
-    /// Capacitance one input pin of `kind` presents to its driver,
-    /// farads. Models that bake the load into their characterization
-    /// (e.g. FO1 tables) return 0.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model evaluation failures.
-    fn input_capacitance(&self, kind: GateKind) -> Result<f64>;
 }
 
 /// Closed-form alpha-power delays from `tsense-core`, at a fixed
@@ -117,10 +88,15 @@ impl AnalyticalModel {
     fn gate(&self, kind: GateKind) -> Result<Gate> {
         Ok(Gate::with_ratio(kind, self.wn, self.ratio)?)
     }
-}
 
-impl DelayModel for AnalyticalModel {
-    fn gate_delays(&self, kind: GateKind, temp_c: f64, load_f: f64) -> Result<DelayFs> {
+    /// Delay pair of one `kind` cell at `temp_c` °C driving `load_f`
+    /// farads of external load.
+    ///
+    /// # Errors
+    ///
+    /// Propagates model evaluation failures (e.g. no gate overdrive at
+    /// the requested temperature).
+    pub fn gate_delays(&self, kind: GateKind, temp_c: f64, load_f: f64) -> Result<DelayFs> {
         let gate = self.gate(kind)?;
         let d = gate.delays(&self.tech, Celsius::new(temp_c), Farads::new(load_f))?;
         Ok(DelayFs {
@@ -129,73 +105,14 @@ impl DelayModel for AnalyticalModel {
         })
     }
 
-    fn input_capacitance(&self, kind: GateKind) -> Result<f64> {
-        Ok(self.gate(kind)?.input_capacitance(&self.tech).get())
-    }
-}
-
-/// Interpolated delay tables from transistor-level characterization.
-///
-/// Tables are measured at a fan-out-of-1 identical-cell load (the
-/// situation inside a sensor ring), so the `load_f` argument is ignored
-/// and [`DelayModel::input_capacitance`] reports 0.
-#[derive(Debug, Clone, Default)]
-pub struct TableModel {
-    tables: BTreeMap<GateKind, TimingTable>,
-}
-
-impl TableModel {
-    /// An empty table set.
-    pub fn new() -> Self {
-        TableModel::default()
-    }
-
-    /// Adds (or replaces) one cell's table.
-    pub fn insert(&mut self, table: TimingTable) {
-        self.tables.insert(table.kind, table);
-    }
-
-    /// Characterizes `kinds` from `lib` at the given sample
-    /// temperatures — the transistor-level ground-truth model.
+    /// Capacitance one input pin of `kind` presents to its driver,
+    /// farads.
     ///
     /// # Errors
     ///
-    /// Returns [`StaError::Characterization`] when the transient bench
-    /// fails.
-    pub fn characterized(lib: &CellLibrary, kinds: &[GateKind], temps_c: &[f64]) -> Result<Self> {
-        let mut model = TableModel::new();
-        for &kind in kinds {
-            let table =
-                lib.characterize_cell(kind, temps_c)
-                    .map_err(|e| StaError::Characterization {
-                        message: e.to_string(),
-                    })?;
-            model.insert(table);
-        }
-        Ok(model)
-    }
-
-    /// The characterized cells.
-    pub fn kinds(&self) -> Vec<GateKind> {
-        self.tables.keys().copied().collect()
-    }
-}
-
-impl DelayModel for TableModel {
-    fn gate_delays(&self, kind: GateKind, temp_c: f64, _load_f: f64) -> Result<DelayFs> {
-        let table = self
-            .tables
-            .get(&kind)
-            .ok_or(StaError::UncharacterizedCell { kind })?;
-        let pair = table.lookup(temp_c);
-        Ok(DelayFs {
-            fall_fs: pair.tphl * 1e15,
-            rise_fs: pair.tplh * 1e15,
-        })
-    }
-
-    fn input_capacitance(&self, _kind: GateKind) -> Result<f64> {
-        Ok(0.0)
+    /// Propagates model evaluation failures.
+    pub fn input_capacitance(&self, kind: GateKind) -> Result<f64> {
+        Ok(self.gate(kind)?.input_capacitance(&self.tech).get())
     }
 }
 
@@ -243,12 +160,5 @@ mod tests {
             "never rounds to zero"
         );
         assert_eq!(DelayFs::symmetric(42).quantized_fs(), 42);
-    }
-
-    #[test]
-    fn table_model_reports_missing_cells() {
-        let model = TableModel::new();
-        let err = model.gate_delays(GateKind::Inv, 27.0, 0.0).unwrap_err();
-        assert!(matches!(err, StaError::UncharacterizedCell { .. }));
     }
 }

@@ -23,7 +23,7 @@ use tsense_core::ring::CellConfig;
 
 use crate::error::{Result, StaError};
 use crate::graph::{analyze, Analysis, CellMap};
-use crate::model::{DelayFs, DelayModel};
+use crate::model::{AnalyticalModel, DelayFs};
 
 /// Maximum tolerated relative disagreement between the STA-predicted
 /// and simulator-measured ring period: 0.1 %.
@@ -196,7 +196,7 @@ impl BuiltRing {
 ///
 /// Model failures and builder rejections (even parity, short ring)
 /// propagate; an empty `kinds` is [`StaError::BadRing`].
-pub fn build_ring(kinds: &[GateKind], model: &dyn DelayModel, temp_c: f64) -> Result<BuiltRing> {
+pub fn build_ring(kinds: &[GateKind], model: &AnalyticalModel, temp_c: f64) -> Result<BuiltRing> {
     if kinds.is_empty() {
         return Err(StaError::BadRing {
             reason: "no stages given".to_string(),
@@ -270,7 +270,7 @@ impl CrossValidation {
 /// [`CrossValidation::within_tolerance`].
 pub fn cross_validate(
     kinds: &[GateKind],
-    model: &dyn DelayModel,
+    model: &AnalyticalModel,
     temps_c: &[f64],
 ) -> Result<Vec<CrossValidation>> {
     let mut points = Vec::with_capacity(temps_c.len());

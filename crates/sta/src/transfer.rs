@@ -15,7 +15,7 @@ use tsense_core::units::{Seconds, TempRange};
 
 use crate::error::Result;
 use crate::graph::{analyze, cell_delays};
-use crate::model::DelayModel;
+use crate::model::AnalyticalModel;
 use crate::rings::build_ring;
 
 /// Sweep settings for the STA transfer-function evaluation.
@@ -75,7 +75,7 @@ impl Transfer {
 /// propagate.
 pub fn transfer(
     kinds: &[GateKind],
-    model: &dyn DelayModel,
+    model: &AnalyticalModel,
     settings: &TransferSettings,
 ) -> Result<Transfer> {
     let ring = build_ring(kinds, model, settings.range.midpoint().get())?;
@@ -104,7 +104,7 @@ pub fn transfer(
 /// # Errors
 ///
 /// Model and ring-construction failures propagate.
-pub fn period_at(kinds: &[GateKind], model: &dyn DelayModel, temp_c: f64) -> Result<f64> {
+pub fn period_at(kinds: &[GateKind], model: &AnalyticalModel, temp_c: f64) -> Result<f64> {
     let ring = build_ring(kinds, model, temp_c)?;
     Ok(ring.sta_period_fs()? * 1e-15)
 }

@@ -1,6 +1,7 @@
 //! Satellite coverage: STA loop diagnostics on even-parity
 //! (non-oscillating) rings must produce a typed diagnostic, never a
-//! bogus period — consistent with the `NC01xx` parity design rules.
+//! bogus period — consistent with `dsim`'s `ring_oscillator`, which
+//! refuses an even ring as `EvenInversionRing`, and netcheck's `NC0401`.
 
 use dsim::netlist::{GateOp, Netlist};
 use sta::{analyze, netlist_delays, LoopKind, StaError};

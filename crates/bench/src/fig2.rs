@@ -12,34 +12,13 @@ use std::path::Path;
 
 use stdcell::library::CellLibrary;
 use tsense_core::gate::GateKind;
-use tsense_core::linearity::{FitKind, NonLinearity};
 use tsense_core::optimize::{ratio_sweep, SweepSettings};
-use tsense_core::ring::PeriodCurve;
 use tsense_core::tech::Technology;
-use tsense_core::units::{Celsius, Seconds};
 
-use crate::{render_table, write_artifact};
+use crate::{render_table, transistor_level_nl, write_artifact};
 
 /// The ratios the paper's Fig. 2 plots.
 pub const PAPER_RATIOS: [f64; 5] = [1.5, 1.75, 2.25, 3.0, 4.0];
-
-/// Worst-case non-linearity of a transistor-level ring at `ratio`,
-/// evaluated from simulated periods at `n_temps` points.
-fn transistor_level_nl(ratio: f64, n_temps: usize) -> f64 {
-    let lib = CellLibrary::um350(ratio);
-    let ring = lib.uniform_ring(GateKind::Inv, 5).expect("ring");
-    let temps: Vec<f64> = (0..n_temps)
-        .map(|i| -50.0 + 200.0 * i as f64 / (n_temps - 1) as f64)
-        .collect();
-    let curve = ring.period_curve(&temps).expect("simulated curve");
-    let pc = PeriodCurve::new(
-        curve.iter().map(|&(t, _)| Celsius::new(t)).collect(),
-        curve.iter().map(|&(_, p)| Seconds::new(p)).collect(),
-    );
-    NonLinearity::of_curve(&pc, FitKind::LeastSquares)
-        .expect("NL analysis")
-        .max_abs_percent()
-}
 
 /// Runs the experiment; see module docs.
 ///
@@ -84,7 +63,10 @@ pub fn run(out_dir: &Path) -> String {
     let check_ratios = [1.5, 2.25, 4.0];
     let sim_nl: Vec<f64> = check_ratios
         .iter()
-        .map(|&r| transistor_level_nl(r, 9))
+        .map(|&r| {
+            let ring = CellLibrary::um350(r).uniform_ring(GateKind::Inv, 5);
+            transistor_level_nl(&ring.expect("ring"), 9)
+        })
         .collect();
     let ana_nl: Vec<f64> = check_ratios
         .iter()

@@ -14,31 +14,11 @@ use std::path::Path;
 
 use stdcell::library::CellLibrary;
 use tsense_core::gate::GateKind;
-use tsense_core::linearity::{FitKind, NonLinearity};
 use tsense_core::optimize::{config_search, exhaustive_config_search, SweepSettings};
-use tsense_core::ring::{CellConfig, PeriodCurve};
+use tsense_core::ring::CellConfig;
 use tsense_core::tech::Technology;
-use tsense_core::units::{Celsius, Seconds};
 
-use crate::{render_table, write_artifact};
-
-/// Worst-case non-linearity of a transistor-level ring built from a
-/// cell configuration, from simulated periods at `n_temps` points.
-fn transistor_level_nl(config: &CellConfig, n_temps: usize) -> f64 {
-    let lib = CellLibrary::um350(LIBRARY_RATIO);
-    let ring = lib.ring_from_config(config).expect("ring");
-    let temps: Vec<f64> = (0..n_temps)
-        .map(|i| -50.0 + 200.0 * i as f64 / (n_temps - 1) as f64)
-        .collect();
-    let curve = ring.period_curve(&temps).expect("simulated curve");
-    let pc = PeriodCurve::new(
-        curve.iter().map(|&(t, _)| Celsius::new(t)).collect(),
-        curve.iter().map(|&(_, p)| Seconds::new(p)).collect(),
-    );
-    NonLinearity::of_curve(&pc, FitKind::LeastSquares)
-        .expect("NL analysis")
-        .max_abs_percent()
-}
+use crate::{render_table, transistor_level_nl, write_artifact};
 
 /// The fixed library sizing ratio for this experiment.
 pub const LIBRARY_RATIO: f64 = 1.5;
@@ -113,12 +93,15 @@ pub fn run(out_dir: &Path) -> String {
     // practice: as a *candidate generator*. The top analytical mixes are
     // re-simulated at transistor level and the simulated winner must
     // beat the simulated 5xINV baseline.
+    let lib = CellLibrary::um350(LIBRARY_RATIO);
+    let sim_nl =
+        |config: &CellConfig| transistor_level_nl(&lib.ring_from_config(config).expect("ring"), 9);
     let shortlist: Vec<&CellConfig> = full.iter().take(8).map(|p| &p.config).collect();
     let mut sim_rows = Vec::new();
     let mut best_sim_nl = f64::INFINITY;
     let mut best_sim_config = String::new();
     for config in &shortlist {
-        let nl = transistor_level_nl(config, 9);
+        let nl = sim_nl(config);
         if nl < best_sim_nl {
             best_sim_nl = nl;
             best_sim_config = format!("{config}");
@@ -126,7 +109,7 @@ pub fn run(out_dir: &Path) -> String {
         sim_rows.push(vec![format!("{config}"), format!("{nl:.4}")]);
     }
     let inv_config = CellConfig::uniform(GateKind::Inv, 5).expect("config");
-    let inv_sim_nl = transistor_level_nl(&inv_config, 9);
+    let inv_sim_nl = sim_nl(&inv_config);
 
     let mut report = String::new();
     report.push_str(&format!(

@@ -36,6 +36,11 @@
 use std::fs;
 use std::path::Path;
 
+use stdcell::TransistorRing;
+use tsense_core::linearity::{FitKind, NonLinearity};
+use tsense_core::ring::PeriodCurve;
+use tsense_core::units::{Celsius, Seconds};
+
 pub mod abl1;
 pub mod abl2;
 pub mod abl3;
@@ -52,6 +57,27 @@ pub mod ta;
 pub mod tb;
 pub mod tc;
 pub mod td;
+
+/// Worst-case non-linearity of a transistor-level `ring`, from its
+/// simulated periods at `n_temps` points evenly spread over
+/// −50…150 °C.
+///
+/// # Panics
+///
+/// Panics if the simulation or the fit fails.
+pub(crate) fn transistor_level_nl(ring: &TransistorRing, n_temps: usize) -> f64 {
+    let temps: Vec<f64> = (0..n_temps)
+        .map(|i| -50.0 + 200.0 * i as f64 / (n_temps - 1) as f64)
+        .collect();
+    let curve = ring.period_curve(&temps).expect("simulated curve");
+    let pc = PeriodCurve::new(
+        curve.iter().map(|&(t, _)| Celsius::new(t)).collect(),
+        curve.iter().map(|&(_, p)| Seconds::new(p)).collect(),
+    );
+    NonLinearity::of_curve(&pc, FitKind::LeastSquares)
+        .expect("NL analysis")
+        .max_abs_percent()
+}
 
 /// Writes `contents` to `<out_dir>/<name>`, creating the directory.
 ///

@@ -241,8 +241,9 @@ pub fn reference_universe(with_spice: bool) -> Vec<Fault> {
 }
 
 /// The reference behavioral sensing unit (5×INV, 0.35 µm, calibrated
-/// over the paper range).
-fn reference_unit() -> SmartSensorUnit {
+/// over the paper range): what every campaign faults, and what each
+/// site of a `runtime` service core's array is.
+pub fn reference_unit() -> SmartSensorUnit {
     let tech = Technology::um350();
     let gate = Gate::with_ratio(GateKind::Inv, 1e-6, 2.0).expect("reference gate is valid");
     let ring = RingOscillator::uniform(gate, REF_STAGES).expect("reference ring is valid");

@@ -29,7 +29,8 @@ pub mod report;
 pub mod schedule;
 
 pub use campaign::{
-    reference_universe, run_campaign, run_fault, CampaignConfig, CampaignResult, FaultRun, Outcome,
+    reference_unit, reference_universe, run_campaign, run_fault, CampaignConfig, CampaignResult,
+    FaultRun, Outcome,
 };
 pub use fault::{Fault, FaultClass};
 pub use report::{render_json, render_text};

@@ -18,7 +18,7 @@
 //! | `NC13xx` | dataflow: hazards          | reconvergent (glitch-prone) clock/enable cones, XOR in a clock cone |
 //! | `NC14xx` | dataflow: structure        | floating inputs, dead gates, fan-out over the stdcell drive budget |
 //! | `NC15xx` | wire protocol budgets      | frame budget vs largest encodable response |
-//! | `NC16xx` | replication tuning         | staleness vs failover window, ack quorum vs group size |
+//! | `NC16xx` | replication tuning         | ack quorum vs group size |
 //!
 //! Every rule has a stable ID and fires as a [`Diagnostic`] at a fixed
 //! [`Severity`]; a [`Report`] aggregates them and renders as text,

@@ -38,8 +38,10 @@ macro_rules! declare_rule {
         /// deadline/freshness proofs, `NC11xx` = clock-domain crossing,
         /// `NC12xx` = X-propagation, `NC13xx` = static hazards, `NC14xx`
         /// = dataflow structural checks, `NC15xx` = wire protocol budgets
-        /// and `NC16xx` = replication. `NC05xx` is not here: the `sta`
-        /// crate owns those timing rules and its CLI reports them.
+        /// and `NC16xx` = replication. A retired ID (the `NC01xx` bank,
+        /// `NC1601`) is never reused, so a baseline that names it cannot
+        /// silently match a different rule. `NC05xx` is not here: the
+        /// `sta` crate owns those timing rules and its CLI reports them.
         pub const RULES: &[RuleInfo] = &[
             $(RuleInfo {
                 id: stringify!($id),
@@ -89,7 +91,6 @@ declare_rule! {
     NC1402 => Warning, "gate is dead (unreachable from any clock or pokable input)";
     NC1403 => Warning, "signal fan-out exceeds the stdcell drive budget for its driver";
     NC1501 => Error, "wire frame budget cannot carry the largest encodable response for the fleet's array size";
-    NC1601 => Error, "staleness bound does not outlive failover detection (post-failover reads all typed-fail)";
     NC1602 => Error, "ack quorum does not equal the backup count (unsatisfiable, or acked-loss window on failover)";
 }
 

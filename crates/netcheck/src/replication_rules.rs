@@ -1,22 +1,13 @@
-//! Rules over the replication configuration (`NC16xx`).
+//! The rule over the replication configuration (`NC16xx`).
 //!
-//! A replicated shard group only delivers its guarantees when three
-//! tuning knobs agree with each other:
-//!
-//! * `NC1601` — the staleness bound must outlive failover detection.
-//!   During a primary failure nothing refreshes the group's data until
-//!   the router's detection timeout expires and a backup is promoted;
-//!   if the staleness bound is shorter than that window, every read
-//!   served right after failover is already past the bound and fails
-//!   typed — the group is unavailable by construction exactly when
-//!   replication was supposed to keep it available.
-//! * `NC1602` — the ack quorum must equal the backup count
-//!   (`replication - 1`). A quorum *above* it can never be met (the
-//!   group has no more backups to ack); a quorum *below* it leaves a
-//!   window where an acknowledged effect lives on fewer than all
-//!   backups, so a "highest replicated log position wins" promotion
-//!   can elect a backup missing acked effects — silent acked-work
-//!   loss, the exact failure the fleet invariant `EffectLost` flags.
+//! `NC1602`: a replicated shard group only delivers its guarantees
+//! when its ack quorum equals its backup count (`replication - 1`). A
+//! quorum *above* it can never be met (the group has no more backups
+//! to ack); a quorum *below* it leaves a window where an acknowledged
+//! effect lives on fewer than all backups, so a "highest replicated
+//! log position wins" promotion can elect a backup missing acked
+//! effects — silent acked-work loss, the exact failure the fleet
+//! invariant `EffectLost` flags.
 //!
 //! The `runtime` wire server refuses the same pairings at startup with
 //! a typed `BadReplication` error, so the static and dynamic verdicts
@@ -24,56 +15,20 @@
 
 use crate::diagnostic::{Diagnostic, Location, Report};
 
-/// The replication knobs the `NC16xx` rules lint.
+/// The replication knobs the `NC16xx` rule lints.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicationTuning {
     /// Replicas per shard group (primary included).
     pub replication: usize,
     /// Backup acks required before a write is acknowledged.
     pub ack_quorum: usize,
-    /// Staleness bound served readings must beat, milliseconds.
-    pub staleness_bound_ms: u64,
-    /// How long a primary must be silent before the router promotes a
-    /// backup, milliseconds.
-    pub failover_timeout_ms: u64,
-}
-
-/// Runs every replication rule over one tuning.
-pub fn check_replication(tuning: ReplicationTuning) -> Report {
-    let mut report = Report::new();
-    failover_freshness(&tuning, &mut report);
-    ack_quorum(&tuning, &mut report);
-    report.sort();
-    report
-}
-
-/// `NC1601`: staleness bound vs failover detection window.
-fn failover_freshness(subject: &ReplicationTuning, report: &mut Report) {
-    if subject.replication < 2 {
-        return; // unreplicated: there is no failover window
-    }
-    if subject.staleness_bound_ms <= subject.failover_timeout_ms {
-        report.push(Diagnostic::error(
-            "NC1601",
-            Location::object(format!(
-                "staleness {} ms, failover {} ms",
-                subject.staleness_bound_ms, subject.failover_timeout_ms
-            )),
-            format!(
-                "staleness bound {} ms does not outlive the {} ms failover \
-                 detection window: every read served right after a promotion is \
-                 already past the bound, so the group is unavailable by \
-                 construction exactly when failover fires",
-                subject.staleness_bound_ms, subject.failover_timeout_ms
-            ),
-        ));
-    }
 }
 
 /// `NC1602`: ack quorum vs group size.
-fn ack_quorum(subject: &ReplicationTuning, report: &mut Report) {
+pub fn check_replication(subject: ReplicationTuning) -> Report {
+    let mut report = Report::new();
     if subject.replication < 2 {
-        return; // no backups, no quorum to get wrong
+        return report; // no backups, no quorum to get wrong
     }
     let backups = subject.replication - 1;
     let loc = Location::object(format!(
@@ -103,6 +58,7 @@ fn ack_quorum(subject: &ReplicationTuning, report: &mut Report) {
             ),
         ));
     }
+    report
 }
 
 #[cfg(test)]
@@ -113,8 +69,6 @@ mod tests {
         ReplicationTuning {
             replication: 3,
             ack_quorum: 2,
-            staleness_bound_ms: 600,
-            failover_timeout_ms: 200,
         }
     }
 
@@ -129,29 +83,8 @@ mod tests {
         let report = check_replication(ReplicationTuning {
             replication: 1,
             ack_quorum: 0,
-            staleness_bound_ms: 1,
-            failover_timeout_ms: 1_000_000,
         });
         assert!(report.is_clean(), "{}", report.render_text());
-    }
-
-    #[test]
-    fn short_staleness_bound_errors_nc1601() {
-        let report = check_replication(ReplicationTuning {
-            staleness_bound_ms: 200,
-            failover_timeout_ms: 200,
-            ..sound()
-        });
-        assert!(report.has_errors());
-        assert_eq!(report.diagnostics()[0].rule, "NC1601");
-        // Strictly longer is required; equal still fails (a read at
-        // the instant of promotion would be exactly at the bound).
-        let ok = check_replication(ReplicationTuning {
-            staleness_bound_ms: 201,
-            failover_timeout_ms: 200,
-            ..sound()
-        });
-        assert!(ok.is_clean(), "{}", ok.render_text());
     }
 
     #[test]

@@ -37,8 +37,6 @@ enum Kind {
     Port,
     /// A `HOST:PORT` socket address; the flag may repeat.
     Addr,
-    /// A non-empty half-open integer range `A..B`.
-    Range,
     /// Free text: a path or a name.
     Text,
 }
@@ -61,7 +59,6 @@ impl Kind {
             ),
             Port => (v.parse::<u16>().is_err(), "a port number"),
             Addr => (v.parse::<SocketAddr>().is_err(), "HOST:PORT"),
-            Range => (seed_range(v).is_none(), "A..B with A < B"),
         };
         if bad {
             Err(want)
@@ -69,13 +66,6 @@ impl Kind {
             Ok(())
         }
     }
-}
-
-/// Parses `A..B` into `(A, B - A)`: a first seed and a count.
-fn seed_range(v: &str) -> Option<(u64, u64)> {
-    let (a, b) = v.split_once("..")?;
-    let (a, b): (u64, u64) = (a.parse().ok()?, b.parse().ok()?);
-    (b > a).then_some((a, b - a))
 }
 
 /// One row of a subcommand's flag table.
@@ -165,8 +155,6 @@ const WIRE_SOAK: &[Flag] = &[
 const DST: &[Flag] = &[
     flag("--seeds", "N", Positive, "200", "seeds to sweep"),
     flag("--seed-base", "N", Uint, "0", "first seed"),
-    flag("--seed-range", "A..B", Range, "", "sweep the half-open seed range [A, B); \
-                                             overrides --seeds and --seed-base"),
     flag("--jobs", "N", Positive, "1", "worker threads; results merge in seed order, so the \
                                         report is byte-identical at any job count"),
     switch("--fleet", "simulate the replicated fleet (shard groups + router + clients over \
@@ -423,11 +411,7 @@ fn run_dst<S: Simulation>(args: &Args, base: &S) -> ExitCode {
         };
     }
 
-    // `--seed-range` wins over `--seeds`/`--seed-base` wherever it appears.
-    let (seed_base, seeds) = match args.text("--seed-range") {
-        Some(range) => seed_range(range).expect("range was checked against the flag table"),
-        None => (args.get("--seed-base"), args.get("--seeds")),
-    };
+    let (seed_base, seeds): (u64, u64) = (args.get("--seed-base"), args.get("--seeds"));
     let (jobs, mutation): (usize, String) = (args.get("--jobs"), args.get("--mutation"));
     let kind = <S::Report as RunReport>::KIND;
     let out = sweep_jobs(base, seed_base, seeds, jobs);

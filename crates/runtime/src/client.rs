@@ -31,7 +31,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use wire::{Decoder, FleetMsg, WireError, WireOutcome};
+use wire::{Decoder, FleetMsg, WireError, WireOutcome, DEFAULT_FRAME_BUDGET};
 
 use crate::retry::RetryPolicy;
 
@@ -47,8 +47,6 @@ pub struct WireClientConfig {
     pub connect_timeout_ms: u64,
     /// Budget for one request's response to arrive, milliseconds.
     pub request_timeout_ms: u64,
-    /// Whole-frame byte budget; must match the server's.
-    pub frame_budget: usize,
     /// Seed for backoff jitter (combined with each request id).
     pub seed: u64,
 }
@@ -60,7 +58,6 @@ impl Default for WireClientConfig {
             retry: RetryPolicy::default(),
             connect_timeout_ms: 1_000,
             request_timeout_ms: 2_000,
-            frame_budget: wire::DEFAULT_FRAME_BUDGET,
             seed: 0,
         }
     }
@@ -233,7 +230,7 @@ impl WireClient {
         if self.cfg.addrs.is_empty() {
             return Err(ClientError::NoAddrs);
         }
-        wire::encode_frame_into(msg, self.cfg.frame_budget, &mut self.frame)
+        wire::encode_frame_into(msg, DEFAULT_FRAME_BUDGET, &mut self.frame)
             .map_err(ClientError::Encode)?;
         let mut backoff = self.cfg.retry.backoff(self.cfg.seed ^ req_id);
         let start = Instant::now();
@@ -322,7 +319,7 @@ impl WireClient {
             stream
                 .set_nodelay(true)
                 .map_err(|e| format!("set nodelay: {e}"))?;
-            self.conn = Some((stream, Decoder::new(self.cfg.frame_budget)));
+            self.conn = Some((stream, Decoder::new(DEFAULT_FRAME_BUDGET)));
         }
         let (stream, dec) = self.conn.as_mut().expect("connected above");
         stream

@@ -73,7 +73,7 @@ pub enum RuntimeError {
     /// readout would be unencodable by construction (the `netcheck`
     /// rule `NC1501` flags the same condition).
     FrameBudget {
-        /// The configured frame budget, bytes.
+        /// The wire frame budget, bytes ([`wire::DEFAULT_FRAME_BUDGET`]).
         budget_bytes: usize,
         /// The largest frame the protocol can produce for this array,
         /// bytes ([`wire::max_response_frame_len`]).
@@ -93,8 +93,8 @@ pub enum RuntimeError {
         group: usize,
     },
     /// The replication parameters cannot deliver the configured
-    /// guarantees (the `netcheck` rules `NC1601`/`NC1602` flag the
-    /// same conditions).
+    /// guarantees (the `netcheck` rule `NC1602` flags the same
+    /// conditions).
     BadReplication {
         /// Human-readable statement of the inconsistency.
         detail: String,

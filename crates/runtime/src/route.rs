@@ -6,8 +6,10 @@
 //! [`RetryPolicy`] ladder); the wire tier would have needed a second
 //! copy. [`RouterPolicy`] replaces both: a [`wire::HashRing`] for
 //! placement plus the *same* [`RetryPolicy`] the per-unit supervisors
-//! use for pacing, so "how hard does the fleet hammer a struggling
-//! shard" is one tunable, simulated and real.
+//! use for pacing. [`RouterPolicy::fleet`] is decided once, here: the
+//! TCP tier and the fleet simulator both route by it, so "where does a
+//! key live" and "how hard does the fleet hammer a struggling shard"
+//! have one answer, simulated and real.
 //!
 //! Usage: make a [`RoutePlan`] per request, then call
 //! [`RouterPolicy::advance`] for each attempt. The first advance
@@ -20,6 +22,9 @@ use crate::retry::{Backoff, RetryPolicy};
 use crate::small_set::SmallSet;
 use wire::HashRing;
 
+/// Ring virtual nodes per shard group.
+const VNODES: usize = 8;
+
 /// Placement + pacing for a fleet router (simulated or TCP).
 #[derive(Debug, Clone)]
 pub struct RouterPolicy {
@@ -31,9 +36,14 @@ pub struct RouterPolicy {
 }
 
 impl RouterPolicy {
-    /// A policy over `ring` paced by `retry`.
-    pub fn new(ring: HashRing, retry: RetryPolicy) -> Self {
-        RouterPolicy { ring, retry }
+    /// The fleet's one routing policy over `groups` shard groups: a
+    /// ring of 8 virtual nodes per group, paced by the default
+    /// [`RetryPolicy`] ladder.
+    pub fn fleet(groups: usize) -> Self {
+        RouterPolicy {
+            ring: HashRing::new(groups, VNODES),
+            retry: RetryPolicy::default(),
+        }
     }
 
     /// A fresh per-request plan. `seed` jitters the backoff ladder;
@@ -111,13 +121,9 @@ mod tests {
     use super::*;
 
     fn policy(attempts: u32) -> RouterPolicy {
-        RouterPolicy::new(
-            HashRing::new(4, 8),
-            RetryPolicy {
-                max_attempts: attempts,
-                ..RetryPolicy::default()
-            },
-        )
+        let mut p = RouterPolicy::fleet(4);
+        p.retry.max_attempts = attempts;
+        p
     }
 
     #[test]

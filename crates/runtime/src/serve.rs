@@ -69,8 +69,11 @@
 //!   snapshot per live replica, and only then stops the cores.
 //!
 //! The replication tuning is preflighted at [`WireServer::start`] with
-//! the same `NC1601`/`NC1602` rules the `netcheck` lint applies
-//! statically, refused with a typed [`RuntimeError::BadReplication`].
+//! the same `NC1602` rule the `netcheck` lint applies statically,
+//! refused with a typed [`RuntimeError::BadReplication`]. This tier
+//! promotes only on [`WireServer::kill_primary`],
+//! [`WireServer::step_down`] and a rejoin, never on a timeout, so it
+//! has no failover detection window to lint.
 
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -83,13 +86,12 @@ use std::time::{Duration, Instant};
 use dst::{Clock, NoDisk, RealFs, SimFs, SystemClock, WriteBehind};
 use netcheck::ReplicationTuning;
 use sensor::{RingFault, SensorArray};
-use wire::{Decoder, FleetMsg, HashRing, MapEntry, WireOutcome};
+use wire::{Decoder, FleetMsg, MapEntry, WireOutcome, DEFAULT_FRAME_BUDGET};
 
 use crate::breaker::CircuitBreaker;
 use crate::effect_log::EffectLog;
 use crate::error::{Result, RuntimeError};
 use crate::repl::{self, Output, Replica};
-use crate::retry::RetryPolicy;
 use crate::route::RouterPolicy;
 use crate::service::{
     build_core, checkpoint_locked, maintenance_loop, reference_array, supervised_read,
@@ -103,9 +105,6 @@ use crate::snapshot::SnapshotError;
 /// checks run on. The accept thread does not poll: it blocks in
 /// `accept`, and [`WireServer::drain`] wakes it.
 const POLL_MS: u64 = 25;
-
-/// Ring virtual nodes per shard group — matches the simulated fleet.
-const VNODES: usize = 8;
 
 /// The node id the router feeds a replica's core as; the replicas of a
 /// group are its nodes `0..replication`.
@@ -124,18 +123,10 @@ pub struct WireServerConfig {
     /// `NC1602`); at runtime, killed replicas shrink the requirement
     /// to the live backup count so a degraded group stays writable.
     pub ack_quorum: usize,
-    /// How long a primary may be silent before operators promote a
-    /// backup, milliseconds. Must be strictly under the staleness
-    /// bound (netcheck `NC1601`) so post-failover reads can succeed.
-    pub failover_timeout_ms: u64,
     /// Sensor sites per shard group.
     pub sites_per_shard: usize,
     /// Ambient die temperature of the served thermal field, °C.
     pub ambient_c: f64,
-    /// Whole-frame byte budget for the wire protocol. Must cover the
-    /// largest encodable response for this array size
-    /// ([`wire::max_response_frame_len`], netcheck `NC1501`).
-    pub frame_budget: usize,
     /// Concurrent requests admitted before the server sheds with a
     /// typed [`WireOutcome::Shed`].
     pub max_in_flight: usize,
@@ -149,9 +140,6 @@ pub struct WireServerConfig {
     /// A connection with no traffic at all for this long is closed,
     /// milliseconds.
     pub idle_timeout_ms: u64,
-    /// Router pacing: placement failover shares the supervisors'
-    /// [`RetryPolicy`] ladder (see [`RouterPolicy`]).
-    pub router_retry: RetryPolicy,
     /// Per-replica runtime tuning (`snapshot_dir` is overridden with a
     /// per-replica directory under `snapshot_root`).
     pub runtime: RuntimeConfig,
@@ -171,15 +159,12 @@ impl Default for WireServerConfig {
             shards: 3,
             replication: 2,
             ack_quorum: 1,
-            failover_timeout_ms: 400,
             sites_per_shard: 6,
             ambient_c: 60.0,
-            frame_budget: wire::DEFAULT_FRAME_BUDGET,
             max_in_flight: 64,
             read_timeout_ms: 2_000,
             write_timeout_ms: 2_000,
             idle_timeout_ms: 5_000,
-            router_retry: RetryPolicy::default(),
             runtime: RuntimeConfig::default(),
             snapshot_root: None,
             seed: 0,
@@ -490,11 +475,12 @@ impl WireServer {
     ///
     /// # Errors
     ///
-    /// [`RuntimeError::FrameBudget`] when the frame budget cannot
-    /// carry the largest encodable response for this array size (the
-    /// `netcheck` rule `NC1501` flags the same condition);
+    /// [`RuntimeError::FrameBudget`] when [`DEFAULT_FRAME_BUDGET`]
+    /// cannot carry the largest encodable response for the fleet's
+    /// `shards × sites_per_shard` sites (the `netcheck` rule `NC1501`
+    /// flags the same condition);
     /// [`RuntimeError::BadReplication`] when the replication tuning
-    /// violates `NC1601`/`NC1602`;
+    /// violates `NC1602`;
     /// [`RuntimeError::UnservableConfig`],
     /// [`RuntimeError::UnrecoverableFreshness`] and snapshot errors from
     /// each replica's preflight and store.
@@ -502,15 +488,15 @@ impl WireServer {
         // Same pairing the `netcheck` lint flags statically (NC1501),
         // rejected here with a typed error.
         let total_sites = cfg.shards * cfg.sites_per_shard;
-        let report = netcheck::check_wire_frame_budget(cfg.frame_budget, total_sites);
+        let report = netcheck::check_wire_frame_budget(DEFAULT_FRAME_BUDGET, total_sites);
         if report.has_errors() {
             return Err(RuntimeError::FrameBudget {
-                budget_bytes: cfg.frame_budget,
+                budget_bytes: DEFAULT_FRAME_BUDGET,
                 required_bytes: wire::max_response_frame_len(total_sites),
                 total_sites,
             });
         }
-        // And the replication knobs (NC1601/NC1602), same story.
+        // And the replication knobs (NC1602), same story.
         if cfg.replication == 0 {
             return Err(RuntimeError::BadReplication {
                 detail: "replication factor must be at least 1".into(),
@@ -519,8 +505,6 @@ impl WireServer {
         let repl_report = netcheck::check_replication(ReplicationTuning {
             replication: cfg.replication,
             ack_quorum: cfg.ack_quorum,
-            staleness_bound_ms: cfg.runtime.staleness_bound_ms,
-            failover_timeout_ms: cfg.failover_timeout_ms,
         });
         if repl_report.has_errors() {
             return Err(RuntimeError::BadReplication {
@@ -563,7 +547,7 @@ impl WireServer {
             groups.push(Mutex::new(g));
         }
 
-        let policy = RouterPolicy::new(HashRing::new(cfg.shards, VNODES), cfg.router_retry.clone());
+        let policy = RouterPolicy::fleet(cfg.shards);
         let epoch_ms = clock.now_ms();
         let inner = Arc::new(Inner {
             cfg,
@@ -1048,7 +1032,7 @@ fn connection_loop(inner: &Arc<Inner>, stream: TcpStream) {
         return;
     }
     let write_budget = Duration::from_millis(inner.cfg.write_timeout_ms.max(1));
-    let mut dec = Decoder::new(inner.cfg.frame_budget);
+    let mut dec = Decoder::new(DEFAULT_FRAME_BUDGET);
     let mut buf = [0u8; 4096];
     // Every response of this connection is encoded into this one buffer.
     let mut frame = Vec::new();
@@ -1084,7 +1068,7 @@ fn connection_loop(inner: &Arc<Inner>, stream: TcpStream) {
                 Ok(Some(msg)) => {
                     inner.stats.frames_in.fetch_add(1, Ordering::SeqCst);
                     let resp = handle_request(inner, msg);
-                    if wire::encode_frame_into(&resp, inner.cfg.frame_budget, &mut frame).is_err() {
+                    if wire::encode_frame_into(&resp, DEFAULT_FRAME_BUDGET, &mut frame).is_err() {
                         return; // response over budget: preflight prevents this
                     }
                     match write_with_deadline(&mut stream, &frame, write_budget) {
@@ -1157,7 +1141,7 @@ fn refusal(inner: &Inner, req_id: u64, outcome: WireOutcome) -> FleetMsg {
 /// backoff.
 fn shed(inner: &Inner, req_id: u64) -> FleetMsg {
     inner.stats.shed.fetch_add(1, Ordering::SeqCst);
-    let retry_after_ms = inner.cfg.router_retry.base_delay_ms.max(1);
+    let retry_after_ms = inner.policy.retry.base_delay_ms.max(1);
     refusal(inner, req_id, WireOutcome::Shed { retry_after_ms })
 }
 
@@ -1484,10 +1468,10 @@ mod tests {
 
     #[test]
     fn frame_budget_preflight_is_typed() {
+        // The one frame budget carries a map of at most 162 sites.
         let cfg = WireServerConfig {
-            shards: 4,
-            sites_per_shard: 16,
-            frame_budget: 64,
+            shards: 8,
+            sites_per_shard: 32,
             ..WireServerConfig::default()
         };
         match WireServer::start(cfg, None) {
@@ -1496,9 +1480,10 @@ mod tests {
                 required_bytes,
                 total_sites,
             }) => {
-                assert_eq!(budget_bytes, 64);
-                assert_eq!(total_sites, 64);
-                assert_eq!(required_bytes, wire::max_response_frame_len(64));
+                assert_eq!(budget_bytes, DEFAULT_FRAME_BUDGET);
+                assert_eq!(total_sites, 256);
+                assert_eq!(required_bytes, wire::max_response_frame_len(256));
+                assert!(required_bytes > budget_bytes);
             }
             Err(other) => panic!("expected FrameBudget, got {other:?}"),
             Ok(_) => panic!("expected FrameBudget, got a running server"),
@@ -1516,18 +1501,6 @@ mod tests {
         match WireServer::start(cfg, None) {
             Err(RuntimeError::BadReplication { detail }) => {
                 assert!(detail.contains("NC1602"), "{detail}");
-            }
-            Err(other) => panic!("expected BadReplication, got {other:?}"),
-            Ok(_) => panic!("expected BadReplication, got a running server"),
-        }
-        // Staleness bound inside the failover window: NC1601.
-        let cfg = WireServerConfig {
-            failover_timeout_ms: 10_000,
-            ..WireServerConfig::default()
-        };
-        match WireServer::start(cfg, None) {
-            Err(RuntimeError::BadReplication { detail }) => {
-                assert!(detail.contains("NC1601"), "{detail}");
             }
             Err(other) => panic!("expected BadReplication, got {other:?}"),
             Ok(_) => panic!("expected BadReplication, got a running server"),

@@ -239,31 +239,17 @@ impl Core {
     }
 }
 
-/// Builds the reference array a service core monitors: `sites`
-/// calibrated 5-stage inverter rings (the same reference unit the
-/// faultsim campaigns use), three to a row 1 mm apart.
+/// Builds the reference array a service core monitors: `sites` of
+/// faultsim's [`faultsim::reference_unit`] (a calibrated 5-stage
+/// inverter ring), three to a row 1 mm apart.
 pub fn reference_array(sites: usize) -> SensorArray {
-    use sensor::unit::{SensorConfig, SmartSensorUnit};
-    use tsense_core::gate::{Gate, GateKind};
-    use tsense_core::ring::RingOscillator;
-    use tsense_core::tech::Technology;
-
     let mut array = SensorArray::new();
     for i in 0..sites {
-        let tech = Technology::um350();
-        let ring = RingOscillator::uniform(
-            Gate::with_ratio(GateKind::Inv, 1e-6, 2.0).expect("reference gate"),
-            5,
-        )
-        .expect("reference ring");
-        let mut unit = SmartSensorUnit::new(SensorConfig::new(ring, tech)).expect("reference unit");
-        unit.calibrate_two_point(Celsius::new(-50.0), Celsius::new(150.0))
-            .expect("reference calibration");
         array = array.with_site(
             format!("s{i:02}"),
             1e-3 * (i % 3) as f64,
             1e-3 * (i / 3) as f64,
-            unit,
+            faultsim::reference_unit(),
         );
     }
     array

@@ -85,7 +85,7 @@ use crate::repl::{self, Output, Replica};
 use crate::retry::RetryPolicy;
 use crate::route::RouterPolicy;
 use crate::service::{wire_outcome, Field, JobStep, ReadJob, RuntimeConfig};
-use wire::{FleetMsg, HashRing, WireOutcome};
+use wire::{FleetMsg, WireOutcome};
 
 use super::node::Node;
 use super::{json_object, violation_json, Latch, RunReport, SimConfig, Simulation, Violation};
@@ -402,10 +402,6 @@ pub struct FleetConfig {
     /// Per-replica runtime tuning (the simulation drives the read
     /// path, scans and checkpoints itself, with no maintenance thread).
     pub runtime: RuntimeConfig,
-    /// Router failover pacing — the *same* [`RetryPolicy`] machinery
-    /// the per-unit supervisors and the TCP client tier use, so
-    /// simulated and real failover share one backoff policy.
-    pub router_retry: RetryPolicy,
 }
 
 impl Default for FleetConfig {
@@ -431,7 +427,6 @@ impl Default for FleetConfig {
             ambient_c: 85.0,
             mutation: FleetMutation::None,
             runtime: SimConfig::default().runtime,
-            router_retry: RetryPolicy::default(),
         }
     }
 }
@@ -445,30 +440,19 @@ impl FleetConfig {
         1 + (self.horizon_ms * self.max_drift_ppm.unsigned_abs()) / 1_000_000
     }
 
-    /// How long the router waits for a primary before promoting a
-    /// backup — the failover detection window the `NC1601` rule
-    /// measures the staleness bound against.
+    /// How long the simulated router waits for a primary before
+    /// promoting a backup, milliseconds.
     pub fn failover_timeout_ms(&self) -> u64 {
         self.runtime.default_deadline_ms + 150
     }
 
-    /// How long a client waits for the router before giving up: worst
-    /// case, an in-group promotion round plus every allowed
-    /// cross-group failover attempt times out and every backoff rung
-    /// is fully jittered.
-    fn client_timeout_ms(&self) -> u64 {
-        let attempts =
-            u64::from(self.router_retry.max_attempts.max(1)).min(self.shards.max(1) as u64);
-        self.failover_timeout_ms() * (attempts + 1)
-            + self.router_retry.worst_case_backoff_ms()
-            + 300
-    }
-
-    /// Fabric time at which the run stops stepping (clients may still
-    /// be draining timeouts after the horizon, and the final
-    /// anti-entropy convergence pass runs at the very end).
-    fn end_ms(&self) -> u64 {
-        self.horizon_ms + self.client_timeout_ms() + 500
+    /// How long a client waits for a router paced by `retry` before
+    /// giving up: worst case, an in-group promotion round plus every
+    /// allowed cross-group failover attempt times out and every
+    /// backoff rung is fully jittered.
+    fn client_timeout_ms(&self, retry: &RetryPolicy) -> u64 {
+        let attempts = u64::from(retry.max_attempts.max(1)).min(self.shards.max(1) as u64);
+        self.failover_timeout_ms() * (attempts + 1) + retry.worst_case_backoff_ms() + 300
     }
 
     /// Whether `id` names a node of this fleet as [`task_node`] spells
@@ -1105,18 +1089,22 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     }));
 
     let mut ex = Executor::new(cfg.seed, Arc::clone(&base));
+    let policy = RouterPolicy::fleet(groups);
     let horizon = cfg.horizon_ms;
-    let end = cfg.end_ms();
     let slack = cfg.skew_slack_ms();
     let bound = cfg.runtime.staleness_bound_ms;
     let shard_timeout = cfg.failover_timeout_ms();
-    let client_timeout = cfg.client_timeout_ms();
+    let client_timeout = cfg.client_timeout_ms(&policy.retry);
+    // The run stops stepping here: clients may still be draining
+    // timeouts after the horizon, and the final anti-entropy
+    // convergence pass runs at the very end.
+    let end = horizon + client_timeout + 500;
 
     // ----- Router: routing, failover, and epoch-fenced promotion -----
     {
         let world = Rc::clone(&world);
         let mut router = Router {
-            policy: RouterPolicy::new(HashRing::new(groups, 8), cfg.router_retry.clone()),
+            policy,
             pending: BTreeMap::new(),
         };
         let seed = cfg.seed;

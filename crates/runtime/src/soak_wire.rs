@@ -65,6 +65,15 @@ use crate::serve::{WireServer, WireServerConfig, WireServerStats};
 use crate::sim::fleet::{check_reading, ClientReading, FleetInvariant};
 use crate::sim::json_object;
 
+/// Each soak client's retry ladder.
+const CLIENT_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 4,
+    base_delay_ms: 2,
+    max_delay_ms: 40,
+    multiplier: 2.0,
+    jitter: 0.5,
+};
+
 /// Tuning for one wire soak.
 #[derive(Debug, Clone)]
 pub struct WireSoakConfig {
@@ -80,8 +89,6 @@ pub struct WireSoakConfig {
     pub server: WireServerConfig,
     /// When set, all traffic crosses a chaos proxy with this profile.
     pub chaos: Option<ChaosProfile>,
-    /// Client-side retry ladder.
-    pub client_retry: RetryPolicy,
     /// Crash-and-recover `(shard, at_ms)` mid-run.
     pub crash: Option<(usize, u64)>,
     /// Decommission `(shard, at_ms)` mid-run.
@@ -104,13 +111,6 @@ impl Default for WireSoakConfig {
             clients: 4,
             server: WireServerConfig::default(),
             chaos: None,
-            client_retry: RetryPolicy {
-                max_attempts: 4,
-                base_delay_ms: 2,
-                max_delay_ms: 40,
-                multiplier: 2.0,
-                jitter: 0.5,
-            },
             crash: Some((1, 1_000)),
             decommission: Some((2, 2_000)),
             kill_primary: None,
@@ -451,8 +451,7 @@ pub fn run_wire_soak(cfg: &WireSoakConfig) -> Result<WireSoakReport> {
         let sample_tx = sample_tx.clone();
         let client_cfg = WireClientConfig {
             addrs: vec![target],
-            retry: cfg.client_retry.clone(),
-            frame_budget: cfg.server.frame_budget,
+            retry: CLIENT_RETRY,
             seed: cfg.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             ..WireClientConfig::default()
         };

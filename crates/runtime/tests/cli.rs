@@ -1,9 +1,8 @@
 //! The `runtime` binary's command line: sweep JSON from both
-//! simulators, the node-filtered fleet replay and its node check,
-//! `--seed-range` precedence, the wire soak's `--p99` gate and its
-//! scratch snapshot root, fresh request ids on each `client` run, usage
-//! errors (exit 2), and a `--help` that names every flag of every
-//! subcommand.
+//! simulators, the node-filtered fleet replay and its node check, the
+//! wire soak's `--p99` gate and its scratch snapshot root, fresh
+//! request ids on each `client` run, usage errors (exit 2), and a
+//! `--help` that names every flag of every subcommand.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
@@ -21,11 +20,13 @@ fn stdout(out: &Output) -> String {
 
 #[test]
 fn dst_sweeps_print_a_json_sweep_object() {
-    for (args, seeds) in [
-        (&["dst", "--seeds", "3", "--json"][..], "\"seeds\": 3,"),
+    for (args, base, seeds) in [
+        (&["dst", "--seeds", "3", "--json"][..], 0, 3),
+        (&["dst", "--fleet", "--seeds", "2", "--json"][..], 0, 2),
         (
-            &["dst", "--fleet", "--seeds", "2", "--json"][..],
-            "\"seeds\": 2,",
+            &["dst", "--seed-base", "5", "--seeds", "3", "--json"][..],
+            5,
+            3,
         ),
     ] {
         let out = runtime(args);
@@ -35,8 +36,10 @@ fn dst_sweeps_print_a_json_sweep_object() {
             text.starts_with('{') && text.trim_end().ends_with('}'),
             "{text}"
         );
-        assert!(text.contains("\"seed_base\": 0,"), "{text}");
-        assert!(text.contains(seeds), "{args:?}: {text}");
+        let base = format!("\"seed_base\": {base},");
+        assert!(text.contains(&base), "{args:?}: {text}");
+        let seeds = format!("\"seeds\": {seeds},");
+        assert!(text.contains(&seeds), "{args:?}: {text}");
         assert!(text.contains("\"violations\": ["), "{text}");
     }
 }
@@ -105,30 +108,6 @@ fn replay_node_outside_the_fleet_is_a_usage_error() {
         for form in [node, "router", "anti-entropy", "client-K", "shard-G-R"] {
             assert!(err.contains(form), "{node}: usage lacks {form}: {err}");
         }
-    }
-}
-
-#[test]
-fn seed_range_overrides_seeds_and_seed_base_in_any_order() {
-    for args in [
-        &["dst", "--seed-range", "5..8", "--seeds", "2", "--json"][..],
-        &["dst", "--seed-range", "5..8", "--seed-base", "0", "--json"][..],
-        &[
-            "dst",
-            "--seeds",
-            "2",
-            "--seed-base",
-            "0",
-            "--seed-range",
-            "5..8",
-            "--json",
-        ][..],
-    ] {
-        let out = runtime(args);
-        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
-        let text = stdout(&out);
-        assert!(text.contains("\"seed_base\": 5,"), "{args:?}: {text}");
-        assert!(text.contains("\"seeds\": 3,"), "{args:?}: {text}");
     }
 }
 
@@ -219,6 +198,7 @@ fn client_runs_draw_fresh_request_ids() {
 fn usage_errors_exit_two() {
     for args in [
         &["dst", "--no-such-flag"][..],
+        &["dst", "--seed-range", "0..20"][..],
         &["dst", "--seeds"][..],
         &["dst", "--seeds", "0"][..],
         &["dst", "--replay", "3", "--replay-node", "shard-0-1"][..],
@@ -253,7 +233,7 @@ fn help_names_every_flag_of_every_subcommand() {
         ),
         (
             "dst",
-            "--seeds --seed-base --seed-range --jobs --fleet --mutation --replay \
+            "--seeds --seed-base --jobs --fleet --mutation --replay \
              --replay-node --trace-out --check --json",
         ),
     ];

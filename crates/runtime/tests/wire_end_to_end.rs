@@ -9,8 +9,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use runtime::{
-    run_wire_soak, ClientError, RetryPolicy, RuntimeError, WireClient, WireClientConfig,
-    WireOutcome, WireServer, WireServerConfig, WireSoakConfig,
+    run_wire_soak, ClientError, RetryPolicy, RouterPolicy, RuntimeError, WireClient,
+    WireClientConfig, WireOutcome, WireServer, WireServerConfig, WireSoakConfig,
 };
 use wire::{ChaosProfile, FleetMsg};
 
@@ -359,19 +359,44 @@ fn client_fails_over_from_a_dead_address_to_a_live_server() {
 
 #[test]
 fn frame_budget_preflight_refuses_an_unencodable_fleet() {
+    // 8 x 32 = 256 sites: a whole-fleet map the one frame budget
+    // cannot carry.
     let cfg = WireServerConfig {
         shards: 8,
         sites_per_shard: 32,
-        frame_budget: 512,
         ..WireServerConfig::default()
     };
     match WireServer::start(cfg, None) {
-        Err(RuntimeError::FrameBudget { required_bytes, .. }) => {
-            assert_eq!(required_bytes, wire::max_response_frame_len(256))
+        Err(RuntimeError::FrameBudget {
+            budget_bytes,
+            required_bytes,
+            total_sites,
+        }) => {
+            assert_eq!(budget_bytes, wire::DEFAULT_FRAME_BUDGET);
+            assert_eq!(total_sites, 256);
+            assert_eq!(required_bytes, wire::max_response_frame_len(256));
         }
         Err(other) => panic!("expected FrameBudget, got {other:?}"),
         Ok(_) => panic!("under-budgeted server must not start"),
     }
+}
+
+#[test]
+fn each_key_is_answered_by_the_group_the_fleet_policy_places_it_on() {
+    // The simulated router places keys by the same policy.
+    let ring = RouterPolicy::fleet(3).ring;
+    let server = WireServer::start(quick_server_cfg(), None).expect("server starts");
+    let mut client = WireClient::new(quick_client_cfg(&server));
+    let mut groups = [0; 3];
+    for key in 0..64u64 {
+        let placed = ring.route(key, |_| true).expect("a group");
+        let out = client.request(key, key).expect("request answered");
+        assert_eq!(out.origin_shard, placed, "key {key}");
+        groups[placed] += 1;
+    }
+    assert!(groups.iter().all(|&n| n > 0), "placement {groups:?}");
+    let report = server.drain().expect("drain");
+    assert_eq!(report.stats.failovers, 0);
 }
 
 #[test]

@@ -39,7 +39,8 @@ const TEMP_SAMPLES: usize = 41;
 /// endpoints must pass despite float round-off.
 const ANCHOR_REL_TOL: f64 = 1e-9;
 
-/// Retry-headroom fraction for `NC1002`, matching `NC0702`.
+/// Retry-headroom fraction for `NC1002`: a conversion over half the
+/// deadline leaves no room for a second attempt.
 const HEADROOM_FRACTION: f64 = 0.5;
 
 /// The engine could not evaluate the delay model somewhere inside the
@@ -265,7 +266,8 @@ pub fn certify(bundle: &CertifyBundle) -> Result<Certificate, CertifyError> {
     }
 
     // NC10xx: the runtime envelope, against the *provable* conversion
-    // interval (not the nominal-rail point estimate NC07xx/NC08xx use).
+    // interval (not the nominal-rail point estimate the runtime checks
+    // at start-up).
     if let Some(rt) = &bundle.runtime {
         let conv_ms = conv.scale(1e3);
         let deadline_id = graph.push(
@@ -587,7 +589,7 @@ mod tests {
         let cert = certify(&CertifyBundle::parse(text, "t").unwrap()).unwrap();
         let fired: Vec<_> = cert.report.diagnostics().iter().map(|d| d.rule).collect();
         // 500 ms < 500 ms + one conversion: the sound rule fires where
-        // the point-estimate NC0801 (staleness < checkpoint) does not.
+        // the runtime's start-up check (staleness < checkpoint) does not.
         assert!(fired.contains(&"NC1003"), "{}", cert.report.render_text());
     }
 

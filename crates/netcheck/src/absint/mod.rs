@@ -14,8 +14,9 @@
 //!    them through the conversion arithmetic into a signal-flow graph
 //!    ([`ir`]), and discharges each proof obligation;
 //! 3. the resulting [`certificate::Certificate`] renders as text/JSON
-//!    for `netcheck certify`, and the `runtime` crate accepts it at
-//!    startup in place of its own point-estimate preflight.
+//!    for `netcheck certify`. Its `NC10xx` obligations are the sound
+//!    form of the `runtime` crate's start-up checks, which compare
+//!    point estimates and take no certificate.
 
 pub mod bundle;
 pub mod certificate;

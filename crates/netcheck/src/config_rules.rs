@@ -6,11 +6,11 @@
 //! * `NC0402` — 5-stage cell mixes are cross-checked against the six
 //!   configurations of the paper's Fig. 3;
 //! * `NC0403` — the sensing transfer function must be evaluable and
-//!   monotonic over the paper's −50…150 °C span, and calibration
-//!   anchors should bracket it.
+//!   monotonic over the paper's −50…150 °C span (`certify`'s `NC0903`
+//!   checks that a bundle's calibration anchors bracket it).
 
 use tsense_core::ring::CellConfig;
-use tsense_core::units::{Celsius, TempRange};
+use tsense_core::units::TempRange;
 
 use sensor::unit::SensorConfig;
 
@@ -109,31 +109,6 @@ fn transfer_function(config: &SensorConfig, report: &mut Report) {
     }
 }
 
-/// `NC0403`: checks that two-point calibration anchors bracket the
-/// paper's −50…150 °C range rather than extrapolating across it.
-pub fn check_calibration_anchors(t1: Celsius, t2: Celsius) -> Report {
-    let mut report = Report::new();
-    let (lo, hi) = if t1.get() <= t2.get() {
-        (t1, t2)
-    } else {
-        (t2, t1)
-    };
-    let range = TempRange::paper();
-    if lo.get() > range.low().get() || hi.get() < range.high().get() {
-        report.push(Diagnostic::warning(
-            "NC0403",
-            Location::object(format!("{:.0}/{:.0} °C", lo.get(), hi.get())),
-            format!(
-                "calibration anchors do not span the paper's {:.0}…{:.0} °C \
-                 range; readings outside the anchors are extrapolated",
-                range.low().get(),
-                range.high().get()
-            ),
-        ));
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,15 +166,5 @@ mod tests {
         let report = check_sensor_config(&SensorConfig::new(ring, Technology::um350()));
         let fired: Vec<_> = report.diagnostics().iter().map(|d| d.rule).collect();
         assert!(fired.contains(&"NC0302"), "{}", report.render_text());
-    }
-
-    #[test]
-    fn anchor_coverage_warns() {
-        assert!(check_calibration_anchors(Celsius::new(-50.0), Celsius::new(150.0)).is_clean());
-        // Order must not matter.
-        assert!(check_calibration_anchors(Celsius::new(150.0), Celsius::new(-50.0)).is_clean());
-        let report = check_calibration_anchors(Celsius::new(0.0), Celsius::new(100.0));
-        assert!(!report.is_clean());
-        assert!(!report.has_errors());
     }
 }

@@ -15,8 +15,7 @@ pub enum Severity {
     Info,
     /// Suspicious but simulatable; fails only under `--deny-warnings`.
     Warning,
-    /// Structural defect; the CLI and the runtime's startup checks fail
-    /// on these.
+    /// Structural defect; the CLI fails on these.
     Error,
 }
 

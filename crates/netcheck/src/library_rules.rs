@@ -9,7 +9,6 @@
 
 use stdcell::characterize::TimingTable;
 use stdcell::liberty::{from_liberty, to_liberty, TimingLibrary};
-use stdcell::library::CellLibrary;
 
 use crate::diagnostic::{Diagnostic, Location, Report};
 
@@ -132,11 +131,6 @@ pub fn check_ratio(ratio: f64, context: &str) -> Report {
     report
 }
 
-/// `NC0302` for a bundled cell library's sizing.
-pub fn check_cell_library(lib: &CellLibrary) -> Report {
-    check_ratio(lib.sizing.wp / lib.sizing.wn, &lib.name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +192,5 @@ mod tests {
         assert!(!check_ratio(0.8, "lib").is_clean());
         assert!(!check_ratio(6.0, "lib").is_clean());
         assert!(check_ratio(-1.0, "lib").has_errors());
-        let lib = CellLibrary::um350(2.0);
-        assert!(check_cell_library(&lib).is_clean());
     }
 }

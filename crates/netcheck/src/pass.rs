@@ -30,18 +30,27 @@ macro_rules! declare_rule {
         }
 
         /// Every rule netcheck knows, grouped by ID bank:
-        /// `NC02xx` = spicelite decks, `NC03xx` = stdcell libraries,
-        /// `NC04xx` = sensor configurations, `NC06xx` = array
-        /// resilience, `NC07xx` = runtime deadline budgets, `NC08xx` =
-        /// runtime recovery freshness, `NC09xx` = abstract-interpretation
+        /// `NC0001` = any input that does not parse, `NC02xx` =
+        /// spicelite decks, `NC03xx` = stdcell libraries, `NC04xx` =
+        /// sensor configurations, `NC09xx` = abstract-interpretation
         /// range/overflow proofs, `NC10xx` = abstract-interpretation
         /// deadline/freshness proofs, `NC11xx` = clock-domain crossing,
-        /// `NC12xx` = X-propagation, `NC13xx` = static hazards, `NC14xx`
-        /// = dataflow structural checks, `NC15xx` = wire protocol budgets
-        /// and `NC16xx` = replication. A retired ID (the `NC01xx` bank,
-        /// `NC1601`) is never reused, so a baseline that names it cannot
-        /// silently match a different rule. `NC05xx` is not here: the
-        /// `sta` crate owns those timing rules and its CLI reports them.
+        /// `NC12xx` = X-propagation, `NC13xx` = static hazards and
+        /// `NC14xx` = dataflow structural checks. Each fires on an
+        /// input the CLI reads. `NC05xx` is not here: the `sta` crate
+        /// owns those timing rules and its CLI reports them.
+        ///
+        /// A retired ID is never reused, so a baseline that names it
+        /// cannot silently match a different rule. Retired: the
+        /// `NC01xx` netlist bank (the dataflow families cover it),
+        /// `NC0601`–`NC0603` (array and health-policy checks nothing
+        /// called), `NC0701`, `NC0702` and `NC0801` (the runtime's
+        /// deadline and freshness start-up checks, which `certify`
+        /// proves soundly as `NC1001`–`NC1003`), `NC1501` (the
+        /// server's frame-budget check), and `NC1601` and `NC1602`
+        /// (replication tuning). No input format carries an array, a
+        /// fleet size or a replication factor, so the runtime compares
+        /// those at start-up itself.
         pub const RULES: &[RuleInfo] = &[
             $(RuleInfo {
                 id: stringify!($id),
@@ -63,12 +72,6 @@ declare_rule! {
     NC0401 => Error, "ring stage count invalid (must be odd; paper evaluates 5, 9, 21)";
     NC0402 => Info, "5-stage cell mix is not one of the paper's Fig. 3 configurations";
     NC0403 => Warning, "calibration does not cover the paper's −50…150 °C range";
-    NC0601 => Warning, "array too small for neighbor-vote health monitoring (fewer than 3 sites)";
-    NC0602 => Error, "array site is uncalibrated and will fail at scan time";
-    NC0603 => Warning, "health-policy period band does not bracket a ring's healthy span";
-    NC0701 => Error, "worst-case conversion exceeds the runtime deadline (unservable)";
-    NC0702 => Warning, "conversion consumes over half the runtime deadline (no retry headroom)";
-    NC0801 => Error, "staleness bound shorter than the checkpoint interval (unrecoverable freshness)";
     NC0901 => Error, "counter overflow possible: reachable count interval exceeds the counter width";
     NC0902 => Error, "worst-case quantization step exceeds the declared resolution spec";
     NC0903 => Error, "calibration anchors do not bracket the reachable period interval";
@@ -90,8 +93,6 @@ declare_rule! {
     NC1401 => Error, "component input is floating (no driver, no initial value)";
     NC1402 => Warning, "gate is dead (unreachable from any clock or pokable input)";
     NC1403 => Warning, "signal fan-out exceeds the stdcell drive budget for its driver";
-    NC1501 => Error, "wire frame budget cannot carry the largest encodable response for the fleet's array size";
-    NC1602 => Error, "ack quorum does not equal the backup count (unsatisfiable, or acked-loss window on failover)";
 }
 
 /// Looks up a rule by ID.

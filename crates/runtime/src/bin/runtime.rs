@@ -17,10 +17,11 @@ use std::str::FromStr;
 
 use runtime::{
     render_trace, run_wire_soak, shrink_failure, sweep_jobs, FleetConfig, FleetMutation, Mutation,
-    RunReport, SimConfig, Simulation, SweepOutcome, WireClient, WireClientConfig, WireOutcome,
-    WireServer, WireServerConfig, WireSoakConfig,
+    RunReport, SimConfig, Simulation, SweepOutcome, WireClient, WireClientConfig, WireServer,
+    WireServerConfig, WireSoakConfig,
 };
 use sensor::sta::report::json_escape;
+use wire::WireOutcome;
 
 /// How a flag's value is read and checked.
 #[derive(Clone, Copy)]

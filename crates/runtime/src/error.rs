@@ -32,9 +32,9 @@ pub enum RuntimeError {
         /// How many of them are quarantined.
         quarantined: usize,
     },
-    /// A site's worst-case conversion time cannot fit the deadline
-    /// budget — the service would be unservable by construction
-    /// (the `netcheck` rule `NC0701` flags the same condition).
+    /// A site's worst-case conversion time, its ring period at 150 °C
+    /// times its settle and window cycles, cannot fit the deadline
+    /// budget — the service would be unservable by construction.
     UnservableConfig {
         /// The offending site.
         site: String,
@@ -45,7 +45,7 @@ pub enum RuntimeError {
     },
     /// The staleness bound is shorter than the checkpoint interval, so
     /// a crash-recovered process could hold no data fresh enough to
-    /// serve (the `netcheck` rule `NC0801` flags the same condition).
+    /// serve.
     UnrecoverableFreshness {
         /// The configured staleness bound, milliseconds.
         staleness_bound_ms: u64,
@@ -70,15 +70,14 @@ pub enum RuntimeError {
     },
     /// The wire frame budget cannot carry the largest encodable
     /// response for this fleet's array size, so a full thermal-map
-    /// readout would be unencodable by construction (the `netcheck`
-    /// rule `NC1501` flags the same condition).
+    /// readout would be unencodable by construction.
     FrameBudget {
         /// The wire frame budget, bytes ([`wire::DEFAULT_FRAME_BUDGET`]).
         budget_bytes: usize,
         /// The largest frame the protocol can produce for this array,
         /// bytes ([`wire::max_response_frame_len`]).
         required_bytes: usize,
-        /// Total sites across the fleet.
+        /// Total sites across the fleet, saturated at `usize::MAX`.
         total_sites: usize,
     },
     /// A write reached a fenced ex-primary: the replica group has
@@ -93,8 +92,8 @@ pub enum RuntimeError {
         group: usize,
     },
     /// The replication parameters cannot deliver the configured
-    /// guarantees (the `netcheck` rule `NC1602` flags the same
-    /// conditions).
+    /// guarantees: no replica at all, or an ack quorum other than the
+    /// group's backup count.
     BadReplication {
         /// Human-readable statement of the inconsistency.
         detail: String,

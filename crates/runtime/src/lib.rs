@@ -78,6 +78,3 @@ pub use sim::{
 };
 pub use snapshot::{crc32, RuntimeSnapshot, SiteSnapshot, SnapshotError, SnapshotStore};
 pub use soak_wire::{run_wire_soak, LatencyHistogram, WireSoakConfig, WireSoakReport};
-// Compatibility re-exports: these types lived in `runtime::sim::fleet`
-// until PR 9 moved them into the `wire` crate.
-pub use wire::{FleetMsg, HashRing, WireOutcome};

@@ -68,12 +68,13 @@
 //!   lets every accepted in-flight request finish, flushes a final
 //!   snapshot per live replica, and only then stops the cores.
 //!
-//! The replication tuning is preflighted at [`WireServer::start`] with
-//! the same `NC1602` rule the `netcheck` lint applies statically,
-//! refused with a typed [`RuntimeError::BadReplication`]. This tier
-//! promotes only on [`WireServer::kill_primary`],
+//! [`WireServer::start`] refuses a fleet whose thermal map the one
+//! frame budget cannot carry, with a typed [`RuntimeError::FrameBudget`],
+//! and an ack quorum other than the group's backup count, with a typed
+//! [`RuntimeError::BadReplication`]. This tier promotes only on
+//! [`WireServer::kill_primary`],
 //! [`WireServer::step_down`] and a rejoin, never on a timeout, so it
-//! has no failover detection window to lint.
+//! has no failover detection window to check.
 
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -84,7 +85,6 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dst::{Clock, NoDisk, RealFs, SimFs, SystemClock, WriteBehind};
-use netcheck::ReplicationTuning;
 use sensor::{RingFault, SensorArray};
 use wire::{Decoder, FleetMsg, MapEntry, WireOutcome, DEFAULT_FRAME_BUDGET};
 
@@ -119,9 +119,11 @@ pub struct WireServerConfig {
     /// replication (no backups, no failover inside the group).
     pub replication: usize,
     /// Backup acks required before a recorded effect is forwarded.
-    /// Statically this must equal `replication - 1` (netcheck
-    /// `NC1602`); at runtime, killed replicas shrink the requirement
-    /// to the live backup count so a degraded group stays writable.
+    /// With `replication >= 2`, [`WireServer::start`] refuses any value
+    /// but `replication - 1`, and that check is this field's only
+    /// reader: a primary always waits for every live backup, so killed
+    /// replicas shrink the requirement and a degraded group stays
+    /// writable.
     pub ack_quorum: usize,
     /// Sensor sites per shard group.
     pub sites_per_shard: usize,
@@ -477,39 +479,37 @@ impl WireServer {
     ///
     /// [`RuntimeError::FrameBudget`] when [`DEFAULT_FRAME_BUDGET`]
     /// cannot carry the largest encodable response for the fleet's
-    /// `shards × sites_per_shard` sites (the `netcheck` rule `NC1501`
-    /// flags the same condition);
-    /// [`RuntimeError::BadReplication`] when the replication tuning
-    /// violates `NC1602`;
+    /// `shards × sites_per_shard` sites (a product too large to count
+    /// saturates, and is refused);
+    /// [`RuntimeError::BadReplication`] when `replication` is 0, or is
+    /// at least 2 and `ack_quorum` is not `replication - 1`;
     /// [`RuntimeError::UnservableConfig`],
     /// [`RuntimeError::UnrecoverableFreshness`] and snapshot errors from
     /// each replica's preflight and store.
     pub fn start(cfg: WireServerConfig, bind: Option<SocketAddr>) -> Result<WireServer> {
-        // Same pairing the `netcheck` lint flags statically (NC1501),
-        // rejected here with a typed error.
-        let total_sites = cfg.shards * cfg.sites_per_shard;
-        let report = netcheck::check_wire_frame_budget(DEFAULT_FRAME_BUDGET, total_sites);
-        if report.has_errors() {
+        let total_sites = cfg.shards.saturating_mul(cfg.sites_per_shard);
+        let required_bytes = wire::max_response_frame_len(total_sites);
+        if required_bytes > DEFAULT_FRAME_BUDGET {
             return Err(RuntimeError::FrameBudget {
                 budget_bytes: DEFAULT_FRAME_BUDGET,
-                required_bytes: wire::max_response_frame_len(total_sites),
+                required_bytes,
                 total_sites,
             });
         }
-        // And the replication knobs (NC1602), same story.
-        if cfg.replication == 0 {
-            return Err(RuntimeError::BadReplication {
-                detail: "replication factor must be at least 1".into(),
-            });
-        }
-        let repl_report = netcheck::check_replication(ReplicationTuning {
-            replication: cfg.replication,
-            ack_quorum: cfg.ack_quorum,
-        });
-        if repl_report.has_errors() {
-            return Err(RuntimeError::BadReplication {
-                detail: repl_report.render_text().trim_end().to_string(),
-            });
+        // A group of one has no backups and accepts any quorum. Above
+        // one, a quorum over the backup count can never be met, and one
+        // under it lets a promotion elect a replica missing acked work.
+        let Some(backups) = cfg.replication.checked_sub(1) else {
+            let detail = "replication factor must be at least 1".to_string();
+            return Err(RuntimeError::BadReplication { detail });
+        };
+        if backups > 0 && cfg.ack_quorum != backups {
+            let detail = format!(
+                "ack quorum {} is not the {backups} backup(s) of replication {}: a write \
+                 waits for every live backup",
+                cfg.ack_quorum, cfg.replication
+            );
+            return Err(RuntimeError::BadReplication { detail });
         }
 
         let clock = Arc::new(SystemClock::new());
@@ -1469,41 +1469,90 @@ mod tests {
     #[test]
     fn frame_budget_preflight_is_typed() {
         // The one frame budget carries a map of at most 162 sites.
-        let cfg = WireServerConfig {
-            shards: 8,
-            sites_per_shard: 32,
+        assert_eq!(wire::max_response_frame_len(162), 4_084);
+        assert_eq!(wire::max_response_frame_len(163), 4_109);
+        let fits = WireServerConfig {
+            shards: 1,
+            replication: 1,
+            sites_per_shard: 162,
             ..WireServerConfig::default()
         };
-        match WireServer::start(cfg, None) {
-            Err(RuntimeError::FrameBudget {
-                budget_bytes,
-                required_bytes,
-                total_sites,
-            }) => {
-                assert_eq!(budget_bytes, DEFAULT_FRAME_BUDGET);
-                assert_eq!(total_sites, 256);
-                assert_eq!(required_bytes, wire::max_response_frame_len(256));
-                assert!(required_bytes > budget_bytes);
+        let server = WireServer::start(fits, None).expect("162 sites fit the budget");
+        server.drain().expect("drain");
+        // A product too large to count saturates; it must not wrap to
+        // a fleet that fits.
+        let half = 1 << (usize::BITS / 2);
+        for (shards, sites_per_shard, sites) in [
+            (1, 163, 163),
+            (8, 32, 256),
+            (half, half, usize::MAX),
+            (usize::MAX, 2, usize::MAX),
+        ] {
+            let cfg = WireServerConfig {
+                shards,
+                replication: 1,
+                sites_per_shard,
+                ..WireServerConfig::default()
+            };
+            match WireServer::start(cfg, None) {
+                Err(RuntimeError::FrameBudget {
+                    budget_bytes,
+                    required_bytes,
+                    total_sites,
+                }) => {
+                    assert_eq!(budget_bytes, DEFAULT_FRAME_BUDGET);
+                    assert_eq!(total_sites, sites);
+                    assert_eq!(required_bytes, wire::max_response_frame_len(sites));
+                    assert!(required_bytes > budget_bytes);
+                }
+                Err(other) => {
+                    panic!("{shards} x {sites_per_shard}: expected FrameBudget, got {other:?}")
+                }
+                Ok(_) => panic!("{shards} x {sites_per_shard}: expected FrameBudget, got a server"),
             }
-            Err(other) => panic!("expected FrameBudget, got {other:?}"),
-            Ok(_) => panic!("expected FrameBudget, got a running server"),
         }
     }
 
     #[test]
     fn replication_preflight_is_typed() {
-        // Under-quorum: NC1602's acked-loss window.
-        let cfg = WireServerConfig {
-            replication: 3,
-            ack_quorum: 1,
-            ..WireServerConfig::default()
-        };
-        match WireServer::start(cfg, None) {
-            Err(RuntimeError::BadReplication { detail }) => {
-                assert!(detail.contains("NC1602"), "{detail}");
+        // A group of one accepts any quorum; above one, only the
+        // backup count.
+        for (replication, ack_quorum, refusal) in [
+            (1, 0, None),
+            (1, 3, None),
+            (2, 1, None),
+            (3, 2, None),
+            (0, 0, Some("replication factor must be at least 1")),
+            (
+                3,
+                1,
+                Some("ack quorum 1 is not the 2 backup(s) of replication 3: a write waits"),
+            ),
+            (
+                3,
+                3,
+                Some("ack quorum 3 is not the 2 backup(s) of replication 3"),
+            ),
+            (
+                2,
+                0,
+                Some("ack quorum 0 is not the 1 backup(s) of replication 2"),
+            ),
+        ] {
+            let cfg = WireServerConfig {
+                replication,
+                ack_quorum,
+                ..one_group_cfg(1)
+            };
+            match (WireServer::start(cfg, None), refusal) {
+                (Ok(server), None) => {
+                    server.drain().expect("drain");
+                }
+                (Err(RuntimeError::BadReplication { detail }), Some(says)) => {
+                    assert!(detail.starts_with(says), "{detail}");
+                }
+                (started, _) => panic!("{replication}/{ack_quorum}: {:?}", started.err()),
             }
-            Err(other) => panic!("expected BadReplication, got {other:?}"),
-            Ok(_) => panic!("expected BadReplication, got a running server"),
         }
     }
 

@@ -37,7 +37,7 @@ use std::time::Duration;
 
 use dst::{Clock, SimFs};
 use sensor::{HealthPolicy, SensorArray, SensorError};
-use tsense_core::units::Celsius;
+use tsense_core::units::{Celsius, TempRange};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::error::{Result, RuntimeError};
@@ -87,7 +87,7 @@ impl Default for RuntimeConfig {
             checkpoint_interval_ms: 500,
             // Must cover at least one checkpoint interval, or a crash
             // can leave a window in which nothing recoverable is fresh
-            // enough to serve (`NC0801`).
+            // enough to serve (`validate_deadline_budget` refuses it).
             staleness_bound_ms: 600,
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
@@ -368,30 +368,32 @@ pub(crate) fn build_core(
     Ok((core, report))
 }
 
-/// Startup preflight over the deadline and freshness budgets: the
-/// `netcheck` rules run here — the same `NC0701` (worst-case
-/// conversion vs deadline) and `NC0801` (staleness vs checkpoint
-/// interval) rules the lint frontend fires, so the static and dynamic
-/// verdicts can never drift apart.
+/// Startup preflight over the deadline and freshness budgets. Each
+/// site's worst-case conversion, its ring period at the paper's hot
+/// corner times its settle and window cycles, must fit the default
+/// deadline; a ring the model cannot evaluate there is skipped. With
+/// checkpointing on, the staleness bound must cover one checkpoint
+/// interval, or a crash-recovered core could hold nothing fresh enough
+/// to serve. These compare point estimates; `netcheck certify` proves
+/// the same budgets over a bundle's whole envelope (`NC1001`–`NC1003`).
 pub(crate) fn validate_deadline_budget(array: &SensorArray, config: &RuntimeConfig) -> Result<()> {
     let deadline_s = config.default_deadline_ms as f64 * 1e-3;
     for site in array.sites() {
         let cfg = site.unit.config();
-        let report = netcheck::check_runtime_budget(cfg, deadline_s);
-        if report.has_errors() {
-            let conversion_ms = netcheck::worst_case_conversion_s(cfg)
-                .map(|s| s * 1e3)
-                .unwrap_or(f64::NAN);
+        let Ok(period) = cfg.ring.period(&cfg.tech, TempRange::paper().high()) else {
+            continue;
+        };
+        let conversion_s = period.get() * (cfg.window_cycles + cfg.settle_cycles) as f64;
+        if conversion_s > deadline_s {
             return Err(RuntimeError::UnservableConfig {
                 site: site.name.clone(),
-                conversion_ms,
+                conversion_ms: conversion_s * 1e3,
                 deadline_ms: config.default_deadline_ms,
             });
         }
     }
-    let report =
-        netcheck::check_runtime_tuning(config.staleness_bound_ms, config.checkpoint_interval_ms);
-    if report.has_errors() {
+    // An interval of 0 turns checkpointing off, and no bound is below it.
+    if config.staleness_bound_ms < config.checkpoint_interval_ms {
         return Err(RuntimeError::UnrecoverableFreshness {
             staleness_bound_ms: config.staleness_bound_ms,
             checkpoint_interval_ms: config.checkpoint_interval_ms,
@@ -985,17 +987,59 @@ mod tests {
 
     #[test]
     fn unservable_deadline_budget_is_rejected_at_start() {
+        let boot = |cfg: RuntimeConfig| {
+            let disk = Arc::new(SimDisk::new(0, SimDiskProfile::pristine()));
+            Rig::boot(1, 25.0, cfg, disk, false).map(|_| ())
+        };
+        // The payload quotes the site's hot-corner conversion: its ring
+        // period at 150 °C times its settle and window cycles.
+        let array = reference_array(1);
+        let site = &array.sites()[0];
+        let unit = site.unit.config();
+        let period = unit.ring.period(&unit.tech, Celsius::new(150.0)).unwrap();
+        let cycles = unit.settle_cycles + unit.window_cycles;
+        let expected_ms = period.get() * cycles as f64 * 1e3;
+        assert!(expected_ms > 0.0 && expected_ms < 1.0, "{expected_ms} ms");
         let mut cfg = quick_config();
         cfg.default_deadline_ms = 0;
-        let disk = Arc::new(SimDisk::new(0, SimDiskProfile::pristine()));
-        match Rig::boot(1, 25.0, cfg, disk, false) {
-            Err(err) => {
-                assert!(
-                    matches!(err, RuntimeError::UnservableConfig { .. }),
-                    "{err}"
-                );
+        match boot(cfg.clone()) {
+            Err(RuntimeError::UnservableConfig {
+                site: name,
+                conversion_ms,
+                deadline_ms,
+            }) => {
+                assert_eq!(name, site.name);
+                assert_eq!(conversion_ms, expected_ms);
+                assert_eq!(deadline_ms, 0);
             }
-            Ok(_) => panic!("zero deadline budget must be rejected"),
+            Err(other) => panic!("expected UnservableConfig, got {other}"),
+            Ok(()) => panic!("zero deadline budget must be rejected"),
+        }
+        cfg.default_deadline_ms = 1;
+        boot(cfg).expect("a conversion under 1 ms fits a 1 ms deadline");
+
+        // A recovered core restores readings up to one checkpoint
+        // interval old: the staleness bound must cover it, unless
+        // checkpointing is off.
+        for (staleness_bound_ms, checkpoint_interval_ms, accepted) in
+            [(500, 500, true), (499, 500, false), (10, 0, true)]
+        {
+            let cfg = RuntimeConfig {
+                staleness_bound_ms,
+                checkpoint_interval_ms,
+                ..quick_config()
+            };
+            match boot(cfg) {
+                Ok(()) => assert!(accepted, "{staleness_bound_ms}/{checkpoint_interval_ms}"),
+                Err(RuntimeError::UnrecoverableFreshness {
+                    staleness_bound_ms: s,
+                    checkpoint_interval_ms: c,
+                }) => {
+                    assert!(!accepted, "{staleness_bound_ms}/{checkpoint_interval_ms}");
+                    assert_eq!((s, c), (staleness_bound_ms, checkpoint_interval_ms));
+                }
+                Err(other) => panic!("expected UnrecoverableFreshness, got {other}"),
+            }
         }
     }
 

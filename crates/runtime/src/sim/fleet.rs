@@ -360,7 +360,7 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Replicas per group, primary included. 1 disables replication;
     /// the acked-write quorum is every live backup (`replication - 1`
-    /// while all are up), matching the `NC1602` rule.
+    /// while all are up), the `ack_quorum` `WireServer::start` requires.
     pub replication: usize,
     /// Sensor sites per replica.
     pub sites_per_shard: usize,

@@ -1,7 +1,8 @@
 //! The `runtime` binary's command line: sweep JSON from both
 //! simulators, the node-filtered fleet replay and its node check, the
 //! wire soak's `--p99` gate and its scratch snapshot root, fresh
-//! request ids on each `client` run, usage errors (exit 2), and a
+//! request ids on each `client` run, `serve`'s refusal of a fleet the
+//! frame budget cannot carry (exit 1), usage errors (exit 2), and a
 //! `--help` that names every flag of every subcommand.
 
 use std::io::{BufRead, BufReader};
@@ -192,6 +193,34 @@ fn client_runs_draw_fresh_request_ids() {
     // A second run that reused the first run's id would be replayed
     // the first run's answer: `1 deduped`.
     assert!(drained.contains(" 0 deduped,"), "{drained}");
+}
+
+#[test]
+fn serve_refuses_a_fleet_the_frame_budget_cannot_carry() {
+    // 3 x 60 = 180 sites need a 4534 B map frame. Each side of the
+    // second fleet is 2^(bits/2), so the product wraps to 0 unless it
+    // saturates.
+    let half = (1u128 << (usize::BITS / 2)).to_string();
+    for (shards, sites, total) in [
+        ("3", "60", "180".to_string()),
+        (half.as_str(), half.as_str(), usize::MAX.to_string()),
+    ] {
+        let out = runtime(&[
+            "serve",
+            "--shards",
+            shards,
+            "--sites",
+            sites,
+            "--seconds",
+            "1",
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{shards} x {sites}: {out:?}");
+        assert!(out.stdout.is_empty(), "{shards} x {sites} served: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.starts_with("runtime: serve failed to start: "), "{err}");
+        assert!(err.contains("wire frame budget 4096 B"), "{err}");
+        assert!(err.contains(&format!("for {total} sites")), "{err}");
+    }
 }
 
 #[test]

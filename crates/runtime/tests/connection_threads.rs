@@ -4,7 +4,8 @@
 
 #![cfg(target_os = "linux")]
 
-use runtime::{WireClient, WireClientConfig, WireOutcome, WireServer, WireServerConfig};
+use runtime::{WireClient, WireClientConfig, WireServer, WireServerConfig};
+use wire::WireOutcome;
 
 /// Lines of `/proc/self/maps`: one per mapped region. A thread's stack
 /// and its guard page are two, until the thread is joined.

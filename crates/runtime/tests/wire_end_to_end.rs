@@ -10,9 +10,9 @@ use std::time::{Duration, Instant};
 
 use runtime::{
     run_wire_soak, ClientError, RetryPolicy, RouterPolicy, RuntimeError, WireClient,
-    WireClientConfig, WireOutcome, WireServer, WireServerConfig, WireSoakConfig,
+    WireClientConfig, WireServer, WireServerConfig, WireSoakConfig,
 };
-use wire::{ChaosProfile, FleetMsg};
+use wire::{ChaosProfile, FleetMsg, WireOutcome};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("wire-e2e-{tag}-{}", dst::unique_nonce()))

@@ -51,9 +51,9 @@ pub const FRAME_HEADER_LEN: usize = 13;
 /// closed-form function of the array size.
 pub const MAX_ERROR_KIND_LEN: usize = 64;
 
-/// A sensible default frame budget: covers thermal maps up to ~160
-/// sites (see [`max_response_frame_len`]). Servers with larger arrays
-/// must raise it — netcheck rule NC1501 checks exactly this.
+/// The frame budget both ends of the socket use: it covers thermal
+/// maps of up to 162 sites (see [`max_response_frame_len`]), and the
+/// server refuses to start a larger fleet.
 pub const DEFAULT_FRAME_BUDGET: usize = 4096;
 
 /// Bytes of one encoded [`MapEntry`]: shard + site + value bits +
@@ -660,7 +660,7 @@ impl Decoder {
 }
 
 // ---------------------------------------------------------------------
-// Budget math (the NC1501 contract)
+// Budget math (the server's start-up contract)
 // ---------------------------------------------------------------------
 
 /// Worst-case encoded size of one [`WireOutcome`]: a `Failed` with a
@@ -671,17 +671,18 @@ const MAX_OUTCOME_LEN: usize = 1 + 4 + MAX_ERROR_KIND_LEN;
 /// of `total_sites` sensor sites: the larger of the worst-case
 /// [`FleetMsg::ClientResp`] and a [`FleetMsg::MapResp`] carrying one
 /// row per site. A server whose frame budget is below this can
-/// *construct* a legal response it cannot *send* — netcheck rule
-/// NC1501 and the server-start preflight both check
-/// `budget >= max_response_frame_len(total_sites)`.
+/// *construct* a legal response it cannot *send*, so the server
+/// refuses to start unless `budget >= max_response_frame_len(total_sites)`.
+/// The size saturates at `usize::MAX`, so a fleet too large to count
+/// never wraps to a small one.
 pub fn max_response_frame_len(total_sites: usize) -> usize {
     let client_resp = 1 + 8 + MAX_OUTCOME_LEN + 4 + 8 + 8;
-    let map_resp = 1 + 8 + 8 + 4 + total_sites.saturating_mul(MAP_ENTRY_LEN);
+    let map_resp = (1 + 8 + 8 + 4usize).saturating_add(total_sites.saturating_mul(MAP_ENTRY_LEN));
     // The replication answers (`ReplAck`, and `Promote` as delivered
     // to replicas) are fixed-size and strictly smaller than the
     // worst-case `ClientResp`, so the max below covers them too —
     // asserted by `budget_math_covers_every_sample_response`.
-    FRAME_HEADER_LEN + client_resp.max(map_resp)
+    FRAME_HEADER_LEN.saturating_add(client_resp.max(map_resp))
 }
 
 #[cfg(test)]
@@ -985,5 +986,12 @@ mod tests {
         }
         // The map term dominates and scales with the array.
         assert!(max_response_frame_len(1000) > max_response_frame_len(10));
+        // A fleet too large to count saturates instead of wrapping to a
+        // size that fits the budget.
+        assert_eq!(max_response_frame_len(usize::MAX), usize::MAX);
+        assert_eq!(
+            max_response_frame_len(usize::MAX / MAP_ENTRY_LEN),
+            usize::MAX
+        );
     }
 }

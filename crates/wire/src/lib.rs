@@ -20,8 +20,8 @@
 //!   [`WireOutcome::Shed`] (typed backpressure instead of unbounded
 //!   queues) and the thermal-map readout
 //!   ([`FleetMsg::MapReq`]/[`FleetMsg::MapResp`]) whose frame size
-//!   grows with the array — the reason the frame budget is a checked
-//!   configuration (netcheck rule NC1501).
+//!   grows with the array — the reason the server checks its fleet's
+//!   size against the frame budget at start-up.
 //! * [`ring`] — the consistent-hash [`HashRing`], keyed by the shared
 //!   [`dst::hash::fnv1a64`].
 //! * [`chaos`] — a seeded TCP chaos proxy for soak tests: delay,
@@ -30,8 +30,8 @@
 //!   a hostile run replays.
 //!
 //! The crate knows nothing about sensors or the runtime: it is pure
-//! protocol, so `runtime` (server/client tiers) and `netcheck` (frame
-//! budget rule) can both depend on it without a cycle.
+//! protocol, so `runtime` (server/client tiers) depends on it without a
+//! cycle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,8 +8,8 @@
 //! backpressure answer a loaded server returns instead of queueing
 //! unboundedly, and the thermal-map readout
 //! ([`FleetMsg::MapReq`]/[`FleetMsg::MapResp`]) whose response size
-//! scales with the fleet's array — the message that makes the frame
-//! budget a real, checkable configuration (netcheck NC1501).
+//! scales with the fleet's array — the message that bounds the fleet
+//! a server may start with under the frame budget.
 
 use std::fmt;
 
@@ -121,7 +121,7 @@ pub enum FleetMsg {
     },
     /// Server → client: one row per site across every live shard —
     /// the largest response the protocol can carry, and the reason the
-    /// frame budget must be sized to the array (NC1501).
+    /// server checks its array against the frame budget at start-up.
     MapResp {
         /// Echoed request id.
         req_id: u64,

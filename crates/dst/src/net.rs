@@ -231,28 +231,10 @@ impl<M: Clone> SimNet<M> {
         self.severed.insert(pair(a, b));
     }
 
-    /// Severs every link crossing the cut between `group` and the rest
-    /// of the fabric — a full partition when `group` is one node, a
-    /// split-brain when it is several.
-    pub fn partition_group(&mut self, group: &[NodeId]) {
-        for &a in group {
-            for b in 0..self.nodes {
-                if !group.contains(&b) {
-                    self.severed.insert(pair(a, b));
-                }
-            }
-        }
-    }
-
     /// Heals the cut between `a` and `b`; held messages become
     /// deliverable again at their original schedule.
     pub fn heal_pair(&mut self, a: NodeId, b: NodeId) {
         self.severed.remove(&pair(a, b));
-    }
-
-    /// Heals every cut.
-    pub fn heal_all(&mut self) {
-        self.severed.clear();
     }
 
     /// `true` while `a` and `b` cannot exchange messages.
@@ -444,17 +426,6 @@ mod tests {
         assert_eq!(e.payload, 42);
         assert_eq!(e.sent_at_ms, 0, "the held message is the stale one");
         assert_eq!(net.stats().severed, 1);
-    }
-
-    #[test]
-    fn group_partition_severs_exactly_the_cut() {
-        let mut net: SimNet<()> = SimNet::new(4, 4, LinkProfile::ideal());
-        net.partition_group(&[0, 1]);
-        assert!(net.is_severed(0, 2) && net.is_severed(1, 3));
-        assert!(!net.is_severed(0, 1), "inside the group stays connected");
-        assert!(!net.is_severed(2, 3), "outside the group stays connected");
-        net.heal_all();
-        assert!(!net.is_severed(0, 2));
     }
 
     #[test]

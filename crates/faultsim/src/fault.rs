@@ -199,12 +199,6 @@ impl Fault {
         }
     }
 
-    /// `true` when the fault strikes the behavioral sensing unit (and
-    /// thus maps onto a [`RingFault`]).
-    pub fn is_unit_fault(&self) -> bool {
-        self.as_ring_fault().is_some() || matches!(self, Fault::ThermalRunaway { .. })
-    }
-
     /// `true` when the fault strikes a fleet network link rather than
     /// any layer of one sensor stack. Network faults are consumed by
     /// the fleet simulator (`runtime::sim::fleet`), not by campaigns.
@@ -350,7 +344,6 @@ mod tests {
             Fault::LinkDelay { add_ms: 200 },
         ] {
             assert!(f.is_network_fault());
-            assert!(!f.is_unit_fault());
             assert!(f.as_ring_fault().is_none());
         }
         assert!(!Fault::DeadRing.is_network_fault());
@@ -358,13 +351,13 @@ mod tests {
 
     #[test]
     fn ring_fault_mapping_is_total_for_unit_faults() {
-        assert!(Fault::DeadRing.is_unit_fault());
-        assert!(Fault::ThermalRunaway { junction_c: 200.0 }.is_unit_fault());
-        assert!(!Fault::StuckAt {
+        assert_eq!(Fault::DeadRing.as_ring_fault(), Some(RingFault::Dead));
+        assert!(Fault::StuckAt {
             stage: 0,
             value: Logic::One
         }
-        .is_unit_fault());
+        .as_ring_fault()
+        .is_none());
         assert_eq!(
             Fault::SlowRing { factor: 2.0 }.as_ring_fault(),
             Some(RingFault::DelayScale { factor: 2.0 })

@@ -171,16 +171,6 @@ impl FaultSchedule {
         let end = self.events.partition_point(|e| e.at_ms < to_ms);
         &self.events[start..end]
     }
-
-    /// Latest clear time across the schedule: after this instant no
-    /// scheduled fault is still active.
-    pub fn all_clear_ms(&self) -> u64 {
-        self.events
-            .iter()
-            .map(FaultEvent::clears_at_ms)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -245,7 +235,6 @@ mod tests {
         }
         assert_eq!(seen, s.len(), "tiling windows see every event once");
         assert!(s.due(10_000, u64::MAX).is_empty());
-        assert!(s.all_clear_ms() > 0);
     }
 
     #[test]

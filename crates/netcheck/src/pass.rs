@@ -71,7 +71,7 @@ declare_rule! {
     NC0303 => Error, "timing library is internally inconsistent or fails a Liberty round-trip";
     NC0401 => Error, "ring stage count invalid (must be odd; paper evaluates 5, 9, 21)";
     NC0402 => Info, "5-stage cell mix is not one of the paper's Fig. 3 configurations";
-    NC0403 => Warning, "calibration does not cover the paper's −50…150 °C range";
+    NC0403 => Error, "sensing transfer function not evaluable, or not monotonic over −50…150 °C";
     NC0901 => Error, "counter overflow possible: reachable count interval exceeds the counter width";
     NC0902 => Error, "worst-case quantization step exceeds the declared resolution spec";
     NC0903 => Error, "calibration anchors do not bracket the reachable period interval";

@@ -15,6 +15,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
+use runtime::sim::fleet;
 use runtime::{
     render_trace, run_wire_soak, shrink_failure, sweep_jobs, FleetConfig, FleetMutation, Mutation,
     RunReport, SimConfig, Simulation, SweepOutcome, WireClient, WireClientConfig, WireServer,
@@ -366,13 +367,13 @@ fn dst_cmd(args: &Args) -> Result<ExitCode, String> {
             mutation,
             ..FleetConfig::default()
         };
-        if let Some(node) = args.text("--replay-node").filter(|n| !base.has_node(n)) {
+        if let Some(node) = args.text("--replay-node").filter(|n| !fleet::has_node(n)) {
             return Err(format!(
                 "--replay-node `{node}` is not a node of this fleet (router | admin | \
                  anti-entropy | client-K for K < {} | shard-G-R for G < {}, R < {})",
-                base.clients,
-                base.shards.max(1),
-                base.replication.max(1)
+                fleet::CLIENTS,
+                fleet::GROUPS,
+                fleet::REPLICATION
             ));
         }
         Ok(run_dst(args, &base))

@@ -68,6 +68,14 @@ pub enum RuntimeError {
         /// Channels available.
         available: usize,
     },
+    /// The fleet has nothing to serve: no shard group, or no site in a
+    /// group.
+    EmptyFleet {
+        /// Shard groups configured.
+        shards: usize,
+        /// Sensor sites per group configured.
+        sites_per_shard: usize,
+    },
     /// The wire frame budget cannot carry the largest encodable
     /// response for this fleet's array size, so a full thermal-map
     /// readout would be unencodable by construction.
@@ -145,6 +153,14 @@ impl fmt::Display for RuntimeError {
             RuntimeError::BadChannel { channel, available } => {
                 write!(f, "channel {channel} out of range ({available} available)")
             }
+            RuntimeError::EmptyFleet {
+                shards,
+                sites_per_shard,
+            } => write!(
+                f,
+                "a fleet of {shards} shard group(s) x {sites_per_shard} site(s) has nothing \
+                 to serve"
+            ),
             RuntimeError::FrameBudget {
                 budget_bytes,
                 required_bytes,

@@ -68,7 +68,8 @@
 //!   lets every accepted in-flight request finish, flushes a final
 //!   snapshot per live replica, and only then stops the cores.
 //!
-//! [`WireServer::start`] refuses a fleet whose thermal map the one
+//! [`WireServer::start`] refuses a fleet with no group or no site, with
+//! a typed [`RuntimeError::EmptyFleet`], one whose thermal map the one
 //! frame budget cannot carry, with a typed [`RuntimeError::FrameBudget`],
 //! and an ack quorum other than the group's backup count, with a typed
 //! [`RuntimeError::BadReplication`]. This tier promotes only on
@@ -95,7 +96,7 @@ use crate::repl::{self, Output, Replica};
 use crate::route::RouterPolicy;
 use crate::service::{
     build_core, checkpoint_locked, maintenance_loop, reference_array, supervised_read,
-    wire_error_kind, wire_outcome, Core, Field, RecoveryReport, RuntimeConfig,
+    wire_error_kind, wire_outcome, Boot, Core, Field, RecoveryReport, RuntimeConfig,
 };
 use crate::sim::json_object;
 use crate::snapshot::SnapshotError;
@@ -142,8 +143,9 @@ pub struct WireServerConfig {
     /// A connection with no traffic at all for this long is closed,
     /// milliseconds.
     pub idle_timeout_ms: u64,
-    /// Per-replica runtime tuning (`snapshot_dir` is overridden with a
-    /// per-replica directory under `snapshot_root`).
+    /// Per-replica runtime tuning. Each replica's seed and snapshot
+    /// directory derive from `seed`, `snapshot_root` and its place in
+    /// the fleet.
     pub runtime: RuntimeConfig,
     /// Where each replica's checkpoints and effect log go
     /// (`shard-G-R/`, the log as `shard-G-R/effects.log`, written with
@@ -151,7 +153,8 @@ pub struct WireServerConfig {
     /// effect logs in memory only, so crash recovery starts cold with
     /// an empty log.
     pub snapshot_root: Option<PathBuf>,
-    /// Seed for the router's backoff jitter.
+    /// Seed for the router's backoff jitter, and, mixed with each
+    /// replica's group and index, for its cores' retry jitter.
     pub seed: u64,
 }
 
@@ -477,6 +480,8 @@ impl WireServer {
     ///
     /// # Errors
     ///
+    /// [`RuntimeError::EmptyFleet`] when `shards` or `sites_per_shard`
+    /// is 0, before any replica starts;
     /// [`RuntimeError::FrameBudget`] when [`DEFAULT_FRAME_BUDGET`]
     /// cannot carry the largest encodable response for the fleet's
     /// `shards × sites_per_shard` sites (a product too large to count
@@ -487,6 +492,12 @@ impl WireServer {
     /// [`RuntimeError::UnrecoverableFreshness`] and snapshot errors from
     /// each replica's preflight and store.
     pub fn start(cfg: WireServerConfig, bind: Option<SocketAddr>) -> Result<WireServer> {
+        if cfg.shards == 0 || cfg.sites_per_shard == 0 {
+            return Err(RuntimeError::EmptyFleet {
+                shards: cfg.shards,
+                sites_per_shard: cfg.sites_per_shard,
+            });
+        }
         let total_sites = cfg.shards.saturating_mul(cfg.sites_per_shard);
         let required_bytes = wire::max_response_frame_len(total_sites);
         if required_bytes > DEFAULT_FRAME_BUDGET {
@@ -522,7 +533,7 @@ impl WireServer {
             for replica in 0..cfg.replication {
                 let array = reference_array(cfg.sites_per_shard);
                 let (core, maintenance, log, _) =
-                    start_replica(&cfg, group, replica, array, &field, &stats, false)?;
+                    start_replica(&cfg, group, replica, array, &field, &stats, Boot::Cold)?;
                 replicas.push(WireShard {
                     core,
                     maintenance: Some(maintenance),
@@ -684,7 +695,7 @@ impl WireServer {
             array,
             &inner.field,
             &inner.stats,
-            true,
+            Boot::Recover,
         )?;
         sh.core = core;
         sh.maintenance = Some(maintenance);
@@ -874,12 +885,14 @@ fn io_snapshot_err(e: std::io::Error) -> RuntimeError {
 }
 
 /// Builds one replica's core over `array` (recovering from its snapshot
-/// directory when `recover` is set), spawns its maintenance thread, and
-/// opens its effect log at `shard-G-R/effects.log`. Core and log share
-/// one disk, as in the fleet simulation: under a snapshot root a fresh
-/// [`WriteBehind`] over [`RealFs`], so the log's appends reach the disk
-/// with the core's checkpoints and an unflushed tail dies with the
-/// process; without one [`NoDisk`], which keeps the log in memory only.
+/// directory `shard-G-R/` under the snapshot root unless `boot` is
+/// cold), spawns its maintenance thread, and opens its effect log at
+/// `shard-G-R/effects.log`. The core's seed mixes the server's with the
+/// replica's group and index. Core and log share one disk, as in the
+/// fleet simulation: under a snapshot root a fresh [`WriteBehind`] over
+/// [`RealFs`], so the log's appends reach the disk with the core's
+/// checkpoints and an unflushed tail dies with the process; without one
+/// [`NoDisk`], which keeps the log in memory only.
 fn start_replica(
     cfg: &WireServerConfig,
     group: usize,
@@ -887,15 +900,14 @@ fn start_replica(
     array: SensorArray,
     field: &Field,
     stats: &Counters,
-    recover: bool,
+    boot: Boot,
 ) -> Result<(Arc<Core>, JoinHandle<()>, EffectLog, RecoveryReport)> {
-    let mut rc = cfg.runtime.clone();
-    rc.seed = cfg.seed
+    let seed = cfg.seed
         ^ (group as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (replica as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
     let shard = PathBuf::from(format!("shard-{group}-{replica}"));
-    rc.snapshot_dir = cfg.snapshot_root.as_ref().map(|root| root.join(&shard));
-    let (fs, log_path): (Arc<dyn SimFs>, PathBuf) = match &rc.snapshot_dir {
+    let snapshot_dir = cfg.snapshot_root.as_ref().map(|root| root.join(&shard));
+    let (fs, log_path): (Arc<dyn SimFs>, PathBuf) = match &snapshot_dir {
         Some(dir) => (Arc::new(WriteBehind::new(RealFs)), dir.join("effects.log")),
         None => (Arc::new(NoDisk), shard.join("effects.log")),
     };
@@ -903,11 +915,11 @@ fn start_replica(
     let (core, report) = build_core(
         array,
         Arc::clone(field),
-        rc,
-        recover,
+        cfg.runtime.clone(),
+        seed,
         clock as Arc<dyn Clock>,
-        Arc::clone(&fs),
-        true,
+        snapshot_dir.as_deref().map(|dir| (Arc::clone(&fs), dir)),
+        boot,
     )?;
     // A core must scan before serving cached data; a restored cache
     // would be silent staleness (`ResurrectedCache`).
@@ -1509,6 +1521,30 @@ mod tests {
                     panic!("{shards} x {sites_per_shard}: expected FrameBudget, got {other:?}")
                 }
                 Ok(_) => panic!("{shards} x {sites_per_shard}: expected FrameBudget, got a server"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_fleet_with_nothing_to_serve_is_refused() {
+        for (shards, sites_per_shard) in [(0, 6), (3, 0), (0, 0)] {
+            let cfg = WireServerConfig {
+                shards,
+                sites_per_shard,
+                ..WireServerConfig::default()
+            };
+            match WireServer::start(cfg, None) {
+                Err(
+                    e @ RuntimeError::EmptyFleet {
+                        shards: s,
+                        sites_per_shard: p,
+                    },
+                ) => {
+                    assert_eq!((s, p), (shards, sites_per_shard));
+                    let says = format!("{shards} shard group(s) x {sites_per_shard} site(s)");
+                    assert!(e.to_string().contains(&says), "{e}");
+                }
+                started => panic!("{shards} x {sites_per_shard}: {:?}", started.err()),
             }
         }
     }

@@ -30,7 +30,7 @@
 //!   before it is served, never served as it stands.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -71,12 +71,8 @@ pub struct RuntimeConfig {
     /// [`HealthPolicy::parole_after`] to let quarantined rings earn
     /// their way back).
     pub policy: HealthPolicy,
-    /// Where checkpoints go; `None` disables checkpointing.
-    pub snapshot_dir: Option<PathBuf>,
     /// Snapshots retained on disk.
     pub snapshot_keep: usize,
-    /// Seed for retry jitter (the only randomness in the service).
-    pub seed: u64,
 }
 
 impl Default for RuntimeConfig {
@@ -92,9 +88,7 @@ impl Default for RuntimeConfig {
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
             policy: HealthPolicy::default().with_parole_after(3),
-            snapshot_dir: None,
             snapshot_keep: 4,
-            seed: 0,
         }
     }
 }
@@ -194,6 +188,8 @@ pub(crate) struct Core {
     /// adopted. 0 means unreplicated. Stamped into every checkpoint so
     /// a recovered ex-primary knows the epoch it last served at.
     group_epoch: AtomicU64,
+    /// Seeds the retry jitter, the only randomness in the service.
+    seed: u64,
     pub(crate) config: RuntimeConfig,
 }
 
@@ -255,6 +251,19 @@ pub fn reference_array(sites: usize) -> SensorArray {
     array
 }
 
+/// How [`build_core`] starts a core.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Boot {
+    /// From nothing: no checkpoint is read.
+    Cold,
+    /// From the newest valid checkpoint, re-serving each `Open`
+    /// breaker's cooldown against this incarnation's clock.
+    Recover,
+    /// As [`Boot::Recover`], but trusting checkpointed `Open` deadlines
+    /// verbatim: the known-bad mutation the DST sweep exists to catch.
+    RecoverRaw,
+}
+
 /// Builds the service core — state, breakers, recovery — without
 /// spawning any threads, against explicit clock and filesystem
 /// capabilities. The TCP tier calls this with a [`dst::SystemClock`]
@@ -263,33 +272,25 @@ pub fn reference_array(sites: usize) -> SensorArray {
 /// [`dst::VirtualClock`] and a [`dst::SimDisk`] and drives the
 /// identical logic single-threaded.
 ///
-/// With `recover`, the core restores calibration, quarantine, breaker
-/// states and the reading ring from the newest valid checkpoint in
-/// `config.snapshot_dir`, skipping torn or corrupt ones; otherwise it
-/// starts cold. Either way the store opens once, and that open
-/// garbage-collects orphaned temp files.
-///
-/// `rebase_breakers` selects how checkpointed `Open` breaker deadlines
-/// are restored: `true` is the correct behavior (re-serve the cooldown
-/// against this incarnation's clock); `false` trusts the foreign
-/// timestamps verbatim — the known-bad mutation the DST sweep exists to
-/// catch.
+/// The caller derives `seed`, which jitters the core's retries, and
+/// `snapshots`, the filesystem and directory its checkpoints go to
+/// (`None` disables checkpointing), from the replica it builds. When
+/// `boot` recovers, the core restores calibration, quarantine, breaker
+/// states and the reading ring from the newest valid checkpoint there,
+/// skipping torn or corrupt ones. Either way the store opens once, and
+/// that open garbage-collects orphaned temp files.
 pub(crate) fn build_core(
     mut array: SensorArray,
     field: Field,
     config: RuntimeConfig,
-    recover: bool,
+    seed: u64,
     clock: Arc<dyn Clock>,
-    fs: Arc<dyn SimFs>,
-    rebase_breakers: bool,
+    snapshots: Option<(Arc<dyn SimFs>, &Path)>,
+    boot: Boot,
 ) -> Result<(Arc<Core>, RecoveryReport)> {
     validate_deadline_budget(&array, &config)?;
-    let store = match &config.snapshot_dir {
-        Some(dir) => Some(SnapshotStore::open_on(
-            Arc::clone(&fs),
-            dir,
-            config.snapshot_keep,
-        )?),
+    let store = match snapshots {
+        Some((fs, dir)) => Some(SnapshotStore::open_on(fs, dir, config.snapshot_keep)?),
         None => None,
     };
     let mut breakers: Vec<CircuitBreaker> = (0..array.channel_count())
@@ -300,7 +301,7 @@ pub(crate) fn build_core(
     let mut snap = None;
     if let Some(store) = &store {
         report.gc_orphaned_tmp = store.orphaned_tmp_collected();
-        if recover {
+        if boot != Boot::Cold {
             match store.load_latest() {
                 Ok((snapshot, log)) => {
                     report.snapshots_skipped = log.skipped.len();
@@ -334,10 +335,10 @@ pub(crate) fn build_core(
                 array.set_quarantine(ch, status.clone())?;
                 report.restored_quarantine += 1;
             }
-            if rebase_breakers {
-                breakers[ch].restore(site.breaker.clone(), 0);
-            } else {
+            if boot == Boot::RecoverRaw {
                 breakers[ch].restore_raw(site.breaker.clone());
+            } else {
+                breakers[ch].restore(site.breaker.clone(), 0);
             }
             if !breakers[ch].is_closed() {
                 report.restored_open_breakers += 1;
@@ -363,6 +364,7 @@ pub(crate) fn build_core(
         epoch_ms,
         request_nonce: AtomicU64::new(0),
         group_epoch: AtomicU64::new(group_epoch),
+        seed,
         config,
     });
     Ok((core, report))
@@ -490,7 +492,6 @@ impl ReadJob {
     pub(crate) fn new(core: &Core, channel: usize, submitted_ms: u64, deadline_ms: u64) -> Self {
         let nonce = core.request_nonce.fetch_add(1, Ordering::Relaxed);
         let seed = core
-            .config
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(nonce)
@@ -769,18 +770,19 @@ mod tests {
     impl Rig {
         fn start(sites: usize, ambient_c: f64, cfg: RuntimeConfig) -> Rig {
             let disk = Arc::new(SimDisk::new(0, SimDiskProfile::pristine()));
-            let (rig, _) = Rig::boot(sites, ambient_c, cfg, disk, false).expect("core builds");
+            let (rig, _) = Rig::boot(sites, ambient_c, cfg, disk, Boot::Cold).expect("core builds");
             rig
         }
 
-        /// A fresh core (and clock) over `disk`, recovering from it when
-        /// `recover` is set: a process restart.
+        /// A fresh core (and clock) checkpointing to `/rig/snaps` on
+        /// `disk`, recovering from it unless `boot` is cold: a process
+        /// restart.
         fn boot(
             sites: usize,
             ambient_c: f64,
             cfg: RuntimeConfig,
             disk: Arc<SimDisk>,
-            recover: bool,
+            boot: Boot,
         ) -> Result<(Rig, RecoveryReport)> {
             let clock = Arc::new(VirtualClock::new());
             let field: Field = Arc::new(move |_, _| ambient_c);
@@ -788,10 +790,10 @@ mod tests {
                 reference_array(sites),
                 field,
                 cfg.clone(),
-                recover,
+                0,
                 Arc::clone(&clock) as Arc<dyn Clock>,
-                Arc::clone(&disk) as Arc<dyn SimFs>,
-                true,
+                Some((Arc::clone(&disk) as Arc<dyn SimFs>, Path::new("/rig/snaps"))),
+                boot,
             )?;
             let rig = Rig {
                 core,
@@ -806,8 +808,14 @@ mod tests {
 
         fn restart(&self) -> (Rig, RecoveryReport) {
             let disk = Arc::clone(&self.disk);
-            Rig::boot(self.sites, self.ambient_c, self.cfg.clone(), disk, true)
-                .expect("core recovers")
+            Rig::boot(
+                self.sites,
+                self.ambient_c,
+                self.cfg.clone(),
+                disk,
+                Boot::Recover,
+            )
+            .expect("core recovers")
         }
 
         /// One supervised read of `channel`, due `deadline_ms` from now.
@@ -847,13 +855,6 @@ mod tests {
             checkpoint_interval_ms: 0, // periodic checkpoints off
             staleness_bound_ms: 300,
             ..RuntimeConfig::default()
-        }
-    }
-
-    fn rooted(cfg: RuntimeConfig) -> RuntimeConfig {
-        RuntimeConfig {
-            snapshot_dir: Some(PathBuf::from("/rig/snaps")),
-            ..cfg
         }
     }
 
@@ -989,7 +990,7 @@ mod tests {
     fn unservable_deadline_budget_is_rejected_at_start() {
         let boot = |cfg: RuntimeConfig| {
             let disk = Arc::new(SimDisk::new(0, SimDiskProfile::pristine()));
-            Rig::boot(1, 25.0, cfg, disk, false).map(|_| ())
+            Rig::boot(1, 25.0, cfg, disk, Boot::Cold).map(|_| ())
         };
         // The payload quotes the site's hot-corner conversion: its ring
         // period at 150 °C times its settle and window cycles.
@@ -1045,7 +1046,7 @@ mod tests {
 
     #[test]
     fn checkpoint_and_recover_round_trip() {
-        let mut cfg = rooted(quick_config());
+        let mut cfg = quick_config();
         cfg.breaker.cooldown_ms = 60_000;
         let rig = Rig::start(4, 95.0, cfg);
         rig.set_fault(3, Some(RingFault::Dead));
@@ -1073,7 +1074,7 @@ mod tests {
 
     #[test]
     fn recovery_with_empty_dir_starts_fresh() {
-        let rig = Rig::start(2, 25.0, rooted(quick_config()));
+        let rig = Rig::start(2, 25.0, quick_config());
         let (rig2, report) = rig.restart();
         assert_eq!(report.recovered_seq, None);
         assert!(report.skipped.is_empty());
@@ -1083,7 +1084,7 @@ mod tests {
 
     #[test]
     fn recovery_reports_the_orphaned_checkpoint_it_collects() {
-        let rig = Rig::start(2, 25.0, rooted(quick_config()));
+        let rig = Rig::start(2, 25.0, quick_config());
         let orphan = PathBuf::from("/rig/snaps/snap-0000000099.tmp");
         rig.disk.plant(&orphan, "TSNAP\tv1\nseq\t99");
         let (_, report) = rig.restart();

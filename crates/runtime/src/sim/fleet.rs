@@ -84,11 +84,11 @@ use crate::effect_log::{EffectLog, EffectRecord};
 use crate::repl::{self, Output, Replica};
 use crate::retry::RetryPolicy;
 use crate::route::RouterPolicy;
-use crate::service::{wire_outcome, Field, JobStep, ReadJob, RuntimeConfig};
+use crate::service::{wire_outcome, Boot, JobStep, ReadJob};
 use wire::{FleetMsg, WireOutcome};
 
 use super::node::Node;
-use super::{json_object, violation_json, Latch, RunReport, SimConfig, Simulation, Violation};
+use super::{json_object, runtime_config, violation_json, Latch, RunReport, Simulation, Violation};
 
 /// A deliberate, known-bad change to the fleet, applied under
 /// simulation to prove the fleet invariant sweep catches real
@@ -350,122 +350,89 @@ impl fmt::Display for FleetEvent {
     }
 }
 
-/// Tuning for one simulated fleet run.
-#[derive(Debug, Clone)]
+/// Shard groups (hash-ring slots).
+pub const GROUPS: usize = 3;
+/// Replicas per group, primary included. The acked-write quorum is
+/// every live backup (`REPLICATION - 1` while all are up), the
+/// `ack_quorum` `WireServer::start` requires.
+pub const REPLICATION: usize = 2;
+/// Sensor sites per replica.
+const SITES_PER_GROUP: usize = 3;
+/// Client nodes issuing requests through the router.
+pub const CLIENTS: usize = 2;
+/// Upper bound on requests per client (clients also stop at the
+/// horizon).
+const REQUESTS_PER_CLIENT: usize = 12;
+/// Fabric pause between one client's consecutive requests, ms.
+const REQUEST_INTERVAL_MS: u64 = 45;
+/// Fabric time at which clients stop issuing, milliseconds.
+const HORIZON_MS: u64 = 1_600;
+/// Seeded network fault events drawn over the horizon.
+const NET_FAULTS: usize = 3;
+/// Seeded behavioral sensor fault events across all groups.
+const SENSOR_FAULTS: usize = 2;
+/// Seeded replica crash-and-recover events.
+const CRASHES: usize = 1;
+/// Seeded group decommission events, below `GROUPS` so the fleet
+/// always retains a servable group.
+const DECOMMISSIONS: usize = 1;
+const _: () = assert!(DECOMMISSIONS < GROUPS);
+/// Seeded permanent replica kills (a draw that would leave a group no
+/// live replica is skipped).
+const KILLS: usize = 1;
+/// Fabric pause between anti-entropy sweeps, ms.
+const ANTI_ENTROPY_INTERVAL_MS: u64 = 300;
+/// Maximum per-replica clock offset from fabric time, ms.
+const MAX_SKEW_MS: u64 = 40;
+/// Maximum per-replica drift magnitude, parts per million.
+const MAX_DRIFT_PPM: u64 = 200;
+/// Tolerance added to the staleness bound when judging ages that mix
+/// replica-local milliseconds with fabric transit: 1 ms of integer
+/// rounding plus the worst drift accumulation over the run.
+const SKEW_SLACK_MS: u64 = 1 + HORIZON_MS * MAX_DRIFT_PPM / 1_000_000;
+
+/// One simulated fleet run. The fleet and its seeded scenario are
+/// constants in this module ([`GROUPS`] groups of [`REPLICATION`]
+/// replicas with 3 sites each, [`CLIENTS`] clients, a 1.6 s horizon,
+/// and per seed 3 link faults, 2 sensor faults, one crash, one
+/// decommission and one kill), and every replica runs the one simulated
+/// runtime config; a run takes only its seed, its mutation, and, once
+/// shrunk, the event list it pins.
+#[derive(Debug, Clone, Default)]
 pub struct FleetConfig {
     /// Master seed: scheduler interleaving, fabric faults, skew draws,
     /// disk tear boundaries, retry jitter.
     pub seed: u64,
-    /// Shard groups (hash-ring slots).
-    pub shards: usize,
-    /// Replicas per group, primary included. 1 disables replication;
-    /// the acked-write quorum is every live backup (`replication - 1`
-    /// while all are up), the `ack_quorum` `WireServer::start` requires.
-    pub replication: usize,
-    /// Sensor sites per replica.
-    pub sites_per_shard: usize,
-    /// Client nodes issuing requests through the router.
-    pub clients: usize,
-    /// Upper bound on requests per client (clients also stop at the
-    /// horizon).
-    pub requests_per_client: usize,
-    /// Fabric pause between one client's consecutive requests, ms.
-    pub request_interval_ms: u64,
-    /// Fabric time at which clients stop issuing, milliseconds.
-    pub horizon_ms: u64,
-    /// Seeded network fault events drawn over the horizon (ignored
-    /// when `events` pins an explicit scenario).
-    pub net_faults: usize,
-    /// Seeded behavioral sensor fault events across all groups.
-    pub sensor_faults: usize,
-    /// Seeded replica crash-and-recover events.
-    pub crashes: usize,
-    /// Seeded group decommission events (capped at `shards - 1` so the
-    /// fleet always retains a servable group).
-    pub decommissions: usize,
-    /// Seeded permanent replica kills (capped so every group keeps at
-    /// least one live replica).
-    pub kills: usize,
-    /// Explicit scenario, overriding every seeded draw above — how a
-    /// shrunk reproducer pins its minimal event set.
+    /// Explicit scenario, overriding every seeded draw — how a shrunk
+    /// reproducer pins its minimal event set.
     pub events: Option<Vec<FleetEvent>>,
-    /// Fabric pause between anti-entropy sweeps, ms.
-    pub anti_entropy_interval_ms: u64,
-    /// Maximum per-replica clock offset from fabric time, ms.
-    pub max_skew_ms: u64,
-    /// Maximum per-replica drift magnitude, parts per million.
-    pub max_drift_ppm: i64,
-    /// The uniform junction temperature every replica monitors, °C.
-    pub ambient_c: f64,
     /// The known-bad change under test, if any.
     pub mutation: FleetMutation,
-    /// Per-replica runtime tuning (the simulation drives the read
-    /// path, scans and checkpoints itself, with no maintenance thread).
-    pub runtime: RuntimeConfig,
 }
 
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            seed: 0,
-            shards: 3,
-            replication: 2,
-            sites_per_shard: 3,
-            clients: 2,
-            requests_per_client: 12,
-            request_interval_ms: 45,
-            horizon_ms: 1_600,
-            net_faults: 3,
-            sensor_faults: 2,
-            crashes: 1,
-            decommissions: 1,
-            kills: 1,
-            events: None,
-            anti_entropy_interval_ms: 300,
-            max_skew_ms: 40,
-            max_drift_ppm: 200,
-            ambient_c: 85.0,
-            mutation: FleetMutation::None,
-            runtime: SimConfig::default().runtime,
-        }
-    }
+/// How long the simulated router waits for a primary before promoting
+/// a backup: a conversion's deadline plus 150 ms.
+fn failover_timeout_ms() -> u64 {
+    runtime_config().default_deadline_ms + 150
 }
 
-impl FleetConfig {
-    /// Tolerance added to the staleness bound when judging ages that
-    /// mix replica-local milliseconds with fabric transit: 1 ms of
-    /// integer rounding plus the worst drift accumulation over the
-    /// run.
-    pub fn skew_slack_ms(&self) -> u64 {
-        1 + (self.horizon_ms * self.max_drift_ppm.unsigned_abs()) / 1_000_000
-    }
+/// How long a client waits for a router paced by `retry` before giving
+/// up: worst case, an in-group promotion round plus every allowed
+/// cross-group failover attempt times out and every backoff rung is
+/// fully jittered.
+fn client_timeout_ms(retry: &RetryPolicy) -> u64 {
+    let attempts = u64::from(retry.max_attempts).min(GROUPS as u64);
+    failover_timeout_ms() * (attempts + 1) + retry.worst_case_backoff_ms() + 300
+}
 
-    /// How long the simulated router waits for a primary before
-    /// promoting a backup, milliseconds.
-    pub fn failover_timeout_ms(&self) -> u64 {
-        self.runtime.default_deadline_ms + 150
-    }
-
-    /// How long a client waits for a router paced by `retry` before
-    /// giving up: worst case, an in-group promotion round plus every
-    /// allowed cross-group failover attempt times out and every
-    /// backoff rung is fully jittered.
-    fn client_timeout_ms(&self, retry: &RetryPolicy) -> u64 {
-        let attempts = u64::from(retry.max_attempts.max(1)).min(self.shards.max(1) as u64);
-        self.failover_timeout_ms() * (attempts + 1) + retry.worst_case_backoff_ms() + 300
-    }
-
-    /// Whether `id` names a node of this fleet as [`task_node`] spells
-    /// it: `router`, `admin`, `anti-entropy`, `client-K` with K below
-    /// `clients`, or `shard-G-R` with G below `shards` and R below
-    /// `replication`.
-    pub fn has_node(&self, id: &str) -> bool {
-        let (groups, replication) = (self.shards.max(1), self.replication.max(1));
-        let shards =
-            (0..groups).flat_map(|g| (0..replication).map(move |r| format!("shard-{g}-{r}")));
-        let clients = (0..self.clients).map(|k| format!("client-{k}"));
-        ["router", "admin", "anti-entropy"].contains(&id) || shards.chain(clients).any(|n| n == id)
-    }
+/// Whether `id` names a node of the fleet as [`task_node`] spells it:
+/// `router`, `admin`, `anti-entropy`, `client-K` with K below
+/// [`CLIENTS`], or `shard-G-R` with G below [`GROUPS`] and R below
+/// [`REPLICATION`].
+pub fn has_node(id: &str) -> bool {
+    let shards = (0..GROUPS).flat_map(|g| (0..REPLICATION).map(move |r| format!("shard-{g}-{r}")));
+    let clients = (0..CLIENTS).map(|k| format!("client-{k}"));
+    ["router", "admin", "anti-entropy"].contains(&id) || shards.chain(clients).any(|n| n == id)
 }
 
 /// What one simulated fleet run did and found.
@@ -536,55 +503,42 @@ pub fn resolve_fleet_events(cfg: &FleetConfig) -> Vec<FleetEvent> {
         evs.sort_by_key(FleetEvent::at_ms);
         return evs;
     }
-    let replication = cfg.replication.max(1);
     let mut events = Vec::new();
-    if cfg.net_faults > 0 && cfg.shards > 0 {
-        for e in FaultSchedule::seeded_net_faults(
-            cfg.seed ^ 0x004E_4554,
-            cfg.net_faults,
-            cfg.horizon_ms,
-            cfg.shards,
-        )
-        .events()
-        {
-            events.push(FleetEvent::Link(e.clone()));
-        }
+    let net =
+        FaultSchedule::seeded_net_faults(cfg.seed ^ 0x004E_4554, NET_FAULTS, HORIZON_MS, GROUPS);
+    for e in net.events() {
+        events.push(FleetEvent::Link(e.clone()));
     }
-    if cfg.sensor_faults > 0 && cfg.shards * cfg.sites_per_shard > 0 {
-        for e in FaultSchedule::seeded_unit_faults(
-            cfg.seed ^ 0x5345_4E53,
-            cfg.sensor_faults,
-            cfg.horizon_ms,
-            cfg.shards * cfg.sites_per_shard,
-        )
-        .events()
-        {
-            let shard = e.channel / cfg.sites_per_shard;
-            let mut event = e.clone();
-            event.channel %= cfg.sites_per_shard;
-            events.push(FleetEvent::Sensor { shard, event });
-        }
+    let sensor = FaultSchedule::seeded_unit_faults(
+        cfg.seed ^ 0x5345_4E53,
+        SENSOR_FAULTS,
+        HORIZON_MS,
+        GROUPS * SITES_PER_GROUP,
+    );
+    for e in sensor.events() {
+        let shard = e.channel / SITES_PER_GROUP;
+        let mut event = e.clone();
+        event.channel %= SITES_PER_GROUP;
+        events.push(FleetEvent::Sensor { shard, event });
     }
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x0046_4C45_4554);
-    let horizon = cfg.horizon_ms.max(4);
-    for _ in 0..cfg.crashes {
+    for _ in 0..CRASHES {
         events.push(FleetEvent::Crash {
-            at_ms: horizon / 4 + rng.random_range(0..horizon / 2),
-            shard: rng.random_range(0..cfg.shards.max(1) as u64) as usize,
-            replica: rng.random_range(0..replication as u64) as usize,
+            at_ms: HORIZON_MS / 4 + rng.random_range(0..HORIZON_MS / 2),
+            shard: rng.random_range(0..GROUPS as u64) as usize,
+            replica: rng.random_range(0..REPLICATION as u64) as usize,
         });
     }
-    let decommissions = cfg.decommissions.min(cfg.shards.saturating_sub(1));
     let mut removed = Vec::new();
-    for _ in 0..decommissions {
-        let mut shard = rng.random_range(0..cfg.shards.max(1) as u64) as usize;
+    for _ in 0..DECOMMISSIONS {
+        let mut shard = rng.random_range(0..GROUPS as u64) as usize;
         // Never remove the whole fleet: re-draw onto a survivor.
         while removed.contains(&shard) {
-            shard = (shard + 1) % cfg.shards.max(1);
+            shard = (shard + 1) % GROUPS;
         }
         removed.push(shard);
         events.push(FleetEvent::Decommission {
-            at_ms: horizon / 5 + rng.random_range(0..horizon / 2),
+            at_ms: HORIZON_MS / 5 + rng.random_range(0..HORIZON_MS / 2),
             shard,
         });
     }
@@ -593,16 +547,16 @@ pub fn resolve_fleet_events(cfg: &FleetConfig) -> Vec<FleetEvent> {
     // EffectLost obligation is always dischargeable.
     let mut killed_per_group: BTreeMap<usize, usize> = BTreeMap::new();
     let mut kill_rng = StdRng::seed_from_u64(cfg.seed ^ 0x4B49_4C4C);
-    for _ in 0..cfg.kills {
-        let shard = kill_rng.random_range(0..cfg.shards.max(1) as u64) as usize;
-        let replica = kill_rng.random_range(0..replication as u64) as usize;
+    for _ in 0..KILLS {
+        let shard = kill_rng.random_range(0..GROUPS as u64) as usize;
+        let replica = kill_rng.random_range(0..REPLICATION as u64) as usize;
         let in_group = killed_per_group.entry(shard).or_insert(0);
-        if *in_group + 1 >= replication {
+        if *in_group + 1 >= REPLICATION {
             continue; // would extinguish the group: skip this draw
         }
         *in_group += 1;
         events.push(FleetEvent::Kill {
-            at_ms: horizon / 3 + kill_rng.random_range(0..horizon / 2),
+            at_ms: HORIZON_MS / 3 + kill_rng.random_range(0..HORIZON_MS / 2),
             shard,
             replica,
         });
@@ -641,15 +595,11 @@ struct GroupState {
 
 struct FleetWorld {
     net: SimNet<FleetMsg>,
-    /// All replicas, indexed by node id `group * replication + r`.
+    /// All replicas, indexed by node id `group * REPLICATION + r`.
     replicas: Vec<ReplicaNode>,
     groups: Vec<GroupState>,
-    replication: usize,
     /// The router's node id.
     router: usize,
-    /// Sensor sites per replica: a key converts on channel
-    /// `key % sites`.
-    sites: usize,
     mutation: FleetMutation,
     /// Effect ledger: `(node, incarnation, req_id)` → conversions
     /// started. More than one is a `DuplicateEffect` violation.
@@ -669,11 +619,11 @@ struct FleetWorld {
 
 impl FleetWorld {
     fn node(&self, group: usize, replica: usize) -> usize {
-        group * self.replication + replica
+        group * REPLICATION + replica
     }
 
     fn group_of(&self, node: usize) -> usize {
-        node / self.replication
+        node / REPLICATION
     }
 
     fn primary_node(&self, group: usize) -> usize {
@@ -693,7 +643,7 @@ impl FleetWorld {
     }
 
     fn group_has_live(&self, group: usize) -> bool {
-        (0..self.replication).any(|r| !self.replicas[self.node(group, r)].killed)
+        (0..REPLICATION).any(|r| !self.replicas[self.node(group, r)].killed)
     }
 
     /// Whether the router may place a request on `group`.
@@ -705,7 +655,7 @@ impl FleetWorld {
     /// reachable replicas wins a fresh epoch, broadcast by `Promote` to
     /// every live replica. False when no replica can stand.
     fn promote(&mut self, group: usize, req_id: u64, now: u64) -> bool {
-        let Some(winner) = repl::elect((0..self.replication).map(|r| {
+        let Some(winner) = repl::elect((0..REPLICATION).map(|r| {
             let n = &self.replicas[self.node(group, r)];
             (!n.killed && !n.partitioned).then(|| n.repl.log().records())
         })) else {
@@ -715,7 +665,7 @@ impl FleetWorld {
         self.groups[group].epoch = epoch;
         self.groups[group].primary = winner;
         self.report.promotions += 1;
-        for r in 0..self.replication {
+        for r in 0..REPLICATION {
             let n = self.node(group, r);
             if !self.replicas[n].killed {
                 let promote = FleetMsg::Promote {
@@ -736,7 +686,7 @@ impl FleetWorld {
         let g = self.group_of(node);
         let mut peers = vec![self.router];
         peers.extend(
-            (0..self.replication)
+            (0..REPLICATION)
                 .map(|s| self.node(g, s))
                 .filter(|&n| n != node),
         );
@@ -759,7 +709,7 @@ impl FleetWorld {
         }
         let lost = self.acked.keys().find(|&&(g, rid)| {
             g == group
-                && !(0..self.replication).any(|r| {
+                && !(0..REPLICATION).any(|r| {
                     let n = &self.replicas[self.node(group, r)];
                     !n.killed && n.repl.log().contains_req(rid)
                 })
@@ -779,43 +729,27 @@ impl FleetWorld {
     }
 }
 
-fn shard_runtime_config(cfg: &FleetConfig, group: usize, replica: usize) -> RuntimeConfig {
-    let mut rc = cfg.runtime.clone();
-    let node = (group * cfg.replication.max(1) + replica) as u64;
-    rc.seed = cfg.seed ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    rc.snapshot_dir = Some(PathBuf::from(format!(
-        "/fleet/shard-{group}-{replica}/snaps"
-    )));
-    rc
-}
-
 fn effect_log_path(group: usize, replica: usize) -> PathBuf {
     PathBuf::from(format!("/fleet/shard-{group}-{replica}/effects.log"))
 }
 
+/// Builds replica `replica` of `group`: its node's seed, snapshot
+/// directory, disk and nonce namespace all derive from its node id, and
+/// its clock from the next skew draw.
 fn build_replica(
     cfg: &FleetConfig,
     group: usize,
     replica: usize,
     base: &Arc<VirtualClock>,
-    field: &Field,
     skew_rng: &mut StdRng,
 ) -> ReplicaNode {
-    let offset = if cfg.max_skew_ms > 0 {
-        skew_rng.random_range(0..cfg.max_skew_ms + 1)
-    } else {
-        0
-    };
-    let drift = if cfg.max_drift_ppm > 0 {
-        skew_rng.random_range(0..(2 * cfg.max_drift_ppm + 1) as u64) as i64 - cfg.max_drift_ppm
-    } else {
-        0
-    };
-    let id = group * cfg.replication.max(1) + replica;
+    let offset = skew_rng.random_range(0..MAX_SKEW_MS + 1);
+    let drift = skew_rng.random_range(0..2 * MAX_DRIFT_PPM + 1) as i64 - MAX_DRIFT_PPM as i64;
+    let id = group * REPLICATION + replica;
     let node = Node::start(
-        cfg.sites_per_shard,
-        Arc::clone(field),
-        shard_runtime_config(cfg, group, replica),
+        SITES_PER_GROUP,
+        cfg.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        PathBuf::from(format!("/fleet/shard-{group}-{replica}/snaps")),
         Arc::new(SkewedClock::new(Arc::clone(base), offset, drift)),
         Arc::new(SimDisk::new(
             cfg.seed ^ (0xD15C_0000 + id as u64),
@@ -851,7 +785,7 @@ fn crash_replica(w: &mut FleetWorld, group: usize, replica: usize, now: u64) {
     w.net.drop_pending_for(i);
     w.report.crashes += 1;
     let replica_node = &mut w.replicas[i];
-    let rebuilt = replica_node.node.crash(true);
+    let rebuilt = replica_node.node.crash(Boot::Recover);
     let disk = Arc::clone(replica_node.node.disk());
     let log = EffectLog::open(disk, &effect_log_path(group, replica));
     let who = format!("group {group} replica {replica}");
@@ -963,7 +897,7 @@ fn apply(
     out: &mut Vec<Output>,
     jobs: &mut Vec<Conversion>,
 ) {
-    let (g, r) = (w.group_of(me), me % w.replication);
+    let (g, r) = (w.group_of(me), me % REPLICATION);
     for o in out.drain(..) {
         match o {
             Output::Send(to, msg) => {
@@ -993,7 +927,8 @@ fn apply(
                 let core = Arc::clone(w.replicas[me].node.core());
                 let submitted = core.now_ms();
                 let deadline_abs = submitted + core.config.default_deadline_ms;
-                let job = ReadJob::new(&core, (key as usize) % w.sites, submitted, deadline_abs);
+                let channel = (key as usize) % SITES_PER_GROUP;
+                let job = ReadJob::new(&core, channel, submitted, deadline_abs);
                 jobs.push(Conversion {
                     req_id,
                     key,
@@ -1044,24 +979,20 @@ fn apply(
 /// invariant violation) and reports what happened. Pure: the same
 /// config always returns the same report, trace included.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    let groups = cfg.shards.max(1);
-    let replication = cfg.replication.max(1);
-    let router_node = groups * replication;
-    let client_node = |k: usize| groups * replication + 1 + k;
-    let nodes = groups * replication + 1 + cfg.clients;
+    let router_node = GROUPS * REPLICATION;
+    let client_node = |k: usize| GROUPS * REPLICATION + 1 + k;
+    let nodes = GROUPS * REPLICATION + 1 + CLIENTS;
 
     let base = Arc::new(VirtualClock::new());
-    let ambient = cfg.ambient_c;
-    let field: Field = Arc::new(move |_, _| ambient);
     let mut skew_rng = StdRng::seed_from_u64(cfg.seed ^ 0x534B_4557);
 
-    let mut replicas = Vec::with_capacity(groups * replication);
-    for g in 0..groups {
-        for r in 0..replication {
-            replicas.push(build_replica(cfg, g, r, &base, &field, &mut skew_rng));
+    let mut replicas = Vec::with_capacity(GROUPS * REPLICATION);
+    for g in 0..GROUPS {
+        for r in 0..REPLICATION {
+            replicas.push(build_replica(cfg, g, r, &base, &mut skew_rng));
         }
     }
-    let group_states = (0..groups)
+    let group_states = (0..GROUPS)
         .map(|_| GroupState {
             primary: 0,
             epoch: 0,
@@ -1073,9 +1004,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
         net: SimNet::new(cfg.seed, nodes, LinkProfile::flaky()),
         replicas,
         groups: group_states,
-        replication,
         router: router_node,
-        sites: cfg.sites_per_shard.max(1),
         mutation: cfg.mutation,
         effects: BTreeMap::new(),
         acked: BTreeMap::new(),
@@ -1089,16 +1018,15 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     }));
 
     let mut ex = Executor::new(cfg.seed, Arc::clone(&base));
-    let policy = RouterPolicy::fleet(groups);
-    let horizon = cfg.horizon_ms;
-    let slack = cfg.skew_slack_ms();
-    let bound = cfg.runtime.staleness_bound_ms;
-    let shard_timeout = cfg.failover_timeout_ms();
-    let client_timeout = cfg.client_timeout_ms(&policy.retry);
+    let policy = RouterPolicy::fleet(GROUPS);
+    let runtime_cfg = runtime_config();
+    let bound = runtime_cfg.staleness_bound_ms;
+    let shard_timeout = failover_timeout_ms();
+    let client_timeout = client_timeout_ms(&policy.retry);
     // The run stops stepping here: clients may still be draining
-    // timeouts after the horizon, and the final anti-entropy
+    // timeouts after the HORIZON_MS, and the final anti-entropy
     // convergence pass runs at the very end.
-    let end = horizon + client_timeout + 500;
+    let end = HORIZON_MS + client_timeout + 500;
 
     // ----- Router: routing, failover, and epoch-fenced promotion -----
     {
@@ -1175,7 +1103,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                             WireOutcome::Failed { .. } | WireOutcome::Shed { .. } => 0,
                         };
                         let too_old = matches!(outcome, WireOutcome::Reading { .. })
-                            && total_age > bound + slack;
+                            && total_age > bound + SKEW_SLACK_MS;
                         if too_old || w.retired(origin_group) {
                             // Unservable: discard and fail over.
                             if too_old {
@@ -1260,9 +1188,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 
     // ----- Replicas: the protocol core driven over the fabric, plus
     // per-replica maintenance -----
-    for g in 0..groups {
-        for r in 0..replication {
-            let me = g * replication + r;
+    for g in 0..GROUPS {
+        for r in 0..REPLICATION {
+            let me = g * REPLICATION + r;
             let world_s = Rc::clone(&world);
             let mut jobs: Vec<Conversion> = Vec::new();
             let mut out: Vec<Output> = Vec::new();
@@ -1304,8 +1232,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         }
                     }
                 }
-                let live: Vec<usize> = (0..replication)
-                    .map(|sib| g * replication + sib)
+                let live: Vec<usize> = (0..REPLICATION)
+                    .map(|sib| g * REPLICATION + sib)
                     .filter(|&n| n != me && !w.replicas[n].killed)
                     .collect();
                 w.replicas[me]
@@ -1329,9 +1257,9 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             // the single-node simulation runs them.
             {
                 let world = Rc::clone(&world);
-                let interval = cfg.runtime.scan_interval_ms.max(1);
+                let interval = runtime_cfg.scan_interval_ms;
                 ex.spawn(format!("scan-{g}-{r}"), 3 + me as u64, move |now| {
-                    if now >= horizon {
+                    if now >= HORIZON_MS {
                         return TaskState::Done;
                     }
                     let w = world.borrow();
@@ -1342,11 +1270,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                     TaskState::SleepUntil(now + interval)
                 });
             }
-            if cfg.runtime.checkpoint_interval_ms > 0 {
+            {
                 let world = Rc::clone(&world);
-                let interval = cfg.runtime.checkpoint_interval_ms;
+                let interval = runtime_cfg.checkpoint_interval_ms;
                 ex.spawn(format!("ckpt-{g}-{r}"), interval + me as u64, move |now| {
-                    if now >= horizon {
+                    if now >= HORIZON_MS {
                         return TaskState::Done;
                     }
                     let w = world.borrow();
@@ -1364,15 +1292,14 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     }
     // ----- Clients: closed-loop request traffic and the two
     // client-visible invariants -----
-    for k in 0..cfg.clients {
+    for k in 0..CLIENTS {
         let world = Rc::clone(&world);
         let me = client_node(k);
-        let mut remaining = cfg.requests_per_client;
+        let mut remaining = REQUESTS_PER_CLIENT;
         let mut seq = 0u64;
         let mut key = (k as u64).wrapping_mul(7);
         // The one request in flight: (req_id, sent_at_ms).
         let mut waiting: Option<(u64, u64)> = None;
-        let interval = cfg.request_interval_ms.max(1);
         ex.spawn(format!("client-{k}"), 5 + k as u64, move |now| {
             let mut w = world.borrow_mut();
             while let Some(env) = w.net.poll(me, now) {
@@ -1405,7 +1332,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                             .get(origin_shard)
                             .and_then(|gr| gr.decommissioned_at);
                         for (invariant, detail) in
-                            check_reading(&reading, decommissioned_at, bound, slack)
+                            check_reading(&reading, decommissioned_at, bound, SKEW_SLACK_MS)
                         {
                             w.violation.flag(invariant, now, detail);
                         }
@@ -1432,12 +1359,12 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                     let next_msg = w.net.next_wake(me).unwrap_or(u64::MAX);
                     let wake = (sent_at + client_timeout)
                         .min(next_msg)
-                        .min(now + interval)
+                        .min(now + REQUEST_INTERVAL_MS)
                         .max(now + 1);
                     return TaskState::SleepUntil(wake);
                 }
             }
-            if remaining == 0 || now >= horizon {
+            if remaining == 0 || now >= HORIZON_MS {
                 return TaskState::Done;
             }
             remaining -= 1;
@@ -1448,7 +1375,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
             w.net
                 .send(now, me, router_node, FleetMsg::ClientReq { req_id, key });
             waiting = Some((req_id, now));
-            TaskState::SleepUntil(now + interval)
+            TaskState::SleepUntil(now + REQUEST_INTERVAL_MS)
         });
     }
 
@@ -1519,7 +1446,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         }
                     }
                     FleetEvent::Crash { shard, replica, .. } => {
-                        if shard < w.groups.len() && replica < replication {
+                        if shard < w.groups.len() && replica < REPLICATION {
                             crash_replica(&mut w, shard, replica, now);
                         }
                     }
@@ -1530,7 +1457,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                         }
                     }
                     FleetEvent::Kill { shard, replica, .. } => {
-                        if shard >= w.groups.len() || replica >= replication {
+                        if shard >= w.groups.len() || replica >= REPLICATION {
                             continue;
                         }
                         let node = w.node(shard, replica);
@@ -1572,23 +1499,22 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
     // convergence + durability audit -----
     {
         let world = Rc::clone(&world);
-        let interval = cfg.anti_entropy_interval_ms.max(1);
-        ex.spawn("anti-entropy", interval, move |now| {
+        ex.spawn("anti-entropy", ANTI_ENTROPY_INTERVAL_MS, move |now| {
             let mut w = world.borrow_mut();
             if now >= end {
                 // Final audit. First repair from the replica the
                 // election would pick among the live ones, then assert
                 // convergence and durability over what remains.
                 for g in 0..w.groups.len() {
-                    let Some(auth) = repl::elect((0..replication).map(|sib| {
-                        let n = &w.replicas[g * replication + sib];
+                    let Some(auth) = repl::elect((0..REPLICATION).map(|sib| {
+                        let n = &w.replicas[g * REPLICATION + sib];
                         (!n.killed).then(|| n.repl.log().records())
                     })) else {
                         continue; // group fully killed: audited at the kill
                     };
-                    let auth = g * replication + auth;
+                    let auth = g * REPLICATION + auth;
                     let canonical: Vec<EffectRecord> = w.replicas[auth].repl.log().records().to_vec();
-                    for n in (g * replication..(g + 1) * replication).filter(|&n| n != auth) {
+                    for n in (g * REPLICATION..(g + 1) * REPLICATION).filter(|&n| n != auth) {
                         if w.replicas[n].killed {
                             continue;
                         }
@@ -1625,7 +1551,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                     continue;
                 }
                 let canonical: Vec<EffectRecord> = primary.repl.log().records().to_vec();
-                for n in (g * replication..(g + 1) * replication).filter(|&n| n != p) {
+                for n in (g * REPLICATION..(g + 1) * REPLICATION).filter(|&n| n != p) {
                     let backup = &w.replicas[n];
                     // Never overwrite a backup the election ranks
                     // *ahead* of this primary: it may be the only
@@ -1639,7 +1565,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
                     w.repair(n, &canonical);
                 }
             }
-            TaskState::SleepUntil(now + interval)
+            TaskState::SleepUntil(now + ANTI_ENTROPY_INTERVAL_MS)
         });
     }
 
@@ -1768,13 +1694,12 @@ mod tests {
     use super::*;
     use crate::sim::{render_trace, shrink_failure, sweep_jobs};
 
-    fn quick() -> FleetConfig {
-        FleetConfig::default()
-    }
-
     #[test]
     fn clean_fleet_run_replays_byte_for_byte() {
-        let cfg = FleetConfig { seed: 5, ..quick() };
+        let cfg = FleetConfig {
+            seed: 5,
+            ..FleetConfig::default()
+        };
         let a = run_fleet(&cfg);
         let b = run_fleet(&cfg);
         assert_eq!(a, b, "identical config must replay identically");
@@ -1793,7 +1718,7 @@ mod tests {
 
     #[test]
     fn shipped_fleet_survives_a_seed_sweep() {
-        let out = sweep_jobs(&quick(), 0, 10, 1);
+        let out = sweep_jobs(&FleetConfig::default(), 0, 10, 1);
         assert_eq!(out.seeds, 10);
         assert!(
             out.violations.is_empty(),
@@ -1807,7 +1732,7 @@ mod tests {
     fn no_decommission_check_mutation_is_caught_and_shrunk() {
         let base = FleetConfig {
             mutation: FleetMutation::NoDecommissionCheck,
-            ..quick()
+            ..FleetConfig::default()
         };
         let caught = (0..100)
             .map(|s| base.with_seed(s).run())
@@ -1846,7 +1771,7 @@ mod tests {
     fn no_epoch_fence_mutation_is_caught() {
         let base = FleetConfig {
             mutation: FleetMutation::NoEpochFence,
-            ..quick()
+            ..FleetConfig::default()
         };
         let caught = (0..200)
             .map(|s| base.with_seed(s).run())
@@ -1880,13 +1805,21 @@ mod tests {
 
     #[test]
     fn permanent_kill_loses_no_acked_effects() {
-        // Dedicated durability pressure: more kills than the default
-        // scenario, across a longer horizon.
-        let cfg = FleetConfig {
+        // Dedicated durability pressure: seed 11's scenario, which kills
+        // replica 1 of group 0, plus a second kill in group 2.
+        let seeded = FleetConfig {
             seed: 11,
-            kills: 2,
-            shards: 3,
-            ..quick()
+            ..FleetConfig::default()
+        };
+        let mut events = resolve_fleet_events(&seeded);
+        events.push(FleetEvent::Kill {
+            at_ms: 786,
+            shard: 2,
+            replica: 0,
+        });
+        let cfg = FleetConfig {
+            events: Some(events),
+            ..seeded
         };
         let report = run_fleet(&cfg);
         assert!(
@@ -1894,12 +1827,12 @@ mod tests {
             "kills must not lose acked work: {:?}",
             report.violation
         );
-        assert!(report.kills > 0, "scenario must actually kill replicas");
+        assert_eq!(report.kills, 2, "scenario must kill two replicas");
     }
 
     #[test]
     fn parallel_fleet_sweep_is_byte_identical_to_serial() {
-        let base = quick();
+        let base = FleetConfig::default();
         let serial = sweep_jobs(&base, 0, 6, 1);
         for jobs in [2, 4] {
             assert_eq!(sweep_jobs(&base, 0, 6, jobs), serial, "jobs={jobs}");
@@ -1908,7 +1841,10 @@ mod tests {
 
     #[test]
     fn trace_filters_to_one_node() {
-        let report = run_fleet(&FleetConfig { seed: 1, ..quick() });
+        let report = run_fleet(&FleetConfig {
+            seed: 1,
+            ..FleetConfig::default()
+        });
         let full = render_trace(&report, None);
         let replica00 = render_trace(&report, Some("shard-0-0"));
         assert!(full.lines().count() > replica00.lines().count());
@@ -1927,8 +1863,8 @@ mod tests {
 
     #[test]
     fn resolved_scenarios_are_seeded_and_sorted() {
-        let a = resolve_fleet_events(&quick());
-        let b = resolve_fleet_events(&quick());
+        let a = resolve_fleet_events(&FleetConfig::default());
+        let b = resolve_fleet_events(&FleetConfig::default());
         assert_eq!(a, b);
         assert!(!a.is_empty());
         assert!(
@@ -1938,7 +1874,10 @@ mod tests {
         for w in a.windows(2) {
             assert!(w[0].at_ms() <= w[1].at_ms());
         }
-        let c = resolve_fleet_events(&FleetConfig { seed: 9, ..quick() });
+        let c = resolve_fleet_events(&FleetConfig {
+            seed: 9,
+            ..FleetConfig::default()
+        });
         assert_ne!(a, c, "different seeds draw different scenarios");
     }
 

@@ -56,7 +56,7 @@ use faultsim::{FaultEvent, FaultSchedule};
 use crate::breaker::BreakerState;
 use crate::error::RuntimeError;
 use crate::service::{
-    enforce_deadline, Core, Field, JobStep, Provenance, ReadJob, RuntimeConfig, ServedReading,
+    enforce_deadline, Boot, Core, JobStep, Provenance, ReadJob, RuntimeConfig, ServedReading,
 };
 use node::Node;
 
@@ -181,64 +181,64 @@ pub struct Violation<I> {
     pub detail: String,
 }
 
-/// Tuning for one simulated run.
+/// Sensor sites in the simulated array.
+const SITES: usize = 4;
+/// Concurrent client tasks issuing reads.
+const CLIENTS: usize = 3;
+/// Upper bound on reads per client (clients also stop at the horizon).
+const REQUESTS_PER_CLIENT: usize = 120;
+/// Virtual pause between one client's consecutive reads, ms.
+const REQUEST_INTERVAL_MS: u64 = 15;
+/// Virtual time at which background tasks stop, milliseconds.
+const HORIZON_MS: u64 = 2_500;
+/// Seeded fault events drawn over the horizon, unless a config pins
+/// its storm.
+const FAULTS: usize = 5;
+/// The uniform junction temperature every simulated array monitors, in
+/// both simulators, °C.
+const AMBIENT_C: f64 = 85.0;
+
+/// The runtime tuning of every simulated core, in both simulators. The
+/// simulators drive the read path, scans and checkpoints themselves, on
+/// these intervals, with no maintenance thread.
+fn runtime_config() -> RuntimeConfig {
+    RuntimeConfig {
+        default_deadline_ms: 250,
+        scan_interval_ms: 80,
+        checkpoint_interval_ms: 200,
+        staleness_bound_ms: 600,
+        snapshot_keep: 3,
+        ..RuntimeConfig::default()
+    }
+}
+
+/// One simulated run of the service. The scenario is a set of
+/// constants in this module (4 sites, 3 clients of up to 120 reads 15 ms
+/// apart, a 2.5 s horizon, 5 seeded fault events) and one simulated
+/// runtime config; a run takes only its seed, its mutation, and, once
+/// shrunk, the storm and crash times it pins.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Master seed: drives the scheduler's interleaving, the fault
     /// storm, the disk's tear boundaries, and the retry jitter.
     pub seed: u64,
-    /// Sensor sites in the simulated array.
-    pub sites: usize,
-    /// Concurrent client tasks issuing reads.
-    pub clients: usize,
-    /// Upper bound on reads per client (clients also stop at the
-    /// horizon).
-    pub requests_per_client: usize,
-    /// Virtual pause between one client's consecutive reads, ms.
-    pub request_interval_ms: u64,
-    /// Virtual time at which background tasks stop, milliseconds.
-    pub horizon_ms: u64,
-    /// Seeded fault events drawn over the horizon (ignored when
-    /// `events` pins an explicit storm).
-    pub faults: usize,
     /// Explicit fault storm, overriding the seeded one — how a shrunk
     /// reproducer pins its minimal event set.
     pub events: Option<Vec<FaultEvent>>,
     /// Virtual times at which the process crashes (power loss: disk
     /// tears, core rebuilt from the newest valid checkpoint).
     pub crashes: Vec<u64>,
-    /// The uniform junction temperature the array monitors, °C.
-    pub ambient_c: f64,
     /// The known-bad change under test, if any.
     pub mutation: Mutation,
-    /// Runtime tuning (the simulation drives the read path, scans and
-    /// checkpoints itself, with no maintenance thread).
-    pub runtime: RuntimeConfig,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 0,
-            sites: 4,
-            clients: 3,
-            requests_per_client: 120,
-            request_interval_ms: 15,
-            horizon_ms: 2_500,
-            faults: 5,
             events: None,
             crashes: vec![1_500],
-            ambient_c: 85.0,
             mutation: Mutation::None,
-            runtime: RuntimeConfig {
-                default_deadline_ms: 250,
-                scan_interval_ms: 80,
-                checkpoint_interval_ms: 200,
-                staleness_bound_ms: 600,
-                snapshot_dir: Some(PathBuf::from("/sim/snaps")),
-                snapshot_keep: 3,
-                ..RuntimeConfig::default()
-            },
         }
     }
 }
@@ -528,8 +528,7 @@ pub fn resolve_events(cfg: &SimConfig) -> Vec<FaultEvent> {
             evs.sort_by_key(|e| e.at_ms);
             evs
         }
-        None if cfg.faults == 0 => Vec::new(),
-        None => FaultSchedule::seeded_unit_faults(cfg.seed, cfg.faults, cfg.horizon_ms, cfg.sites)
+        None => FaultSchedule::seeded_unit_faults(cfg.seed, FAULTS, HORIZON_MS, SITES)
             .events()
             .to_vec(),
     }
@@ -539,15 +538,12 @@ pub fn resolve_events(cfg: &SimConfig) -> Vec<FaultEvent> {
 /// violation) and reports what happened. Pure: the same config always
 /// returns the same report, trace included.
 pub fn run_sim(cfg: &SimConfig) -> SimReport {
-    let mut runtime_cfg = cfg.runtime.clone();
-    runtime_cfg.seed = cfg.seed;
+    let runtime_cfg = runtime_config();
     let clock = Arc::new(VirtualClock::new());
-    let ambient = cfg.ambient_c;
-    let field: Field = Arc::new(move |_, _| ambient);
     let node = Node::start(
-        cfg.sites,
-        field,
-        runtime_cfg.clone(),
+        SITES,
+        cfg.seed,
+        PathBuf::from("/sim/snaps"),
         Arc::clone(&clock) as _,
         Arc::new(SimDisk::new(cfg.seed, SimDiskProfile::default())),
         None,
@@ -566,18 +562,15 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
     }));
 
     let mut ex = Executor::new(cfg.seed, Arc::clone(&clock));
-    let horizon = cfg.horizon_ms;
 
     // Client tasks: each drives ReadJob — the TCP tier's exact
     // retry/breaker/fallback machine — as discrete steps.
-    for k in 0..cfg.clients {
+    for k in 0..CLIENTS {
         let world = Rc::clone(&world);
-        let sites = cfg.sites.max(1);
-        let interval = cfg.request_interval_ms.max(1);
         let budget_ms = runtime_cfg.default_deadline_ms;
         let bound_ms = runtime_cfg.staleness_bound_ms;
-        let mut remaining = cfg.requests_per_client;
-        let mut chan = k % sites;
+        let mut remaining = REQUESTS_PER_CLIENT;
+        let mut chan = k % SITES;
         let mut job: Option<(ReadJob, u64, u64)> = None; // (job, deadline_abs, incarnation)
         ex.spawn(format!("client-{k}"), (k as u64) * 3, move |now| {
             let mut w = world.borrow_mut();
@@ -590,7 +583,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
             }
             match &mut job {
                 None => {
-                    if remaining == 0 || now >= horizon {
+                    if remaining == 0 || now >= HORIZON_MS {
                         return TaskState::Done;
                     }
                     remaining -= 1;
@@ -603,7 +596,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                         deadline_abs,
                         w.incarnation,
                     ));
-                    chan = (chan + 1) % sites;
+                    chan = (chan + 1) % SITES;
                     TaskState::Runnable
                 }
                 Some((j, deadline_abs, _)) => {
@@ -632,7 +625,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
                                     }
                                 }
                             }
-                            TaskState::SleepUntil(now + interval)
+                            TaskState::SleepUntil(now + REQUEST_INTERVAL_MS)
                         }
                     }
                 }
@@ -645,20 +638,20 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
     // cadence.
     {
         let world = Rc::clone(&world);
-        let interval = runtime_cfg.scan_interval_ms.max(1);
+        let interval = runtime_cfg.scan_interval_ms;
         ex.spawn("scan", 1, move |now| {
-            if now >= horizon {
+            if now >= HORIZON_MS {
                 return TaskState::Done;
             }
             world.borrow().node.scan();
             TaskState::SleepUntil(now + interval)
         });
     }
-    if runtime_cfg.checkpoint_interval_ms > 0 && runtime_cfg.snapshot_dir.is_some() {
+    {
         let world = Rc::clone(&world);
         let interval = runtime_cfg.checkpoint_interval_ms;
         ex.spawn("checkpoint", interval, move |now| {
-            if now >= horizon {
+            if now >= HORIZON_MS {
                 return TaskState::Done;
             }
             let mut w = world.borrow_mut();
@@ -704,12 +697,15 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
         crash_times.sort_unstable();
         let first = crash_times[0];
         let mut idx = 0usize;
-        let rebase = cfg.mutation != Mutation::NoCooldownRebase;
+        let boot = match cfg.mutation {
+            Mutation::None => Boot::Recover,
+            Mutation::NoCooldownRebase => Boot::RecoverRaw,
+        };
         ex.spawn("crash", first, move |now| {
             let mut w = world.borrow_mut();
             w.report.crashes += 1;
             idx += 1;
-            match w.node.crash(rebase) {
+            match w.node.crash(boot) {
                 Ok((rec, resurrected)) => {
                     w.report.snapshots_skipped += rec.snapshots_skipped as u64;
                     if resurrected {
@@ -736,7 +732,7 @@ pub fn run_sim(cfg: &SimConfig) -> SimReport {
 
     // Run, checking every invariant after every step.
     let check_world = Rc::clone(&world);
-    let violation = ex.run(horizon + 10_000, 500_000, move |record: &StepRecord| {
+    let violation = ex.run(HORIZON_MS + 10_000, 500_000, move |record: &StepRecord| {
         let mut w = check_world.borrow_mut();
         if let Some(v) = w.violation.pin(record) {
             return Some(v);
@@ -916,20 +912,12 @@ pub fn shrink_failure<S: Simulation>(cfg: &S) -> Option<ShrunkCase<S>> {
 mod tests {
     use super::*;
 
-    fn quick() -> SimConfig {
-        SimConfig {
-            clients: 2,
-            requests_per_client: 60,
-            horizon_ms: 2_000,
-            faults: 4,
-            crashes: vec![1_200],
-            ..SimConfig::default()
-        }
-    }
-
     #[test]
     fn clean_run_replays_byte_for_byte() {
-        let cfg = SimConfig { seed: 3, ..quick() };
+        let cfg = SimConfig {
+            seed: 3,
+            ..SimConfig::default()
+        };
         let a = run_sim(&cfg);
         let b = run_sim(&cfg);
         assert_eq!(a, b, "identical config must replay identically");
@@ -944,7 +932,7 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_byte_identical_to_serial() {
-        let base = quick();
+        let base = SimConfig::default();
         let serial = sweep(&base, 0, 6);
         for jobs in [1, 2, 4] {
             assert_eq!(sweep_jobs(&base, 0, 6, jobs), serial, "jobs={jobs}");
@@ -954,7 +942,13 @@ mod tests {
     #[test]
     fn different_seeds_explore_different_schedules() {
         let traces: std::collections::HashSet<usize> = (0..4u64)
-            .map(|s| run_sim(&SimConfig { seed: s, ..quick() }).trace.len())
+            .map(|s| {
+                let cfg = SimConfig {
+                    seed: s,
+                    ..SimConfig::default()
+                };
+                run_sim(&cfg).trace.len()
+            })
             .collect();
         // Not all four runs may differ in length, but the schedule
         // space must not collapse to a single point.
@@ -963,7 +957,7 @@ mod tests {
 
     #[test]
     fn shipped_service_survives_a_seed_sweep() {
-        let out = sweep(&quick(), 0, 15);
+        let out = sweep(&SimConfig::default(), 0, 15);
         assert_eq!(out.seeds, 15);
         assert!(
             out.violations.is_empty(),
@@ -978,7 +972,7 @@ mod tests {
     fn no_cooldown_rebase_mutation_is_caught_within_200_seeds() {
         let base = SimConfig {
             mutation: Mutation::NoCooldownRebase,
-            ..quick()
+            ..SimConfig::default()
         };
         let caught = (0..200)
             .map(|s| base.with_seed(s).run())
@@ -1021,9 +1015,9 @@ mod tests {
     fn storm_free_sim_serves_fresh_only() {
         let cfg = SimConfig {
             seed: 9,
-            faults: 0,
+            events: Some(Vec::new()),
             crashes: Vec::new(),
-            ..quick()
+            ..SimConfig::default()
         };
         let report = run_sim(&cfg);
         assert!(report.violation.is_none(), "{:?}", report.violation);
@@ -1067,7 +1061,10 @@ mod tests {
 
     #[test]
     fn trace_renders_for_artifacts() {
-        let report = run_sim(&SimConfig { seed: 1, ..quick() });
+        let report = run_sim(&SimConfig {
+            seed: 1,
+            ..SimConfig::default()
+        });
         let text = render_trace(&report, None);
         assert!(text.contains("seed 1"));
         assert!(text.lines().count() > 10);

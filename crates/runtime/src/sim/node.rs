@@ -2,8 +2,10 @@
 //! service [`Core`] over a crash-torn [`SimDisk`], scanned and
 //! checkpointed by the maintenance tasks, struck by silicon faults, and
 //! crash-recovered through `build_core`. [`super::run_sim`] runs one;
-//! [`super::fleet::run_fleet`] runs one per replica.
+//! [`super::fleet::run_fleet`] runs one per replica. Every node runs
+//! [`super::runtime_config`] over a uniform [`super::AMBIENT_C`] field.
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dst::{Clock, NonceNamespace, SimDisk};
@@ -11,9 +13,11 @@ use sensor::RingFault;
 
 use crate::error::Result;
 use crate::service::{
-    build_core, checkpoint_locked, reference_array, refresh_cache_locked, Core, Field,
-    RecoveryReport, RuntimeConfig,
+    build_core, checkpoint_locked, reference_array, refresh_cache_locked, Boot, Core,
+    RecoveryReport,
 };
+
+use super::{runtime_config, AMBIENT_C};
 
 /// One simulated service node and what a crash rebuilds it from.
 pub(crate) struct Node {
@@ -21,8 +25,10 @@ pub(crate) struct Node {
     disk: Arc<SimDisk>,
     clock: Arc<dyn Clock>,
     sites: usize,
-    field: Field,
-    cfg: RuntimeConfig,
+    /// The seed every incarnation's retry jitter derives from.
+    seed: u64,
+    /// Where the node's checkpoints go on `disk`.
+    snapshot_dir: PathBuf,
     /// Where checkpoint temp-file nonces come from, if the driver set
     /// one; a rebuilt core's store gets it back.
     namespace: Option<Arc<NonceNamespace>>,
@@ -31,37 +37,51 @@ pub(crate) struct Node {
     faults: Vec<(u64, usize, RingFault)>,
 }
 
+/// A core over `reference_array(sites)` and the simulated config,
+/// checkpointing to `snapshot_dir` on `disk`.
+fn boot_core(
+    sites: usize,
+    seed: u64,
+    snapshot_dir: &Path,
+    clock: &Arc<dyn Clock>,
+    disk: &Arc<SimDisk>,
+    boot: Boot,
+) -> Result<(Arc<Core>, RecoveryReport)> {
+    build_core(
+        reference_array(sites),
+        Arc::new(|_, _| AMBIENT_C),
+        runtime_config(),
+        seed,
+        Arc::clone(clock),
+        Some((Arc::clone(disk) as Arc<dyn dst::SimFs>, snapshot_dir)),
+        boot,
+    )
+}
+
 impl Node {
-    /// Builds a cold core over `reference_array(sites)`.
+    /// Builds a cold core over `reference_array(sites)`, checkpointing
+    /// to `snapshot_dir` on `disk`.
     ///
     /// # Panics
     ///
-    /// When `cfg` cannot start a core, a broken simulator config.
+    /// When the simulated runtime config cannot start a core.
     pub(crate) fn start(
         sites: usize,
-        field: Field,
-        cfg: RuntimeConfig,
+        seed: u64,
+        snapshot_dir: PathBuf,
         clock: Arc<dyn Clock>,
         disk: Arc<SimDisk>,
         namespace: Option<Arc<NonceNamespace>>,
     ) -> Node {
-        let (core, _report) = build_core(
-            reference_array(sites),
-            Arc::clone(&field),
-            cfg.clone(),
-            false,
-            Arc::clone(&clock),
-            Arc::clone(&disk) as Arc<dyn dst::SimFs>,
-            true,
-        )
-        .expect("a simulated node must start");
+        let (core, _report) = boot_core(sites, seed, &snapshot_dir, &clock, &disk, Boot::Cold)
+            .expect("a simulated node must start");
         let node = Node {
             core,
             disk,
             clock,
             sites,
-            field,
-            cfg,
+            seed,
+            snapshot_dir,
             namespace,
             faults: Vec::new(),
         };
@@ -129,21 +149,20 @@ impl Node {
     }
 
     /// Power loss and recovery: the disk tears, and the core is rebuilt
-    /// from the newest valid checkpoint (`rebase` as in `build_core`)
-    /// with the active faults and the namespace applied again. Returns
-    /// what recovery restored and whether the rebuilt core came up with
-    /// a cached median, which recovery must never restore. On error the
-    /// old core stays.
-    pub(crate) fn crash(&mut self, rebase: bool) -> Result<(RecoveryReport, bool)> {
+    /// from the newest valid checkpoint as `boot` says, with the active
+    /// faults and the namespace applied again. Returns what recovery
+    /// restored and whether the rebuilt core came up with a cached
+    /// median, which recovery must never restore. On error the old core
+    /// stays.
+    pub(crate) fn crash(&mut self, boot: Boot) -> Result<(RecoveryReport, bool)> {
         self.disk.crash();
-        let (core, report) = build_core(
-            reference_array(self.sites),
-            Arc::clone(&self.field),
-            self.cfg.clone(),
-            true,
-            Arc::clone(&self.clock),
-            Arc::clone(&self.disk) as Arc<dyn dst::SimFs>,
-            rebase,
+        let (core, report) = boot_core(
+            self.sites,
+            self.seed,
+            &self.snapshot_dir,
+            &self.clock,
+            &self.disk,
+            boot,
         )?;
         self.core = core;
         let mut state = self.core.state.lock().expect("state poisoned");

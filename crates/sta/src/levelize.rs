@@ -26,14 +26,6 @@ pub struct Levelization {
     pub sccs: Vec<Vec<usize>>,
 }
 
-impl Levelization {
-    /// True when the component sits in a multi-node (or self-loop) SCC.
-    pub fn in_cycle(&self, component: usize, succ: &[Vec<usize>]) -> bool {
-        let scc = &self.sccs[self.scc_of[component]];
-        scc.len() > 1 || succ[component].contains(&component)
-    }
-}
-
 /// Successor lists over components: `succ[i]` holds every component
 /// consuming a signal that component `i` drives. Shared by
 /// [`levelize`] and its clients so both see the identical graph.
